@@ -6,8 +6,8 @@
 // per sim-second, worker utilization (profile section).
 //
 // E18 — epoch-dispatch speedup. An 8-node eager-group workload run
-// through the thread backend under {turn, epoch, epoch+steal}
-// dispatch, each cell digest-checked against the sim oracle, with the
+// through the thread backend under {turn, epoch} dispatch, each cell
+// digest-checked against the sim oracle, with the
 // wall-clock ratio turn/epoch as the speedup column. The binary FAILS
 // if any cell's digests diverge or if the median speedup over the
 // seeds falls below 1.5x — parallelism that changed the bits, or
@@ -16,7 +16,7 @@
 // The report rows carry the digests as hex strings;
 // tools/diff_digests.py re-checks the cross-backend equality from the
 // JSON alone (E18 rows use their own seed range, so each (scheme,
-// seed) group spans the sim row plus all three dispatch cells), so CI
+// seed) group spans the sim row plus both dispatch cells), so CI
 // validates the property end-to-end through the artifact pipeline. A
 // mismatch also fails THIS binary (nonzero exit).
 
@@ -102,25 +102,11 @@ SimConfig SpeedupConfig(std::uint64_t seed) {
   return c;
 }
 
-struct SpeedupCell {
-  const char* name;
-  runtime::ThreadRuntime::DispatchMode mode;
-  bool steal;
+/// E18's cells, turn-based first: it is the speedup baseline.
+constexpr runtime::ThreadRuntime::DispatchMode kSpeedupModes[] = {
+    runtime::ThreadRuntime::DispatchMode::kTurnBased,
+    runtime::ThreadRuntime::DispatchMode::kEpoch,
 };
-
-constexpr SpeedupCell kSpeedupCells[] = {
-    {"turn", runtime::ThreadRuntime::DispatchMode::kTurnBased, false},
-    {"epoch", runtime::ThreadRuntime::DispatchMode::kEpoch, false},
-    {"epoch+steal", runtime::ThreadRuntime::DispatchMode::kEpoch, true},
-};
-
-SimConfig SpeedupCellConfig(std::uint64_t seed, const SpeedupCell& cell) {
-  SimConfig c = SpeedupConfig(seed);
-  c.backend = RuntimeBackend::kThreads;
-  c.dispatch = cell.mode;
-  c.steal_untagged = cell.steal;
-  return c;
-}
 
 /// E18's performance floor: epoch dispatch must beat turn-based by at
 /// least this factor (median over seeds) or the binary fails.
@@ -230,11 +216,11 @@ int Main() {
   // performance gate: epoch dispatch must actually buy wall-clock time
   // over turn-based on the wide 8-node workload.
   PrintBanner("E18", "Epoch dispatch speedup (8-node eager-group)",
-              "turn vs epoch vs epoch+steal; digests re-checked per cell");
+              "turn vs epoch; digests re-checked per cell");
 
-  std::printf("%5s | %10s | %10s | %12s | %8s | %16s\n", "seed", "turn s",
-              "epoch s", "epoch+steal", "speedup", "state digest");
-  std::printf("------+------------+------------+--------------+----------+"
+  std::printf("%5s | %10s | %10s | %8s | %16s\n", "seed", "turn s",
+              "epoch s", "speedup", "state digest");
+  std::printf("------+------------+------------+----------+"
               "-----------------\n");
 
   std::vector<double> speedups;
@@ -245,11 +231,13 @@ int Main() {
     oracle_row.Set("section", "epoch_speedup");
     report.AddRow(std::move(oracle_row));
 
-    double wall[std::size(kSpeedupCells)] = {};
+    double wall[std::size(kSpeedupModes)] = {};
     std::uint64_t digest = 0;
     bool seed_ok = true;
-    for (std::size_t i = 0; i < std::size(kSpeedupCells); ++i) {
-      SimConfig cfg = SpeedupCellConfig(seed, kSpeedupCells[i]);
+    for (std::size_t i = 0; i < std::size(kSpeedupModes); ++i) {
+      SimConfig cfg = SpeedupConfig(seed);
+      cfg.backend = RuntimeBackend::kThreads;
+      cfg.dispatch = kSpeedupModes[i];
       SimOutcome out = RunScheme(cfg);
       wall[i] = out.runtime_wall_seconds;
       digest = out.state_digest;
@@ -272,8 +260,8 @@ int Main() {
     }
     double speedup = wall[1] > 0 ? wall[0] / wall[1] : 0;
     speedups.push_back(speedup);
-    std::printf("%5llu | %10.3f | %10.3f | %12.3f | %7.2fx | %16s%s\n",
-                (unsigned long long)seed, wall[0], wall[1], wall[2], speedup,
+    std::printf("%5llu | %10.3f | %10.3f | %7.2fx | %16s%s\n",
+                (unsigned long long)seed, wall[0], wall[1], speedup,
                 Hex(digest).c_str(), seed_ok ? "" : "  << MISMATCH");
   }
 

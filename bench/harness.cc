@@ -52,7 +52,7 @@ std::string_view DispatchLabel(const SimConfig& config) {
   if (config.dispatch == runtime::ThreadRuntime::DispatchMode::kTurnBased) {
     return "turn";
   }
-  return config.steal_untagged ? "epoch+steal" : "epoch";
+  return "epoch";
 }
 
 analytic::ModelParams ToModelParams(const SimConfig& config) {
@@ -65,6 +65,10 @@ analytic::ModelParams ToModelParams(const SimConfig& config) {
   return p;
 }
 
+namespace {
+
+/// The deterministic fault plan `config`'s knobs expand to (empty plan
+/// when the config is clean).
 fault::FaultPlan BuildFaultPlan(const SimConfig& config) {
   fault::FaultPlan plan;
   if (config.fault_drop_probability > 0) {
@@ -91,11 +95,9 @@ fault::FaultPlan BuildFaultPlan(const SimConfig& config) {
   return plan;
 }
 
-SimOutcome RunScheme(const SimConfig& config) {
-  return RunScheme(config, RunHooks{});
-}
+}  // namespace
 
-SimOutcome RunScheme(const SimConfig& config, const RunHooks& hooks) {
+SimOutcome RunScheme(const SimConfig& config) {
   Cluster::Options copts;
   copts.num_nodes = config.nodes;
   copts.db_size = config.db_size;
@@ -104,14 +106,7 @@ SimOutcome RunScheme(const SimConfig& config, const RunHooks& hooks) {
   copts.seed = config.seed;
   copts.enable_metrics = config.enable_metrics;
   copts.backend = config.backend;
-  copts.time_scale = config.time_scale;
   copts.runtime.dispatch = config.dispatch;
-  copts.runtime.steal_untagged = config.steal_untagged;
-  copts.runtime.mailbox_capacity =
-      static_cast<std::size_t>(config.mailbox_capacity);
-  copts.runtime.overflow = config.overflow_shed
-                               ? runtime::ThreadRuntime::OverflowPolicy::kShed
-                               : runtime::ThreadRuntime::OverflowPolicy::kBlock;
   copts.wal.mode = config.durability;
   copts.wal.fsync = config.wal_fsync;
   copts.wal.wal_dir = config.wal_dir;
@@ -121,7 +116,6 @@ SimOutcome RunScheme(const SimConfig& config, const RunHooks& hooks) {
       static_cast<std::size_t>(config.wal_group_max_records);
   copts.wal.segment_bytes = config.wal_segment_bytes;
   Cluster cluster(copts);
-  if (hooks.on_built) hooks.on_built(cluster);
 
   BatchShipper::Options batch;
   batch.flush_window = SimTime::Seconds(config.batch_flush_window);
@@ -248,8 +242,6 @@ SimOutcome RunScheme(const SimConfig& config, const RunHooks& hooks) {
     if (lazy_master != nullptr) lazy_master->CatchUpAll();
     cluster.runtime().Run();
   }
-  // Quiescent point: no further events can fire, digests not yet taken.
-  if (hooks.before_digest) hooks.before_digest(cluster);
   if (checker != nullptr) {
     // The final invariant check: convergence, or recorded delusion for
     // lazy-group. Violations stay unacknowledged: the checker
@@ -310,8 +302,6 @@ SimOutcome RunScheme(const SimConfig& config, const RunHooks& hooks) {
     outcome.runtime_epochs = cluster.thread_runtime()->epochs();
     outcome.runtime_epoch_width_max =
         cluster.thread_runtime()->epoch_width_max();
-    outcome.runtime_steals = cluster.thread_runtime()->steal_count();
-    outcome.runtime_sheds = cluster.thread_runtime()->shed_count();
     double sim_s = cluster.thread_runtime()->sim_seconds();
     outcome.runtime_wall_seconds = cluster.thread_runtime()->wall_seconds();
     outcome.wall_sim_ratio =

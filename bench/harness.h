@@ -3,14 +3,12 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "analytic/fit.h"
 #include "analytic/model.h"
-#include "fault/fault_plan.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/timeseries.h"
@@ -39,8 +37,8 @@ std::string_view SchemeKindName(SchemeKind kind);
 
 struct SimConfig;
 
-/// Canonical label of a threads config's dispatch mode: "turn",
-/// "epoch", or "epoch+steal". Report rows and E18's table carry it.
+/// Canonical label of a threads config's dispatch mode: "turn" or
+/// "epoch". Report rows and E18's table carry it.
 std::string_view DispatchLabel(const SimConfig& config);
 
 /// One simulated run of the Table-2 workload model under a scheme.
@@ -118,21 +116,11 @@ struct SimConfig {
   // property.
   /// Execution backend for the cluster's event loop.
   RuntimeBackend backend = RuntimeBackend::kSim;
-  /// kThreads pacing: wall-seconds per sim-second (0 free-runs).
-  double time_scale = 0;
   /// kThreads dispatch: turn-based (one event per coordinator round
   /// trip) or epoch-parallel (same-timestamp events on distinct nodes
   /// run concurrently). Digest-identical either way.
   runtime::ThreadRuntime::DispatchMode dispatch =
       runtime::ThreadRuntime::DispatchMode::kTurnBased;
-  /// Epoch dispatch only: untagged exclusive events ride worker lanes
-  /// and parallel-class spillover enters a work-stealing pool.
-  bool steal_untagged = false;
-  /// Mailbox depth bound; 0 = unbounded (no backpressure).
-  std::uint64_t mailbox_capacity = 0;
-  /// With a bounded mailbox: shed overfull pushes back to the sender
-  /// instead of blocking it.
-  bool overflow_shed = false;
   /// If true, drain all in-flight traffic after the measurement window
   /// (flush batch planes, run the event loop dry, lazy-master
   /// catch-up) before capturing digests — faulted runs always drain.
@@ -177,10 +165,6 @@ struct SimOutcome {
   /// functions of the event schedule).
   std::uint64_t runtime_epochs = 0;
   std::uint64_t runtime_epoch_width_max = 0;
-  /// Epoch dispatch only: steal-pool grabs and backpressure sheds
-  /// (nondeterministic — excluded from equivalence comparisons).
-  std::uint64_t runtime_steals = 0;
-  std::uint64_t runtime_sheds = 0;
   /// kThreads only: wall-seconds per sim-second actually achieved
   /// (nondeterministic; excluded from any equivalence comparison).
   double wall_sim_ratio = 0;
@@ -204,30 +188,6 @@ struct SimOutcome {
 /// Runs the uniform open-loop workload under `config` and returns the
 /// measured rates.
 SimOutcome RunScheme(const SimConfig& config);
-
-/// Observation points inside RunScheme for callers that need to attach
-/// passive instrumentation to the cluster — the multi-process backend's
-/// NetBridge hooks in here. Hook code must not mutate cluster state,
-/// send messages, or draw from any cluster RNG stream: a hooked run
-/// must stay bit-identical to an unhooked one.
-struct RunHooks {
-  /// Right after the Cluster is constructed, before the scheme, fault
-  /// layer, or workload exist — the place to attach a delivery hook.
-  std::function<void(Cluster&)> on_built;
-  /// After the run has fully drained (no further events can fire) and
-  /// before the state/shard digests are captured — the place for a
-  /// cross-process drain barrier.
-  std::function<void(Cluster&)> before_digest;
-};
-
-/// RunScheme with observation hooks (either may be empty).
-SimOutcome RunScheme(const SimConfig& config, const RunHooks& hooks);
-
-/// The deterministic fault plan `config`'s knobs expand to (empty plan
-/// when the config is clean). Exposed so every process of a
-/// multi-process run can prove it built the same plan
-/// (FaultPlan::Fingerprint) as the coordinator.
-fault::FaultPlan BuildFaultPlan(const SimConfig& config);
 
 /// Canonical name of the fault plan `config` runs under ("none" when
 /// clean, else e.g. "drop=0.05+partition+crash"). Report rows carry it

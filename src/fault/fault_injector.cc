@@ -187,7 +187,8 @@ void FaultInjector::HealAll() {
   Log("heal-all");
 }
 
-Network::InterceptVerdict FaultInjector::OnTransmit(NodeId from, NodeId to) {
+Network::InterceptVerdict FaultInjector::OnTransmit(NodeId /*from*/,
+                                                    NodeId /*to*/) {
   Network::InterceptVerdict v;
   if (!chaos_active_) return v;
   const ChaosProfile& chaos = plan_.chaos();

@@ -1,7 +1,6 @@
 #include "fault/fault_plan.h"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <utility>
 
@@ -217,52 +216,6 @@ FaultPlan FaultPlan::Random(Rng* rng, std::uint32_t num_nodes,
         .ChaosOffAt(SimTime::Seconds(t2));
   }
   return plan;
-}
-
-namespace {
-
-void HashMix(std::uint64_t* h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    *h ^= (v >> (8 * i)) & 0xff;
-    *h *= 1099511628211ULL;
-  }
-}
-
-void HashMixStr(std::uint64_t* h, const std::string& s) {
-  HashMix(h, s.size());
-  for (unsigned char c : s) {
-    *h ^= c;
-    *h *= 1099511628211ULL;
-  }
-}
-
-}  // namespace
-
-std::uint64_t FaultPlan::Fingerprint() const {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
-  HashMix(&h, actions_.size());
-  for (const FaultAction& a : actions_) {
-    HashMix(&h, static_cast<std::uint64_t>(a.at.micros()));
-    HashMix(&h, static_cast<std::uint64_t>(a.kind));
-    HashMix(&h, a.a);
-    HashMix(&h, a.b);
-    HashMixStr(&h, a.name);
-    HashMix(&h, a.group.size());
-    for (NodeId n : a.group) HashMix(&h, n);
-  }
-  // Probabilities hashed by bit pattern: the plan is either built from
-  // the same literals (equal bits) or it is not the same plan.
-  auto bits = [](double d) {
-    std::uint64_t u = 0;
-    static_assert(sizeof(u) == sizeof(d));
-    std::memcpy(&u, &d, sizeof(u));
-    return u;
-  };
-  HashMix(&h, bits(chaos_.drop_probability));
-  HashMix(&h, bits(chaos_.duplicate_probability));
-  HashMix(&h, bits(chaos_.delay_probability));
-  HashMix(&h, static_cast<std::uint64_t>(chaos_.max_extra_delay.micros()));
-  return h;
 }
 
 std::string FaultPlan::ToString() const {

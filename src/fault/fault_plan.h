@@ -99,12 +99,6 @@ class FaultPlan {
 
   std::string ToString() const;
 
-  /// Deterministic FNV-1a fingerprint over every action field and the
-  /// chaos profile. Two processes that independently build "the same"
-  /// plan from a shipped config can prove it cheaply — the proc
-  /// backend's config-integrity channel.
-  std::uint64_t Fingerprint() const;
-
  private:
   std::vector<FaultAction> actions_;
   ChaosProfile chaos_;

@@ -111,11 +111,6 @@ void Network::Arrive(Handle h) {
     pool_.Push(inbox_[to], h);
     return;
   }
-  // The delivery is now certain to run: give the hook its rendezvous
-  // point (the proc backend ships/awaits the matching wire frame here).
-  if (delivery_hook_ != nullptr && from != to) {
-    delivery_hook_->OnDeliver(from, to, copies);
-  }
   // Move the handler out of the slab before invoking: the handler may
   // Send (growing the slab, which would invalidate the record
   // reference), and releasing first lets the slot recycle immediately.
@@ -155,13 +150,9 @@ void Network::SetConnected(NodeId node, bool connected) {
   }
   for (Handle h = pool_.Detach(inbox_[node]); h != net::MessagePool::kNil;) {
     Handle next = pool_.NextOf(h);
-    NodeId from = pool_.Get(h).from;
     std::uint32_t copies = pool_.Get(h).copies;
     sim::Callback fn = std::move(pool_.Get(h).fn);
     pool_.Release(h);
-    if (delivery_hook_ != nullptr && from != node) {
-      delivery_hook_->OnDeliver(from, node, copies);
-    }
     delivered_ += copies;
     m_delivered_.Increment(copies);
     for (std::uint32_t c = 0; c < copies; ++c) fn();

@@ -88,22 +88,6 @@ class Network {
     virtual InterceptVerdict OnTransmit(NodeId from, NodeId to) = 0;
   };
 
-  /// Observation point for every cross-node delivery, invoked
-  /// immediately before the delivered message's handler runs (both the
-  /// direct arrival path and the reconnect inbox flush; self-sends are
-  /// excluded). The hook runs inside the delivery's runtime event, so
-  /// the sequence of OnDeliver calls is exactly the deterministic
-  /// delivery order of the seeded schedule — the property the
-  /// multi-process backend (src/proc) builds its socket rendezvous on.
-  /// Hooks must not mutate cluster state, send messages, or draw from
-  /// any cluster RNG stream; they may block (the proc backend blocks a
-  /// receiving process until the matching frame arrives on the wire).
-  class DeliveryHook {
-   public:
-    virtual ~DeliveryHook() = default;
-    virtual void OnDeliver(NodeId from, NodeId to, std::uint32_t copies) = 0;
-  };
-
   /// `metrics` may be null (uninstrumented network). `rt` is the
   /// execution backend (the simulator, or the thread backend).
   Network(runtime::Runtime* rt, std::vector<Node*> nodes, Options options,
@@ -149,10 +133,6 @@ class Network {
     interceptor_ = interceptor;
   }
   MessageInterceptor* interceptor() const { return interceptor_; }
-
-  /// Attaches/detaches the delivery observation hook (not owned).
-  void set_delivery_hook(DeliveryHook* hook) { delivery_hook_ = hook; }
-  DeliveryHook* delivery_hook() const { return delivery_hook_; }
 
   /// Cuts or restores the (symmetric) link between `a` and `b`.
   /// Restoring re-transmits every message held on the link, then runs
@@ -229,7 +209,6 @@ class Network {
   obs::MetricsRegistry::Counter m_crashes_;
   obs::MetricsRegistry::Counter m_restarts_;
   MessageInterceptor* interceptor_ = nullptr;
-  DeliveryHook* delivery_hook_ = nullptr;
   net::MessagePool pool_;
   std::vector<MsgQueue> outbox_;  // per sender
   std::vector<MsgQueue> inbox_;   // per receiver

@@ -53,22 +53,6 @@ std::uint64_t MetricsSnapshot::Counter(std::string_view name) const {
   return m != nullptr && m->kind == MetricKind::kCounter ? m->counter : 0;
 }
 
-void MetricsSnapshot::MergeCounter(std::string_view name,
-                                   std::uint64_t delta) {
-  auto it = std::lower_bound(
-      metrics.begin(), metrics.end(), name,
-      [](const MetricValue& m, std::string_view n) { return m.name < n; });
-  if (it != metrics.end() && it->name == name) {
-    it->counter += delta;
-    return;
-  }
-  MetricValue v;
-  v.name = std::string(name);
-  v.kind = MetricKind::kCounter;
-  v.counter = delta;
-  metrics.insert(it, std::move(v));
-}
-
 void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
   // Merge-join over two name-sorted vectors; the result stays sorted.
   std::vector<MetricValue> merged;

@@ -59,10 +59,6 @@ struct MetricsSnapshot {
   const MetricValue* Find(std::string_view name) const;
   std::uint64_t Counter(std::string_view name) const;
   void Merge(const MetricsSnapshot& other);
-  /// Adds `delta` to the named counter, inserting a kCounter entry at
-  /// its sorted position if absent — how the multi-process backend
-  /// folds per-process transport counters into one run snapshot.
-  void MergeCounter(std::string_view name, std::uint64_t delta);
   std::string ToString() const;
 };
 

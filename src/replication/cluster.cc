@@ -13,10 +13,8 @@ Cluster::Cluster(Options options)
         &shards_));
   }
   if (options_.backend == RuntimeBackend::kThreads) {
-    runtime::ThreadRuntime::Options topts = options_.runtime;
-    topts.time_scale = options_.time_scale;
     thread_rt_ = std::make_unique<runtime::ThreadRuntime>(
-        &sim_, options_.num_nodes, topts, metrics_or_null());
+        &sim_, options_.num_nodes, options_.runtime, metrics_or_null());
     rt_ = thread_rt_.get();
   } else {
     rt_ = &sim_;

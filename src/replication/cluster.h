@@ -58,12 +58,7 @@ class Cluster {
     bool enable_metrics = true;
     /// Execution backend; every component schedules through runtime().
     RuntimeBackend backend = RuntimeBackend::kSim;
-    /// kThreads only: wall-seconds per sim-second pacing (0 free-runs).
-    double time_scale = 0;
-    /// kThreads only: dispatch mode, work stealing, mailbox
-    /// backpressure, task-pool sizing (see ThreadRuntime::Options).
-    /// `runtime.time_scale` is ignored — the `time_scale` knob above
-    /// wins (it predates this struct).
+    /// kThreads only: dispatch mode (see ThreadRuntime::Options).
     runtime::ThreadRuntime::Options runtime;
     /// Per-node write-ahead logging (src/wal). kOff keeps the legacy
     /// crash model (durable stores, outbox-as-log); kCommit/kGroup add

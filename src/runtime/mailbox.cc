@@ -15,22 +15,9 @@ void StopBarrier::ArriveAndWait() {
   cv_.wait(lock, [this, gen] { return generation_ != gen; });
 }
 
-Mailbox::PushResult Mailbox::PushChain(Task* task, bool block_when_full) {
+bool Mailbox::Push(Task* task) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (closed_) return PushResult::kClosed;
-  // Full means the bound is set and this chain would overflow it. An
-  // empty queue always admits the chain, even one heavier than the
-  // whole capacity — oversized chains make progress instead of
-  // deadlocking the producer.
-  auto full = [this, task] {
-    return capacity_ != 0 && depth_ != 0 && depth_ + task->weight > capacity_;
-  };
-  if (full()) {
-    if (!block_when_full) return PushResult::kFull;
-    ++stalls_;
-    room_cv_.wait(lock, [this, &full] { return closed_ || !full(); });
-    if (closed_) return PushResult::kClosed;
-  }
+  if (closed_) return false;
   task->next = nullptr;
   if (tail_ != nullptr) {
     tail_->next = task;
@@ -43,7 +30,7 @@ Mailbox::PushResult Mailbox::PushChain(Task* task, bool block_when_full) {
   if (depth_ > max_depth_) max_depth_ = depth_;
   lock.unlock();
   cv_.notify_one();
-  return PushResult::kOk;
+  return true;
 }
 
 Task* Mailbox::Pop() {
@@ -55,23 +42,6 @@ Task* Mailbox::Pop() {
   if (head_ == nullptr) tail_ = nullptr;
   depth_ -= task->weight;
   task->next = nullptr;
-  const bool bounded = capacity_ != 0;
-  lock.unlock();
-  if (bounded) room_cv_.notify_all();
-  return task;
-}
-
-Task* Mailbox::TryPop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  Task* task = head_;
-  if (task == nullptr) return nullptr;
-  head_ = task->next;
-  if (head_ == nullptr) tail_ = nullptr;
-  depth_ -= task->weight;
-  task->next = nullptr;
-  const bool bounded = capacity_ != 0;
-  lock.unlock();
-  if (bounded) room_cv_.notify_all();
   return task;
 }
 
@@ -81,7 +51,6 @@ void Mailbox::Close() {
     closed_ = true;
   }
   cv_.notify_all();
-  room_cv_.notify_all();
 }
 
 }  // namespace tdr::runtime

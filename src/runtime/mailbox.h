@@ -66,8 +66,8 @@ struct Task {
   Gate* done = nullptr;         // turn-based completion signal
   Task* next = nullptr;         // intrusive mailbox link
   sim::Callback owned;          // owned callback (epoch one-shots)
-  /// Queue-depth contribution of a PushChain (chain length); plain
-  /// pushes weigh 1.
+  /// Queue-depth contribution of a Push: the chain length when the
+  /// task heads a `run_next` chain, else 1.
   std::uint32_t weight = 1;
   std::uint32_t node = 0xffffffffu;  // node affinity tag (kAnyNode)
   ExecClass cls = ExecClass::kExclusive;
@@ -79,9 +79,9 @@ struct Task {
   /// current plan): the executor skips the body but keeps the slot.
   bool cancelled = false;
   sim::EventId origin = sim::kInvalidEventId;  // wrapper's event id
-  /// Resolved executor lane (worker index / kCoord / kStealPool),
-  /// assigned by the planner; a finishing worker reads its successor
-  /// chain head's lane to know which mailbox gets the baton.
+  /// Resolved executor lane (worker index or kCoord), assigned by the
+  /// planner; a finishing worker reads its successor chain head's lane
+  /// to know which mailbox gets the baton.
   std::uint32_t exec_node = 0;
   /// This task's slot in the wave plan — the floor for Cancel's sweep
   /// over not-yet-executed plan entries.
@@ -125,8 +125,8 @@ class Gate {
 };
 
 /// Counted completion barrier for epoch segments: the coordinator
-/// Reset(n)s it to the number of completions the segment owes (chains
-/// plus steal-pool tasks), workers Arrive() as they finish, and the
+/// Reset(n)s it to the number of completions the segment owes (one
+/// per chain), workers Arrive() as they finish, and the
 /// coordinator Wait()s for zero. One EpochGate round-trip per segment
 /// replaces the per-event Gate hand-shake of turn-based dispatch.
 class EpochGate {
@@ -177,53 +177,31 @@ class StopBarrier {
   std::uint64_t generation_ = 0;
 };
 
-/// MPSC mailbox: any thread may Push, one worker Pop()s (TryPop is
-/// safe from any thread, which is how the epoch steal pool shares one
-/// mailbox among many draining workers). Mutex+condvar by design —
-/// dispatch keeps at most a handful of chains in flight per mailbox,
-/// so a lock-free queue would buy nothing (the stress suite still
-/// hammers the multi-producer path).
+/// MPSC mailbox: any thread may Push, one worker Pop()s. Mutex+condvar
+/// by design — dispatch keeps at most a handful of chains in flight per
+/// mailbox, so a lock-free queue would buy nothing (the stress suite
+/// still hammers the multi-producer path).
 ///
 /// Close() wakes the consumer; Pop() then drains whatever is queued
 /// before returning nullptr, so no accepted task is ever lost — the
 /// drain half of the stop/drain barrier.
-///
-/// Backpressure: with a nonzero `capacity`, Push blocks (kBlock) or
-/// refuses (kFull, the shed-to-caller policy) while the queued weight
-/// is at or above the bound. Unbounded (capacity 0, the default)
-/// pushes never stall and never shed.
 class Mailbox {
  public:
-  enum class PushResult : std::uint8_t { kOk, kClosed, kFull };
-
   Mailbox() = default;
 
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
-  /// Bounded-depth mode: queued weight is capped at `capacity`
-  /// (0 restores unbounded). Call before concurrent use.
-  void set_capacity(std::size_t capacity) { capacity_ = capacity; }
-
-  /// Enqueues `task`; false (task not queued) if the mailbox is closed.
-  /// Bounded mailboxes block until there is room (the kBlock policy).
-  bool Push(Task* task) { return PushChain(task, true) == PushResult::kOk; }
-
-  /// Enqueues a chain (`run_next`-linked; `task->weight` must hold its
-  /// length) as one queue node. When the mailbox is bounded and full:
-  /// blocks until room if `block_when_full` (counting the stall), else
-  /// returns kFull and queues nothing — the caller sheds by running
-  /// the chain itself.
-  PushResult PushChain(Task* task, bool block_when_full);
+  /// Enqueues `task` as one queue node — a single task, or the head of
+  /// a `run_next`-linked chain whose length is in `task->weight`.
+  /// False (nothing queued) if the mailbox is closed.
+  bool Push(Task* task);
 
   /// Blocks until a task is available or the mailbox is closed AND
   /// drained; nullptr means "closed, nothing left".
   Task* Pop();
 
-  /// Non-blocking Pop: nullptr when empty (closed or not).
-  Task* TryPop();
-
-  /// Rejects future pushes and wakes consumer and blocked producers.
+  /// Rejects future pushes and wakes the consumer.
   void Close();
 
   bool closed() const {
@@ -243,23 +221,15 @@ class Mailbox {
     std::lock_guard<std::mutex> lock(mu_);
     return pushed_;
   }
-  /// Times a bounded Push had to wait for room (backpressure stalls).
-  std::uint64_t stalls() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stalls_;
-  }
 
  private:
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::condition_variable room_cv_;  // producers blocked on capacity
   Task* head_ = nullptr;
   Task* tail_ = nullptr;
   std::size_t depth_ = 0;
   std::size_t max_depth_ = 0;
-  std::size_t capacity_ = 0;  // 0 = unbounded
   std::uint64_t pushed_ = 0;
-  std::uint64_t stalls_ = 0;
   bool closed_ = false;
 };
 

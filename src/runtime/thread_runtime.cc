@@ -48,8 +48,7 @@ ThreadRuntime::ThreadRuntime(sim::Simulator* clock, std::uint32_t num_nodes,
     : clock_(clock),
       options_(options),
       metrics_(metrics),
-      pool_(std::make_shared<TaskPool>(
-          options.task_pool_capacity == 0 ? 1 : options.task_pool_capacity)),
+      pool_(std::make_shared<TaskPool>(kTaskPoolCapacity)),
       barrier_(num_nodes) {
   if (metrics_ != nullptr && options_.dispatch == DispatchMode::kEpoch) {
     epoch_width_profile_ = metrics_->GetProfile("runtime.epoch_width");
@@ -57,7 +56,6 @@ ThreadRuntime::ThreadRuntime(sim::Simulator* clock, std::uint32_t num_nodes,
   workers_.reserve(num_nodes);
   for (std::uint32_t i = 0; i < num_nodes; ++i) {
     workers_.push_back(std::make_unique<Worker>());
-    workers_[i]->box.set_capacity(options_.mailbox_capacity);
   }
   // Spawn only after every Worker exists: a worker's loop touches just
   // its own slot, but the vector must not grow under it.
@@ -220,25 +218,13 @@ void ThreadRuntime::RunChainFrom(Task* head, Worker* worker) {
         Task* succ = t->chain_next;
         EpochGate* arrive = t->epoch_gate;
         Gate* done = t->done;
-        if (succ != nullptr) {
-          // Baton hand-off: push the successor chain straight to its
-          // worker — one wake per node switch instead of two per event.
-          Mailbox& box = workers_[succ->exec_node]->box;
-          Mailbox::PushResult r = box.PushChain(
-              succ, options_.overflow == OverflowPolicy::kBlock);
-          if (r != Mailbox::PushResult::kOk) {
-            if (r == Mailbox::PushResult::kFull) {
-              sheds_.fetch_add(1, std::memory_order_relaxed);
-            }
-            next_chain = succ;  // full or closed: run it on this thread
-          }
+        // Baton hand-off: push the successor chain straight to its
+        // worker — one wake per node switch instead of two per event.
+        // A closed mailbox (shutdown) refuses it: run it on this thread.
+        if (succ != nullptr && !workers_[succ->exec_node]->box.Push(succ)) {
+          next_chain = succ;
         }
-        if (arrive != nullptr) {
-          arrive->Arrive();
-          if (worker != nullptr && options_.steal_untagged) {
-            DrainStealPool(worker);
-          }
-        }
+        if (arrive != nullptr) arrive->Arrive();
         if (done != nullptr) done->Signal();
       }
       t = next;
@@ -247,31 +233,8 @@ void ThreadRuntime::RunChainFrom(Task* head, Worker* worker) {
   }
 }
 
-void ThreadRuntime::DrainStealPool(Worker* worker) {
-  while (Task* t = steal_box_.TryPop()) {
-    if (!t->cancelled) {
-      if (worker != nullptr) {
-        SteadyClock::time_point start = SteadyClock::now();
-        RunTaskBody(t);
-        worker->busy += SteadyClock::now() - start;
-        ++worker->executed;
-        steals_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        RunTaskBody(t);
-      }
-    }
-    if (t->epoch_gate != nullptr) t->epoch_gate->Arrive();
-  }
-}
-
-std::uint32_t ThreadRuntime::LaneOf(const Task* task,
-                                    std::uint32_t prev_worker) const {
-  if (stopped_ || workers_.empty()) return kCoord;
-  if (task->node < workers_.size()) return task->node;
-  if (!options_.steal_untagged) return kCoord;
-  if (task->cls == ExecClass::kParallel) return kStealPool;
-  // Untagged exclusive with stealing on: ride the chain in progress.
-  return prev_worker < workers_.size() ? prev_worker : 0;
+std::uint32_t ThreadRuntime::LaneOf(const Task* task) const {
+  return !stopped_ && task->node < workers_.size() ? task->node : kCoord;
 }
 
 std::uint64_t ThreadRuntime::RunEpochs(SimTime horizon,
@@ -281,7 +244,6 @@ std::uint64_t ThreadRuntime::RunEpochs(SimTime horizon,
   SimTime next;
   while (ran < max_events && clock_->PeekNextTime(&next) &&
          (!bounded_horizon || next <= horizon)) {
-    if (options_.time_scale > 0) Pace(next);
     // Collect one WAVE: every ready event at `next`. Firing wrappers
     // append their tasks to the plan instead of dispatching. Events a
     // wave schedules back at the same timestamp (zero-delay follow-ups)
@@ -325,9 +287,9 @@ void ThreadRuntime::ExecuteWave() {
       while (j < n && plan_[j]->cls == ExecClass::kParallel) ++j;
       ExecParallelGroup(i, j);
       i = j;
-    } else if (LaneOf(t, kCoord) == kCoord) {
-      // Untagged exclusive without stealing: inline on the
-      // coordinator, exactly like turn-based dispatch.
+    } else if (LaneOf(t) == kCoord) {
+      // Untagged exclusive: inline on the coordinator, exactly like
+      // turn-based dispatch.
       t->exec_node = kCoord;
       plan_cursor_ = i;
       if (!t->cancelled) RunTaskBody(t);
@@ -337,7 +299,7 @@ void ThreadRuntime::ExecuteWave() {
       // segment, retired with one barrier.
       std::size_t j = i;
       while (j < n && plan_[j]->cls == ExecClass::kExclusive &&
-             LaneOf(plan_[j], 0) != kCoord) {
+             LaneOf(plan_[j]) != kCoord) {
         ++j;
       }
       ExecSerialSegment(i, j);
@@ -346,8 +308,8 @@ void ThreadRuntime::ExecuteWave() {
   }
   plan_cursor_ = n;
   // Planned-lane accounting, applied after the wave so cancellation is
-  // settled: deterministic even when sheds/steals move actual
-  // execution around (see dispatched()).
+  // settled: deterministic even when a closed mailbox moves a chain
+  // onto the pushing thread (see dispatched()).
   for (std::size_t k = 0; k < n; ++k) {
     Task* t = plan_[k];
     if (t->cancelled) continue;
@@ -360,26 +322,10 @@ void ThreadRuntime::ExecuteWave() {
 }
 
 void ThreadRuntime::ExecSerialSegment(std::size_t begin, std::size_t end) {
-  // Resolve lanes left to right; untagged tasks (stealing on) ride the
-  // chain they interrupt, or the first tagged successor when leading.
-  std::uint32_t prev = kCoord;
-  for (std::size_t k = begin; k < end; ++k) {
-    Task* t = plan_[k];
-    std::uint32_t lane = LaneOf(t, prev);
-    if (prev == kCoord && t->node >= workers_.size()) {
-      for (std::size_t m = k + 1; m < end; ++m) {
-        if (plan_[m]->node < workers_.size()) {
-          lane = plan_[m]->node;
-          break;
-        }
-      }
-    }
-    t->exec_node = lane;
-    prev = lane;
-  }
-  // Chain consecutive same-lane tasks (zero hand-offs inside a chain);
-  // baton-link each chain's tail to the next chain's head; the last
-  // tail owes the segment barrier.
+  // Every task here is node-tagged (see ExecuteWave). Chain consecutive
+  // same-node tasks (zero hand-offs inside a chain); baton-link each
+  // chain's tail to the next chain's head; the last tail owes the
+  // segment barrier.
   Task* first_chain = nullptr;
   Task* chain_head = nullptr;
   Task* tail = nullptr;
@@ -391,6 +337,7 @@ void ThreadRuntime::ExecSerialSegment(std::size_t begin, std::size_t end) {
     t->epoch_gate = nullptr;
     t->done = nullptr;
     t->weight = 1;
+    t->exec_node = t->node;
     if (chain_head != nullptr && t->exec_node == chain_head->exec_node) {
       tail->run_next = t;
       tail = t;
@@ -410,14 +357,8 @@ void ThreadRuntime::ExecSerialSegment(std::size_t begin, std::size_t end) {
   chain_head->weight = chain_len;
   tail->epoch_gate = &epoch_gate_;
   epoch_gate_.Reset(1);
-  Mailbox& box = workers_[first_chain->exec_node]->box;
-  Mailbox::PushResult r =
-      box.PushChain(first_chain, options_.overflow == OverflowPolicy::kBlock);
-  if (r != Mailbox::PushResult::kOk) {
-    if (r == Mailbox::PushResult::kFull) {
-      sheds_.fetch_add(1, std::memory_order_relaxed);
-    }
-    RunChainFrom(first_chain, nullptr);
+  if (!workers_[first_chain->exec_node]->box.Push(first_chain)) {
+    RunChainFrom(first_chain, nullptr);  // closed mailbox: run it here
   }
   epoch_gate_.Wait();
 }
@@ -426,9 +367,8 @@ void ThreadRuntime::ExecParallelGroup(std::size_t begin, std::size_t end) {
   const std::size_t num_workers = workers_.size();
   group_heads_.assign(num_workers, nullptr);
   group_tails_.assign(num_workers, nullptr);
-  shed_chains_.clear();
+  closed_chains_.clear();
   std::size_t chains = 0;
-  std::size_t steal_tasks = 0;
   for (std::size_t k = begin; k < end; ++k) {
     Task* t = plan_[k];
     t->run_next = nullptr;
@@ -437,9 +377,9 @@ void ThreadRuntime::ExecParallelGroup(std::size_t begin, std::size_t end) {
     t->done = nullptr;
     t->weight = 1;
     t->parallel_group = true;
-    const std::uint32_t lane = LaneOf(t, kCoord);
+    const std::uint32_t lane = LaneOf(t);
     t->exec_node = lane;
-    if (lane < num_workers) {
+    if (lane != kCoord) {
       // Same-node tasks keep FIFO order in one chain per worker.
       if (group_heads_[lane] == nullptr) {
         group_heads_[lane] = t;
@@ -449,45 +389,24 @@ void ThreadRuntime::ExecParallelGroup(std::size_t begin, std::size_t end) {
         ++group_heads_[lane]->weight;
       }
       group_tails_[lane] = t;
-    } else if (lane == kStealPool) {
-      ++steal_tasks;
     }
   }
   // Arm the barrier before anything is in flight: one arrival per
-  // chain (its tail) plus one per steal-pool task.
-  epoch_gate_.Reset(chains + steal_tasks);
+  // chain (its tail).
+  epoch_gate_.Reset(chains);
   for (std::size_t node = 0; node < num_workers; ++node) {
     Task* head = group_heads_[node];
     if (head == nullptr) continue;
     group_tails_[node]->epoch_gate = &epoch_gate_;
-    Mailbox::PushResult r = workers_[node]->box.PushChain(
-        head, options_.overflow == OverflowPolicy::kBlock);
-    if (r == Mailbox::PushResult::kOk) continue;
-    if (r == Mailbox::PushResult::kFull) {
-      sheds_.fetch_add(1, std::memory_order_relaxed);
-    }
-    shed_chains_.push_back(head);
+    if (!workers_[node]->box.Push(head)) closed_chains_.push_back(head);
   }
-  if (steal_tasks > 0) {
-    for (std::size_t k = begin; k < end; ++k) {
-      Task* t = plan_[k];
-      if (t->exec_node != kStealPool) continue;
-      t->epoch_gate = &epoch_gate_;
-      if (steal_box_.PushChain(t, false) != Mailbox::PushResult::kOk) {
-        // Closed (shutdown): run inline, still settle the barrier.
-        if (!t->cancelled) RunTaskBody(t);
-        epoch_gate_.Arrive();
-      }
-    }
-  }
-  // The coordinator's share while workers chew: chains shed by full
-  // mailboxes, its own untagged tasks, then help drain the steal pool.
-  for (Task* head : shed_chains_) RunChainFrom(head, nullptr);
+  // The coordinator's share while workers chew: chains a closed
+  // mailbox refused, then its own untagged tasks.
+  for (Task* head : closed_chains_) RunChainFrom(head, nullptr);
   for (std::size_t k = begin; k < end; ++k) {
     Task* t = plan_[k];
     if (t->exec_node == kCoord && !t->cancelled) RunTaskBody(t);
   }
-  DrainStealPool(nullptr);
   epoch_gate_.Wait();
   // Replay deferred schedules in plan-slot order — identical sequence
   // assignment to the serial oracle, which ran each callback (and its
@@ -531,20 +450,6 @@ void ThreadRuntime::WorkerLoop(std::uint32_t index) {
   barrier_.ArriveAndWait();
 }
 
-void ThreadRuntime::Pace(SimTime next) {
-  if (!pace_anchored_) {
-    pace_anchored_ = true;
-    pace_wall_start_ = SteadyClock::now();
-    pace_sim_start_ = clock_->Now();
-  }
-  double sim_elapsed = (next - pace_sim_start_).seconds();
-  if (sim_elapsed <= 0) return;
-  std::this_thread::sleep_until(
-      pace_wall_start_ +
-      std::chrono::duration_cast<SteadyClock::duration>(
-          std::chrono::duration<double>(sim_elapsed * options_.time_scale)));
-}
-
 std::uint64_t ThreadRuntime::RunUntil(SimTime horizon) {
   RunScope scope(&wall_seconds_, &sim_seconds_, clock_);
   if (options_.dispatch == DispatchMode::kEpoch && !stopped_) {
@@ -554,16 +459,7 @@ std::uint64_t ThreadRuntime::RunUntil(SimTime horizon) {
     clock_->RunUntil(horizon);
     return ran;
   }
-  if (options_.time_scale <= 0) return clock_->RunUntil(horizon);
-  std::uint64_t ran = 0;
-  SimTime next;
-  while (clock_->PeekNextTime(&next) && next <= horizon) {
-    Pace(next);
-    if (!clock_->Step()) break;
-    ++ran;
-  }
-  clock_->RunUntil(horizon);
-  return ran;
+  return clock_->RunUntil(horizon);
 }
 
 std::uint64_t ThreadRuntime::Run(std::uint64_t max_events) {
@@ -571,21 +467,12 @@ std::uint64_t ThreadRuntime::Run(std::uint64_t max_events) {
   if (options_.dispatch == DispatchMode::kEpoch && !stopped_) {
     return RunEpochs(SimTime::Zero(), max_events, false);
   }
-  if (options_.time_scale <= 0) return clock_->Run(max_events);
-  std::uint64_t ran = 0;
-  SimTime next;
-  while (ran < max_events && clock_->PeekNextTime(&next)) {
-    Pace(next);
-    if (!clock_->Step()) break;
-    ++ran;
-  }
-  return ran;
+  return clock_->Run(max_events);
 }
 
 void ThreadRuntime::Shutdown() {
   if (stopped_) return;
   stopped_ = true;
-  steal_box_.Close();
   for (auto& w : workers_) w->box.Close();
   for (auto& w : workers_) {
     if (w->thread.joinable()) w->thread.join();
@@ -599,19 +486,12 @@ double ThreadRuntime::worker_busy_seconds() const {
   return total;
 }
 
-std::uint64_t ThreadRuntime::backpressure_stalls() const {
-  std::uint64_t total = 0;
-  for (const auto& w : workers_) total += w->box.stalls();
-  return total;
-}
-
 void ThreadRuntime::PublishMetrics() {
   if (metrics_ == nullptr) return;
   // Wall-clock-derived values go to kProfile metrics only: they are
   // nondeterministic by nature and must never leak into deterministic
   // snapshots (obs::SnapshotOptions excludes kProfile by default).
-  // That covers the epoch-shape numbers too: steal and shed counts
-  // depend on which thread won a race, and keeping the whole family
+  // That covers the epoch-shape numbers too: keeping the whole family
   // kProfile keeps threads-backend snapshots bit-identical to the sim
   // oracle's.
   obs::MetricsRegistry::StatsHandle busy =
@@ -632,7 +512,7 @@ void ThreadRuntime::PublishMetrics() {
         .Record(wall_seconds_ / sim_seconds_);
   }
   // Coordinator dispatch-queue high-water mark (plan slots), the
-  // backpressure-tuning signal mailbox_max_depth alone can't give.
+  // wave-size signal mailbox_max_depth alone can't give.
   metrics_->GetProfile("runtime.dispatch_queue_max_depth")
       .Record(static_cast<double>(plan_high_water_));
   if (options_.dispatch == DispatchMode::kEpoch) {
@@ -640,14 +520,6 @@ void ThreadRuntime::PublishMetrics() {
         .Record(static_cast<double>(epochs_));
     metrics_->GetProfile("runtime.epoch_width_max")
         .Record(static_cast<double>(epoch_width_max_));
-    metrics_->GetProfile("runtime.epoch_steals")
-        .Record(static_cast<double>(steal_count()));
-  }
-  if (options_.mailbox_capacity != 0) {
-    metrics_->GetProfile("runtime.backpressure_stalls")
-        .Record(static_cast<double>(backpressure_stalls()));
-    metrics_->GetProfile("runtime.backpressure_sheds")
-        .Record(static_cast<double>(shed_count()));
   }
 }
 

@@ -1,7 +1,6 @@
 #ifndef TDR_RUNTIME_THREAD_RUNTIME_H_
 #define TDR_RUNTIME_THREAD_RUNTIME_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -42,9 +41,7 @@ namespace tdr::runtime {
 ///    and consecutive ScheduleParallel* events on distinct nodes —
 ///    callbacks that touch only node-private state, see runtime.h —
 ///    genuinely overlap across workers. Untagged events run inline on
-///    the coordinator as in turn-based mode, or (steal_untagged) ride
-///    the current chain / enter a work-stealing pool that idle chain
-///    finishers drain.
+///    the coordinator, as in turn-based mode.
 ///
 /// Epoch mode preserves the oracle contract by construction: exclusive
 /// events still execute in exact (time, seq) order (chains and batons
@@ -53,7 +50,7 @@ namespace tdr::runtime {
 /// schedules issued inside a parallel group are deferred and replayed
 /// in plan-slot order so sequence numbers come out exactly as the
 /// serial sim would have assigned them. The differential suite sweeps
-/// both modes (× stealing × backpressure) against the sim oracle.
+/// both modes against the sim oracle.
 ///
 /// Epoch mode requires every event to be scheduled THROUGH this
 /// runtime (true for the whole cluster): events scheduled directly on
@@ -65,17 +62,6 @@ namespace tdr::runtime {
 /// registers a two-pointer wrapper with the event core — inside
 /// sim::Callback's inline buffer, so steady state allocates nothing
 /// (runtime_task_pool_test pins this with the alloc-audit harness).
-///
-/// Backpressure (off by default): `mailbox_capacity` bounds each
-/// worker mailbox's queued task weight; a full mailbox either blocks
-/// the producer (kBlock — safe: consumers drain unconditionally) or
-/// sheds the chain to the producer, which runs it inline (kShed —
-/// order preserved, just no hand-off). Both keep results bit-identical
-/// to the oracle; only wall-clock pacing changes.
-///
-/// Wall-clock pacing: with `time_scale` > 0 the coordinator sleeps
-/// each event (turn-based) or wave (epoch) until its virtual time maps
-/// to the wall clock (wall_seconds = sim_seconds * time_scale).
 class ThreadRuntime final : public Runtime {
  public:
   enum class DispatchMode : std::uint8_t {
@@ -83,27 +69,13 @@ class ThreadRuntime final : public Runtime {
     kEpoch = 1,
   };
 
-  /// What a bounded mailbox does when a push would overflow it.
-  enum class OverflowPolicy : std::uint8_t {
-    kBlock = 0,  // producer waits for room (counted as a stall)
-    kShed = 1,   // producer runs the chain inline (counted as a shed)
+  struct Options {
+    DispatchMode dispatch = DispatchMode::kTurnBased;
   };
 
-  struct Options {
-    /// Wall-seconds per sim-second; 0 = run as fast as dispatch allows.
-    double time_scale = 0;
-    DispatchMode dispatch = DispatchMode::kTurnBased;
-    /// Epoch mode: untagged (kAnyNode) events ride the current chain
-    /// (exclusive) or enter the work-stealing pool (parallel-class)
-    /// instead of running inline on the coordinator.
-    bool steal_untagged = false;
-    /// Max queued task weight per worker mailbox; 0 = unbounded.
-    std::size_t mailbox_capacity = 0;
-    OverflowPolicy overflow = OverflowPolicy::kBlock;
-    /// Pooled task wrappers materialized at birth; exhaustion grows
-    /// the pool (counted, see TaskPool::grow_events).
-    std::size_t task_pool_capacity = 256;
-  };
+  /// Pooled task wrappers materialized at birth; exhaustion grows the
+  /// pool (counted, see TaskPool::grow_events).
+  static constexpr std::size_t kTaskPoolCapacity = 256;
 
   /// `clock` is the cluster's own simulator, used as virtual clock and
   /// event core (never Run directly when this backend owns it).
@@ -170,9 +142,9 @@ class ThreadRuntime final : public Runtime {
   }
   /// Events executed on worker threads / inline on the coordinator.
   /// Both are deterministic: epoch mode classifies by the PLANNED lane
-  /// (a shed chain the coordinator ran for a full mailbox still counts
-  /// as dispatched), so the split is a pure function of the seeded
-  /// scenario, not of wall-clock races.
+  /// (a chain run on the pushing thread because its mailbox had closed
+  /// still counts as dispatched), so the split is a pure function of
+  /// the seeded scenario, not of wall-clock races.
   std::uint64_t dispatched() const { return dispatched_; }
   std::uint64_t inline_events() const { return inline_events_; }
   /// Epoch-mode shape: waves executed, widest wave, and the
@@ -180,17 +152,6 @@ class ThreadRuntime final : public Runtime {
   std::uint64_t epochs() const { return epochs_; }
   std::uint64_t epoch_width_max() const { return epoch_width_max_; }
   std::size_t dispatch_queue_max_depth() const { return plan_high_water_; }
-  /// Untagged tasks drained from the steal pool by node workers, and
-  /// chains shed to their producer by a full mailbox. Wall-clock-racy
-  /// (kProfile-only), unlike the planned counters above.
-  std::uint64_t steal_count() const {
-    return steals_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t shed_count() const {
-    return sheds_.load(std::memory_order_relaxed);
-  }
-  /// Times a bounded mailbox push had to wait for room.
-  std::uint64_t backpressure_stalls() const;
   const TaskPool& task_pool() const { return *pool_; }
   /// Wall-clock seconds spent inside Run/RunUntil, and the virtual
   /// seconds they advanced — their ratio is the wall/sim speed metric.
@@ -260,9 +221,8 @@ class ThreadRuntime final : public Runtime {
   /// deferred-schedule context set.
   void RunTaskBody(Task* task);
   /// Runs a chain and its baton successors that land back on this
-  /// thread (shed/closed mailboxes); `worker` null on the coordinator.
+  /// thread (closed mailboxes); `worker` null on the coordinator.
   void RunChainFrom(Task* head, Worker* worker);
-  void DrainStealPool(Worker* worker);
 
   // --- Epoch engine (coordinator only) ------------------------------
   std::uint64_t RunEpochs(SimTime horizon, std::uint64_t max_events,
@@ -270,19 +230,15 @@ class ThreadRuntime final : public Runtime {
   void ExecuteWave();
   void ExecSerialSegment(std::size_t begin, std::size_t end);
   void ExecParallelGroup(std::size_t begin, std::size_t end);
-  /// Resolved executor for a planned task: a worker index, kCoord, or
-  /// kStealPool. `prev_worker` carries the chain context for
-  /// baton-riding untagged exclusive tasks.
-  std::uint32_t LaneOf(const Task* task, std::uint32_t prev_worker) const;
+  /// Resolved executor for a planned task: its node's worker index,
+  /// or kCoord for untagged tasks (and everything after shutdown).
+  std::uint32_t LaneOf(const Task* task) const;
   void ReleaseWave();
 
   void WorkerLoop(std::uint32_t index);
-  /// Sleeps until `next` maps onto the wall clock (time_scale > 0).
-  void Pace(SimTime next);
   void PublishMetrics();
 
   static constexpr std::uint32_t kCoord = 0xfffffffeu;
-  static constexpr std::uint32_t kStealPool = 0xfffffffdu;
 
   sim::Simulator* clock_;
   Options options_;
@@ -291,8 +247,7 @@ class ThreadRuntime final : public Runtime {
   std::vector<std::unique_ptr<Worker>> workers_;
   StopBarrier barrier_;
   Gate gate_;  // one dispatch in flight at a time (turn-based)
-  EpochGate epoch_gate_;   // one per in-flight segment (epoch)
-  Mailbox steal_box_;      // untagged parallel tasks, any worker drains
+  EpochGate epoch_gate_;  // one per in-flight segment (epoch)
   bool stopped_ = false;
   std::uint64_t dispatched_ = 0;
   std::uint64_t inline_events_ = 0;
@@ -307,17 +262,12 @@ class ThreadRuntime final : public Runtime {
   std::size_t plan_cursor_ = 0;
   std::uint64_t epochs_ = 0;
   std::uint64_t epoch_width_max_ = 0;
-  std::atomic<std::uint64_t> steals_{0};
-  std::atomic<std::uint64_t> sheds_{0};
   // Scratch reused across waves (capacity sticks, no per-wave allocs).
   std::vector<Task*> group_heads_;
   std::vector<Task*> group_tails_;
-  std::vector<Task*> shed_chains_;
+  std::vector<Task*> closed_chains_;  // chains a closed mailbox refused
   obs::MetricsRegistry::StatsHandle epoch_width_profile_;
 
-  bool pace_anchored_ = false;
-  std::chrono::steady_clock::time_point pace_wall_start_;
-  SimTime pace_sim_start_;
   double wall_seconds_ = 0;
   double sim_seconds_ = 0;
 };

@@ -108,7 +108,9 @@ TEST(MetricsRegistryTest, SnapshotSortedRegardlessOfRegistrationOrder) {
   ASSERT_EQ(a.metrics.size(), b.metrics.size());
   for (std::size_t i = 0; i < a.metrics.size(); ++i) {
     EXPECT_EQ(a.metrics[i].name, b.metrics[i].name);
-    if (i > 0) EXPECT_LT(a.metrics[i - 1].name, a.metrics[i].name);
+    if (i > 0) {
+      EXPECT_LT(a.metrics[i - 1].name, a.metrics[i].name);
+    }
   }
   EXPECT_EQ(a.ToString(), b.ToString());
 }

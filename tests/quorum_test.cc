@@ -196,9 +196,15 @@ INSTANTIATE_TEST_SUITE_P(
                       QuorumParam{5, 3, 3}, QuorumParam{5, 4, 4},
                       QuorumParam{7, 4, 5}, QuorumParam{7, 6, 6}),
     [](const ::testing::TestParamInfo<QuorumParam>& info) {
-      return "n" + std::to_string(info.param.nodes) + "w" +
-             std::to_string(info.param.write_quorum) + "s" +
-             std::to_string(info.param.seed);
+      // Appended piecewise: GCC 12 flags `"n" + std::to_string(...)`
+      // with a false -Wrestrict memcpy-overlap warning.
+      std::string name = "n";
+      name += std::to_string(info.param.nodes);
+      name += 'w';
+      name += std::to_string(info.param.write_quorum);
+      name += 's';
+      name += std::to_string(info.param.seed);
+      return name;
     });
 
 TEST(QuorumTest, ConcurrentWritersSerializeThroughOverlap) {

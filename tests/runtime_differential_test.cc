@@ -6,9 +6,8 @@
 // (time, seq) event order — serially under turn-based dispatch,
 // wave-at-a-time under epoch dispatch — so equivalence is by
 // construction; this suite is what keeps that construction honest for
-// all six scheme configurations across a spread of seeds and every
-// dispatch cell: {turn, epoch} x {stealing on/off} x {backpressure
-// block/shed}.
+// all six scheme configurations across a spread of seeds and both
+// dispatch modes: turn-based and epoch.
 //
 // tools/diff_digests.py applies the same check to bench_runtime's
 // BENCH_runtime.json rows, so CI cross-checks the property twice.
@@ -61,38 +60,11 @@ SimConfig SmallConfig(SchemeKind kind, std::uint64_t seed,
   return c;
 }
 
-// One point of the dispatch-cell sweep: how the thread backend
-// schedules the identical event order. `capacity` != 0 arms mailbox
-// backpressure (block by default, shed with `shed`).
-struct DispatchCell {
-  const char* name;
-  runtime::ThreadRuntime::DispatchMode mode;
-  bool steal;
-  std::uint64_t capacity;
-  bool shed;
+// How the thread backend schedules the identical event order.
+constexpr runtime::ThreadRuntime::DispatchMode kDispatchModes[] = {
+    runtime::ThreadRuntime::DispatchMode::kTurnBased,
+    runtime::ThreadRuntime::DispatchMode::kEpoch,
 };
-
-constexpr DispatchCell kDispatchCells[] = {
-    {"turn", runtime::ThreadRuntime::DispatchMode::kTurnBased, false, 0,
-     false},
-    {"epoch", runtime::ThreadRuntime::DispatchMode::kEpoch, false, 0, false},
-    {"epoch+steal", runtime::ThreadRuntime::DispatchMode::kEpoch, true, 0,
-     false},
-    {"epoch+block", runtime::ThreadRuntime::DispatchMode::kEpoch, false, 4,
-     false},
-    {"epoch+steal+shed", runtime::ThreadRuntime::DispatchMode::kEpoch, true,
-     4, true},
-};
-
-SimConfig CellConfig(SchemeKind kind, std::uint64_t seed,
-                     const DispatchCell& cell) {
-  SimConfig c = SmallConfig(kind, seed, RuntimeBackend::kThreads);
-  c.dispatch = cell.mode;
-  c.steal_untagged = cell.steal;
-  c.mailbox_capacity = cell.capacity;
-  c.overflow_shed = cell.shed;
-  return c;
-}
 
 class DifferentialTest : public ::testing::TestWithParam<SchemeKind> {};
 
@@ -102,10 +74,13 @@ TEST_P(DifferentialTest, ThreadBackendMatchesSimOracle) {
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
     SimOutcome sim_out =
         RunScheme(SmallConfig(kind, seed, RuntimeBackend::kSim));
-    for (const DispatchCell& cell : kDispatchCells) {
-      SimOutcome thr_out = RunScheme(CellConfig(kind, seed, cell));
+    for (runtime::ThreadRuntime::DispatchMode mode : kDispatchModes) {
+      SimConfig thr_cfg = SmallConfig(kind, seed, RuntimeBackend::kThreads);
+      thr_cfg.dispatch = mode;
+      SimOutcome thr_out = RunScheme(thr_cfg);
       SCOPED_TRACE(std::string(SchemeKindName(kind)) +
-                   " seed=" + std::to_string(seed) + " cell=" + cell.name);
+                   " seed=" + std::to_string(seed) +
+                   " dispatch=" + std::string(DispatchLabel(thr_cfg)));
       // The headline: bit-identical full-state digest (values AND
       // virtual-clock timestamps on every replica)...
       EXPECT_EQ(sim_out.state_digest, thr_out.state_digest);
@@ -127,7 +102,7 @@ TEST_P(DifferentialTest, ThreadBackendMatchesSimOracle) {
       // The run did real cross-thread work: every thread-backend run
       // dispatched events to workers.
       EXPECT_GT(thr_out.runtime_dispatched, 0u);
-      if (cell.mode == runtime::ThreadRuntime::DispatchMode::kEpoch) {
+      if (mode == runtime::ThreadRuntime::DispatchMode::kEpoch) {
         EXPECT_GT(thr_out.runtime_epochs, 0u);
       }
     }

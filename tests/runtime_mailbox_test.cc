@@ -56,18 +56,18 @@ TEST(MailboxTest, FifoOrderSingleThread) {
   sim::Callback cb2 = [&] { order.push_back(2); };
   sim::Callback cb3 = [&] { order.push_back(3); };
   Task t1{&cb1}, t2{&cb2}, t3{&cb3};
+  t2.weight = 3;  // a chain head counts its whole chain in the depth
   EXPECT_TRUE(box.Push(&t1));
   EXPECT_TRUE(box.Push(&t2));
   EXPECT_TRUE(box.Push(&t3));
-  EXPECT_EQ(box.depth(), 3u);
-  EXPECT_EQ(box.max_depth(), 3u);
+  EXPECT_EQ(box.depth(), 5u);
+  EXPECT_EQ(box.max_depth(), 5u);
   EXPECT_EQ(box.pushed(), 3u);
   for (int i = 0; i < 3; ++i) {
-    Task* t = box.TryPop();
+    Task* t = box.Pop();
     ASSERT_NE(t, nullptr);
     (*t->fn)();
   }
-  EXPECT_EQ(box.TryPop(), nullptr);
   EXPECT_EQ(box.depth(), 0u);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -221,94 +221,6 @@ TEST(EpochGateTest, ReusableAcrossWaves) {
     gate.Wait();
     arrivals.join();
   }
-}
-
-TEST(MailboxBackpressureTest, ShedWhenFullWithoutBlocking) {
-  Mailbox box;
-  box.set_capacity(2);
-  sim::Callback cb = [] {};
-  Task t1{&cb}, t2{&cb}, t3{&cb};
-  EXPECT_EQ(box.PushChain(&t1, /*block_when_full=*/false),
-            Mailbox::PushResult::kOk);
-  EXPECT_EQ(box.PushChain(&t2, false), Mailbox::PushResult::kOk);
-  // Full: a non-blocking push sheds back to the caller.
-  EXPECT_EQ(box.PushChain(&t3, false), Mailbox::PushResult::kFull);
-  EXPECT_EQ(box.depth(), 2u);
-  // Popping makes room again.
-  EXPECT_EQ(box.TryPop(), &t1);
-  EXPECT_EQ(box.PushChain(&t3, false), Mailbox::PushResult::kOk);
-}
-
-TEST(MailboxBackpressureTest, EmptyBoxAlwaysAdmitsOversizedChain) {
-  Mailbox box;
-  box.set_capacity(2);
-  sim::Callback cb = [] {};
-  // A 5-task chain exceeds the bound, but rejecting it from an EMPTY
-  // box would deadlock the producer: empty always admits.
-  Task head{&cb};
-  head.weight = 5;
-  EXPECT_EQ(box.PushChain(&head, false), Mailbox::PushResult::kOk);
-  EXPECT_EQ(box.depth(), 5u);
-  // The oversized chain now blocks further pushes until drained.
-  Task next{&cb};
-  EXPECT_EQ(box.PushChain(&next, false), Mailbox::PushResult::kFull);
-  EXPECT_EQ(box.TryPop(), &head);
-  EXPECT_EQ(box.depth(), 0u);
-  EXPECT_EQ(box.PushChain(&next, false), Mailbox::PushResult::kOk);
-}
-
-TEST(MailboxBackpressureTest, BlockingPushWaitsForRoomAndCountsStall) {
-  Mailbox box;
-  box.set_capacity(1);
-  sim::Callback cb = [] {};
-  Task queued{&cb};
-  ASSERT_EQ(box.PushChain(&queued, true), Mailbox::PushResult::kOk);
-  Task waiting{&cb};
-  std::thread producer([&] {
-    // Full mailbox: this blocks until the consumer pops.
-    EXPECT_EQ(box.PushChain(&waiting, true), Mailbox::PushResult::kOk);
-  });
-  // Give the producer a chance to park, then drain one.
-  while (box.stalls() == 0) std::this_thread::yield();
-  EXPECT_EQ(box.Pop(), &queued);
-  producer.join();
-  EXPECT_EQ(box.depth(), 1u);
-  EXPECT_EQ(box.stalls(), 1u);
-  EXPECT_EQ(box.Pop(), &waiting);
-}
-
-TEST(MailboxBackpressureTest, CloseReleasesBlockedProducer) {
-  Mailbox box;
-  box.set_capacity(1);
-  sim::Callback cb = [] {};
-  Task queued{&cb};
-  ASSERT_EQ(box.PushChain(&queued, true), Mailbox::PushResult::kOk);
-  Task waiting{&cb};
-  std::thread producer([&] {
-    EXPECT_EQ(box.PushChain(&waiting, true), Mailbox::PushResult::kClosed);
-  });
-  while (box.stalls() == 0) std::this_thread::yield();
-  box.Close();
-  producer.join();
-  // Only the accepted task drains.
-  EXPECT_EQ(box.Pop(), &queued);
-  EXPECT_EQ(box.Pop(), nullptr);
-}
-
-TEST(MailboxBackpressureTest, PopDecrementsByChainWeight) {
-  Mailbox box;
-  box.set_capacity(8);
-  sim::Callback cb = [] {};
-  Task chain{&cb};
-  chain.weight = 3;
-  Task single{&cb};
-  EXPECT_EQ(box.PushChain(&chain, false), Mailbox::PushResult::kOk);
-  EXPECT_EQ(box.PushChain(&single, false), Mailbox::PushResult::kOk);
-  EXPECT_EQ(box.depth(), 4u);
-  EXPECT_EQ(box.TryPop(), &chain);
-  EXPECT_EQ(box.depth(), 1u);
-  EXPECT_EQ(box.TryPop(), &single);
-  EXPECT_EQ(box.depth(), 0u);
 }
 
 TEST(StopBarrierTest, AllPartiesRendezvous) {

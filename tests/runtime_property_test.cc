@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -20,26 +21,12 @@ namespace {
 
 constexpr std::uint64_t kTriples = 12;
 
-// Thread-backend dispatch cells the triples draw from: index 0 is the
-// turn-based baseline (also the shrink target), the rest exercise
-// epoch dispatch with stealing and bounded mailboxes.
-struct DispatchCell {
-  const char* name;
-  runtime::ThreadRuntime::DispatchMode mode;
-  bool steal;
-  std::uint64_t capacity;
-  bool shed;
-};
+using DispatchMode = runtime::ThreadRuntime::DispatchMode;
 
-constexpr DispatchCell kDispatchCells[] = {
-    {"turn", runtime::ThreadRuntime::DispatchMode::kTurnBased, false, 0,
-     false},
-    {"epoch", runtime::ThreadRuntime::DispatchMode::kEpoch, false, 0, false},
-    {"epoch+steal", runtime::ThreadRuntime::DispatchMode::kEpoch, true, 0,
-     false},
-    {"epoch+steal+shed", runtime::ThreadRuntime::DispatchMode::kEpoch, true,
-     4, true},
-};
+// Thread-backend dispatch modes the triples draw from: turn-based is
+// the baseline (also the shrink target).
+constexpr DispatchMode kDispatchModes[] = {DispatchMode::kTurnBased,
+                                           DispatchMode::kEpoch};
 
 struct Triple {
   SchemeKind kind = SchemeKind::kEagerGroup;
@@ -49,7 +36,7 @@ struct Triple {
   double sim_seconds = 2;
   double drop_probability = 0;
   bool partition_cycle = false;
-  std::uint32_t dispatch_cell = 0;
+  DispatchMode dispatch = DispatchMode::kTurnBased;
 
   std::string Describe() const {
     std::string s{SchemeKindName(kind)};
@@ -59,7 +46,8 @@ struct Triple {
     s += " sim_seconds=" + std::to_string(sim_seconds);
     s += " drop=" + std::to_string(drop_probability);
     s += partition_cycle ? " partition" : "";
-    s += std::string(" dispatch=") + kDispatchCells[dispatch_cell].name;
+    s += dispatch == DispatchMode::kEpoch ? " dispatch=epoch"
+                                          : " dispatch=turn";
     return s;
   }
 };
@@ -78,13 +66,7 @@ SimConfig ToConfig(const Triple& t, RuntimeBackend backend) {
   c.fault_drop_probability = t.drop_probability;
   c.fault_partition_cycle = t.partition_cycle;
   c.backend = backend;
-  if (backend == RuntimeBackend::kThreads) {
-    const DispatchCell& cell = kDispatchCells[t.dispatch_cell];
-    c.dispatch = cell.mode;
-    c.steal_untagged = cell.steal;
-    c.mailbox_capacity = cell.capacity;
-    c.overflow_shed = cell.shed;
-  }
+  c.dispatch = t.dispatch;  // read by the thread backend only
   c.drain = true;  // faulted runs drain anyway; make fault-free match
   if (t.kind == SchemeKind::kLazyGroup || t.kind == SchemeKind::kLazyMaster) {
     c.batch_flush_window = 0.04;
@@ -111,11 +93,11 @@ Triple Shrink(Triple failing) {
   Triple half = failing;
   half.sim_seconds = failing.sim_seconds / 2;
   try_step(half);
-  if (failing.dispatch_cell != 0) {
+  if (failing.dispatch == DispatchMode::kEpoch) {
     // Does the plain turn-based backend also fail, or is the bug in
     // epoch dispatch itself?
     Triple turn = failing;
-    turn.dispatch_cell = 0;
+    turn.dispatch = DispatchMode::kTurnBased;
     try_step(turn);
   }
   if (failing.partition_cycle) {
@@ -158,8 +140,7 @@ TEST(RuntimePropertyTest, RandomizedTriplesConvergeToSimOracleDigest) {
     t.sim_seconds = 2;
     t.drop_probability = kDropLevels[rng.UniformInt(3)];
     t.partition_cycle = rng.Bernoulli(0.5);
-    t.dispatch_cell = static_cast<std::uint32_t>(
-        rng.UniformInt(sizeof(kDispatchCells) / sizeof(kDispatchCells[0])));
+    t.dispatch = kDispatchModes[rng.UniformInt(std::size(kDispatchModes))];
     SCOPED_TRACE("triple " + std::to_string(i) + ": " + t.Describe());
     if (!BackendsAgree(t)) {
       Triple minimal = Shrink(t);

@@ -93,9 +93,8 @@ TEST(TaskPoolTest, AddressesStayStableAcrossGrowth) {
 // must still return the wrapper to the pool (not leak it).
 TEST(TaskPoolRuntimeTest, CancelReleasesPooledTask) {
   sim::Simulator clock;
-  ThreadRuntime::Options opts;
-  opts.task_pool_capacity = 8;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, opts, nullptr);
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, ThreadRuntime::Options{},
+                   nullptr);
   int ran = 0;
   sim::EventId id =
       rt.ScheduleAfterNode(0, SimTime::Millis(1), [&] { ++ran; });
@@ -130,12 +129,13 @@ TEST(TaskPoolRuntimeTest, WaveWiderThanPoolGrowsOnceThenReuses) {
   sim::Simulator clock;
   ThreadRuntime::Options opts;
   opts.dispatch = ThreadRuntime::DispatchMode::kEpoch;
-  opts.task_pool_capacity = 4;
   ThreadRuntime rt(&clock, /*num_nodes=*/4, opts, nullptr);
+  constexpr int kPerNode = ThreadRuntime::kTaskPoolCapacity / 4 + 16;
+  constexpr int kWidth = 4 * kPerNode;
   int ran = 0;
   auto wave = [&](SimTime when) {
     for (std::uint32_t node = 0; node < 4; ++node) {
-      for (int k = 0; k < 4; ++k) {
+      for (int k = 0; k < kPerNode; ++k) {
         rt.ScheduleAtNode(node, when, [&] { ++ran; });
       }
     }
@@ -144,15 +144,15 @@ TEST(TaskPoolRuntimeTest, WaveWiderThanPoolGrowsOnceThenReuses) {
   EXPECT_GT(rt.task_pool().grow_events(), 0u);
   const std::uint64_t grown = rt.task_pool().grow_events();
   rt.Run();
-  EXPECT_EQ(ran, 16);
+  EXPECT_EQ(ran, kWidth);
   EXPECT_EQ(rt.task_pool().in_use(), 0u);
 
   wave(SimTime::Millis(2));
   rt.Run();
-  EXPECT_EQ(ran, 32);
+  EXPECT_EQ(ran, 2 * kWidth);
   EXPECT_EQ(rt.task_pool().grow_events(), grown);  // pool was reused
   EXPECT_EQ(rt.epochs(), 2u);
-  EXPECT_EQ(rt.epoch_width_max(), 16u);
+  EXPECT_EQ(rt.epoch_width_max(), static_cast<std::uint64_t>(kWidth));
 }
 
 // The alloc-audit gate: one warm cluster per dispatch mode, identical
@@ -192,8 +192,6 @@ TEST_P(DispatchAllocTest, SteadyStateDispatchAllocatesNothing) {
   copts.enable_metrics = false;
   copts.backend = RuntimeBackend::kThreads;
   copts.runtime.dispatch = GetParam();
-  copts.runtime.steal_untagged =
-      GetParam() == ThreadRuntime::DispatchMode::kEpoch;
   Cluster cluster(copts);
   EagerGroupScheme scheme(&cluster);
 

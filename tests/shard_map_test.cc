@@ -19,7 +19,9 @@ TEST(ShardMapTest, PartitionCoversKeySpaceContiguously) {
   for (ShardId s = 0; s < shards.num_shards(); ++s) {
     EXPECT_EQ(shards.ShardEnd(s) - shards.ShardBegin(s), shards.ShardSize(s));
     total += shards.ShardSize(s);
-    if (s > 0) EXPECT_EQ(shards.ShardBegin(s), shards.ShardEnd(s - 1));
+    if (s > 0) {
+      EXPECT_EQ(shards.ShardBegin(s), shards.ShardEnd(s - 1));
+    }
   }
   EXPECT_EQ(total, 100u);
   EXPECT_EQ(shards.ShardBegin(0), 0u);

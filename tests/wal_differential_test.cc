@@ -12,6 +12,7 @@
 // nightly ctest entry runs 200 — see tests/CMakeLists.txt).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdlib>
@@ -139,9 +140,11 @@ TEST(WalDifferentialModesTest, FileBackendMatchesMemBackend) {
       SimConfig mem_cfg = CrashConfig(kind, seed, RuntimeBackend::kSim,
                                       DurabilityMode::kGroup);
       SimConfig file_cfg = mem_cfg;
+      // Per process: ctest runs this binary under more than one entry.
       file_cfg.wal_dir = ::testing::TempDir() + "tdr_wal_diff_" +
                          std::string(SchemeKindName(kind)) + "_" +
-                         std::to_string(seed);
+                         std::to_string(seed) + "_" +
+                         std::to_string(getpid());
       std::filesystem::remove_all(file_cfg.wal_dir);
       SimOutcome mem_out = RunScheme(mem_cfg);
       SimOutcome file_out = RunScheme(file_cfg);

@@ -7,6 +7,7 @@
 // wal_differential_test.cc.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -329,7 +330,9 @@ TEST(WalRecoveryTest, TornTailInTheLastSegmentKeepsEarlierSegments) {
 }
 
 TEST(WalRecoveryTest, FileBackendRecoversTheSameLog) {
-  const std::string dir = ::testing::TempDir() + "tdr_wal_recovery_test";
+  // Per process: ctest runs this binary under more than one entry.
+  const std::string dir = ::testing::TempDir() + "tdr_wal_recovery_test_" +
+                          std::to_string(getpid());
   std::filesystem::remove_all(dir);
   {
     FileWalBackend writer_backend(dir, 1);

@@ -6,6 +6,7 @@
 // checks live in wal_differential_test.cc.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -167,13 +168,19 @@ void BackendRoundtrip(MakeBackend make) {
   EXPECT_FALSE(backend->ReadSegment(0, 1, &out));
 }
 
+// A per-process scratch directory: ctest runs this binary under more
+// than one entry at once, and concurrent runs must not share files.
+std::string ScratchDir(const std::string& name) {
+  return ::testing::TempDir() + name + "_" + std::to_string(getpid());
+}
+
 TEST(MemWalBackendTest, AppendSyncReadTruncate) {
   BackendRoundtrip(
       [] { return std::make_unique<MemWalBackend>(/*num_nodes=*/2); });
 }
 
 TEST(FileWalBackendTest, AppendSyncReadTruncate) {
-  const std::string dir = ::testing::TempDir() + "tdr_wal_backend_test";
+  const std::string dir = ScratchDir("tdr_wal_backend_test");
   std::filesystem::remove_all(dir);
   BackendRoundtrip([&dir] {
     return std::make_unique<FileWalBackend>(dir, /*num_nodes=*/2);
@@ -181,7 +188,7 @@ TEST(FileWalBackendTest, AppendSyncReadTruncate) {
 }
 
 TEST(FileWalBackendTest, SegmentsSurviveBackendTeardown) {
-  const std::string dir = ::testing::TempDir() + "tdr_wal_reopen_test";
+  const std::string dir = ScratchDir("tdr_wal_reopen_test");
   std::filesystem::remove_all(dir);
   {
     FileWalBackend backend(dir, 1);
@@ -204,7 +211,7 @@ TEST(FileWalBackendTest, SegmentsSurviveBackendTeardown) {
 // store and then discard the new cluster's entire durable log as a
 // torn tail (LSN 1 where the stale log's continuation was expected).
 TEST(WalSetTest, FreshWalSetOnAReusedDirStartsACleanLog) {
-  const std::string dir = ::testing::TempDir() + "tdr_wal_reused_dir_test";
+  const std::string dir = ScratchDir("tdr_wal_reused_dir_test");
   std::filesystem::remove_all(dir);
   {
     // A previous cluster's log: three durable records in segment 0.

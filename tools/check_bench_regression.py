@@ -11,8 +11,8 @@ baselines committed at the repo root, row by row:
     behavior change, not noise;
   * rate metrics (committed_per_sec, *_rate) get a relative tolerance
     band (default ±25%);
-  * wall-clock and syscall-count columns are ignored — they measure
-    the machine, not the model.
+  * wall-clock columns are ignored — they measure the machine, not
+    the model.
 
 Informational by default: every violation prints as a GitHub
 `::warning` annotation and the exit code stays 0, so CI surfaces
@@ -59,12 +59,6 @@ EXACT_FIELDS = (
     "divergent_slots",
     "wal_records",
     "wal_flushes",
-    "proc.frames_sent",
-    "proc.frames_received",
-    "proc.bytes_sent",
-    "proc.bytes_received",
-    "proc.deliveries_shipped",
-    "proc.deliveries_verified",
 )
 
 # Rates derived from virtual time: tolerance-banded, not exact, so a
@@ -81,11 +75,6 @@ IGNORED_FIELDS = (
     "seconds",
     "records_per_sec",
     "syncs_per_sec",
-    "proc.writev_calls",
-    "proc.read_calls",
-    "proc.partial_writes",
-    "proc.partial_frames",
-    "proc.eagain_waits",
 )
 
 

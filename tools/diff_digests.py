@@ -11,8 +11,8 @@ in-process comparison. The fault_plan axis keeps faulted rows
 plan on the other backend; rows without the field compare as plan
 "none". The section axis keeps experiments apart (E18's epoch_speedup
 rows reuse E15's schemes at different cluster sizes); within a group,
-thread rows for EVERY dispatch mode (turn, epoch, epoch+steal) must
-match the sim oracle bit for bit.
+thread rows for EVERY dispatch mode (turn, epoch) must match the sim
+oracle bit for bit.
 
 Usage:
   diff_digests.py BENCH_runtime.json [more_reports.json ...]
