@@ -264,15 +264,12 @@ SimOutcome RunScheme(const SimConfig& config) {
   outcome.replica_deadlocks = out.replica_deadlocks;
   outcome.replica_applied = out.replica_applied;
   outcome.divergent_slots = out.divergent_slots;
-  if (lazy_group != nullptr && lazy_group->batch_shipper() != nullptr) {
-    outcome.batches_shipped = lazy_group->batch_shipper()->batches_shipped();
-    outcome.updates_coalesced =
-        lazy_group->batch_shipper()->updates_coalesced();
-  }
-  if (lazy_master != nullptr && lazy_master->batch_shipper() != nullptr) {
-    outcome.batches_shipped = lazy_master->batch_shipper()->batches_shipped();
-    outcome.updates_coalesced =
-        lazy_master->batch_shipper()->updates_coalesced();
+  const BatchShipper* shipper = nullptr;
+  if (lazy_group != nullptr) shipper = lazy_group->batch_shipper();
+  if (lazy_master != nullptr) shipper = lazy_master->batch_shipper();
+  if (shipper != nullptr) {
+    outcome.batches_shipped = shipper->batches_shipped();
+    outcome.updates_coalesced = shipper->updates_coalesced();
   }
   if (cluster.wals() != nullptr) {
     const wal::WalMetrics& wm = cluster.wals()->wal_metrics();

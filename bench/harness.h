@@ -64,7 +64,7 @@ struct SimConfig {
   /// 1 = the unsharded plane.
   std::uint32_t num_shards = 1;
   /// Lazy-scheme batch flush window in seconds; 0 with
-  /// batch_max_updates 0 = per-commit shipping (BatchShipper off).
+  /// batch_max_updates 0 = per-commit shipping (one batch per commit).
   double batch_flush_window = 0;
   /// Lazy-scheme batch size cap (updates per stream); 0 = unbounded.
   std::uint64_t batch_max_updates = 0;
@@ -142,7 +142,7 @@ struct SimOutcome {
   std::uint64_t replica_deadlocks = 0;
   std::uint64_t replica_applied = 0;
   std::uint64_t divergent_slots = 0;  // replica divergence at end
-  std::uint64_t batches_shipped = 0;  // BatchShipper flushes (0 unbatched)
+  std::uint64_t batches_shipped = 0;  // BatchShipper flushes
   std::uint64_t updates_coalesced = 0;  // updates absorbed by compaction
   std::uint64_t injected_drops = 0;   // messages lost to fault injection
   std::uint64_t invariant_violations = 0;  // always 0 unless aborted

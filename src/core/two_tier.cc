@@ -33,9 +33,7 @@ TwoTierSystem::TwoTierSystem(Options options)
       // "Most items are mastered at base nodes" — round-robin there.
       ownership_(Ownership::RoundRobin(options.db_size,
                                        BaseNodeIds(options.num_base))),
-      lazy_master_(&cluster_, &ownership_),
-      applier_(&cluster_.sim(), &cluster_.executor(),
-               cluster_.metrics_or_null()) {
+      lazy_master_(&cluster_, &ownership_) {
   assert(options_.num_base >= 1);
   for (NodeId id = options_.num_base;
        id < options_.num_base + options_.num_mobile; ++id) {
@@ -296,21 +294,7 @@ Status TwoTierSystem::SubmitLocal(NodeId mobile_id, const Program& program,
           // Standard lazy-master slave refresh from the mobile master to
           // every other replica; the Network queues these in the
           // mobile's outbox until it reconnects.
-          for (NodeId dest = 0; dest < cluster_.size(); ++dest) {
-            if (dest == mobile_id) continue;
-            Node* dest_node = cluster_.node(dest);
-            std::vector<UpdateRecord> records = result.updates;
-            cluster_.net().Send(
-                mobile_id, dest,
-                [this, dest_node,
-                 records = std::move(records)]() mutable {
-                  ReplicaApplier::Options aopts;
-                  aopts.action_time = options_.action_time;
-                  aopts.mode = ReplicaApplier::Mode::kNewerWins;
-                  applier_.Apply(dest_node, std::move(records), aopts,
-                                 nullptr);
-                });
-          }
+          lazy_master_.Propagate(result);
         }
         if (done) done(result);
       });

@@ -13,7 +13,6 @@
 #include "replication/cluster.h"
 #include "replication/lazy_master.h"
 #include "replication/ownership.h"
-#include "replication/replica_applier.h"
 #include "storage/tentative_store.h"
 #include "util/result.h"
 
@@ -220,7 +219,6 @@ class TwoTierSystem {
   Cluster cluster_;
   Ownership ownership_;
   LazyMasterScheme lazy_master_;
-  ReplicaApplier applier_;  // lazy slave refreshes for local transactions
   std::map<NodeId, std::unique_ptr<MobileNode>> mobiles_;
   std::uint64_t tentative_submitted_ = 0;
   std::uint64_t base_committed_ = 0;

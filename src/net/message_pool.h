@@ -9,7 +9,6 @@
 
 #include "sim/callback.h"
 #include "storage/types.h"
-#include "storage/update_log.h"
 
 namespace tdr::net {
 
@@ -176,11 +175,11 @@ class MessagePool {
   std::size_t in_use_ = 0;
 };
 
-/// Free list of reusable message payload objects (record vectors,
+/// Free list of reusable message payload objects (BatchShipper's
 /// update batches).
 ///
-/// A replication scheme ships a payload by acquiring a lease, filling
-/// `*lease`, and moving the lease into the message callback's capture.
+/// A sender ships a payload by acquiring a lease, filling `*lease`, and
+/// moving the lease into the message callback's capture.
 /// The lease destructor — run when the network releases the delivered
 /// (or dropped) message — resets the payload via `PoolClear` (found by
 /// ADL; the vector overload clears retaining capacity) and free-lists
@@ -260,8 +259,6 @@ class SharedPool {
  private:
   std::shared_ptr<State> state_;
 };
-
-using RecordBufferPool = SharedPool<std::vector<UpdateRecord>>;
 
 }  // namespace tdr::net
 

@@ -97,9 +97,7 @@ void Network::Arrive(Handle h) {
     copies = m.copies;
   }
   if (from != to && nodes_[to]->crashed()) {
-    // A crashed receiver has no process to buffer the message; it is
-    // lost (the sender-side out_log, not this copy, is what recovery
-    // replays).
+    // A crashed receiver has no process to buffer the message: lost.
     dropped_ += copies;
     m_crash_dropped_.Increment(copies);
     pool_.Release(h);

@@ -61,7 +61,7 @@ class Network {
   /// A delivered message is just a callback run at the destination at
   /// delivery time. Replication schemes close over whatever state the
   /// message carries — move-only, 64-byte small-buffer (sim::Callback);
-  /// bulk payloads ride in a RecordBufferPool lease, not the capture.
+  /// bulk payloads ride in a SharedPool lease, not the capture.
   using Handler = sim::Callback;
 
   struct Options {

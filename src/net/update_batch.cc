@@ -33,13 +33,6 @@ void UpdateBatchBuilder::Add(const UpdateRecord& rec, bool coalesce) {
   updates_.push_back(rec);
 }
 
-UpdateBatch UpdateBatchBuilder::Take(NodeId origin, NodeId dest,
-                                     std::uint64_t seq, SimTime opened) {
-  UpdateBatch batch;
-  TakeInto(origin, dest, seq, opened, &batch);
-  return batch;
-}
-
 void UpdateBatchBuilder::TakeInto(NodeId origin, NodeId dest,
                                   std::uint64_t seq, SimTime opened,
                                   UpdateBatch* out) {

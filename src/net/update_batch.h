@@ -67,14 +67,10 @@ class UpdateBatchBuilder {
   bool empty() const { return updates_.empty(); }
   std::uint64_t coalesced() const { return coalesced_; }
 
-  /// Moves the pending updates out as a batch stamped with the stream
-  /// coordinates, and resets the builder for the next window.
-  UpdateBatch Take(NodeId origin, NodeId dest, std::uint64_t seq,
-                   SimTime opened);
-
-  /// Allocation-free Take: swaps the pending updates into `*out`
-  /// (whose cleared vector's capacity the builder inherits for the
-  /// next window) instead of minting a new batch.
+  /// Moves the pending updates into `*out`, stamped with the stream
+  /// coordinates, and resets the builder for the next window. The
+  /// vectors swap, so the builder inherits `*out`'s cleared capacity:
+  /// cycling a builder against a batch pool allocates nothing.
   void TakeInto(NodeId origin, NodeId dest, std::uint64_t seq,
                 SimTime opened, UpdateBatch* out);
 

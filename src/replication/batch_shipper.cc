@@ -14,16 +14,20 @@ BatchShipper::BatchShipper(runtime::Runtime* rt, Network* net,
       options_(options),
       deliver_(std::move(deliver)),
       streams_(static_cast<std::size_t>(num_nodes) * num_nodes) {
+  // Per-commit mode is a size cap of one: the cap is tested after an
+  // Enqueue finishes appending, so each Enqueue ships as one batch.
+  flush_at_ = options_.max_batch_updates;
+  if (flush_at_ == 0 && options_.flush_window <= SimTime::Zero()) {
+    flush_at_ = 1;
+  }
   // Builders and pooled batches exchange their buffers on every flush
   // (TakeInto swaps), so both sides are held at a common capacity floor:
-  // the size cap plus one transaction's worth of overshoot (the cap is
-  // tested after an Enqueue finishes appending), or a fixed working-set
-  // floor for window-only streams. Without it, buffer capacities churn
-  // through the pool and windows keep re-growing whichever buffer they
-  // draw — a steady allocation trickle instead of a one-time ratchet.
-  reserve_floor_ = options_.max_batch_updates > 0
-                       ? options_.max_batch_updates + 32
-                       : 160;
+  // the flush size plus one transaction's worth of overshoot, or a
+  // fixed working-set floor for window-only streams. Without it, buffer
+  // capacities churn through the pool and windows keep re-growing
+  // whichever buffer they draw — a steady allocation trickle instead of
+  // a one-time ratchet.
+  reserve_floor_ = flush_at_ > 0 ? flush_at_ + 32 : 160;
   for (Stream& s : streams_) s.builder.Reserve(reserve_floor_);
   if (metrics != nullptr) {
     std::vector<obs::Label> labels{{"stream", std::string(stream)}};
@@ -51,8 +55,12 @@ void BatchShipper::Enqueue(NodeId origin, NodeId dest,
   if (count == 0 || origin == dest) return;
   Stream& s = StreamOf(origin, dest);
   bool was_empty = s.builder.empty();
+  // With a flush size of one a batch is a single Enqueue's records —
+  // one transaction's, one record per object — so there is nothing to
+  // coalesce: skip the compaction index.
+  const bool coalesce = options_.coalesce && flush_at_ != 1;
   for (std::size_t i = 0; i < count; ++i) {
-    s.builder.Add(records[i], options_.coalesce);
+    s.builder.Add(records[i], coalesce);
   }
   if (was_empty) {
     s.opened = sim_->Now();
@@ -64,10 +72,7 @@ void BatchShipper::Enqueue(NodeId origin, NodeId dest,
           [this, origin, dest] { Flush(origin, dest); });
     }
   }
-  if (options_.max_batch_updates > 0 &&
-      s.builder.size() >= options_.max_batch_updates) {
-    Flush(origin, dest);
-  }
+  if (flush_at_ > 0 && s.builder.size() >= flush_at_) Flush(origin, dest);
 }
 
 void BatchShipper::Flush(NodeId origin, NodeId dest) {

@@ -18,10 +18,13 @@ namespace tdr {
 /// The batched log-shipping data plane shared by the lazy replication
 /// schemes: one coalescing stream per (origin, destination) pair.
 ///
-/// Instead of one replica-update message per committed transaction per
-/// destination (N-1 messages per commit — the naive Figure-4 plane),
-/// committed updates park in a per-destination UpdateBatchBuilder. A
-/// stream flushes when EITHER
+/// It is the only code that sends UpdateRecords: every lazy refresh
+/// (lazy group, lazy master, two-tier local transactions) is enqueued
+/// here. With `flush_window` and `max_batch_updates` both zero (the
+/// schemes' default) each Enqueue ships at once as its own batch — one
+/// replica-update message per committed transaction per destination,
+/// the paper's Figure-4 plane. Otherwise committed updates park in a
+/// per-destination UpdateBatchBuilder, and a stream flushes when EITHER
 ///   * `flush_window` has elapsed since its oldest pending update
 ///     (bounded staleness — the model prices this exactly like a
 ///     mobile node's Disconnect_Time, Eq. 18), or
@@ -41,10 +44,11 @@ class BatchShipper {
  public:
   struct Options {
     /// Max time an update waits before its stream flushes. Zero
-    /// disables the timer entirely (flush on size cap / FlushAll only).
+    /// disables the timer (flush on size cap / FlushAll only).
     SimTime flush_window = SimTime::Millis(50);
     /// Flush as soon as a stream holds this many updates (after
-    /// compaction). Zero = unbounded, window-only flushing.
+    /// compaction). Zero = unbounded, window-only flushing. Zero here
+    /// AND a zero window = per-commit shipping: every Enqueue flushes.
     std::size_t max_batch_updates = 128;
     /// Per-object chain compaction within a window (see UpdateBatch).
     bool coalesce = true;
@@ -66,7 +70,8 @@ class BatchShipper {
   BatchShipper& operator=(const BatchShipper&) = delete;
 
   /// Parks `records` on the (origin, dest) stream, arming the window
-  /// timer on first use and flushing immediately at the size cap.
+  /// timer on first use and flushing immediately at the size cap (or
+  /// at once, in per-commit mode).
   void Enqueue(NodeId origin, NodeId dest,
                const std::vector<UpdateRecord>& records);
 
@@ -109,6 +114,9 @@ class BatchShipper {
   std::uint32_t num_nodes_;
   Options options_;
   DeliverFn deliver_;
+  // Stream size that triggers a flush at the end of an Enqueue: the
+  // size cap, 1 in per-commit mode, 0 (never) for window-only streams.
+  std::size_t flush_at_ = 0;
   // Common capacity floor for builders and pooled batches (they swap
   // buffers on flush); see the constructor.
   std::size_t reserve_floor_ = 0;

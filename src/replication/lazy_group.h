@@ -1,8 +1,6 @@
 #ifndef TDR_REPLICATION_LAZY_GROUP_H_
 #define TDR_REPLICATION_LAZY_GROUP_H_
 
-#include <memory>
-
 #include "net/update_batch.h"
 #include "replication/batch_shipper.h"
 #include "replication/cluster.h"
@@ -25,37 +23,23 @@ namespace tdr {
 /// network outbox ("the node accepts and applies transactions for a
 /// day; then at night it connects and downloads them"), so the mobile
 /// analysis of Eqs. (15)-(18) falls out of the same code path.
+///
+/// Replica updates ship through a BatchShipper: by default one message
+/// per commit per remote node; with a batch window the stream is a
+/// self-inflicted Disconnect_Time, which Eq. (18) prices directly (see
+/// the batching sweep in bench_mobile_disconnect).
 class LazyGroupScheme : public ReplicationScheme, private TxnObserver {
  public:
   struct Options {
-    /// Retry replica-update transactions that become deadlock victims.
-    bool retry_replica_deadlocks = true;
-    /// If positive, committed updates are not shipped per transaction
-    /// but accumulated in the node's out-log and flushed every
-    /// `batch_interval` — how production async replication actually
-    /// ships its stream. The model prices this directly: batching is a
-    /// self-inflicted Disconnect_Time, so Eq. (18) predicts the
-    /// reconciliation cost with Disconnect_Time := batch_interval (see
-    /// the batching sweep in bench_mobile_disconnect).
-    ///
-    /// Superseded by the `batch` plane below for new work; kept because
-    /// it models a different shape (node-wide log drain on a fixed
-    /// period, no coalescing, no size cap).
-    SimTime batch_interval = SimTime::Zero();
-    /// Per-destination coalescing batch plane (BatchShipper). Engaged
-    /// when flush_window or max_batch_updates is positive; replaces the
-    /// one-message-per-commit-per-destination shipping with one
-    /// UpdateBatch per stream per window, applied atomically per shard
-    /// at the destination. Takes precedence over batch_interval.
+    /// Shipping plane. The default (zero window, no cap) ships each
+    /// commit at once; a window or cap parks updates on per-destination
+    /// streams, applied atomically per shard at the destination.
     BatchShipper::Options batch{SimTime::Zero(), 0, true};
   };
 
   explicit LazyGroupScheme(Cluster* cluster)
       : LazyGroupScheme(cluster, Options()) {}
   LazyGroupScheme(Cluster* cluster, Options options);
-
-  /// Cancels the periodic batch flushers (their callbacks capture this).
-  ~LazyGroupScheme() override;
 
   std::string_view name() const override { return "lazy-group"; }
   bool eager() const override { return false; }
@@ -68,18 +52,12 @@ class LazyGroupScheme : public ReplicationScheme, private TxnObserver {
   void Submit(NodeId origin, const Program& program,
               DoneCallback done) override;
 
-  /// With batching enabled: flushes one node's accumulated updates now
-  /// (each flush ships one replica-update transaction per remote node).
-  /// Called automatically every batch_interval; public for tests and
-  /// for forcing a final flush at the end of a measurement window.
-  void FlushBatches(NodeId origin);
+  /// Ships every pending batch now (end-of-run convenience; a no-op
+  /// with per-commit shipping).
+  void FlushAllBatches() { shipper_.FlushAll(); }
 
-  /// Flushes every node (end-of-run convenience). Drains both the
-  /// legacy out-log batches and the BatchShipper streams.
-  void FlushAllBatches();
-
-  /// The coalescing batch plane; null when Options::batch is disabled.
-  BatchShipper* batch_shipper() { return shipper_.get(); }
+  /// The shipping plane every replica update goes through.
+  BatchShipper* batch_shipper() { return &shipper_; }
 
   /// Traces replica-update application (forwarded to the applier).
   void set_trace_sink(TraceSink* sink) { applier_.set_trace_sink(sink); }
@@ -96,18 +74,11 @@ class LazyGroupScheme : public ReplicationScheme, private TxnObserver {
   /// caller's done callback, exactly where the old done-wrapper ran.
   void OnTxnDone(const TxnResult& result) override;
   void Propagate(const TxnResult& result);
-  void Ship(NodeId origin, const std::vector<UpdateRecord>& records);
-  void ApplyBatch(const UpdateBatch& batch);
   void ApplyAt(Node* dest, const std::vector<UpdateRecord>& records);
 
   Cluster* cluster_;
-  Options options_;
   ReplicaApplier applier_;
-  std::unique_ptr<BatchShipper> shipper_;
-  /// Pooled payload buffers for unbatched shipping: each replica-update
-  /// message captures a lease instead of an owned vector copy.
-  net::RecordBufferPool record_pool_;
-  std::vector<sim::EventId> flusher_series_;
+  BatchShipper shipper_;
   std::uint64_t reconciliations_ = 0;
   std::uint64_t replica_applied_ = 0;
 };

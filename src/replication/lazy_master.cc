@@ -11,19 +11,14 @@ LazyMasterScheme::LazyMasterScheme(Cluster* cluster,
                                    Options options)
     : cluster_(cluster),
       ownership_(ownership),
-      options_(options),
       applier_(&cluster->runtime(), &cluster->executor(),
-               cluster->metrics_or_null()) {
-  if (options_.batch.flush_window > SimTime::Zero() ||
-      options_.batch.max_batch_updates > 0) {
-    shipper_ = std::make_unique<BatchShipper>(
-        &cluster_->runtime(), &cluster_->net(), cluster_->size(), name(),
-        cluster_->metrics_or_null(), options_.batch,
-        [this](const UpdateBatch& batch) {
-          ApplyAt(cluster_->node(batch.dest), batch.updates);
-        });
-  }
-  if (options_.reconnect_catch_up) {
+               cluster->metrics_or_null()),
+      shipper_(&cluster->runtime(), &cluster->net(), cluster->size(), name(),
+               cluster->metrics_or_null(), options.batch,
+               [this](const UpdateBatch& batch) {
+                 ApplyAt(cluster_->node(batch.dest), batch.updates);
+               }) {
+  if (options.reconnect_catch_up) {
     for (NodeId id = 0; id < cluster_->size(); ++id) {
       cluster_->net().OnReconnect(id, [this, id]() { CatchUpNode(id); });
     }
@@ -113,35 +108,17 @@ void LazyMasterScheme::CatchUpAll() {
 }
 
 void LazyMasterScheme::Propagate(const TxnResult& result) {
-  if (result.updates.empty()) return;
-  // Group records by the master that installed them; each master then
-  // broadcasts one slave-refresh transaction per other node. The
-  // executor emits update records ordered by (executing node, oid), so
-  // each master's records form one contiguous run — grouping is a scan,
-  // not a map build, and visits masters in the same ascending order.
+  // Each master broadcasts one slave-refresh transaction per other node.
+  // The executor emits update records ordered by (executing node, oid),
+  // so each master's records form one contiguous run — grouping is a
+  // scan, not a map build, and visits masters in ascending order.
   const std::vector<UpdateRecord>& updates = result.updates;
   for (std::size_t i = 0; i < updates.size();) {
     const NodeId master = updates[i].origin;
     std::size_t j = i;
     while (j < updates.size() && updates[j].origin == master) ++j;
     for (NodeId dest = 0; dest < cluster_->size(); ++dest) {
-      if (dest == master) continue;
-      if (shipper_ != nullptr) {
-        shipper_->Enqueue(master, dest, &updates[i], j - i);
-        continue;
-      }
-      // Unbatched: one refresh message per destination, payload carried
-      // in a pooled lease (read-only in the handler — duplicate delivery
-      // may invoke it more than once).
-      Node* dest_node = cluster_->node(dest);
-      net::RecordBufferPool::Lease payload = record_pool_.Acquire();
-      payload->assign(updates.begin() + static_cast<std::ptrdiff_t>(i),
-                      updates.begin() + static_cast<std::ptrdiff_t>(j));
-      cluster_->net().Send(
-          master, dest,
-          [this, dest_node, payload = std::move(payload)]() {
-            ApplyAt(dest_node, *payload);
-          });
+      shipper_.Enqueue(master, dest, &updates[i], j - i);
     }
     i = j;
   }
@@ -152,17 +129,12 @@ void LazyMasterScheme::ApplyAt(Node* dest,
   ReplicaApplier::Options aopts;
   aopts.action_time = cluster_->options().action_time;
   aopts.mode = ReplicaApplier::Mode::kNewerWins;
-  aopts.retry_on_deadlock = options_.retry_replica_deadlocks;
   aopts.shards = &cluster_->shards();
   applier_.Apply(dest, records, aopts,
                  [this](const ReplicaApplier::Report& report) {
                    slave_applied_ += report.applied;
                    stale_ignored_ += report.stale;
                  });
-}
-
-void LazyMasterScheme::FlushAllBatches() {
-  if (shipper_ != nullptr) shipper_->FlushAll();
 }
 
 }  // namespace tdr

@@ -1,7 +1,6 @@
 #ifndef TDR_REPLICATION_LAZY_MASTER_H_
 #define TDR_REPLICATION_LAZY_MASTER_H_
 
-#include <memory>
 #include <vector>
 
 #include "net/update_batch.h"
@@ -28,18 +27,17 @@ namespace tdr {
 class LazyMasterScheme : public ReplicationScheme, private TxnObserver {
  public:
   struct Options {
-    bool retry_replica_deadlocks = true;
     /// If true, a node catches up from the masters when it reconnects or
     /// a cut link to it heals (anti-entropy): any slave refresh lost to
     /// a crash or dropped message is repaired from the master copy.
     /// Off by default — the paper's base protocol relies purely on the
     /// refresh stream, and the two-tier core manages its own catch-up.
     bool reconnect_catch_up = false;
-    /// Per-destination coalescing batch plane (BatchShipper). Engaged
-    /// when flush_window or max_batch_updates is positive: each master's
-    /// slave refreshes park on its (master, dest) stream instead of
-    /// shipping one message per commit, and the destination applies a
-    /// batch atomically per shard, newer-wins.
+    /// Shipping plane. The default (zero window, no cap) ships each
+    /// master's refreshes at once, one message per commit per other
+    /// node; a window or cap parks them on (master, dest) streams, and
+    /// the destination applies a batch atomically per shard,
+    /// newer-wins.
     BatchShipper::Options batch{SimTime::Zero(), 0, true};
   };
 
@@ -80,14 +78,19 @@ class LazyMasterScheme : public ReplicationScheme, private TxnObserver {
   /// the anti-entropy protocol would reach.
   void CatchUpAll();
 
-  /// Ships every pending refresh batch now. No-op without the batch
-  /// plane; the measurement harness calls this before convergence
-  /// checks (the lazy-master analogue of LazyGroupScheme's
-  /// FlushAllBatches).
-  void FlushAllBatches();
+  /// Ships every pending refresh batch now (a no-op with per-commit
+  /// shipping); the measurement harness calls this before convergence
+  /// checks.
+  void FlushAllBatches() { shipper_.FlushAll(); }
 
-  /// The coalescing batch plane; null when Options::batch is disabled.
-  BatchShipper* batch_shipper() { return shipper_.get(); }
+  /// Ships a committed transaction's slave refreshes: each master's
+  /// records go to every other node. The observer hook calls this for
+  /// master transactions; the two-tier core calls it for local
+  /// transactions committed at a mobile master.
+  void Propagate(const TxnResult& result);
+
+  /// The shipping plane every slave refresh goes through.
+  BatchShipper* batch_shipper() { return &shipper_; }
 
   std::uint64_t slave_updates_applied() const { return slave_applied_; }
   std::uint64_t stale_updates_ignored() const { return stale_ignored_; }
@@ -98,16 +101,12 @@ class LazyMasterScheme : public ReplicationScheme, private TxnObserver {
   /// transaction): broadcasts slave refreshes on commit. Runs before
   /// the caller's done callback, exactly where the old done-wrapper ran.
   void OnTxnDone(const TxnResult& result) override;
-  void Propagate(const TxnResult& result);
   void ApplyAt(Node* dest, const std::vector<UpdateRecord>& records);
 
   Cluster* cluster_;
   const Ownership* ownership_;
-  Options options_;
   ReplicaApplier applier_;
-  std::unique_ptr<BatchShipper> shipper_;
-  /// Pooled payload buffers for unbatched refresh shipping.
-  net::RecordBufferPool record_pool_;
+  BatchShipper shipper_;
   std::uint64_t slave_applied_ = 0;
   std::uint64_t stale_ignored_ = 0;
   std::uint64_t catch_up_objects_ = 0;

@@ -236,8 +236,7 @@ void ReplicaApplier::HandleDeadlock(Job* job) {
   m_deadlocks_.Increment();
   job->node->locks().ReleaseAll(job->txn);
   ++job->report.deadlock_retries;
-  if (!job->options.retry_on_deadlock ||
-      job->report.deadlock_retries > job->options.max_retries) {
+  if (job->report.deadlock_retries > job->options.max_retries) {
     job->report.gave_up = true;
     m_gave_up_.Increment();
     FinishJob(job);

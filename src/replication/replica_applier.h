@@ -44,7 +44,6 @@ class ReplicaApplier {
   struct Options {
     SimTime action_time = SimTime::Millis(10);
     Mode mode = Mode::kTimestampMatch;
-    bool retry_on_deadlock = true;
     int max_retries = 1000;
     SimTime retry_backoff = SimTime::Millis(10);
     /// With a multi-shard map, a batch is partitioned by shard and each

@@ -1,7 +1,5 @@
 #include "storage/update_log.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 
 namespace tdr {
@@ -11,30 +9,6 @@ std::string UpdateRecord::ToString() const {
                    (unsigned long long)txn, (unsigned long long)oid,
                    old_ts.ToString().c_str(), new_ts.ToString().c_str(),
                    new_value.ToString().c_str(), origin);
-}
-
-std::vector<UpdateRecord> UpdateLog::DrainAll() {
-  std::vector<UpdateRecord> out(log_.begin(), log_.end());
-  log_.clear();
-  return out;
-}
-
-std::vector<UpdateRecord> UpdateLog::DrainUpTo(SimTime cutoff) {
-  std::vector<UpdateRecord> out;
-  while (!log_.empty() && log_.front().commit_time <= cutoff) {
-    out.push_back(std::move(log_.front()));
-    log_.pop_front();
-  }
-  return out;
-}
-
-std::vector<ObjectId> UpdateLog::DistinctObjects() const {
-  std::vector<ObjectId> ids;
-  ids.reserve(log_.size());
-  for (const UpdateRecord& rec : log_) ids.push_back(rec.oid);
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
 }
 
 }  // namespace tdr

@@ -2,9 +2,7 @@
 #define TDR_STORAGE_UPDATE_LOG_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <vector>
 
 #include "storage/timestamp.h"
 #include "storage/types.h"
@@ -24,37 +22,6 @@ struct UpdateRecord {
   SimTime commit_time;             // simulated commit instant
 
   std::string ToString() const;
-};
-
-/// Commit-ordered log of updates originated at a node. Lazy replication
-/// drains it to build replica-update transactions; disconnected mobile
-/// nodes accumulate entries here until reconnect ("When first connected,
-/// a mobile node sends and receives deferred replica updates", §2).
-class UpdateLog {
- public:
-  UpdateLog() = default;
-
-  void Append(UpdateRecord rec) { log_.push_back(std::move(rec)); }
-
-  std::size_t size() const { return log_.size(); }
-  bool empty() const { return log_.empty(); }
-
-  const UpdateRecord& at(std::size_t i) const { return log_[i]; }
-
-  /// Removes and returns all pending records, in commit order.
-  std::vector<UpdateRecord> DrainAll();
-
-  /// Removes and returns records committed at or before `cutoff`.
-  std::vector<UpdateRecord> DrainUpTo(SimTime cutoff);
-
-  /// Distinct object ids among pending records — the paper's
-  /// "Outbound_Updates" set of equation (15).
-  std::vector<ObjectId> DistinctObjects() const;
-
-  void Clear() { log_.clear(); }
-
- private:
-  std::deque<UpdateRecord> log_;
 };
 
 }  // namespace tdr

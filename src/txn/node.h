@@ -6,7 +6,6 @@
 
 #include "storage/object_store.h"
 #include "storage/timestamp.h"
-#include "storage/update_log.h"
 #include "txn/lock_manager.h"
 #include "txn/wait_for_graph.h"
 
@@ -40,11 +39,6 @@ class Node {
 
   LamportClock& clock() { return clock_; }
 
-  /// Commit-ordered outbound replica updates not yet propagated (lazy
-  /// schemes; accumulates while a mobile node is disconnected).
-  UpdateLog& out_log() { return out_log_; }
-  const UpdateLog& out_log() const { return out_log_; }
-
   /// Connectivity flag maintained by the net module's ConnectivitySchedule.
   bool connected() const { return connected_; }
   void set_connected(bool connected) { connected_ = connected; }
@@ -52,8 +46,8 @@ class Node {
   /// Crash flag maintained by Network::Crash/Restart. A crashed node is
   /// always disconnected, but unlike a deliberately disconnected mobile
   /// node it loses its volatile receive buffers and must not originate
-  /// work; the store and out_log survive (they model the durable state
-  /// a recovery log restores).
+  /// work; the store survives (it models the durable state a recovery
+  /// log restores).
   bool crashed() const { return crashed_; }
   void set_crashed(bool crashed) { crashed_ = crashed; }
 
@@ -62,7 +56,6 @@ class Node {
   ObjectStore store_;
   LockManager locks_;
   LamportClock clock_;
-  UpdateLog out_log_;
   bool connected_ = true;
   bool crashed_ = false;
 };

@@ -26,7 +26,6 @@ void RecoveryManager::Crash(NodeId node) {
   net_->DiscardOutbox(node);
   wals_->Crash(node);
   n->store().ResetToZero();
-  n->out_log().Clear();
   ++wipe_epoch_[node];
 }
 
@@ -38,11 +37,10 @@ void RecoveryManager::Restart(NodeId node) {
   Node* n = nodes_[node];
   // Transactions in flight at the crash kept stepping (the executor has
   // no crash hook) and their void-completed commits may have installed
-  // into the doomed store, appended to the outbound log, or parked
-  // ships in the outbox. None of that survived the crash in this
-  // model: discard it all and rebuild from the durable prefix alone.
+  // into the doomed store or parked ships in the outbox. None of that
+  // survived the crash in this model: discard it all and rebuild from
+  // the durable prefix alone.
   net_->DiscardOutbox(node);
-  n->out_log().Clear();
   n->store().ResetToZero();
   WalMetrics& m = wals_->wal_metrics();
   const RecoveryResult result =

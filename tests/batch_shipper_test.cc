@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 #include "net/update_batch.h"
@@ -33,7 +34,8 @@ TEST(UpdateBatchBuilderTest, CoalescingCompactsUpdateChains) {
   builder.Add(Rec(7, 1, 3, 30), /*coalesce=*/true);  // chain hop on oid 7
   EXPECT_EQ(builder.size(), 2u);
   EXPECT_EQ(builder.coalesced(), 1u);
-  UpdateBatch batch = builder.Take(0, 1, 1, SimTime::Zero());
+  UpdateBatch batch;
+  builder.TakeInto(0, 1, 1, SimTime::Zero(), &batch);
   // The compacted record spans the whole chain: first pre-image, last
   // post-image — the receiver's timestamp-match sees one t0 -> t3 hop.
   EXPECT_EQ(batch.updates[0].oid, 7u);
@@ -41,7 +43,7 @@ TEST(UpdateBatchBuilderTest, CoalescingCompactsUpdateChains) {
   EXPECT_EQ(batch.updates[0].new_ts, Timestamp(3, 0));
   EXPECT_EQ(batch.updates[0].new_value, Value(30));
   EXPECT_EQ(batch.coalesced, 1u);
-  // Take resets the builder (and its compaction index).
+  // TakeInto resets the builder (and its compaction index).
   EXPECT_TRUE(builder.empty());
   builder.Add(Rec(7, 3, 4, 40), true);
   EXPECT_EQ(builder.size(), 1u);
@@ -187,25 +189,28 @@ TEST_F(BatchShipperTest, CapOneMultiRecordEnqueueShipsOneBatch) {
   EXPECT_EQ(delivered_[0].size(), 3u);
 }
 
-// Edge case: window 0 AND cap 0 — nothing fires on its own; updates
-// park until an explicit FlushAll, which ships each exactly once and
-// is idempotent.
-TEST_F(BatchShipperTest, ZeroWindowZeroCapParksUntilExplicitFlush) {
+// Window 0 AND cap 0 is per-commit shipping: each Enqueue ships at
+// once as one batch, however many records it carries, so nothing is
+// ever pending and FlushAll has nothing to do.
+TEST_F(BatchShipperTest, ZeroWindowZeroCapShipsEachEnqueueAtOnce) {
   BatchShipper shipper(
       &cluster_->sim(), &cluster_->net(), cluster_->size(), "test",
       cluster_->metrics_or_null(), WindowOptions(SimTime::Zero(), 0),
       [&](const UpdateBatch& b) { delivered_.push_back(b); });
   shipper.Enqueue(0, 1, {Rec(7, 0, 1, 10)});
-  shipper.Enqueue(0, 2, {Rec(8, 0, 2, 20)});
-  cluster_->sim().Run();
-  EXPECT_TRUE(delivered_.empty());  // no window, no cap, no shipping
-  EXPECT_EQ(shipper.PendingUpdates(), 2u);
-  shipper.FlushAll();
-  shipper.FlushAll();  // second flush finds empty builders: no-op
-  cluster_->sim().Run();
-  EXPECT_EQ(delivered_.size(), 2u);
+  EXPECT_EQ(shipper.batches_shipped(), 1u);
+  shipper.Enqueue(0, 2, {Rec(8, 0, 2, 20), Rec(9, 0, 3, 30)});
   EXPECT_EQ(shipper.batches_shipped(), 2u);
-  EXPECT_EQ(shipper.updates_shipped(), 2u);
+  EXPECT_EQ(shipper.PendingUpdates(), 0u);
+  shipper.FlushAll();  // every builder is already empty: no-op
+  EXPECT_EQ(shipper.batches_shipped(), 2u);
+  cluster_->sim().Run();
+  ASSERT_EQ(delivered_.size(), 2u);
+  EXPECT_EQ(delivered_[0].dest, 1u);
+  EXPECT_EQ(delivered_[0].size(), 1u);
+  EXPECT_EQ(delivered_[1].dest, 2u);
+  EXPECT_EQ(delivered_[1].size(), 2u);
+  EXPECT_EQ(shipper.updates_shipped(), 3u);
   EXPECT_EQ(shipper.PendingUpdates(), 0u);
 }
 
@@ -282,6 +287,80 @@ TEST(BatchedSchemeTest, LazyMasterBatchedRefreshesSlaves) {
   EXPECT_TRUE(cluster.Converged());
   EXPECT_GT(scheme.slave_updates_applied(), 0u);
   EXPECT_GT(scheme.batch_shipper()->batches_shipped(), 0u);
+}
+
+// The schemes' default options are per-commit shipping: each committed
+// transaction ships exactly one batch to every remote node at commit —
+// the paper's one replica-update transaction per commit per
+// destination — and nothing is ever parked or coalesced.
+TEST(PerCommitShippingTest, LazyGroupShipsOneBatchPerCommitPerRemoteNode) {
+  Cluster::Options copts;
+  copts.num_nodes = 4;
+  copts.db_size = 40;
+  copts.action_time = SimTime::Millis(1);
+  Cluster cluster(copts);
+  LazyGroupScheme scheme(&cluster);
+  BatchShipper* shipper = scheme.batch_shipper();
+  const std::uint64_t remotes = copts.num_nodes - 1;
+  std::uint64_t commits = 0;
+  for (int i = 0; i < 12; ++i) {
+    Program p;
+    p.Add(Op::Write(i, 100 + i));
+    p.Add(Op::Write(20 + i, 200 + i));
+    scheme.Submit(i % copts.num_nodes, p, [&](const TxnResult& r) {
+      ASSERT_EQ(r.outcome, TxnOutcome::kCommitted);
+      ++commits;
+      EXPECT_EQ(shipper->batches_shipped(), commits * remotes);
+      EXPECT_EQ(shipper->PendingUpdates(), 0u);
+    });
+  }
+  cluster.sim().Run();
+  EXPECT_EQ(commits, 12u);
+  EXPECT_EQ(shipper->updates_shipped(), commits * 2 * remotes);
+  EXPECT_EQ(shipper->updates_coalesced(), 0u);
+  EXPECT_TRUE(cluster.Converged());
+}
+
+// Lazy master ships per master run: a transaction whose writes landed
+// at k masters ships k batches to every node other than each master.
+TEST(PerCommitShippingTest, LazyMasterShipsOneBatchPerMasterRunPerNode) {
+  Cluster::Options copts;
+  copts.num_nodes = 3;
+  copts.db_size = 30;
+  copts.action_time = SimTime::Millis(1);
+  Cluster cluster(copts);
+  std::vector<NodeId> all{0, 1, 2};
+  Ownership ownership = Ownership::RoundRobin(copts.db_size, all);
+  LazyMasterScheme scheme(&cluster, &ownership);
+  BatchShipper* shipper = scheme.batch_shipper();
+  const std::uint64_t others = copts.num_nodes - 1;
+  // Masters are oid % 3: one, two, one, three and one master runs.
+  const std::vector<std::vector<ObjectId>> writes{
+      {0, 3}, {6, 7}, {10, 13}, {14, 15, 16}, {20}};
+  std::uint64_t expected = 0;
+  std::uint64_t commits = 0;
+  for (std::size_t i = 0; i < writes.size(); ++i) {
+    Program p;
+    std::set<NodeId> masters;
+    for (ObjectId oid : writes[i]) {
+      p.Add(Op::Write(oid, 7));
+      masters.insert(ownership.OwnerOf(oid));
+    }
+    const std::uint64_t runs = masters.size();
+    scheme.Submit(static_cast<NodeId>(i % copts.num_nodes), p,
+                  [&, runs](const TxnResult& r) {
+                    ASSERT_EQ(r.outcome, TxnOutcome::kCommitted);
+                    ++commits;
+                    expected += runs * others;
+                    EXPECT_EQ(shipper->batches_shipped(), expected);
+                    EXPECT_EQ(shipper->PendingUpdates(), 0u);
+                  });
+  }
+  cluster.sim().Run();
+  EXPECT_EQ(commits, writes.size());
+  EXPECT_EQ(expected, 8 * others);
+  EXPECT_EQ(shipper->updates_coalesced(), 0u);
+  EXPECT_TRUE(cluster.Converged());
 }
 
 }  // namespace

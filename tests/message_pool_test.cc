@@ -11,10 +11,13 @@
 #include <utility>
 #include <vector>
 
+#include "storage/update_log.h"
+
 namespace tdr::net {
 namespace {
 
 using Handle = MessagePool::Handle;
+using RecordPool = SharedPool<std::vector<UpdateRecord>>;
 
 TEST(MessagePoolTest, AcquireReleaseRecyclesSlots) {
   MessagePool pool;
@@ -129,14 +132,14 @@ TEST(MessagePoolTest, DetachWalkSurvivesRequeueAndRelease) {
 }
 
 TEST(SharedPoolTest, LeaseResetsPayloadRetainingCapacity) {
-  RecordBufferPool pool;
+  RecordPool pool;
   {
-    RecordBufferPool::Lease lease = pool.Acquire();
+    RecordPool::Lease lease = pool.Acquire();
     lease->resize(100);
     EXPECT_GE(lease->capacity(), 100u);
   }
   // Same slot comes back cleared but with capacity retained.
-  RecordBufferPool::Lease again = pool.Acquire();
+  RecordPool::Lease again = pool.Acquire();
   EXPECT_TRUE(again->empty());
   EXPECT_GE(again->capacity(), 100u);
   EXPECT_EQ(pool.pooled(), 1u);
@@ -147,8 +150,8 @@ TEST(SharedPoolTest, LeaseResetsPayloadRetainingCapacity) {
 // undelivered message outlives the pool object. The shared slot store
 // must survive until the last lease releases.
 TEST(SharedPoolTest, LeaseOutlivesDestroyedPool) {
-  auto pool = std::make_unique<RecordBufferPool>();
-  RecordBufferPool::Lease survivor = pool->Acquire();
+  auto pool = std::make_unique<RecordPool>();
+  RecordPool::Lease survivor = pool->Acquire();
   survivor->push_back(UpdateRecord{});
   pool.reset();  // the scheme died; the message is still parked
   ASSERT_TRUE(static_cast<bool>(survivor));
@@ -157,14 +160,14 @@ TEST(SharedPoolTest, LeaseOutlivesDestroyedPool) {
 }
 
 TEST(SharedPoolTest, LeaseMoveTransfersOwnership) {
-  RecordBufferPool pool;
-  RecordBufferPool::Lease a = pool.Acquire();
+  RecordPool pool;
+  RecordPool::Lease a = pool.Acquire();
   a->push_back(UpdateRecord{});
-  RecordBufferPool::Lease b = std::move(a);
+  RecordPool::Lease b = std::move(a);
   EXPECT_FALSE(static_cast<bool>(a));
   ASSERT_TRUE(static_cast<bool>(b));
   EXPECT_EQ(b->size(), 1u);
-  RecordBufferPool::Lease c;
+  RecordPool::Lease c;
   c = std::move(b);
   EXPECT_FALSE(static_cast<bool>(b));
   ASSERT_TRUE(static_cast<bool>(c));

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "storage/tentative_store.h"
-#include "storage/update_log.h"
 
 namespace tdr {
 namespace {
@@ -217,45 +216,6 @@ TEST(TentativeStoreTest, TentativeIdsSorted) {
         tent.WriteTentative(oid, Value(1), Timestamp(1, 0)).ok());
   }
   EXPECT_EQ(tent.TentativeIds(), (std::vector<ObjectId>{2, 5, 7}));
-}
-
-TEST(UpdateLogTest, AppendAndDrainAllInOrder) {
-  UpdateLog log;
-  for (int i = 0; i < 3; ++i) {
-    UpdateRecord rec;
-    rec.oid = i;
-    rec.commit_time = SimTime::Millis(i);
-    log.Append(rec);
-  }
-  EXPECT_EQ(log.size(), 3u);
-  auto drained = log.DrainAll();
-  ASSERT_EQ(drained.size(), 3u);
-  EXPECT_EQ(drained[0].oid, 0u);
-  EXPECT_EQ(drained[2].oid, 2u);
-  EXPECT_TRUE(log.empty());
-}
-
-TEST(UpdateLogTest, DrainUpToRespectsCutoff) {
-  UpdateLog log;
-  for (int i = 0; i < 5; ++i) {
-    UpdateRecord rec;
-    rec.oid = i;
-    rec.commit_time = SimTime::Millis(i * 10);
-    log.Append(rec);
-  }
-  auto early = log.DrainUpTo(SimTime::Millis(20));
-  EXPECT_EQ(early.size(), 3u);  // t = 0, 10, 20
-  EXPECT_EQ(log.size(), 2u);
-}
-
-TEST(UpdateLogTest, DistinctObjectsDeduplicates) {
-  UpdateLog log;
-  for (ObjectId oid : {5, 3, 5, 3, 9}) {
-    UpdateRecord rec;
-    rec.oid = oid;
-    log.Append(rec);
-  }
-  EXPECT_EQ(log.DistinctObjects(), (std::vector<ObjectId>{3, 5, 9}));
 }
 
 }  // namespace

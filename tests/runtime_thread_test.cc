@@ -283,7 +283,7 @@ TEST(ThreadRuntimeClusterTest, SharedPoolLeaseOutlivesSchemeAtShutdown) {
   {
     auto scheme = std::make_unique<LazyGroupScheme>(cluster.get());
     // Park propagation to node 2: it disconnects, so the replica-update
-    // messages (holding record-buffer leases) sit in its outbox queue.
+    // messages (holding update-batch leases) sit in its outbox queue.
     cluster->net().SetConnected(2, false);
     for (int i = 0; i < 5; ++i) {
       Program p;

@@ -270,23 +270,31 @@ TEST(LazyGroupTest, DisconnectedConflictDetectedAtReconnect) {
   EXPECT_GE(scheme.reconciliations(), 1u);
 }
 
-TEST(LazyGroupBatchingTest, UpdatesShipOnlyAtFlush) {
+// A batch window with no size cap and no coalescing: the shape of a
+// replication stream drained on a timer.
+LazyGroupScheme::Options WindowedShipping(SimTime window) {
   LazyGroupScheme::Options opts;
-  opts.batch_interval = SimTime::Seconds(10);
+  opts.batch = {window, 0, false};
+  return opts;
+}
+
+TEST(LazyGroupBatchingTest, UpdatesShipOnlyAtFlush) {
   Cluster cluster(SmallCluster(3));
-  LazyGroupScheme scheme(&cluster, opts);
+  LazyGroupScheme scheme(&cluster, WindowedShipping(SimTime::Seconds(10)));
   scheme.Submit(0, Program({Op::Write(3, 30)}), nullptr);
   cluster.sim().RunUntil(SimTime::Seconds(5));
-  // Committed locally, parked in the out-log, not yet replicated.
+  // Committed locally, parked on both outbound streams, not yet
+  // replicated.
   EXPECT_EQ(cluster.node(0)->store().GetUnchecked(3).value.AsScalar(), 30);
   EXPECT_EQ(cluster.node(1)->store().GetUnchecked(3).value.AsScalar(), 0);
-  EXPECT_EQ(cluster.node(0)->out_log().size(), 1u);
+  EXPECT_EQ(scheme.batch_shipper()->PendingUpdates(), 2u);
+  EXPECT_EQ(scheme.batch_shipper()->batches_shipped(), 0u);
   cluster.sim().RunUntil(SimTime::Seconds(11));
   cluster.sim().RunUntil(SimTime::Seconds(12));
   EXPECT_EQ(cluster.node(1)->store().GetUnchecked(3).value.AsScalar(), 30);
   EXPECT_EQ(cluster.node(2)->store().GetUnchecked(3).value.AsScalar(), 30);
-  EXPECT_TRUE(cluster.node(0)->out_log().empty());
-  EXPECT_GE(cluster.metrics().Get("lazy_group.batches"), 1u);
+  EXPECT_EQ(scheme.batch_shipper()->PendingUpdates(), 0u);
+  EXPECT_EQ(scheme.batch_shipper()->batches_shipped(), 2u);
 }
 
 TEST(LazyGroupBatchingTest,
@@ -295,12 +303,10 @@ TEST(LazyGroupBatchingTest,
   // the second writer already has the first update and no conflict
   // occurs; batched at 10s, both updates are in flight with stale old
   // timestamps — the batching window IS a self-inflicted disconnection
-  // (Eq. 18 with Disconnect_Time = batch interval).
-  auto run = [](SimTime batch) {
-    LazyGroupScheme::Options opts;
-    opts.batch_interval = batch;
+  // (Eq. 18 with Disconnect_Time = batch window).
+  auto run = [](SimTime window) {
     auto cluster = std::make_unique<Cluster>(SmallCluster(2));
-    LazyGroupScheme scheme(cluster.get(), opts);
+    LazyGroupScheme scheme(cluster.get(), WindowedShipping(window));
     scheme.Submit(0, Program({Op::Write(5, 100)}), nullptr);
     cluster->sim().ScheduleAt(SimTime::Seconds(1), [&] {
       scheme.Submit(1, Program({Op::Write(5, 200)}), nullptr);
@@ -315,16 +321,15 @@ TEST(LazyGroupBatchingTest,
 }
 
 TEST(LazyGroupBatchingTest, FlushAllIsIdempotent) {
-  LazyGroupScheme::Options opts;
-  opts.batch_interval = SimTime::Seconds(100);
   Cluster cluster(SmallCluster(2));
-  LazyGroupScheme scheme(&cluster, opts);
+  LazyGroupScheme scheme(&cluster, WindowedShipping(SimTime::Seconds(100)));
   scheme.Submit(0, Program({Op::Add(1, 5)}), nullptr);
   cluster.sim().RunUntil(SimTime::Seconds(1));
   scheme.FlushAllBatches();
   scheme.FlushAllBatches();  // nothing left; must not double-ship
   cluster.sim().RunUntil(SimTime::Seconds(2));
   EXPECT_EQ(cluster.node(1)->store().GetUnchecked(1).value.AsScalar(), 5);
+  EXPECT_EQ(scheme.batch_shipper()->batches_shipped(), 1u);
   EXPECT_EQ(scheme.replica_applied(), 1u);
   EXPECT_EQ(scheme.reconciliations(), 0u);
 }

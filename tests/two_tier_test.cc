@@ -451,6 +451,30 @@ TEST_F(TwoTierTest, LocalTransactionCommitsWhileDisconnected) {
             5);
 }
 
+// A local transaction's refreshes ride lazy master's shipping plane:
+// one batch per other node, shipped at commit into the offline mobile's
+// outbox, applied (and counted) by lazy master once it reconnects.
+TEST_F(TwoTierTest, LocalTransactionRefreshesShipThroughLazyMaster) {
+  sys_.SetMobileMaster(8, MobileA());
+  const BatchShipper* shipper = sys_.lazy_master().batch_shipper();
+  ASSERT_TRUE(
+      sys_.SubmitLocal(MobileA(), Program({Op::Add(8, 5)}), nullptr).ok());
+  sys_.sim().Run();
+  const std::uint64_t others = sys_.cluster().size() - 1;
+  EXPECT_EQ(shipper->batches_shipped(), others);
+  EXPECT_EQ(shipper->PendingUpdates(), 0u);
+  EXPECT_EQ(sys_.lazy_master().slave_updates_applied(), 0u);
+  sys_.Connect(MobileA());
+  sys_.Connect(MobileB());
+  sys_.sim().Run();
+  for (NodeId id = 0; id < sys_.cluster().size(); ++id) {
+    EXPECT_EQ(
+        sys_.cluster().node(id)->store().GetUnchecked(8).value.AsScalar(), 5)
+        << "node " << id;
+  }
+  EXPECT_EQ(sys_.lazy_master().slave_updates_applied(), others);
+}
+
 TEST_F(TwoTierTest, LocalTransactionScopeEnforced) {
   // Touching base-mastered data is not "local".
   Status s = sys_.SubmitLocal(MobileA(), Program({Op::Add(kAccount, 1)}),
