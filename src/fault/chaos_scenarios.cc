@@ -18,19 +18,12 @@
 #include "replication/lazy_master.h"
 #include "replication/ownership.h"
 #include "replication/quorum.h"
+#include "util/fnv.h"
 #include "util/logging.h"
 
 namespace tdr::workload {
 
 namespace {
-
-std::uint64_t FnvMix(std::uint64_t h, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    h ^= (v >> shift) & 0xffULL;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 std::vector<NodeId> AllNodeIds(std::uint32_t n) {
   std::vector<NodeId> ids(n);
@@ -474,7 +467,7 @@ ChaosOutcome RunChaos(const ChaosConfig& config) {
 }
 
 std::uint64_t ChaosOutcome::Fingerprint() const {
-  std::uint64_t h = 1469598103934665603ULL;
+  std::uint64_t h = kFnvOffsetBasis;
   h = FnvMix(h, state_digest);
   h = FnvMix(h, submitted);
   h = FnvMix(h, committed);

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <utility>
 
 #include "core/two_tier.h"
@@ -126,23 +125,31 @@ void InvariantChecker::CheckMonotoneTimestamps() {
 void InvariantChecker::CheckTimestampValueAgreement() {
   // A commit timestamp identifies exactly one write (Lamport timestamps
   // are unique per writer), so two replicas at the same (oid, ts) must
-  // agree on the value.
+  // agree on the value. Each replica is checked against the first live
+  // node, in node order, holding the same (oid, ts).
   const bool wal = cluster_->recovery().wal_enabled();
+  std::vector<std::pair<NodeId, const ObjectStore*>> live;
+  live.reserve(cluster_->size());
+  for (NodeId id = 0; id < cluster_->size(); ++id) {
+    if (wal && cluster_->node(id)->crashed()) continue;  // wiped
+    live.emplace_back(id, &cluster_->node(id)->store());
+  }
   const std::uint64_t db = cluster_->options().db_size;
   for (ObjectId oid = 0; oid < db; ++oid) {
-    std::map<Timestamp, std::pair<NodeId, const StoredObject*>> seen;
-    for (NodeId id = 0; id < cluster_->size(); ++id) {
-      if (wal && cluster_->node(id)->crashed()) continue;  // wiped
-      const StoredObject& obj = cluster_->node(id)->store().GetUnchecked(oid);
-      auto [it, inserted] = seen.emplace(obj.ts, std::make_pair(id, &obj));
-      if (!inserted && !(it->second.second->value == obj.value)) {
-        Report("timestamp-value-agreement",
-               StrPrintf("object %llu at ts %s: node %u holds %s, node %u "
-                         "holds %s",
-                         (unsigned long long)oid, obj.ts.ToString().c_str(),
-                         it->second.first,
-                         it->second.second->value.ToString().c_str(), id,
-                         obj.value.ToString().c_str()));
+    for (std::size_t i = 1; i < live.size(); ++i) {
+      const StoredObject& obj = live[i].second->GetUnchecked(oid);
+      for (std::size_t j = 0; j < i; ++j) {
+        const StoredObject& first = live[j].second->GetUnchecked(oid);
+        if (first.ts != obj.ts) continue;
+        if (first.value != obj.value) {
+          Report("timestamp-value-agreement",
+                 StrPrintf("object %llu at ts %s: node %u holds %s, node %u "
+                           "holds %s",
+                           (unsigned long long)oid, obj.ts.ToString().c_str(),
+                           live[j].first, first.value.ToString().c_str(),
+                           live[i].first, obj.value.ToString().c_str()));
+        }
+        break;
       }
     }
   }

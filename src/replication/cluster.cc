@@ -1,5 +1,7 @@
 #include "replication/cluster.h"
 
+#include "util/fnv.h"
+
 namespace tdr {
 
 Cluster::Cluster(Options options)
@@ -58,32 +60,38 @@ bool Cluster::ConvergedTo(const ObjectStore& reference) const {
 
 std::uint64_t Cluster::DivergentSlots() const {
   std::uint64_t divergent = 0;
-  for (std::size_t i = 1; i < nodes_.size(); ++i) {
-    divergent += nodes_[i]->store().DiffAgainst(nodes_[0]->store()).size();
+  if (nodes_.empty()) return divergent;
+  const ObjectStore& reference = nodes_[0]->store();
+  for (ObjectId oid = 0; oid < reference.size(); ++oid) {
+    const Value& value = reference.GetUnchecked(oid).value;
+    for (std::size_t i = 1; i < nodes_.size(); ++i) {
+      if (nodes_[i]->store().GetUnchecked(oid).value != value) ++divergent;
+    }
   }
   return divergent;
+}
+
+std::vector<const ObjectStore*> Cluster::store_ptrs() const {
+  std::vector<const ObjectStore*> stores;
+  stores.reserve(nodes_.size());
+  for (const auto& n : nodes_) stores.push_back(&n->store());
+  return stores;
 }
 
 std::uint64_t Cluster::StateDigest() const {
   // FNV-1a over the per-store digests, in node order: sensitive to every
   // value and timestamp on every replica.
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const auto& n : nodes_) {
-    std::uint64_t d = n->store().Digest();
-    for (int shift = 0; shift < 64; shift += 8) {
-      h ^= (d >> shift) & 0xffULL;
-      h *= 1099511628211ULL;
-    }
-  }
+  std::vector<std::uint64_t> digests(nodes_.size());
+  ObjectStore::DigestRanges(store_ptrs(), 0, options_.db_size, digests);
+  std::uint64_t h = kFnvOffsetBasis;
+  for (std::uint64_t d : digests) h = FnvMix(h, d);
   return h;
 }
 
 std::vector<std::uint64_t> Cluster::ShardDigests(ShardId shard) const {
-  std::vector<std::uint64_t> digests;
-  digests.reserve(nodes_.size());
-  for (const auto& n : nodes_) {
-    digests.push_back(n->store().ShardDigest(shards_, shard));
-  }
+  std::vector<std::uint64_t> digests(nodes_.size());
+  ObjectStore::DigestRanges(store_ptrs(), shards_.ShardBegin(shard),
+                            shards_.ShardEnd(shard), digests);
   return digests;
 }
 

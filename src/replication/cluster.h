@@ -133,6 +133,9 @@ class Cluster {
   std::vector<std::uint64_t> ShardDigests(ShardId shard) const;
 
  private:
+  // Every node's store, in node order.
+  std::vector<const ObjectStore*> store_ptrs() const;
+
   Options options_;
   sim::Simulator sim_;
   WaitForGraph graph_;

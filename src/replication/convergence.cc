@@ -125,7 +125,7 @@ std::vector<std::string> RuleCatalogue() {
 }
 
 GossipReplica::GossipReplica(NodeId id, std::uint64_t db_size)
-    : id_(id), store_(db_size), clock_(id) {}
+    : id_(id), store_(db_size), vv_(db_size), clock_(id) {}
 
 Timestamp GossipReplica::NextTs() { return clock_.Tick(); }
 
@@ -133,7 +133,7 @@ void GossipReplica::LocalReplace(ObjectId oid, Value value) {
   StoredObject& obj = store_.GetMutable(oid);
   obj.value = std::move(value);
   obj.ts = NextTs();
-  obj.vv.Increment(id_);
+  vv_[oid].Increment(id_);
 }
 
 void GossipReplica::LocalReplaceAdd(ObjectId oid, std::int64_t delta) {
@@ -178,14 +178,18 @@ std::uint64_t GossipReplica::ExchangeState(GossipReplica* other,
   for (ObjectId oid = 0; oid < store_.size(); ++oid) {
     StoredObject& mine = store_.GetMutable(oid);
     StoredObject& theirs = other->store_.GetMutable(oid);
-    if (mine.value == theirs.value && mine.vv == theirs.vv) continue;
-    if (mine.vv.Dominates(theirs.vv)) {
+    VersionVector& my_vv = vv_[oid];
+    VersionVector& their_vv = other->vv_[oid];
+    if (mine.value == theirs.value && my_vv == their_vv) continue;
+    if (my_vv.Dominates(their_vv)) {
       theirs = mine;  // "the most recent update wins each pairwise
                       // exchange" — here, the causally dominant one
+      their_vv = my_vv;
       continue;
     }
-    if (theirs.vv.Dominates(mine.vv)) {
+    if (their_vv.Dominates(my_vv)) {
       mine = theirs;
+      my_vv = their_vv;
       continue;
     }
     // Concurrent versions: a real update/update conflict. "Rejected
@@ -200,11 +204,11 @@ std::uint64_t GossipReplica::ExchangeState(GossipReplica* other,
     ctx.a = &mine;
     ctx.b = &theirs;
     StoredObject winner = rule(ctx);
-    winner.vv = mine.vv;
-    winner.vv.Merge(theirs.vv);
     winner.ts = std::max(mine.ts, theirs.ts);
     mine = winner;
     theirs = winner;
+    my_vv.Merge(their_vv);
+    their_vv = my_vv;
   }
   clock_.Observe(other->clock_.Peek());
   other->clock_.Observe(clock_.Peek());

@@ -128,6 +128,8 @@ class GossipReplica {
   NodeId id() const { return id_; }
   ObjectStore& store() { return store_; }
   const ObjectStore& store() const { return store_; }
+  /// The version vector of this replica's copy of `oid` (§6 Access).
+  const VersionVector& vv(ObjectId oid) const { return vv_[oid]; }
 
   // --- State-based local updates (timestamped replace / RMW) ---
 
@@ -175,6 +177,9 @@ class GossipReplica {
 
   NodeId id_;
   ObjectStore store_;
+  // One version vector per object, beside the store: only this
+  // state-based exchange reads them, so the store's slots stay small.
+  std::vector<VersionVector> vv_;
   LamportClock clock_;
   // Operation-based state: full op log (own + received), delivery
   // watermark per origin.

@@ -1,5 +1,9 @@
 #include "storage/object_store.h"
 
+#include <algorithm>
+#include <iterator>
+
+#include "util/fnv.h"
 #include "util/logging.h"
 
 namespace tdr {
@@ -68,15 +72,6 @@ Status ObjectStore::ApplyIfNewer(ObjectId oid, const Value& value,
   return Status::OK();
 }
 
-bool ObjectStore::SameStateAs(const ObjectStore& other) const {
-  if (objects_.size() != other.objects_.size()) return false;
-  for (std::size_t i = 0; i < objects_.size(); ++i) {
-    if (objects_[i].value != other.objects_[i].value) return false;
-    if (objects_[i].ts != other.objects_[i].ts) return false;
-  }
-  return true;
-}
-
 bool ObjectStore::SameValuesAs(const ObjectStore& other) const {
   if (objects_.size() != other.objects_.size()) return false;
   for (std::size_t i = 0; i < objects_.size(); ++i) {
@@ -85,29 +80,90 @@ bool ObjectStore::SameValuesAs(const ObjectStore& other) const {
   return true;
 }
 
-std::uint64_t ObjectStore::DigestRange(ObjectId begin, ObjectId end) const {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
-  auto mix = [&h](std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (x >> (i * 8)) & 0xff;
-      h *= 1099511628211ULL;  // FNV prime
+namespace {
+
+constexpr std::uint64_t kScalarTag = 0x5ca1a6;
+constexpr std::uint64_t kListTag = 0x115717;
+
+// One object's contribution to a store's digest chain: its kind tag,
+// then the scalar or every list item, then its timestamp.
+std::uint64_t MixObject(std::uint64_t h, const StoredObject& obj) {
+  if (obj.value.is_scalar()) {
+    h = FnvMix(h, kScalarTag);
+    h = FnvMix(h, static_cast<std::uint64_t>(obj.value.AsScalar()));
+  } else {
+    h = FnvMix(h, kListTag);
+    for (std::int64_t item : obj.value.AsList()) {
+      h = FnvMix(h, static_cast<std::uint64_t>(item));
     }
-  };
-  for (ObjectId oid = begin; oid < end; ++oid) {
-    const StoredObject& obj = objects_[oid];
-    if (obj.value.is_scalar()) {
-      mix(0x5ca1a6);
-      mix(static_cast<std::uint64_t>(obj.value.AsScalar()));
-    } else {
-      mix(0x115717);
-      for (std::int64_t item : obj.value.AsList()) {
-        mix(static_cast<std::uint64_t>(item));
-      }
-    }
-    mix(obj.ts.counter);
-    mix(obj.ts.node);
   }
-  return h;
+  h = FnvMix(h, obj.ts.counter);
+  return FnvMix(h, obj.ts.node);
+}
+
+// Advances kLanes independent digest chains over [begin, end), one per
+// store. When every lane's object is a scalar (nearly always), the
+// lanes mix word by word in lockstep, so the CPU overlaps the kLanes
+// multiply chains; any list falls back to MixObject lane by lane. Both
+// feed each chain the same words in the same order.
+template <std::size_t kLanes>
+void DigestLanes(const StoredObject* const* stores, ObjectId begin,
+                 ObjectId end, std::uint64_t* out) {
+  std::uint64_t h[kLanes];
+  for (std::size_t k = 0; k < kLanes; ++k) h[k] = kFnvOffsetBasis;
+  for (ObjectId oid = begin; oid < end; ++oid) {
+    const StoredObject* obj[kLanes];
+    bool all_scalar = true;
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      obj[k] = &stores[k][oid];
+      all_scalar = all_scalar && obj[k]->value.is_scalar();
+    }
+    if (!all_scalar) {
+      for (std::size_t k = 0; k < kLanes; ++k) h[k] = MixObject(h[k], *obj[k]);
+      continue;
+    }
+    for (std::size_t k = 0; k < kLanes; ++k) h[k] = FnvMix(h[k], kScalarTag);
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      const auto scalar = static_cast<std::uint64_t>(obj[k]->value.AsScalar());
+      h[k] = FnvMix(h[k], scalar);
+    }
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      h[k] = FnvMix(h[k], obj[k]->ts.counter);
+    }
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      h[k] = FnvMix(h[k], obj[k]->ts.node);
+    }
+  }
+  for (std::size_t k = 0; k < kLanes; ++k) out[k] = h[k];
+}
+
+}  // namespace
+
+void ObjectStore::DigestRanges(std::span<const ObjectStore* const> stores,
+                               ObjectId begin, ObjectId end,
+                               std::span<std::uint64_t> out) {
+  assert(out.size() == stores.size());
+  using Kernel = void (*)(const StoredObject* const*, ObjectId, ObjectId,
+                          std::uint64_t*);
+  constexpr Kernel kKernels[] = {&DigestLanes<1>, &DigestLanes<2>,
+                                 &DigestLanes<3>, &DigestLanes<4>};
+  constexpr std::size_t kMaxLanes = std::size(kKernels);
+  const StoredObject* lanes[kMaxLanes];
+  for (std::size_t first = 0; first < stores.size(); first += kMaxLanes) {
+    const std::size_t n = std::min(kMaxLanes, stores.size() - first);
+    for (std::size_t k = 0; k < n; ++k) {
+      assert(end <= stores[first + k]->size());
+      lanes[k] = stores[first + k]->objects_.data();
+    }
+    kKernels[n - 1](lanes, begin, end, out.data() + first);
+  }
+}
+
+std::uint64_t ObjectStore::DigestRange(ObjectId begin, ObjectId end) const {
+  const ObjectStore* self = this;
+  std::uint64_t digest = 0;
+  DigestRanges({&self, 1}, begin, end, {&digest, 1});
+  return digest;
 }
 
 std::uint64_t ObjectStore::Digest() const {
@@ -117,39 +173,6 @@ std::uint64_t ObjectStore::Digest() const {
 std::uint64_t ObjectStore::ShardDigest(const ShardMap& shards,
                                        ShardId shard) const {
   return DigestRange(shards.ShardBegin(shard), shards.ShardEnd(shard));
-}
-
-Status ObjectStore::CloneFrom(const ObjectStore& other) {
-  if (objects_.size() != other.objects_.size()) {
-    return Status::InvalidArgument("CloneFrom: size mismatch");
-  }
-  objects_ = other.objects_;
-  return Status::OK();
-}
-
-Status ObjectStore::CloneShardFrom(const ObjectStore& other,
-                                   const ShardMap& shards, ShardId shard) {
-  if (objects_.size() != other.objects_.size() ||
-      shards.db_size() != objects_.size()) {
-    return Status::InvalidArgument("CloneShardFrom: size mismatch");
-  }
-  for (ObjectId oid = shards.ShardBegin(shard); oid < shards.ShardEnd(shard);
-       ++oid) {
-    objects_[oid] = other.objects_[oid];
-  }
-  return Status::OK();
-}
-
-std::vector<ObjectId> ObjectStore::DiffAgainst(
-    const ObjectStore& other) const {
-  std::vector<ObjectId> diff;
-  std::size_t n = std::min(objects_.size(), other.objects_.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (objects_[i].value != other.objects_[i].value) {
-      diff.push_back(i);
-    }
-  }
-  return diff;
 }
 
 void ObjectStore::ResetToZero() {

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,18 +16,19 @@
 
 namespace tdr {
 
-/// One replicated object as stored at a node: current value, the
-/// timestamp of the transaction that last wrote it, and (for the §6
-/// version-vector schemes) its version vector.
+/// One replicated object as stored at a node: current value and the
+/// timestamp of the transaction that last wrote it. Every node holds
+/// one per object (§2), so this is the model's per-replica footprint.
 struct StoredObject {
   Value value;
   Timestamp ts;
-  VersionVector vv;
 
   std::string ToString() const {
     return value.ToString() + " @" + ts.ToString();
   }
 };
+static_assert(sizeof(StoredObject) == 32,
+              "a replica slot is a 16-byte Value and a 16-byte Timestamp");
 
 /// A node's replica of the database: DB_Size objects, dense ids.
 ///
@@ -81,10 +83,6 @@ class ObjectStore {
   Status ApplyIfNewer(ObjectId oid, const Value& value, Timestamp new_ts,
                       bool* applied);
 
-  /// Structural equality of the full database state; the convergence
-  /// checker's workhorse ("all the states will be identical", §6).
-  bool SameStateAs(const ObjectStore& other) const;
-
   /// Equality ignoring timestamps — value convergence only.
   bool SameValuesAs(const ObjectStore& other) const;
 
@@ -97,17 +95,16 @@ class ObjectStore {
   /// store can scan only the shards that changed.
   std::uint64_t ShardDigest(const ShardMap& shards, ShardId shard) const;
 
-  /// Copies the full state of `other` into this store (reconnect
-  /// refresh, snapshot install). Sizes must match.
-  Status CloneFrom(const ObjectStore& other);
-
-  /// Copies one shard's id range from `other` (per-shard catch-up:
-  /// refresh only the shards a rejoining replica actually missed).
-  Status CloneShardFrom(const ObjectStore& other, const ShardMap& shards,
-                        ShardId shard);
-
-  /// Ids of objects whose value differs from `other` (diagnostics).
-  std::vector<ObjectId> DiffAgainst(const ObjectStore& other) const;
+  /// Digests of the id range [begin, end) of several stores at once:
+  /// out[i] is what stores[i]'s digest of that range alone would be.
+  /// Digest() and ShardDigest() are its one-store case. The stores'
+  /// hash chains advance side by side, four to one walk over the ids, so
+  /// a walk is bounded by multiplier throughput rather than by one
+  /// chain's latency; each chain still sees exactly its own store's
+  /// bytes in order, so interleaving cannot change a digest.
+  static void DigestRanges(std::span<const ObjectStore* const> stores,
+                           ObjectId begin, ObjectId end,
+                           std::span<std::uint64_t> out);
 
   /// Crash model (WAL durability modes): volatile memory is gone —
   /// every object back to scalar zero at Timestamp::Zero(), exactly the

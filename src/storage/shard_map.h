@@ -19,9 +19,9 @@ using ShardId = std::uint32_t;
 /// per-update work grows with the number of objects guarded by one
 /// structure, so the lock tables, replica appliers, and batch streams
 /// all key their state off this map. Contiguous ranges (rather than a
-/// hash) keep every per-shard operation a dense scan — shard digests,
-/// shard clones, and the hot/cold skew workload are all contiguous-id
-/// walks — and make "hot shard" mean what it does in a production
+/// hash) keep every per-shard operation a dense scan — shard digests
+/// and the hot/cold skew workload are contiguous-id walks — and make
+/// "hot shard" mean what it does in a production
 /// range-sharded store: a hot key range.
 ///
 /// The map is pure arithmetic: no allocation, O(1) ShardOf, trivially

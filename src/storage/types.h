@@ -3,8 +3,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <variant>
 #include <vector>
 
 namespace tdr {
@@ -25,33 +25,61 @@ inline constexpr TxnId kInvalidTxnId = 0;
 /// an append-only list (Lotus-Notes-style notes files, Section 6).
 /// Scalars support blind writes and commutative add/subtract; lists
 /// support commutative timestamped append.
+///
+/// Sixteen bytes: the scalar inline, and the list behind an owning
+/// pointer that is null for scalars. Almost every stored value is a
+/// scalar, and every node holds one Value per object (§2), so the list
+/// form pays for its own storage instead of widening every slot.
 class Value {
  public:
   using List = std::vector<std::int64_t>;
 
   /// Default: scalar zero.
-  Value() : rep_(std::int64_t{0}) {}
+  Value() = default;
   /// Scalar value.
-  explicit Value(std::int64_t scalar) : rep_(scalar) {}
+  explicit Value(std::int64_t scalar) : scalar_(scalar) {}
   /// List value.
-  explicit Value(List list) : rep_(std::move(list)) {}
+  explicit Value(List list) : list_(std::make_unique<List>(std::move(list))) {}
 
-  bool is_scalar() const { return std::holds_alternative<std::int64_t>(rep_); }
-  bool is_list() const { return !is_scalar(); }
+  /// Copies are deep: a copied list is the copy's own.
+  Value(const Value& other) : scalar_(other.scalar_) {
+    if (other.list_ != nullptr) list_ = std::make_unique<List>(*other.list_);
+  }
+  Value& operator=(const Value& other) {
+    scalar_ = other.scalar_;
+    if (other.list_ == nullptr) {
+      list_.reset();
+    } else if (list_ != nullptr) {
+      *list_ = *other.list_;  // reuses this list's capacity
+    } else {
+      list_ = std::make_unique<List>(*other.list_);
+    }
+    return *this;
+  }
+  /// A moved-from value is a valid scalar: zero if it held a list,
+  /// unchanged if it held a scalar.
+  Value(Value&&) noexcept = default;
+  Value& operator=(Value&&) noexcept = default;
+
+  bool is_scalar() const { return list_ == nullptr; }
+  bool is_list() const { return list_ != nullptr; }
 
   /// Scalar accessor; a list reads as its size (keeps arithmetic ops
   /// total — simplifies the op language; callers normally know the type).
   std::int64_t AsScalar() const {
-    if (is_scalar()) return std::get<std::int64_t>(rep_);
-    return static_cast<std::int64_t>(std::get<List>(rep_).size());
+    if (is_scalar()) return scalar_;
+    return static_cast<std::int64_t>(list_->size());
   }
 
   const List& AsList() const {
     static const List kEmpty;
-    return is_list() ? std::get<List>(rep_) : kEmpty;
+    return is_list() ? *list_ : kEmpty;
   }
 
-  void SetScalar(std::int64_t v) { rep_ = v; }
+  void SetScalar(std::int64_t v) {
+    list_.reset();
+    scalar_ = v;
+  }
 
   /// Appends to the list form; a scalar value is promoted to a
   /// single-element list holding the old scalar first. Items are kept in
@@ -61,14 +89,12 @@ class Value {
   /// same final list.
   void Append(std::int64_t item) {
     if (is_scalar()) {
-      List promoted;
-      std::int64_t old = std::get<std::int64_t>(rep_);
-      if (old != 0) promoted.push_back(old);
-      rep_ = std::move(promoted);
+      list_ = std::make_unique<List>();
+      if (scalar_ != 0) list_->push_back(scalar_);
+      scalar_ = 0;
     }
-    List& list = std::get<List>(rep_);
-    auto it = std::lower_bound(list.begin(), list.end(), item);
-    list.insert(it, item);
+    auto it = std::lower_bound(list_->begin(), list_->end(), item);
+    list_->insert(it, item);
   }
 
   std::string ToString() const {
@@ -83,15 +109,18 @@ class Value {
     return out;
   }
 
+  /// Kinds are distinct: a scalar never equals a list.
   friend bool operator==(const Value& a, const Value& b) {
-    return a.rep_ == b.rep_;
+    if (a.is_list() && b.is_list()) return *a.list_ == *b.list_;
+    return a.is_list() == b.is_list() && a.scalar_ == b.scalar_;
   }
   friend bool operator!=(const Value& a, const Value& b) {
     return !(a == b);
   }
 
  private:
-  std::variant<std::int64_t, List> rep_;
+  std::int64_t scalar_ = 0;  // zero while a list is held
+  std::unique_ptr<List> list_;
 };
 
 }  // namespace tdr

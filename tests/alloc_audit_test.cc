@@ -232,6 +232,27 @@ TEST(WalSteadyStateAllocTest, SecondWindowAllocatesNothing) {
       << " times (" << window_4x.bytes() << " bytes)";
 }
 
+// The invariant sweep scans the node stores in place. Once the first
+// sweep has created the checker's counters, a sweep allocates a
+// constant few times however many objects it checks, not once per
+// object.
+TEST(InvariantSweepAllocTest, RepeatSweepAllocatesAFewTimes) {
+  if (!AllocAuditLinked()) {
+    GTEST_SKIP() << "tdr_alloc_audit hooks not linked";
+  }
+  Cluster cluster(BaseOptions());
+  fault::InvariantChecker::Options iopts;
+  iopts.scheme = fault::SchemeClass::kEagerGroup;
+  fault::InvariantChecker checker(&cluster, iopts);
+  checker.CheckNow();
+
+  AllocScope sweep;
+  checker.CheckNow();
+  const std::uint64_t allocs = sweep.allocations();
+  EXPECT_LE(allocs, 4u) << "sweep allocated " << allocs << " times";
+  EXPECT_EQ(checker.violations_total(), 0u);
+}
+
 // A disconnected origin's replica updates park in its outbox as pooled
 // payload leases. Crash discards the inbox copy of its traffic; the
 // outbox (the durable log) survives and Restart re-ships it. The leases

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/fnv.h"
+
 namespace tdr {
 namespace {
 
@@ -44,6 +46,61 @@ TEST(ClusterTest, DivergentSlotsCountsPerNodePerObject) {
   EXPECT_FALSE(cluster.Converged());
   // Node 1 differs from node 0 at object 2; node 2 differs at 2 and 5.
   EXPECT_EQ(cluster.DivergentSlots(), 3u);
+}
+
+// Gives every store a state the digests must cover, different on every
+// node: objects 4k+1 are lists on even nodes and scalars on odd ones,
+// 4k+2 lists everywhere, 4k+3 scalars everywhere, and 4k stay at zero.
+void FillMixedState(Cluster& cluster) {
+  for (NodeId id = 0; id < cluster.size(); ++id) {
+    ObjectStore& store = cluster.node(id)->store();
+    for (ObjectId oid = 0; oid < store.size(); ++oid) {
+      const auto x = static_cast<std::int64_t>(oid * 7 + id);
+      Value value(x);
+      if (oid % 4 == 2 || (oid % 4 == 1 && id % 2 == 0)) {
+        value = Value(Value::List{x, -x});
+      }
+      if (oid % 4 == 0) continue;
+      ASSERT_TRUE(store.Put(oid, value, Timestamp(oid + id + 1, id)).ok());
+    }
+  }
+}
+
+TEST(ClusterTest, DigestsEqualPerStoreDigestsAtAnyNodeCount) {
+  for (std::uint32_t nodes : {1u, 3u, 4u, 5u, 6u, 9u}) {
+    SCOPED_TRACE(nodes);
+    Cluster::Options o = ThreeNodes();
+    o.num_nodes = nodes;
+    o.db_size = 37;
+    o.num_shards = 4;
+    Cluster cluster(o);
+    FillMixedState(cluster);
+    std::uint64_t folded = kFnvOffsetBasis;
+    for (NodeId id = 0; id < nodes; ++id) {
+      folded = FnvMix(folded, cluster.node(id)->store().Digest());
+    }
+    EXPECT_EQ(cluster.StateDigest(), folded);
+    for (ShardId s = 0; s < cluster.shards().num_shards(); ++s) {
+      SCOPED_TRACE(s);
+      const std::vector<std::uint64_t> digests = cluster.ShardDigests(s);
+      ASSERT_EQ(digests.size(), nodes);
+      for (NodeId id = 0; id < nodes; ++id) {
+        const ObjectStore& store = cluster.node(id)->store();
+        EXPECT_EQ(digests[id], store.ShardDigest(cluster.shards(), s));
+      }
+    }
+  }
+}
+
+TEST(ClusterTest, StateDigestMatchesGoldenValue) {
+  // A change to the hash itself (byte order, kind tags, fold) fails
+  // here before it reaches any committed benchmark baseline.
+  Cluster::Options o = ThreeNodes();
+  o.num_nodes = 4;
+  o.db_size = 9;
+  Cluster cluster(o);
+  FillMixedState(cluster);
+  EXPECT_EQ(cluster.StateDigest(), 0x98c5f45692b1e1aeULL);
 }
 
 TEST(ClusterTest, ConvergedToDetectsMismatch) {

@@ -10,7 +10,7 @@ TEST(GossipReplicaTest, LocalReplaceBumpsVersionVector) {
   r.LocalReplace(2, Value(5));
   const StoredObject& obj = r.store().GetUnchecked(2);
   EXPECT_EQ(obj.value.AsScalar(), 5);
-  EXPECT_EQ(obj.vv.Get(0), 1u);
+  EXPECT_EQ(r.vv(2).Get(0), 1u);
   EXPECT_FALSE(obj.ts.IsZero());
 }
 

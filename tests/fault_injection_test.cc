@@ -349,6 +349,33 @@ TEST(InvariantCheckerTest, DetectsTimestampValueDisagreement) {
   EXPECT_EQ(violations[0].invariant, "timestamp-value-agreement");
 }
 
+TEST(InvariantCheckerTest, AgreementChecksEachHolderAgainstTheFirst) {
+  Cluster::Options o = FourNodes();
+  o.wal.mode = DurabilityMode::kCommit;
+  Cluster cluster(o);
+  InvariantChecker::Options opts;
+  opts.scheme = SchemeClass::kEagerGroup;
+  InvariantChecker checker(&cluster, opts);
+  // Nodes 0 and 3 hold (5, 3@0) with different values; node 2 is at
+  // another timestamp. Node 1 is down under WAL, so its store is not
+  // visible, whatever it holds.
+  cluster.recovery().Crash(1);
+  ASSERT_TRUE(
+      cluster.node(0)->store().Put(5, Value(10), Timestamp{3, 0}).ok());
+  ASSERT_TRUE(
+      cluster.node(1)->store().Put(5, Value(11), Timestamp{3, 0}).ok());
+  ASSERT_TRUE(
+      cluster.node(2)->store().Put(5, Value(12), Timestamp{4, 2}).ok());
+  ASSERT_TRUE(
+      cluster.node(3)->store().Put(5, Value(13), Timestamp{3, 0}).ok());
+  checker.CheckNow();
+  auto violations = checker.TakeViolations();
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].invariant, "timestamp-value-agreement");
+  EXPECT_EQ(violations[0].detail,
+            "object 5 at ts 3@0: node 0 holds 10, node 3 holds 13");
+}
+
 TEST(InvariantCheckerTest, DetectsReplicaAheadOfMaster) {
   Cluster cluster(FourNodes());
   Ownership own = Ownership::SingleMaster(16, 0);

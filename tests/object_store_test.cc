@@ -7,6 +7,13 @@
 namespace tdr {
 namespace {
 
+TEST(ObjectStoreTest, ReplicaSlotIs32Bytes) {
+  // Every node holds one slot per object (§2): a 16-byte Value (the
+  // scalar inline, a list behind a pointer) and a 16-byte Timestamp.
+  EXPECT_EQ(sizeof(Value), 16u);
+  EXPECT_EQ(sizeof(StoredObject), 32u);
+}
+
 TEST(ObjectStoreTest, InitialStateAllZero) {
   ObjectStore store(5);
   EXPECT_EQ(store.size(), 5u);
@@ -111,24 +118,20 @@ TEST(ObjectStoreTest, NewerWinsConvergesRegardlessOfOrder) {
   ASSERT_TRUE(a.ApplyIfNewer(0, Value(2), Timestamp(2, 0), &applied).ok());
   ASSERT_TRUE(b.ApplyIfNewer(0, Value(2), Timestamp(2, 0), &applied).ok());
   ASSERT_TRUE(b.ApplyIfNewer(0, Value(1), Timestamp(1, 0), &applied).ok());
-  EXPECT_TRUE(a.SameStateAs(b));
+  EXPECT_EQ(a.Digest(), b.Digest());
   EXPECT_EQ(a.GetUnchecked(0).value.AsScalar(), 2);
 }
 
 TEST(ObjectStoreTest, SameStateAndValues) {
   ObjectStore a(2), b(2);
-  EXPECT_TRUE(a.SameStateAs(b));
   ASSERT_TRUE(a.Put(0, Value(1), Timestamp(1, 0)).ok());
-  EXPECT_FALSE(a.SameStateAs(b));
   EXPECT_FALSE(a.SameValuesAs(b));
   ASSERT_TRUE(b.Put(0, Value(1), Timestamp(2, 0)).ok());
-  EXPECT_TRUE(a.SameValuesAs(b));   // values match
-  EXPECT_FALSE(a.SameStateAs(b));   // timestamps differ
+  EXPECT_TRUE(a.SameValuesAs(b));  // values match, timestamps differ
 }
 
 TEST(ObjectStoreTest, SameStateSizeMismatch) {
   ObjectStore a(2), b(3);
-  EXPECT_FALSE(a.SameStateAs(b));
   EXPECT_FALSE(a.SameValuesAs(b));
 }
 
@@ -148,26 +151,6 @@ TEST(ObjectStoreTest, DigestCoversLists) {
   ASSERT_TRUE(a.Put(0, la, Timestamp(1, 0)).ok());
   ASSERT_TRUE(b.Put(0, lb, Timestamp(1, 0)).ok());
   EXPECT_NE(a.Digest(), b.Digest());
-}
-
-TEST(ObjectStoreTest, CloneFromCopiesEverything) {
-  ObjectStore a(3), b(3);
-  ASSERT_TRUE(a.Put(1, Value(7), Timestamp(4, 2)).ok());
-  ASSERT_TRUE(b.CloneFrom(a).ok());
-  EXPECT_TRUE(a.SameStateAs(b));
-}
-
-TEST(ObjectStoreTest, CloneFromSizeMismatchFails) {
-  ObjectStore a(3), b(4);
-  EXPECT_EQ(b.CloneFrom(a).code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ObjectStoreTest, DiffAgainstListsDifferingIds) {
-  ObjectStore a(4), b(4);
-  ASSERT_TRUE(a.Put(1, Value(1), Timestamp(1, 0)).ok());
-  ASSERT_TRUE(a.Put(3, Value(2), Timestamp(2, 0)).ok());
-  auto diff = a.DiffAgainst(b);
-  EXPECT_EQ(diff, (std::vector<ObjectId>{1, 3}));
 }
 
 TEST(TentativeStoreTest, ReadFallsThroughToMaster) {

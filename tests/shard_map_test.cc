@@ -81,23 +81,6 @@ TEST(ObjectStoreShardTest, ShardDigestLocalizesChanges) {
   EXPECT_NE(a.Digest(), b.Digest());
 }
 
-TEST(ObjectStoreShardTest, CloneShardCopiesExactlyTheRange) {
-  ShardMap shards(30, 3);
-  ObjectStore src(30), dst(30);
-  for (ObjectId oid = 0; oid < 30; ++oid) {
-    ASSERT_TRUE(src.Put(oid, Value(static_cast<std::int64_t>(oid + 1)),
-                        Timestamp(oid + 1, 0))
-                    .ok());
-  }
-  dst.CloneShardFrom(src, shards, 1);
-  for (ObjectId oid = 0; oid < 30; ++oid) {
-    bool in_shard = shards.ShardOf(oid) == 1;
-    EXPECT_EQ(dst.GetUnchecked(oid).ts == src.GetUnchecked(oid).ts, in_shard)
-        << "oid " << oid;
-  }
-  EXPECT_EQ(dst.ShardDigest(shards, 1), src.ShardDigest(shards, 1));
-}
-
 TEST(ShardedLockManagerTest, SemanticsIdenticalAcrossShardCounts) {
   // The same acquire/release script must behave identically with one
   // table and with per-shard tables.

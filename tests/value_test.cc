@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace tdr {
 namespace {
 
@@ -62,6 +64,57 @@ TEST(ValueTest, EqualityDistinguishesKinds) {
   EXPECT_NE(Value(1), Value(2));
   EXPECT_NE(Value(0), Value(Value::List{}));
   EXPECT_EQ(Value(Value::List{1, 2}), Value(Value::List{1, 2}));
+}
+
+TEST(ValueTest, CopiedListIsDeep) {
+  Value source(Value::List{1, 2});
+  Value copy(source);
+  copy.Append(3);
+  EXPECT_EQ(source.AsList(), (Value::List{1, 2}));
+  EXPECT_EQ(copy.AsList(), (Value::List{1, 2, 3}));
+}
+
+TEST(ValueTest, CopyAssignmentCrossesKinds) {
+  const Value list(Value::List{4, 5});
+  const Value scalar(9);
+  Value v(7);
+  v = list;  // scalar -> list
+  EXPECT_TRUE(v.is_list());
+  EXPECT_EQ(v, list);
+  v = scalar;  // list -> scalar
+  EXPECT_TRUE(v.is_scalar());
+  EXPECT_EQ(v, scalar);
+  EXPECT_EQ(list.AsList(), (Value::List{4, 5}));
+}
+
+TEST(ValueTest, SelfAssignmentLeavesValueUnchanged) {
+  Value list(Value::List{1, 2});
+  const Value& list_alias = list;
+  list = list_alias;
+  EXPECT_EQ(list.AsList(), (Value::List{1, 2}));
+  Value scalar(3);
+  const Value& scalar_alias = scalar;
+  scalar = scalar_alias;
+  EXPECT_EQ(scalar, Value(3));
+}
+
+TEST(ValueTest, MovedFromValueCanBeReassigned) {
+  Value source(Value::List{1, 2});
+  Value target(std::move(source));
+  EXPECT_EQ(target.AsList(), (Value::List{1, 2}));
+  source = Value(Value::List{5});
+  EXPECT_EQ(source.AsList(), (Value::List{5}));
+  target = std::move(source);
+  source = Value(6);
+  EXPECT_EQ(source, Value(6));
+  EXPECT_EQ(target.AsList(), (Value::List{5}));
+}
+
+TEST(ValueTest, SetScalarOnListMakesScalar) {
+  Value v(Value::List{1, 2, 3});
+  v.SetScalar(8);
+  EXPECT_TRUE(v.is_scalar());
+  EXPECT_EQ(v, Value(8));
 }
 
 TEST(ValueTest, ToString) {
