@@ -1,57 +1,48 @@
 #ifndef TDR_OBS_PROFILE_H_
 #define TDR_OBS_PROFILE_H_
 
-#include "obs/metrics.h"
-
-// Compiled in (1) or out (0) by the TDR_PROFILING CMake option. When
-// out, ProfileScope is an empty type and the compiler deletes every
-// scope entirely — the instrumented hot paths carry zero cost.
-#ifndef TDR_PROFILING_ENABLED
-#define TDR_PROFILING_ENABLED 1
-#endif
-
-#if TDR_PROFILING_ENABLED
 #include <chrono>
-#endif
+
+#include "obs/metrics.h"
 
 namespace tdr::obs {
 
-/// RAII wall-clock timer for a real execution phase (event loop, lock
-/// acquisition, replica apply, invariant sweep): records the scope's
-/// elapsed WALL micros into a kProfile stats metric at destruction.
+/// RAII wall-clock timer for a real execution phase (today one driver
+/// window): records the scope's elapsed WALL micros into a kProfile
+/// stats metric at destruction.
 ///
 /// Profile metrics measure the host, not the simulation, so they are
 /// nondeterministic by nature; the registry keeps them out of
 /// deterministic snapshots (see MetricKind::kProfile) and RunReport
 /// emits them in a separate, explicitly nondeterministic section.
 ///
-///   obs::ProfileScope scope(registry->GetProfile("profile.replica_apply"));
+///   obs::ProfileScope scope(registry->GetProfile("profile.event_loop"));
 ///
-/// Acquire the StatsHandle once (cold) and pass it by value; a default
-/// (no-op) handle makes the scope free even when profiling is compiled
-/// in.
+/// Acquire the StatsHandle once (cold) and pass it by value. A default
+/// (no-op) handle reads no clock, so the scope is free; a recording one
+/// reads `steady_clock` twice (tens of ns each), which is why no scope
+/// sits on a per-operation path.
 class ProfileScope {
  public:
-#if TDR_PROFILING_ENABLED
   explicit ProfileScope(MetricsRegistry::StatsHandle handle)
-      : handle_(handle), start_(std::chrono::steady_clock::now()) {}
+      : handle_(handle) {
+    if (handle_.stats() != nullptr) {
+      start_ = std::chrono::steady_clock::now();
+    }
+  }
   ~ProfileScope() {
+    if (handle_.stats() == nullptr) return;
     auto elapsed = std::chrono::steady_clock::now() - start_;
     handle_.Record(
         std::chrono::duration<double, std::micro>(elapsed).count());
   }
-#else
-  explicit ProfileScope(MetricsRegistry::StatsHandle) {}
-#endif
 
   ProfileScope(const ProfileScope&) = delete;
   ProfileScope& operator=(const ProfileScope&) = delete;
 
  private:
-#if TDR_PROFILING_ENABLED
   MetricsRegistry::StatsHandle handle_;
   std::chrono::steady_clock::time_point start_;
-#endif
 };
 
 }  // namespace tdr::obs

@@ -1,11 +1,9 @@
 #include "replication/replica_applier.h"
 
 #include <cassert>
-#include <map>
 #include <string>
 #include <utility>
 
-#include "obs/profile.h"
 #include "util/logging.h"
 
 namespace tdr {
@@ -85,33 +83,67 @@ void ReplicaApplier::Apply(Node* node,
 void ReplicaApplier::ApplySharded(Node* node,
                                   const std::vector<UpdateRecord>& records,
                                   const Options& options, Done done) {
-  // Partition by shard, preserving update order within each shard.
-  // std::map iterates shards ascending, so sub-transaction start order
-  // is deterministic. (Cold relative to the single-shard path; the
-  // per-call map/aggregation allocations are accepted here.)
-  std::map<ShardId, std::vector<UpdateRecord>> by_shard;
+  // Every batch of a sharded cluster comes through here, so the fan-out
+  // allocates nothing in steady state: records partition into the
+  // per-shard buffers (batch order kept within a shard) and the reports
+  // fan in through a pooled record named by index.
+  const std::uint32_t num_shards = options.shards->num_shards();
+  if (shard_records_.size() < num_shards) shard_records_.resize(num_shards);
+  std::uint32_t parts = 0;
   for (const UpdateRecord& rec : records) {
-    by_shard[options.shards->ShardOf(rec.oid)].push_back(rec);
+    std::vector<UpdateRecord>& part =
+        shard_records_[options.shards->ShardOf(rec.oid)];
+    if (part.empty()) ++parts;
+    part.push_back(rec);
   }
+  std::uint32_t fan_in = static_cast<std::uint32_t>(fan_ins_.size());
+  if (free_fan_ins_.empty()) {
+    fan_ins_.emplace_back();
+  } else {
+    fan_in = free_fan_ins_.back();
+    free_fan_ins_.pop_back();
+  }
+  fan_ins_[fan_in].remaining = parts;
+  fan_ins_[fan_in].done = std::move(done);
+  // Sub-transactions start in ascending shard order, so TxnIds are
+  // drawn in a deterministic order. Each is a single-shard Apply that
+  // copies its buffer into a job. No done runs inside this loop, so no
+  // reentrant call can refill a buffer under it: a fresh transaction's
+  // first lock request cannot close a wait-for cycle, so Apply never
+  // finishes a non-empty job before returning.
   Options sub = options;
   sub.shards = nullptr;  // each group is single-shard by construction
-  auto agg = std::make_shared<Report>();
-  auto remaining = std::make_shared<std::size_t>(by_shard.size());
-  auto shared_done = std::make_shared<Done>(std::move(done));
-  for (auto& [shard, recs] : by_shard) {
+  for (ShardId shard = 0; parts > 0; ++shard) {
+    std::vector<UpdateRecord>& part = shard_records_[shard];
+    if (part.empty()) continue;
+    --parts;
     ShardAppliedCounter(shard);  // acquire outside the callback
-    ShardId sid = shard;
-    Apply(node, recs, sub,
-          [this, sid, agg, remaining, shared_done](const Report& r) {
-            ShardAppliedCounter(sid).Increment(r.applied);
-            agg->applied += r.applied;
-            agg->stale += r.stale;
-            agg->conflicts += r.conflicts;
-            agg->deadlock_retries += r.deadlock_retries;
-            agg->gave_up = agg->gave_up || r.gave_up;
-            if (--*remaining == 0 && *shared_done) (*shared_done)(*agg);
-          });
+    // 16 bytes of capture: std::function keeps it inline.
+    Apply(node, part, sub, [this, shard, fan_in](const Report& r) {
+      ShardDone(shard, fan_in, r);
+    });
+    part.clear();
   }
+}
+
+void ReplicaApplier::ShardDone(ShardId shard, std::uint32_t fan_in,
+                               const Report& r) {
+  ShardAppliedCounter(shard).Increment(r.applied);
+  FanIn& f = fan_ins_[fan_in];
+  f.report.applied += r.applied;
+  f.report.stale += r.stale;
+  f.report.conflicts += r.conflicts;
+  f.report.deadlock_retries += r.deadlock_retries;
+  f.report.gave_up = f.report.gave_up || r.gave_up;
+  if (--f.remaining > 0) return;
+  // Recycle before invoking done, as FinishJob does: a done that starts
+  // another sharded apply can reuse this record.
+  Done done = std::move(f.done);
+  Report report = f.report;
+  f.done = nullptr;
+  f.report = Report{};
+  free_fan_ins_.push_back(fan_in);
+  if (done) done(report);
 }
 
 obs::MetricsRegistry::Counter& ReplicaApplier::ShardAppliedCounter(
@@ -138,6 +170,13 @@ void ReplicaApplier::AcquireNext(Job* job) {
     return;
   }
   const UpdateRecord& rec = job->records[job->idx];
+  // Start the cache misses the next event will take: ApplyCurrent reads
+  // this record's store slot one action_time from now and then takes
+  // the next record's lock. See DESIGN.md §12.6.
+  job->node->store().Prefetch(rec.oid);
+  if (job->idx + 1 < job->records.size()) {
+    job->node->locks().Prefetch(job->records[job->idx + 1].oid);
+  }
   const std::uint64_t serial = job->serial;
   LockManager::AcquireOutcome outcome = job->node->locks().Acquire(
       job->txn, rec.oid, [this, job, serial]() {
@@ -168,7 +207,6 @@ void ReplicaApplier::AcquireNext(Job* job) {
 }
 
 void ReplicaApplier::ApplyCurrent(Job* job) {
-  obs::ProfileScope profile(m_profile_apply_);
   const UpdateRecord& rec = job->records[job->idx];
   Node* node = job->node;
   node->clock().Observe(rec.new_ts);

@@ -79,7 +79,6 @@ class ReplicaApplier {
       m_stale_ = metrics->GetCounter("replica.stale");
       m_deadlocks_ = metrics->GetCounter("replica.deadlocks");
       m_gave_up_ = metrics->GetCounter("replica.gave_up");
-      m_profile_apply_ = metrics->GetProfile("profile.replica_apply");
     }
   }
 
@@ -116,10 +115,20 @@ class ReplicaApplier {
     Report report;
   };
 
+  /// Fan-in for one multi-shard batch: sums its shards' reports and
+  /// fires the caller's `done` when the last shard finishes. Pooled and
+  /// free-listed like jobs; shard callbacks name it by index.
+  struct FanIn {
+    Report report;
+    std::uint32_t remaining = 0;  // shards still applying
+    Done done;
+  };
+
   Job* AcquireJob();
   void RecycleJob(Job* job);
   void ApplySharded(Node* node, const std::vector<UpdateRecord>& records,
                     const Options& options, Done done);
+  void ShardDone(ShardId shard, std::uint32_t fan_in, const Report& r);
   void AcquireNext(Job* job);
   void ApplyCurrent(Job* job);
   void HandleDeadlock(Job* job);
@@ -138,7 +147,6 @@ class ReplicaApplier {
   obs::MetricsRegistry::Counter m_stale_;
   obs::MetricsRegistry::Counter m_deadlocks_;
   obs::MetricsRegistry::Counter m_gave_up_;
-  obs::MetricsRegistry::StatsHandle m_profile_apply_;
   // Lazily acquired `replica.shard_applied{shard=K}` handles, indexed
   // by shard (no-ops without a registry).
   std::vector<obs::MetricsRegistry::Counter> shard_applied_;
@@ -148,6 +156,12 @@ class ReplicaApplier {
   std::vector<std::unique_ptr<Job>> job_pool_;
   std::vector<std::uint32_t> free_jobs_;
   std::uint64_t next_serial_ = 1;
+  /// ApplySharded's partition, one buffer per shard; each is empty
+  /// between calls and keeps its capacity.
+  std::vector<std::vector<UpdateRecord>> shard_records_;
+  /// Recycled fan-in records + free list.
+  std::vector<FanIn> fan_ins_;
+  std::vector<std::uint32_t> free_fan_ins_;
 };
 
 }  // namespace tdr

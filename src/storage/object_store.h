@@ -19,7 +19,13 @@ namespace tdr {
 /// One replicated object as stored at a node: current value and the
 /// timestamp of the transaction that last wrote it. Every node holds
 /// one per object (§2), so this is the model's per-replica footprint.
-struct StoredObject {
+///
+/// Aligned to its size so that no slot straddles two cache lines: a
+/// store's vector would otherwise start 16 bytes into a line (the
+/// allocator's chunk header), and every other slot would cost two
+/// misses, with the timestamp a replica apply reads first in the
+/// second line. DESIGN.md §12.6.
+struct alignas(32) StoredObject {
   Value value;
   Timestamp ts;
 
@@ -60,6 +66,13 @@ class ObjectStore {
   const StoredObject& GetUnchecked(ObjectId oid) const {
     assert(oid < objects_.size());
     return objects_[oid];
+  }
+
+  /// Hints the CPU to start loading `oid`'s slot into cache, for a
+  /// caller that will read or write it a while later. Changes no state;
+  /// an out-of-range id is ignored.
+  void Prefetch(ObjectId oid) const {
+    if (oid < objects_.size()) __builtin_prefetch(&objects_[oid]);
   }
 
   /// Installs a new value and timestamp unconditionally (used by the

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "obs/profile.h"
 #include "util/logging.h"
 
 namespace tdr {
@@ -37,7 +36,6 @@ Executor::Executor(runtime::Runtime* rt, std::vector<Node*> nodes,
     m_committed_ = metrics->GetCounter("txn.committed");
     m_rejected_ = metrics->GetCounter("txn.rejected");
     m_wait_micros_ = metrics->GetHistogram("lock.wait_micros");
-    m_profile_acquire_ = metrics->GetProfile("profile.lock_acquire");
   }
 }
 
@@ -189,7 +187,6 @@ TxnId Executor::Start(NodeId origin, Inflight* t, RunOptions opts,
 }
 
 void Executor::StepAcquire(Inflight* t) {
-  obs::ProfileScope profile(m_profile_acquire_);
   if (t->pc >= t->steps.size()) {
     // All steps applied. Build the update records now (with a
     // placeholder commit timestamp) so the precommit hook — the
@@ -205,6 +202,14 @@ void Executor::StepAcquire(Inflight* t) {
     return;
   }
   const ExecStep& step = t->steps[t->pc];
+  // Start the cache misses this step's later events will take: ApplyStep
+  // reads the step's store slot one action_time from now, and then
+  // takes the next step's lock. See DESIGN.md §12.6.
+  node(step.node)->store().Prefetch(step.op.oid);
+  if (t->pc + 1 < t->steps.size()) {
+    const ExecStep& next = t->steps[t->pc + 1];
+    node(next.node)->locks().Prefetch(next.op.oid);
+  }
   TouchNode(t, step.node);
   if (!step.op.IsWrite() && !t->opts.lock_reads) {
     // Committed-read: no lock.

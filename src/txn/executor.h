@@ -288,7 +288,6 @@ class Executor {
   obs::MetricsRegistry::Counter m_committed_;
   obs::MetricsRegistry::Counter m_rejected_;
   obs::MetricsRegistry::HistogramHandle m_wait_micros_;
-  obs::MetricsRegistry::StatsHandle m_profile_acquire_;
   TraceSink* trace_ = nullptr;
   DurabilityHook* durability_ = nullptr;
   // Inflight pool: stable addresses (unique_ptr slots), recycled

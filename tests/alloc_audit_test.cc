@@ -232,6 +232,49 @@ TEST(WalSteadyStateAllocTest, SecondWindowAllocatesNothing) {
       << " times (" << window_4x.bytes() << " bytes)";
 }
 
+// On a sharded cluster every replica batch fans out into one
+// sub-transaction per shard; that fan-out rides the same allocation
+// contract as the rest of the hot path. Same two-window protocol and
+// budgets as above.
+TEST(ShardedApplyAllocTest, SecondWindowAllocatesNothing) {
+  if (!AllocAuditLinked()) {
+    GTEST_SKIP() << "tdr_alloc_audit hooks not linked";
+  }
+  Cluster::Options copts = BaseOptions();
+  copts.enable_metrics = false;
+  copts.num_shards = 4;
+  Cluster cluster(copts);
+  std::unique_ptr<ReplicationScheme> scheme =
+      MakeScheme(SchemeKind::kLazyGroupBatched, &cluster, nullptr);
+
+  ProgramGenerator::Options gopts;
+  gopts.db_size = kDbSize;
+  gopts.actions = 4;
+  ProgramGenerator gen(gopts);
+  Rng rng = cluster.ForkRng();
+  Program scratch;
+
+  PumpTransactions(cluster, scheme.get(), gen, rng, scratch, 4000);
+
+  if (const char* trace = std::getenv("TDR_TRACE_ALLOCS")) {
+    TraceNextAllocations(std::atoll(trace));
+  }
+  AllocScope window_1x;
+  PumpTransactions(cluster, scheme.get(), gen, rng, scratch, 400);
+  std::uint64_t allocs_1x = window_1x.allocations();
+
+  AllocScope window_4x;
+  PumpTransactions(cluster, scheme.get(), gen, rng, scratch, 1600);
+  std::uint64_t allocs_4x = window_4x.allocations();
+
+  EXPECT_LE(allocs_1x, 12u)
+      << "1600-txn steady-state window allocated " << allocs_1x
+      << " times (" << window_1x.bytes() << " bytes)";
+  EXPECT_LE(allocs_4x, 48u)
+      << "6400-txn steady-state window allocated " << allocs_4x
+      << " times (" << window_4x.bytes() << " bytes)";
+}
+
 // The invariant sweep scans the node stores in place. Once the first
 // sweep has created the checker's counters, a sweep allocates a
 // constant few times however many objects it checks, not once per

@@ -4,13 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/timeseries.h"
+#include "replication/cluster.h"
+#include "replication/eager.h"
+#include "replication/lazy_group.h"
 #include "sim/simulator.h"
+#include "workload/workload.h"
 
 namespace tdr::obs {
 namespace {
@@ -130,6 +135,55 @@ TEST(MetricsRegistryTest, ProfileExcludedFromSnapshotByDefault) {
   ASSERT_NE(prof, nullptr);
   EXPECT_EQ(prof->kind, MetricKind::kProfile);
   EXPECT_EQ(prof->stats.count(), 1u);
+}
+
+// A recording ProfileScope reads the host clock twice, which costs more
+// than a lock acquire or a replica apply, so no scope sits on those
+// per-operation paths. A cluster with metrics on that runs eager-group
+// and sharded lazy-group traffic, outside any driver, therefore holds
+// no profile metric at all.
+TEST(MetricsRegistryTest, TrafficRecordsNoProfileMetric) {
+  for (bool eager : {true, false}) {
+    Cluster::Options copts;
+    copts.num_nodes = 3;
+    copts.db_size = 64;
+    copts.num_shards = 4;
+    copts.action_time = SimTime::Millis(5);
+    copts.seed = 7;
+    Cluster cluster(copts);
+    std::unique_ptr<ReplicationScheme> scheme;
+    if (eager) {
+      scheme = std::make_unique<EagerGroupScheme>(&cluster);
+    } else {
+      scheme = std::make_unique<LazyGroupScheme>(&cluster);
+    }
+    ProgramGenerator::Options gopts;
+    gopts.db_size = copts.db_size;
+    gopts.actions = 4;
+    ProgramGenerator gen(gopts);
+    Rng rng = cluster.ForkRng();
+    for (int round = 0; round < 50; ++round) {
+      for (NodeId origin = 0; origin < copts.num_nodes; ++origin) {
+        scheme->Submit(origin, gen.Next(rng), nullptr);
+      }
+      cluster.sim().RunUntil(cluster.sim().Now() + SimTime::Millis(20));
+    }
+    cluster.sim().Run();
+
+    const MetricsRegistry& reg = cluster.metrics();
+    EXPECT_GT(reg.Get("txn.committed"), 0u);
+    if (!eager) {
+      // Batches spanning several shards fanned out per shard.
+      EXPECT_GT(reg.Get("replica.shard_applied{shard=0}"), 0u);
+      EXPECT_GT(reg.Get("replica.shard_applied{shard=3}"), 0u);
+    }
+    SnapshotOptions with_profile;
+    with_profile.include_profile = true;
+    for (const MetricValue& m : reg.Snapshot(with_profile).metrics) {
+      EXPECT_NE(m.kind, MetricKind::kProfile)
+          << m.name << (eager ? " (eager group)" : " (lazy group)");
+    }
+  }
 }
 
 TEST(MetricsRegistryTest, ResetZeroesButKeepsHandlesValid) {

@@ -190,5 +190,127 @@ TEST(ShardedApplierTest, MultiShardBatchAppliesAtomicallyPerShard) {
   EXPECT_EQ(cluster.metrics().Get("replica.shard_applied{shard=3}"), 1u);
 }
 
+std::vector<UpdateRecord> ShardTestBatch(const std::vector<ObjectId>& oids,
+                                         Timestamp new_ts) {
+  std::vector<UpdateRecord> records;
+  records.reserve(oids.size());
+  for (ObjectId oid : oids) {
+    UpdateRecord rec;
+    rec.txn = 1;
+    rec.oid = oid;
+    rec.new_ts = new_ts;
+    rec.new_value = Value(static_cast<std::int64_t>(100 + oid));
+    rec.origin = 0;
+    records.push_back(rec);
+  }
+  return records;
+}
+
+// Two multi-shard batches in flight on one node at once, each with its
+// own pooled fan-in. One shard of the first waits behind a local
+// transaction's lock, so the second batch finishes first; each done
+// fires once, with its own batch's aggregate.
+TEST(ShardedApplierTest, ConcurrentBatchesAggregateSeparately) {
+  Cluster::Options opts;
+  opts.num_nodes = 2;
+  opts.db_size = 40;
+  opts.num_shards = 4;  // shard size 10
+  Cluster cluster(opts);
+  ObjectStore& store = cluster.node(1)->store();
+  LockManager& locks = cluster.node(1)->locks();
+  // Object 33 already holds a newer version: the first batch's update
+  // to it is stale.
+  ASSERT_TRUE(store.Put(33, Value(7), Timestamp(9, 0)).ok());
+  const TxnId local = cluster.executor().AllocateTxnId();
+  ASSERT_EQ(locks.Acquire(local, 13, nullptr),
+            LockManager::AcquireOutcome::kGranted);
+
+  ReplicaApplier applier(&cluster.sim(), &cluster.executor(),
+                         cluster.metrics_or_null());
+  ReplicaApplier::Options aopts;
+  aopts.mode = ReplicaApplier::Mode::kNewerWins;
+  aopts.action_time = SimTime::Millis(1);
+  aopts.shards = &cluster.shards();
+  int first_calls = 0;
+  int second_calls = 0;
+  ReplicaApplier::Report first;
+  ReplicaApplier::Report second;
+  applier.Apply(cluster.node(1), ShardTestBatch({3, 13, 33}, Timestamp(5, 0)),
+                aopts, [&](const ReplicaApplier::Report& r) {
+                  ++first_calls;
+                  first = r;
+                });
+  applier.Apply(cluster.node(1), ShardTestBatch({5, 25}, Timestamp(6, 0)),
+                aopts, [&](const ReplicaApplier::Report& r) {
+                  ++second_calls;
+                  second = r;
+                });
+  cluster.sim().Run();
+  // Shard 1 of the first batch is still queued behind `local`.
+  EXPECT_EQ(first_calls, 0);
+  EXPECT_EQ(second_calls, 1);
+  EXPECT_EQ(second.applied, 2u);
+  EXPECT_EQ(second.stale, 0u);
+  EXPECT_EQ(applier.ActiveCount(), 1u);
+
+  locks.ReleaseAll(local);
+  cluster.sim().Run();
+  EXPECT_EQ(first_calls, 1);
+  EXPECT_EQ(second_calls, 1);
+  EXPECT_EQ(first.applied, 2u);
+  EXPECT_EQ(first.stale, 1u);
+  EXPECT_EQ(store.GetUnchecked(13).value, Value(113));
+  EXPECT_EQ(store.GetUnchecked(33).value, Value(7));
+  EXPECT_EQ(applier.ActiveCount(), 0u);
+  EXPECT_EQ(locks.LockedObjectCount(), 0u);
+}
+
+// A done that starts another multi-shard apply on the same applier: the
+// fan-in is recycled before done runs, so the second apply reuses it.
+// Both complete with their own reports and leave no locks.
+TEST(ShardedApplierTest, DoneCanStartAnotherShardedApply) {
+  Cluster::Options opts;
+  opts.num_nodes = 2;
+  opts.db_size = 40;
+  opts.num_shards = 4;
+  Cluster cluster(opts);
+  ReplicaApplier applier(&cluster.sim(), &cluster.executor(),
+                         cluster.metrics_or_null());
+  ReplicaApplier::Options aopts;
+  aopts.mode = ReplicaApplier::Mode::kNewerWins;
+  aopts.action_time = SimTime::Millis(1);
+  aopts.shards = &cluster.shards();
+  // Object 24's update in the second batch is older than the first's.
+  std::vector<UpdateRecord> second_batch =
+      ShardTestBatch({4, 24, 34}, Timestamp(7, 0));
+  second_batch[1].new_ts = Timestamp(3, 0);
+  int first_calls = 0;
+  int second_calls = 0;
+  ReplicaApplier::Report second;
+  auto start_second = [&](const ReplicaApplier::Report& r) {
+    ++first_calls;
+    EXPECT_EQ(r.applied, 2u);
+    EXPECT_EQ(r.stale, 0u);
+    applier.Apply(cluster.node(1), second_batch, aopts,
+                  [&](const ReplicaApplier::Report& r2) {
+                    ++second_calls;
+                    second = r2;
+                  });
+  };
+  applier.Apply(cluster.node(1), ShardTestBatch({4, 24}, Timestamp(5, 0)),
+                aopts, start_second);
+  cluster.sim().Run();
+  EXPECT_EQ(first_calls, 1);
+  EXPECT_EQ(second_calls, 1);
+  EXPECT_EQ(second.applied, 2u);
+  EXPECT_EQ(second.stale, 1u);
+  const ObjectStore& store = cluster.node(1)->store();
+  EXPECT_EQ(store.GetUnchecked(4).ts, Timestamp(7, 0));
+  EXPECT_EQ(store.GetUnchecked(24).ts, Timestamp(5, 0));
+  EXPECT_EQ(store.GetUnchecked(34).ts, Timestamp(7, 0));
+  EXPECT_EQ(applier.ActiveCount(), 0u);
+  EXPECT_EQ(cluster.node(1)->locks().LockedObjectCount(), 0u);
+}
+
 }  // namespace
 }  // namespace tdr
