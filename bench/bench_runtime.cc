@@ -5,26 +5,14 @@
 // thread backend costs: events dispatched across threads, wall-clock
 // per sim-second, worker utilization (profile section).
 //
-// E18 — epoch-dispatch speedup. An 8-node eager-group workload run
-// through the thread backend under {turn, epoch} dispatch, each cell
-// digest-checked against the sim oracle, with the
-// wall-clock ratio turn/epoch as the speedup column. The binary FAILS
-// if any cell's digests diverge or if the median speedup over the
-// seeds falls below 1.5x — parallelism that changed the bits, or
-// parallelism that isn't there, both count as regressions.
-//
 // The report rows carry the digests as hex strings;
 // tools/diff_digests.py re-checks the cross-backend equality from the
-// JSON alone (E18 rows use their own seed range, so each (scheme,
-// seed) group spans the sim row plus both dispatch cells), so CI
-// validates the property end-to-end through the artifact pipeline. A
-// mismatch also fails THIS binary (nonzero exit).
+// JSON alone, so CI validates the property end-to-end through the
+// artifact pipeline. A mismatch also fails THIS binary (nonzero exit).
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "bench/harness.h"
 
@@ -75,42 +63,6 @@ SimConfig FaultedConfig(SchemeKind kind, std::uint64_t seed,
   c.durability = DurabilityMode::kGroup;
   return c;
 }
-
-// E18's workload: 8 nodes, eager-group, LOCKSTEP arrivals — with a
-// fixed 1/tps cadence every node submits at the same virtual instants,
-// and constant action/network delays keep the per-node pipelines
-// aligned, so the wave planner sees genuine width-8 epochs to run in
-// parallel (Poisson arrivals almost never share a timestamp, which
-// turns epoch dispatch into turn-based-with-barriers). Seeds live in
-// their own range (101+) so diff_digests.py groups E18 rows apart from
-// E15's.
-constexpr std::uint64_t kSpeedupSeeds[] = {101, 102, 103};
-
-SimConfig SpeedupConfig(std::uint64_t seed) {
-  SimConfig c;
-  c.kind = SchemeKind::kEagerGroup;
-  c.nodes = 8;
-  c.db_size = 1024;
-  c.tps = 40;
-  c.actions = 4;
-  c.action_time = 0.005;
-  c.sim_seconds = 10;
-  c.seed = seed;
-  c.num_shards = 4;
-  c.poisson_arrivals = false;
-  c.drain = true;
-  return c;
-}
-
-/// E18's cells, turn-based first: it is the speedup baseline.
-constexpr runtime::ThreadRuntime::DispatchMode kSpeedupModes[] = {
-    runtime::ThreadRuntime::DispatchMode::kTurnBased,
-    runtime::ThreadRuntime::DispatchMode::kEpoch,
-};
-
-/// E18's performance floor: epoch dispatch must beat turn-based by at
-/// least this factor (median over seeds) or the binary fails.
-constexpr double kSpeedupGate = 1.5;
 
 obs::Json RuntimeRow(const SimConfig& config, const SimOutcome& out) {
   obs::Json row = ReportRow(config, out);
@@ -211,75 +163,10 @@ int Main() {
       (unsigned long long)mismatches,
       std::size(kAll) * (std::size(kSeeds) + 2));
 
-  // E18: the epoch-dispatch speedup sweep. Same oracle discipline as
-  // above — every thread cell must reproduce the sim digests — plus a
-  // performance gate: epoch dispatch must actually buy wall-clock time
-  // over turn-based on the wide 8-node workload.
-  PrintBanner("E18", "Epoch dispatch speedup (8-node eager-group)",
-              "turn vs epoch; digests re-checked per cell");
-
-  std::printf("%5s | %10s | %10s | %8s | %16s\n", "seed", "turn s",
-              "epoch s", "speedup", "state digest");
-  std::printf("------+------------+------------+----------+"
-              "-----------------\n");
-
-  std::vector<double> speedups;
-  for (std::uint64_t seed : kSpeedupSeeds) {
-    SimConfig oracle_cfg = SpeedupConfig(seed);
-    SimOutcome oracle = RunScheme(oracle_cfg);
-    obs::Json oracle_row = RuntimeRow(oracle_cfg, oracle);
-    oracle_row.Set("section", "epoch_speedup");
-    report.AddRow(std::move(oracle_row));
-
-    double wall[std::size(kSpeedupModes)] = {};
-    std::uint64_t digest = 0;
-    bool seed_ok = true;
-    for (std::size_t i = 0; i < std::size(kSpeedupModes); ++i) {
-      SimConfig cfg = SpeedupConfig(seed);
-      cfg.backend = RuntimeBackend::kThreads;
-      cfg.dispatch = kSpeedupModes[i];
-      SimOutcome out = RunScheme(cfg);
-      wall[i] = out.runtime_wall_seconds;
-      digest = out.state_digest;
-      bool equal = out.state_digest == oracle.state_digest &&
-                   out.shard_digests == oracle.shard_digests &&
-                   out.committed == oracle.committed;
-      if (!equal) {
-        ++mismatches;
-        seed_ok = false;
-      }
-      obs::Json row = RuntimeRow(cfg, out);
-      row.Set("section", "epoch_speedup");
-      // Wall-clock columns are machine-dependent — reported for the
-      // E18 table, ignored by the regression checker.
-      row.Set("runtime_wall_seconds", out.runtime_wall_seconds);
-      if (i > 0 && wall[i] > 0) {
-        row.Set("speedup_vs_turn", wall[0] / wall[i]);
-      }
-      report.AddRow(std::move(row));
-    }
-    double speedup = wall[1] > 0 ? wall[0] / wall[1] : 0;
-    speedups.push_back(speedup);
-    std::printf("%5llu | %10.3f | %10.3f | %7.2fx | %16s%s\n",
-                (unsigned long long)seed, wall[0], wall[1], speedup,
-                Hex(digest).c_str(), seed_ok ? "" : "  << MISMATCH");
-  }
-
-  std::sort(speedups.begin(), speedups.end());
-  double median_speedup = speedups[speedups.size() / 2];
-  std::printf(
-      "\nmedian epoch speedup over turn-based: %.2fx (gate: >= %.1fx)\n",
-      median_speedup, kSpeedupGate);
-
   WriteReport(report, "BENCH_runtime.json");
   if (mismatches > 0) {
     std::fprintf(stderr, "FAIL: %llu digest mismatches\n",
                  (unsigned long long)mismatches);
-    return EXIT_FAILURE;
-  }
-  if (median_speedup < kSpeedupGate) {
-    std::fprintf(stderr, "FAIL: median epoch speedup %.2fx below %.1fx\n",
-                 median_speedup, kSpeedupGate);
     return EXIT_FAILURE;
   }
   return EXIT_SUCCESS;

@@ -48,13 +48,6 @@ std::string_view SchemeKindName(SchemeKind kind) {
   return "?";
 }
 
-std::string_view DispatchLabel(const SimConfig& config) {
-  if (config.dispatch == runtime::ThreadRuntime::DispatchMode::kTurnBased) {
-    return "turn";
-  }
-  return "epoch";
-}
-
 analytic::ModelParams ToModelParams(const SimConfig& config) {
   analytic::ModelParams p;
   p.db_size = static_cast<double>(config.db_size);
@@ -106,7 +99,6 @@ SimOutcome RunScheme(const SimConfig& config) {
   copts.seed = config.seed;
   copts.enable_metrics = config.enable_metrics;
   copts.backend = config.backend;
-  copts.runtime.dispatch = config.dispatch;
   copts.wal.mode = config.durability;
   copts.wal.fsync = config.wal_fsync;
   copts.wal.wal_dir = config.wal_dir;
@@ -212,7 +204,6 @@ SimOutcome RunScheme(const SimConfig& config) {
 
   WorkloadDriver::Options dopts;
   dopts.tps_per_node = config.tps;
-  dopts.poisson_arrivals = config.poisson_arrivals;
   dopts.workload.actions = config.actions;
   dopts.workload.mix = config.mix;
   if (config.hot_shards > 0 && config.hot_fraction > 0) {
@@ -296,13 +287,9 @@ SimOutcome RunScheme(const SimConfig& config) {
     // are final before the snapshot below.
     cluster.thread_runtime()->Shutdown();
     outcome.runtime_dispatched = cluster.thread_runtime()->dispatched();
-    outcome.runtime_epochs = cluster.thread_runtime()->epochs();
-    outcome.runtime_epoch_width_max =
-        cluster.thread_runtime()->epoch_width_max();
     double sim_s = cluster.thread_runtime()->sim_seconds();
-    outcome.runtime_wall_seconds = cluster.thread_runtime()->wall_seconds();
     outcome.wall_sim_ratio =
-        sim_s > 0 ? outcome.runtime_wall_seconds / sim_s : 0;
+        sim_s > 0 ? cluster.thread_runtime()->wall_seconds() / sim_s : 0;
   }
   if (config.enable_metrics) {
     // Export the simulator's own health gauges before snapshotting;
@@ -433,11 +420,6 @@ obs::Json ReportRow(const SimConfig& config, const SimOutcome& out) {
     row.Set("wal_flushes", out.wal_flushes);
     row.Set("wal_recoveries", out.wal_recoveries);
     row.Set("wal_replayed", out.wal_replayed);
-  }
-  if (config.backend == RuntimeBackend::kThreads) {
-    row.Set("dispatch", DispatchLabel(config));
-    row.Set("runtime_epochs", out.runtime_epochs);
-    row.Set("runtime_epoch_width_max", out.runtime_epoch_width_max);
   }
   if (config.num_shards > 1) {
     row.Set("num_shards", static_cast<std::uint64_t>(config.num_shards));

@@ -35,12 +35,6 @@ enum class SchemeKind {
 
 std::string_view SchemeKindName(SchemeKind kind);
 
-struct SimConfig;
-
-/// Canonical label of a threads config's dispatch mode: "turn" or
-/// "epoch". Report rows and E18's table carry it.
-std::string_view DispatchLabel(const SimConfig& config);
-
 /// One simulated run of the Table-2 workload model under a scheme.
 struct SimConfig {
   SchemeKind kind = SchemeKind::kEagerGroup;
@@ -52,12 +46,6 @@ struct SimConfig {
   double sim_seconds = 200;       // measurement window
   std::uint64_t seed = 42;
   OpMix mix = OpMix::AllWrites();
-  /// Arrival process per node: exponential gaps (the Table-2 model) or,
-  /// when false, a fixed 1/tps cadence. Deterministic gaps make every
-  /// node's arrivals land on the SAME virtual timestamps — the lockstep
-  /// load shape E18 uses to give epoch dispatch same-time waves to
-  /// parallelize (Poisson arrivals almost never collide in time).
-  bool poisson_arrivals = true;
 
   // Sharded + batched data plane (the bench_sharding knobs).
   /// Range shards of the key space (Cluster::Options::num_shards);
@@ -116,11 +104,6 @@ struct SimConfig {
   // property.
   /// Execution backend for the cluster's event loop.
   RuntimeBackend backend = RuntimeBackend::kSim;
-  /// kThreads dispatch: turn-based (one event per coordinator round
-  /// trip) or epoch-parallel (same-timestamp events on distinct nodes
-  /// run concurrently). Digest-identical either way.
-  runtime::ThreadRuntime::DispatchMode dispatch =
-      runtime::ThreadRuntime::DispatchMode::kTurnBased;
   /// If true, drain all in-flight traffic after the measurement window
   /// (flush batch planes, run the event loop dry, lazy-master
   /// catch-up) before capturing digests — faulted runs always drain.
@@ -161,16 +144,9 @@ struct SimOutcome {
   /// kThreads only: events executed on worker threads (deterministic —
   /// a function of the event schedule, not of thread timing).
   std::uint64_t runtime_dispatched = 0;
-  /// Epoch dispatch only: waves executed / widest wave (deterministic —
-  /// functions of the event schedule).
-  std::uint64_t runtime_epochs = 0;
-  std::uint64_t runtime_epoch_width_max = 0;
   /// kThreads only: wall-seconds per sim-second actually achieved
   /// (nondeterministic; excluded from any equivalence comparison).
   double wall_sim_ratio = 0;
-  /// kThreads only: raw wall-clock seconds inside Run/RunUntil
-  /// (nondeterministic) — the numerator of E18's speedup column.
-  double runtime_wall_seconds = 0;
   /// Deterministic snapshot of the cluster's full registry (empty when
   /// SimConfig::enable_metrics is false).
   obs::MetricsSnapshot metrics;

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "storage/types.h"
-#include "storage/update_log.h"
+#include "storage/update_record.h"
 #include "util/flat_map.h"
 #include "util/sim_time.h"
 

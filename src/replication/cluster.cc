@@ -16,7 +16,7 @@ Cluster::Cluster(Options options)
   }
   if (options_.backend == RuntimeBackend::kThreads) {
     thread_rt_ = std::make_unique<runtime::ThreadRuntime>(
-        &sim_, options_.num_nodes, options_.runtime, metrics_or_null());
+        &sim_, options_.num_nodes, metrics_or_null());
     rt_ = thread_rt_.get();
   } else {
     rt_ = &sim_;

@@ -58,8 +58,6 @@ class Cluster {
     bool enable_metrics = true;
     /// Execution backend; every component schedules through runtime().
     RuntimeBackend backend = RuntimeBackend::kSim;
-    /// kThreads only: dispatch mode (see ThreadRuntime::Options).
-    runtime::ThreadRuntime::Options runtime;
     /// Per-node write-ahead logging (src/wal). kOff keeps the legacy
     /// crash model (durable stores, outbox-as-log); kCommit/kGroup add
     /// a WAL under the executor's commit path and route crash/restart

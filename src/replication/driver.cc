@@ -73,7 +73,6 @@ WorkloadDriver::Outcome WorkloadDriver::Run() {
   for (NodeId origin = 0; origin < cluster_->size(); ++origin) {
     OpenLoopArrivals::Options aopts;
     aopts.tps = options_.tps_per_node;
-    aopts.poisson = options_.poisson_arrivals;
     // On the thread backend each origin's arrivals (and the submission
     // chain they start) execute on that origin's worker thread.
     aopts.node_affinity = origin;

@@ -31,7 +31,6 @@ class WorkloadDriver {
     double tps_per_node = 10;                 // TPS (Table 2)
     ProgramGenerator::Options workload;       // Actions, mix, access skew
     double seconds = 300;                     // measurement window
-    bool poisson_arrivals = true;
   };
 
   struct Outcome {

@@ -9,7 +9,7 @@
 #include "obs/metrics.h"
 #include "runtime/runtime.h"
 #include "storage/shard_map.h"
-#include "storage/update_log.h"
+#include "storage/update_record.h"
 #include "txn/executor.h"
 #include "txn/node.h"
 #include "txn/trace.h"

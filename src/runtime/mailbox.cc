@@ -25,7 +25,7 @@ bool Mailbox::Push(Task* task) {
     head_ = task;
   }
   tail_ = task;
-  depth_ += task->weight;
+  ++depth_;
   ++pushed_;
   if (depth_ > max_depth_) max_depth_ = depth_;
   lock.unlock();
@@ -40,7 +40,7 @@ Task* Mailbox::Pop() {
   if (task == nullptr) return nullptr;
   head_ = task->next;
   if (head_ == nullptr) tail_ = nullptr;
-  depth_ -= task->weight;
+  --depth_;
   task->next = nullptr;
   return task;
 }

@@ -23,11 +23,11 @@ inline constexpr std::uint32_t kAnyNode = 0xffffffffu;
 /// Everything above the event core — Network, Executor, BatchShipper,
 /// ReplicaApplier, workload arrivals, the fault layer — schedules
 /// against this interface instead of sim::Simulator directly. Both
-/// backends order events by the same virtual (time, seq) key, so a
-/// seeded scenario produces the same committed history and the same
-/// final store digests on either one; the thread backend additionally
-/// executes each node's events on that node's own OS thread (see
-/// runtime/thread_runtime.h for the dispatch protocol).
+/// backends run events one at a time in the same virtual (time, seq)
+/// order, so a seeded scenario produces the same committed history and
+/// the same final store digests on either one; the thread backend
+/// additionally executes each node's events on that node's own OS
+/// thread (see runtime/thread_runtime.h for the dispatch protocol).
 ///
 /// The `*Node` overloads tag an event with the node whose state it
 /// touches. Tags never affect ordering — they only tell the thread
@@ -80,34 +80,6 @@ class Runtime {
                                          sim::Callback fn) {
     (void)node;
     return ScheduleAfter(delay, std::move(fn));
-  }
-
-  /// Parallel-class variants: the caller PROMISES that `fn` touches
-  /// only node-private state — no executor, no message pool, no shared
-  /// metric cells, no reads of other nodes — so the thread backend's
-  /// epoch dispatcher may overlap it with same-timestamp parallel
-  /// events on other nodes. Restrictions on the callback under epoch
-  /// dispatch (enforced by convention, audited at the call sites):
-  ///
-  ///  * It may call Schedule*/ScheduleParallel*; the request is
-  ///    deferred to the group barrier and replayed in deterministic
-  ///    order, and the call returns sim::kInvalidEventId — treat these
-  ///    schedules as fire-and-forget.
-  ///  * It must not Cancel, must not call Run*/Peek-style methods, and
-  ///    must not record metrics.
-  ///
-  /// The base implementations forward to the tagged variants: the
-  /// simulator (and turn-based dispatch) runs parallel-class events
-  /// exactly like any other, which is what makes the sim the oracle
-  /// for the parallel schedule.
-  virtual sim::EventId ScheduleParallelAtNode(std::uint32_t node, SimTime when,
-                                              sim::Callback fn) {
-    return ScheduleAtNode(node, when, std::move(fn));
-  }
-  virtual sim::EventId ScheduleParallelAfterNode(std::uint32_t node,
-                                                 SimTime delay,
-                                                 sim::Callback fn) {
-    return ScheduleAfterNode(node, delay, std::move(fn));
   }
 
  protected:

@@ -29,9 +29,9 @@ namespace tdr::runtime {
 /// which `runtime_task_pool_test` pins with the alloc-audit harness.
 ///
 /// Single-threaded by design: Acquire/Release happen on the
-/// coordinator, or on a worker while it holds the dispatch baton
-/// (exclusive tasks never overlap), so the mailbox hand-off mutexes
-/// already order every access.
+/// coordinator, or on a worker while the coordinator waits on its
+/// completion gate (one event is in flight at a time), so the mailbox
+/// and gate mutexes already order every access.
 class TaskPool {
  public:
   explicit TaskPool(std::size_t birth_capacity) { Grow(birth_capacity); }
@@ -55,23 +55,13 @@ class TaskPool {
   }
 
   /// Destroys the owned callback (running RAII releases of anything it
-  /// captured), clears the epoch fields, and free-lists the task. The
-  /// deferred buffer keeps its capacity, like every pooled buffer here.
+  /// captured), clears the links, and free-lists the task.
   void Release(Task* t) {
     assert(in_use_ > 0 && "TaskPool::Release without matching Acquire");
     t->fn = nullptr;
     t->done = nullptr;
     t->owned = nullptr;
-    t->weight = 1;
     t->node = 0xffffffffu;
-    t->cls = ExecClass::kExclusive;
-    t->parallel_group = false;
-    t->cancelled = false;
-    t->origin = sim::kInvalidEventId;
-    t->run_next = nullptr;
-    t->chain_next = nullptr;
-    t->epoch_gate = nullptr;
-    t->deferred.clear();
     t->next = free_;
     free_ = t;
     --in_use_;

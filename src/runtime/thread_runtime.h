@@ -25,54 +25,21 @@ namespace tdr::runtime {
 /// without giving up the semantics the paper's model (and the sim
 /// oracle) defines. The backend wraps the cluster's own sim::Simulator
 /// as the virtual clock and event order, and a coordinator (whoever
-/// calls Run/RunUntil) drives it in one of two dispatch modes:
+/// calls Run/RunUntil) dispatches turn by turn: it pops events one at
+/// a time in exactly the sim's (time, seq) order, hands each
+/// node-tagged callback to its worker's mailbox, and blocks on a
+/// completion gate until the worker has run it. kAnyNode events run
+/// inline on the coordinator. One event is in flight at a time, so the
+/// oracle contract holds by construction; the differential suite
+/// checks it against the sim.
 ///
-///  * kTurnBased (default): the coordinator pops events one at a time
-///    in exactly the sim's (time, seq) order, hands each node-tagged
-///    callback to its worker's mailbox, and blocks on a completion
-///    gate until the worker has run it. kAnyNode events run inline.
-///  * kEpoch: the coordinator collects every ready event that shares
-///    the next virtual timestamp into one WAVE, plans it into
-///    segments, and retires each segment with a single counted
-///    barrier instead of a per-event gate round-trip. Runs of
-///    same-node events collapse into chains (zero hand-offs inside a
-///    chain); at a node switch the finishing worker batons the next
-///    chain directly to its peer's mailbox (one wake instead of two);
-///    and consecutive ScheduleParallel* events on distinct nodes —
-///    callbacks that touch only node-private state, see runtime.h —
-///    genuinely overlap across workers. Untagged events run inline on
-///    the coordinator, as in turn-based mode.
-///
-/// Epoch mode preserves the oracle contract by construction: exclusive
-/// events still execute in exact (time, seq) order (chains and batons
-/// are just cheaper signalling for the same total order), parallel
-/// groups only contain events whose mutual order is unobservable, and
-/// schedules issued inside a parallel group are deferred and replayed
-/// in plan-slot order so sequence numbers come out exactly as the
-/// serial sim would have assigned them. The differential suite sweeps
-/// both modes against the sim oracle.
-///
-/// Epoch mode requires every event to be scheduled THROUGH this
-/// runtime (true for the whole cluster): events scheduled directly on
-/// the underlying simulator would execute during wave collection,
-/// ahead of lower-seq collected events.
-///
-/// Dispatch is allocation-free in both modes: scheduling acquires a
-/// pooled Task (runtime/task_pool.h), moves the callback into it, and
-/// registers a two-pointer wrapper with the event core — inside
-/// sim::Callback's inline buffer, so steady state allocates nothing
+/// Dispatch is allocation-free: scheduling acquires a pooled Task
+/// (runtime/task_pool.h), moves the callback into it, and registers a
+/// two-pointer wrapper with the event core — inside sim::Callback's
+/// inline buffer, so steady state allocates nothing
 /// (runtime_task_pool_test pins this with the alloc-audit harness).
 class ThreadRuntime final : public Runtime {
  public:
-  enum class DispatchMode : std::uint8_t {
-    kTurnBased = 0,
-    kEpoch = 1,
-  };
-
-  struct Options {
-    DispatchMode dispatch = DispatchMode::kTurnBased;
-  };
-
   /// Pooled task wrappers materialized at birth; exhaustion grows the
   /// pool (counted, see TaskPool::grow_events).
   static constexpr std::size_t kTaskPoolCapacity = 256;
@@ -80,9 +47,9 @@ class ThreadRuntime final : public Runtime {
   /// `clock` is the cluster's own simulator, used as virtual clock and
   /// event core (never Run directly when this backend owns it).
   /// `metrics` may be null; profile metrics (worker busy time, mailbox
-  /// depth, epoch shape, wall/sim ratio) are published on Shutdown.
+  /// depth, wall/sim ratio) are published on Shutdown.
   ThreadRuntime(sim::Simulator* clock, std::uint32_t num_nodes,
-                Options options, obs::MetricsRegistry* metrics);
+                obs::MetricsRegistry* metrics);
 
   /// Shutdown(), then joins every worker.
   ~ThreadRuntime() override;
@@ -97,7 +64,7 @@ class ThreadRuntime final : public Runtime {
     return ScheduleAfterNode(kAnyNode, delay, std::move(fn));
   }
   sim::EventId RepeatEvery(SimTime interval, sim::Callback fn) override;
-  bool Cancel(sim::EventId id) override;
+  bool Cancel(sim::EventId id) override { return clock_->Cancel(id); }
   std::uint64_t RunUntil(SimTime horizon) override;
   std::uint64_t Run(std::uint64_t max_events = (1ULL << 32)) override;
   bool Idle() const override { return clock_->Idle(); }
@@ -105,22 +72,10 @@ class ThreadRuntime final : public Runtime {
     return clock_->PendingEvents();
   }
   sim::EventId ScheduleAtNode(std::uint32_t node, SimTime when,
-                              sim::Callback fn) override {
-    return Schedule(node, when, std::move(fn), ExecClass::kExclusive);
-  }
+                              sim::Callback fn) override;
   sim::EventId ScheduleAfterNode(std::uint32_t node, SimTime delay,
                                  sim::Callback fn) override {
-    return Schedule(node, After(delay), std::move(fn),
-                    ExecClass::kExclusive);
-  }
-  sim::EventId ScheduleParallelAtNode(std::uint32_t node, SimTime when,
-                                      sim::Callback fn) override {
-    return Schedule(node, when, std::move(fn), ExecClass::kParallel);
-  }
-  sim::EventId ScheduleParallelAfterNode(std::uint32_t node, SimTime delay,
-                                         sim::Callback fn) override {
-    return Schedule(node, After(delay), std::move(fn),
-                    ExecClass::kParallel);
+    return ScheduleAtNode(node, After(delay), std::move(fn));
   }
 
   // --- Lifecycle ----------------------------------------------------
@@ -141,17 +96,12 @@ class ThreadRuntime final : public Runtime {
     return workers_[node]->box;
   }
   /// Events executed on worker threads / inline on the coordinator.
-  /// Both are deterministic: epoch mode classifies by the PLANNED lane
-  /// (a chain run on the pushing thread because its mailbox had closed
-  /// still counts as dispatched), so the split is a pure function of
-  /// the seeded scenario, not of wall-clock races.
+  /// Both are deterministic: a function of the seeded scenario, not of
+  /// wall-clock races.
   std::uint64_t dispatched() const { return dispatched_; }
   std::uint64_t inline_events() const { return inline_events_; }
-  /// Epoch-mode shape: waves executed, widest wave, and the
-  /// coordinator's dispatch-queue high-water mark (plan slots).
-  std::uint64_t epochs() const { return epochs_; }
-  std::uint64_t epoch_width_max() const { return epoch_width_max_; }
-  std::size_t dispatch_queue_max_depth() const { return plan_high_water_; }
+  /// Always 0 (one event per turn); kept because perfbench still reads it.
+  std::uint64_t epochs() const { return 0; }
   const TaskPool& task_pool() const { return *pool_; }
   /// Wall-clock seconds spent inside Run/RunUntil, and the virtual
   /// seconds they advanced — their ratio is the wall/sim speed metric.
@@ -206,67 +156,24 @@ class ThreadRuntime final : public Runtime {
     return clock_->Now() + (delay < SimTime::Zero() ? SimTime::Zero() : delay);
   }
 
-  /// Every schedule funnels here: defers if called from inside a
-  /// parallel group, else registers a pooled wrapper with the clock.
-  sim::EventId Schedule(std::uint32_t node, SimTime when, sim::Callback fn,
-                        ExecClass cls);
-  /// Wrapper fire: appends to the wave plan (collecting) or executes
-  /// immediately (turn-based / stopped).
-  void OnWrapperFire(Task* task);
-  void OnRepeatFire(Task* task);
-  /// Turn-based per-event protocol: run on `task->node`'s worker
-  /// (blocking on the gate) or inline; releases one-shot tasks.
+  /// Wrapper fire: runs on `task->node`'s worker (blocking on the
+  /// gate) or inline; releases one-shot tasks.
   void RunImmediate(Task* task);
-  /// Invokes the task's callback (borrowed or owned) with the
-  /// deferred-schedule context set.
+  /// Invokes the task's callback (borrowed or owned).
   void RunTaskBody(Task* task);
-  /// Runs a chain and its baton successors that land back on this
-  /// thread (closed mailboxes); `worker` null on the coordinator.
-  void RunChainFrom(Task* head, Worker* worker);
-
-  // --- Epoch engine (coordinator only) ------------------------------
-  std::uint64_t RunEpochs(SimTime horizon, std::uint64_t max_events,
-                          bool bounded_horizon);
-  void ExecuteWave();
-  void ExecSerialSegment(std::size_t begin, std::size_t end);
-  void ExecParallelGroup(std::size_t begin, std::size_t end);
-  /// Resolved executor for a planned task: its node's worker index,
-  /// or kCoord for untagged tasks (and everything after shutdown).
-  std::uint32_t LaneOf(const Task* task) const;
-  void ReleaseWave();
 
   void WorkerLoop(std::uint32_t index);
   void PublishMetrics();
 
-  static constexpr std::uint32_t kCoord = 0xfffffffeu;
-
   sim::Simulator* clock_;
-  Options options_;
   obs::MetricsRegistry* metrics_;
   std::shared_ptr<TaskPool> pool_;
   std::vector<std::unique_ptr<Worker>> workers_;
   StopBarrier barrier_;
-  Gate gate_;  // one dispatch in flight at a time (turn-based)
-  EpochGate epoch_gate_;  // one per in-flight segment (epoch)
+  Gate gate_;  // one dispatch in flight at a time
   bool stopped_ = false;
   std::uint64_t dispatched_ = 0;
   std::uint64_t inline_events_ = 0;
-
-  // Wave state (coordinator-owned; workers see tasks via mailbox HB).
-  bool collecting_ = false;
-  std::vector<Task*> plan_;
-  std::size_t plan_high_water_ = 0;
-  /// Plan index currently executing — the floor of Cancel's sweep.
-  /// Written by whichever thread runs each exclusive task; the baton
-  /// hand-off orders every write-then-read.
-  std::size_t plan_cursor_ = 0;
-  std::uint64_t epochs_ = 0;
-  std::uint64_t epoch_width_max_ = 0;
-  // Scratch reused across waves (capacity sticks, no per-wave allocs).
-  std::vector<Task*> group_heads_;
-  std::vector<Task*> group_tails_;
-  std::vector<Task*> closed_chains_;  // chains a closed mailbox refused
-  obs::MetricsRegistry::StatsHandle epoch_width_profile_;
 
   double wall_seconds_ = 0;
   double sim_seconds_ = 0;

@@ -1,4 +1,4 @@
-#include "storage/update_log.h"
+#include "storage/update_record.h"
 
 #include "util/logging.h"
 

@@ -1,5 +1,5 @@
-#ifndef TDR_STORAGE_UPDATE_LOG_H_
-#define TDR_STORAGE_UPDATE_LOG_H_
+#ifndef TDR_STORAGE_UPDATE_RECORD_H_
+#define TDR_STORAGE_UPDATE_RECORD_H_
 
 #include <cstdint>
 #include <string>
@@ -26,4 +26,4 @@ struct UpdateRecord {
 
 }  // namespace tdr
 
-#endif  // TDR_STORAGE_UPDATE_LOG_H_
+#endif  // TDR_STORAGE_UPDATE_RECORD_H_

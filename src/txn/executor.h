@@ -9,7 +9,7 @@
 
 #include "obs/metrics.h"
 #include "runtime/runtime.h"
-#include "storage/update_log.h"
+#include "storage/update_record.h"
 #include "txn/durability.h"
 #include "txn/node.h"
 #include "txn/op.h"

@@ -75,13 +75,11 @@ void GroupCommitter::StartFlush() {
   metrics_->flush_records.Record(records);
   metrics_->records_synced.Increment(records);
   const std::uint64_t epoch = epoch_;
-  // Two halves: the sync itself touches only this node's file, so it
-  // runs as a parallel-class event (concurrent with other nodes' syncs
-  // under epoch dispatch); advancing the durable line and firing parked
-  // commits mutate shared state, so that stays an exclusive event,
-  // chained at the same virtual time. Under the sim backend the split
-  // is just two back-to-back events — same bits either way.
-  rt_->ScheduleParallelAfterNode(
+  // Two events: the sync after the flush latency, then, at the same
+  // virtual time, advancing the durable line and firing parked commits.
+  // The split fixes the event count and same-time order that the WAL
+  // baselines pin down.
+  rt_->ScheduleAfterNode(
       node_, options_.flush_latency, [this, epoch, target]() {
         if (epoch != epoch_) return;  // crashed mid-flush
         wal_->SyncFile();

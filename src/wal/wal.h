@@ -60,8 +60,7 @@ class Wal {
   std::uint64_t BeginFlush();
 
   /// The expensive half of a flush: syncs the file (a real fdatasync
-  /// under FileWalBackend's fsync knob). Touches only this node's file
-  /// — safe to run off the coordinator as a parallel-class event.
+  /// under FileWalBackend's fsync knob). Touches only this node's file.
   /// Idempotent; CompleteFlush re-syncs harmlessly after it.
   void SyncFile();
 

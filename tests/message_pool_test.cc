@@ -11,7 +11,7 @@
 #include <utility>
 #include <vector>
 
-#include "storage/update_log.h"
+#include "storage/update_record.h"
 
 namespace tdr::net {
 namespace {

@@ -3,11 +3,9 @@
 // must produce IDENTICAL final state — full-state digest, every
 // per-shard digest, commit/deadlock counts, and the invariant
 // checker's verdict. The thread backend executes the same virtual
-// (time, seq) event order — serially under turn-based dispatch,
-// wave-at-a-time under epoch dispatch — so equivalence is by
+// (time, seq) event order, one event at a time, so equivalence is by
 // construction; this suite is what keeps that construction honest for
-// all six scheme configurations across a spread of seeds and both
-// dispatch modes: turn-based and epoch.
+// all six scheme configurations across a spread of seeds.
 //
 // tools/diff_digests.py applies the same check to bench_runtime's
 // BENCH_runtime.json rows, so CI cross-checks the property twice.
@@ -60,12 +58,6 @@ SimConfig SmallConfig(SchemeKind kind, std::uint64_t seed,
   return c;
 }
 
-// How the thread backend schedules the identical event order.
-constexpr runtime::ThreadRuntime::DispatchMode kDispatchModes[] = {
-    runtime::ThreadRuntime::DispatchMode::kTurnBased,
-    runtime::ThreadRuntime::DispatchMode::kEpoch,
-};
-
 class DifferentialTest : public ::testing::TestWithParam<SchemeKind> {};
 
 TEST_P(DifferentialTest, ThreadBackendMatchesSimOracle) {
@@ -74,38 +66,31 @@ TEST_P(DifferentialTest, ThreadBackendMatchesSimOracle) {
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
     SimOutcome sim_out =
         RunScheme(SmallConfig(kind, seed, RuntimeBackend::kSim));
-    for (runtime::ThreadRuntime::DispatchMode mode : kDispatchModes) {
-      SimConfig thr_cfg = SmallConfig(kind, seed, RuntimeBackend::kThreads);
-      thr_cfg.dispatch = mode;
-      SimOutcome thr_out = RunScheme(thr_cfg);
-      SCOPED_TRACE(std::string(SchemeKindName(kind)) +
-                   " seed=" + std::to_string(seed) +
-                   " dispatch=" + std::string(DispatchLabel(thr_cfg)));
-      // The headline: bit-identical full-state digest (values AND
-      // virtual-clock timestamps on every replica)...
-      EXPECT_EQ(sim_out.state_digest, thr_out.state_digest);
-      // ...and every per-shard, per-node digest.
-      EXPECT_EQ(sim_out.shard_digests, thr_out.shard_digests);
-      // Identical execution histories, not just identical end states.
-      EXPECT_EQ(sim_out.submitted, thr_out.submitted);
-      EXPECT_EQ(sim_out.committed, thr_out.committed);
-      EXPECT_EQ(sim_out.deadlocks, thr_out.deadlocks);
-      EXPECT_EQ(sim_out.waits, thr_out.waits);
-      EXPECT_EQ(sim_out.reconciliations, thr_out.reconciliations);
-      EXPECT_EQ(sim_out.replica_applied, thr_out.replica_applied);
-      EXPECT_EQ(sim_out.batches_shipped, thr_out.batches_shipped);
-      EXPECT_EQ(sim_out.divergent_slots, thr_out.divergent_slots);
-      // Invariant-checker verdicts agree (and pass) on both backends.
-      EXPECT_EQ(sim_out.invariant_violations, 0u);
-      EXPECT_EQ(thr_out.invariant_violations, 0u);
-      EXPECT_EQ(sim_out.delusion_slots, thr_out.delusion_slots);
-      // The run did real cross-thread work: every thread-backend run
-      // dispatched events to workers.
-      EXPECT_GT(thr_out.runtime_dispatched, 0u);
-      if (mode == runtime::ThreadRuntime::DispatchMode::kEpoch) {
-        EXPECT_GT(thr_out.runtime_epochs, 0u);
-      }
-    }
+    SimOutcome thr_out =
+        RunScheme(SmallConfig(kind, seed, RuntimeBackend::kThreads));
+    SCOPED_TRACE(std::string(SchemeKindName(kind)) +
+                 " seed=" + std::to_string(seed));
+    // The headline: bit-identical full-state digest (values AND
+    // virtual-clock timestamps on every replica)...
+    EXPECT_EQ(sim_out.state_digest, thr_out.state_digest);
+    // ...and every per-shard, per-node digest.
+    EXPECT_EQ(sim_out.shard_digests, thr_out.shard_digests);
+    // Identical execution histories, not just identical end states.
+    EXPECT_EQ(sim_out.submitted, thr_out.submitted);
+    EXPECT_EQ(sim_out.committed, thr_out.committed);
+    EXPECT_EQ(sim_out.deadlocks, thr_out.deadlocks);
+    EXPECT_EQ(sim_out.waits, thr_out.waits);
+    EXPECT_EQ(sim_out.reconciliations, thr_out.reconciliations);
+    EXPECT_EQ(sim_out.replica_applied, thr_out.replica_applied);
+    EXPECT_EQ(sim_out.batches_shipped, thr_out.batches_shipped);
+    EXPECT_EQ(sim_out.divergent_slots, thr_out.divergent_slots);
+    // Invariant-checker verdicts agree (and pass) on both backends.
+    EXPECT_EQ(sim_out.invariant_violations, 0u);
+    EXPECT_EQ(thr_out.invariant_violations, 0u);
+    EXPECT_EQ(sim_out.delusion_slots, thr_out.delusion_slots);
+    // The run did real cross-thread work: every thread-backend run
+    // dispatched events to workers.
+    EXPECT_GT(thr_out.runtime_dispatched, 0u);
   }
 }
 

@@ -1,15 +1,13 @@
 // Property test for the thread backend: N randomized (seed, scheme,
-// fault-plan, dispatch-mode) triples must converge to the sim oracle's
-// digest after drain. On a mismatch the failing triple is SHRUNK —
-// shorter window, turn-based dispatch, no partition, no drops, fewer
-// nodes — and the minimal still-failing configuration is reported, so
-// a regression arrives as a small reproducer rather than a
-// 6-dimensional haystack.
+// fault-plan) triples must converge to the sim oracle's digest after
+// drain. On a mismatch the failing triple is SHRUNK — shorter window,
+// no partition, no drops, fewer nodes — and the minimal still-failing
+// configuration is reported, so a regression arrives as a small
+// reproducer rather than a 6-dimensional haystack.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -21,13 +19,6 @@ namespace {
 
 constexpr std::uint64_t kTriples = 12;
 
-using DispatchMode = runtime::ThreadRuntime::DispatchMode;
-
-// Thread-backend dispatch modes the triples draw from: turn-based is
-// the baseline (also the shrink target).
-constexpr DispatchMode kDispatchModes[] = {DispatchMode::kTurnBased,
-                                           DispatchMode::kEpoch};
-
 struct Triple {
   SchemeKind kind = SchemeKind::kEagerGroup;
   std::uint64_t seed = 1;
@@ -36,7 +27,6 @@ struct Triple {
   double sim_seconds = 2;
   double drop_probability = 0;
   bool partition_cycle = false;
-  DispatchMode dispatch = DispatchMode::kTurnBased;
 
   std::string Describe() const {
     std::string s{SchemeKindName(kind)};
@@ -46,8 +36,6 @@ struct Triple {
     s += " sim_seconds=" + std::to_string(sim_seconds);
     s += " drop=" + std::to_string(drop_probability);
     s += partition_cycle ? " partition" : "";
-    s += dispatch == DispatchMode::kEpoch ? " dispatch=epoch"
-                                          : " dispatch=turn";
     return s;
   }
 };
@@ -66,7 +54,6 @@ SimConfig ToConfig(const Triple& t, RuntimeBackend backend) {
   c.fault_drop_probability = t.drop_probability;
   c.fault_partition_cycle = t.partition_cycle;
   c.backend = backend;
-  c.dispatch = t.dispatch;  // read by the thread backend only
   c.drain = true;  // faulted runs drain anyway; make fault-free match
   if (t.kind == SchemeKind::kLazyGroup || t.kind == SchemeKind::kLazyMaster) {
     c.batch_flush_window = 0.04;
@@ -93,13 +80,6 @@ Triple Shrink(Triple failing) {
   Triple half = failing;
   half.sim_seconds = failing.sim_seconds / 2;
   try_step(half);
-  if (failing.dispatch == DispatchMode::kEpoch) {
-    // Does the plain turn-based backend also fail, or is the bug in
-    // epoch dispatch itself?
-    Triple turn = failing;
-    turn.dispatch = DispatchMode::kTurnBased;
-    try_step(turn);
-  }
   if (failing.partition_cycle) {
     Triple no_partition = failing;
     no_partition.partition_cycle = false;
@@ -140,7 +120,9 @@ TEST(RuntimePropertyTest, RandomizedTriplesConvergeToSimOracleDigest) {
     t.sim_seconds = 2;
     t.drop_probability = kDropLevels[rng.UniformInt(3)];
     t.partition_cycle = rng.Bernoulli(0.5);
-    t.dispatch = kDispatchModes[rng.UniformInt(std::size(kDispatchModes))];
+    // Consumes the draw that once picked a dispatch mode, so every
+    // later triple keeps its seed, scheme and fault plan.
+    rng.UniformInt(2);
     SCOPED_TRACE("triple " + std::to_string(i) + ": " + t.Describe());
     if (!BackendsAgree(t)) {
       Triple minimal = Shrink(t);

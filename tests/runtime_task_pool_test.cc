@@ -1,10 +1,9 @@
 // The pooled-task layer under the thread runtime's dispatch: birth
 // capacity, exhaustion growth, recycle-on-release, lease release
-// without firing (cancel), and — the contract the epoch refactor was
-// built for — a steady-state alloc-audit window proving that dispatch
-// in both modes performs ZERO heap allocations once warm. This binary
-// links tdr_alloc_audit (counting operator new/delete); the audit
-// assertions skip when the hooks are absent.
+// without firing (cancel), and a steady-state alloc-audit window
+// proving that dispatch performs ZERO heap allocations once warm. This
+// binary links tdr_alloc_audit (counting operator new/delete); the
+// audit assertions skip when the hooks are absent.
 
 #include "runtime/task_pool.h"
 
@@ -55,13 +54,11 @@ TEST(TaskPoolTest, BirthCapacityThenExhaustionGrows) {
 TEST(TaskPoolTest, ReleaseRecyclesAndResetsTransientState) {
   TaskPool pool(2);
   Task* t = pool.Acquire();
+  runtime::Gate gate;
   t->owned = [] {};
   t->fn = &t->owned;
-  t->weight = 7;
+  t->done = &gate;
   t->node = 3;
-  t->cancelled = true;
-  t->deferred.push_back({0, SimTime::Zero(), runtime::ExecClass::kExclusive,
-                         [] {}});
   pool.Release(t);
 
   // LIFO free list: the same wrapper comes back, scrubbed.
@@ -69,9 +66,8 @@ TEST(TaskPoolTest, ReleaseRecyclesAndResetsTransientState) {
   EXPECT_EQ(again, t);
   EXPECT_EQ(again->fn, nullptr);
   EXPECT_FALSE(static_cast<bool>(again->owned));
-  EXPECT_EQ(again->weight, 1u);
-  EXPECT_FALSE(again->cancelled);
-  EXPECT_TRUE(again->deferred.empty());
+  EXPECT_EQ(again->done, nullptr);
+  EXPECT_EQ(again->node, runtime::kAnyNode);
   pool.Release(again);
 }
 
@@ -82,8 +78,8 @@ TEST(TaskPoolTest, AddressesStayStableAcrossGrowth) {
   for (int i = 0; i < 64; ++i) more.push_back(pool.Acquire());  // many growths
   // `first` is still the same live object — growth never relocates
   // wrappers (deque slab), unlike the vector-backed message pool.
-  first->weight = 42;
-  EXPECT_EQ(first->weight, 42u);
+  first->node = 42;
+  EXPECT_EQ(first->node, 42u);
   pool.Release(first);
   for (Task* t : more) pool.Release(t);
   EXPECT_EQ(pool.in_use(), 0u);
@@ -93,8 +89,7 @@ TEST(TaskPoolTest, AddressesStayStableAcrossGrowth) {
 // must still return the wrapper to the pool (not leak it).
 TEST(TaskPoolRuntimeTest, CancelReleasesPooledTask) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, ThreadRuntime::Options{},
-                   nullptr);
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, nullptr);
   int ran = 0;
   sim::EventId id =
       rt.ScheduleAfterNode(0, SimTime::Millis(1), [&] { ++ran; });
@@ -110,9 +105,7 @@ TEST(TaskPoolRuntimeTest, CancelReleasesPooledTask) {
 // the series is cancelled.
 TEST(TaskPoolRuntimeTest, RepeatSeriesHoldsOneWrapperUntilCancelled) {
   sim::Simulator clock;
-  ThreadRuntime::Options opts;
-  opts.dispatch = ThreadRuntime::DispatchMode::kEpoch;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, opts, nullptr);
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, nullptr);
   int ticks = 0;
   sim::EventId series = rt.RepeatEvery(SimTime::Millis(1), [&] { ++ticks; });
   rt.RunUntil(SimTime::Millis(10));
@@ -123,13 +116,12 @@ TEST(TaskPoolRuntimeTest, RepeatSeriesHoldsOneWrapperUntilCancelled) {
   EXPECT_EQ(rt.task_pool().in_use(), 0u);
 }
 
-// Scheduling a wave wider than the pool grows it once (counted) and
-// the next identical wave reuses the grown pool — no further growth.
+// Scheduling a same-time wave wider than the pool grows it once
+// (counted) and the next identical wave reuses the grown pool — no
+// further growth.
 TEST(TaskPoolRuntimeTest, WaveWiderThanPoolGrowsOnceThenReuses) {
   sim::Simulator clock;
-  ThreadRuntime::Options opts;
-  opts.dispatch = ThreadRuntime::DispatchMode::kEpoch;
-  ThreadRuntime rt(&clock, /*num_nodes=*/4, opts, nullptr);
+  ThreadRuntime rt(&clock, /*num_nodes=*/4, nullptr);
   constexpr int kPerNode = ThreadRuntime::kTaskPoolCapacity / 4 + 16;
   constexpr int kWidth = 4 * kPerNode;
   int ran = 0;
@@ -151,16 +143,12 @@ TEST(TaskPoolRuntimeTest, WaveWiderThanPoolGrowsOnceThenReuses) {
   rt.Run();
   EXPECT_EQ(ran, 2 * kWidth);
   EXPECT_EQ(rt.task_pool().grow_events(), grown);  // pool was reused
-  EXPECT_EQ(rt.epochs(), 2u);
-  EXPECT_EQ(rt.epoch_width_max(), static_cast<std::uint64_t>(kWidth));
+  EXPECT_EQ(rt.dispatched(), static_cast<std::uint64_t>(2 * kWidth));
 }
 
-// The alloc-audit gate: one warm cluster per dispatch mode, identical
-// traffic windows, and the measured window must be allocation-free (up
-// to the pool-ratchet budget alloc_audit_test uses). This is the
-// "allocation-free dispatch" acceptance bar for the epoch refactor.
-class DispatchAllocTest
-    : public ::testing::TestWithParam<ThreadRuntime::DispatchMode> {};
+// The alloc-audit gate: one warm thread-backend cluster, and the
+// measured traffic window must be allocation-free (up to the
+// pool-ratchet budget alloc_audit_test uses).
 
 // Sanitizer builds interpose the allocator themselves; the counting
 // operator-new replacement measures the sanitizer runtime, not the
@@ -178,7 +166,7 @@ constexpr bool kSanitized =
     false;
 #endif
 
-TEST_P(DispatchAllocTest, SteadyStateDispatchAllocatesNothing) {
+TEST(DispatchAllocTest, SteadyStateDispatchAllocatesNothing) {
   if (!AllocAuditLinked() || kSanitized) {
     GTEST_SKIP() << "alloc-audit hooks absent or sanitizer build";
   }
@@ -191,7 +179,6 @@ TEST_P(DispatchAllocTest, SteadyStateDispatchAllocatesNothing) {
   copts.seed = 42;
   copts.enable_metrics = false;
   copts.backend = RuntimeBackend::kThreads;
-  copts.runtime.dispatch = GetParam();
   Cluster cluster(copts);
   EagerGroupScheme scheme(&cluster);
 
@@ -213,8 +200,8 @@ TEST_P(DispatchAllocTest, SteadyStateDispatchAllocatesNothing) {
     }
   };
 
-  // Warmup ratchets every pool — task wrappers, wave plan, deferred
-  // buffers, messages, lock tables — to the traffic's working set.
+  // Warmup ratchets every pool — task wrappers, messages, lock tables
+  // — to the traffic's working set.
   pump(2000);
 
   if (const char* trace = std::getenv("TDR_TRACE_ALLOCS")) {
@@ -230,15 +217,6 @@ TEST_P(DispatchAllocTest, SteadyStateDispatchAllocatesNothing) {
   EXPECT_EQ(cluster.thread_runtime()->task_pool().grow_events(), grown_before)
       << "task pool grew during the measured window";
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    BothModes, DispatchAllocTest,
-    ::testing::Values(ThreadRuntime::DispatchMode::kTurnBased,
-                      ThreadRuntime::DispatchMode::kEpoch),
-    [](const ::testing::TestParamInfo<ThreadRuntime::DispatchMode>& info) {
-      return info.param == ThreadRuntime::DispatchMode::kEpoch ? "epoch"
-                                                               : "turn";
-    });
 
 }  // namespace
 }  // namespace tdr

@@ -1,13 +1,13 @@
 // ThreadRuntime semantics: parity with the sim backend it wraps,
-// per-node thread placement, shutdown idempotence, and the SharedPool
-// teardown-order contract on a thread-backend cluster. Runs under TSan
-// via the `tsan`/`runtime` ctest labels.
+// per-node thread placement, same-time FIFO order and cancellation,
+// shutdown idempotence, and the SharedPool teardown-order contract on
+// a thread-backend cluster. Runs under TSan via the `tsan`/`runtime`
+// ctest labels.
 
 #include "runtime/thread_runtime.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -22,8 +22,6 @@ namespace tdr {
 namespace {
 
 using runtime::ThreadRuntime;
-
-ThreadRuntime::Options FreeRun() { return ThreadRuntime::Options{}; }
 
 // The same schedule/cancel/repeat scenario produces the same fire log
 // (ids, order, virtual times) through a ThreadRuntime as through the
@@ -50,7 +48,7 @@ TEST(ThreadRuntimeTest, SemanticsMatchBareSimulator) {
   auto expected = scenario(plain);
 
   sim::Simulator clock;
-  ThreadRuntime threads(&clock, /*num_nodes=*/3, FreeRun(), nullptr);
+  ThreadRuntime threads(&clock, /*num_nodes=*/3, nullptr);
   auto actual = scenario(threads);
   EXPECT_EQ(actual, expected);
   EXPECT_EQ(threads.dispatched() + threads.inline_events(),
@@ -63,7 +61,7 @@ TEST(ThreadRuntimeTest, SemanticsMatchBareSimulator) {
 
 TEST(ThreadRuntimeTest, NodeTaggedEventsRunOnThatNodesThread) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/3, FreeRun(), nullptr);
+  ThreadRuntime rt(&clock, /*num_nodes=*/3, nullptr);
   std::thread::id coordinator = std::this_thread::get_id();
   std::vector<std::thread::id> seen(3);
   for (std::uint32_t node = 0; node < 3; ++node) {
@@ -90,7 +88,7 @@ TEST(ThreadRuntimeTest, NodeTaggedEventsRunOnThatNodesThread) {
 
 TEST(ThreadRuntimeTest, SameNodeEventsShareOneThread) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, FreeRun(), nullptr);
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, nullptr);
   std::vector<std::thread::id> runs;
   for (int i = 0; i < 5; ++i) {
     rt.ScheduleAfterNode(1, SimTime::Millis(i + 1),
@@ -105,7 +103,7 @@ TEST(ThreadRuntimeTest, SameNodeEventsShareOneThread) {
 
 TEST(ThreadRuntimeTest, ShutdownIsIdempotentAndFallsBackInline) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, FreeRun(), nullptr);
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, nullptr);
   int ran = 0;
   rt.ScheduleAfterNode(0, SimTime::Millis(1), [&] { ++ran; });
   rt.Run();
@@ -126,7 +124,7 @@ TEST(ThreadRuntimeTest, ShutdownIsIdempotentAndFallsBackInline) {
 
 TEST(ThreadRuntimeTest, OutOfRangeNodeRunsInline) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, FreeRun(), nullptr);
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, nullptr);
   std::thread::id where;
   rt.ScheduleAfterNode(7, SimTime::Millis(1),
                        [&] { where = std::this_thread::get_id(); });
@@ -135,70 +133,11 @@ TEST(ThreadRuntimeTest, OutOfRangeNodeRunsInline) {
   EXPECT_EQ(rt.inline_events(), 1u);
 }
 
-ThreadRuntime::Options EpochRun() {
-  ThreadRuntime::Options opts;
-  opts.dispatch = ThreadRuntime::DispatchMode::kEpoch;
-  return opts;
-}
-
-// The first test's scenario — schedule/cancel/repeat/run-until — must
-// produce the identical fire log under epoch dispatch too: same ids,
-// same order, same virtual times as the bare simulator.
-TEST(EpochDispatchTest, SemanticsMatchBareSimulator) {
-  auto scenario = [](runtime::Runtime& rt) {
-    std::vector<std::pair<int, double>> log;
-    rt.ScheduleAt(SimTime::Millis(10), [&] { log.emplace_back(1, 0.0); });
-    rt.ScheduleAfter(SimTime::Millis(5),
-                     [&] { log.emplace_back(2, rt.Now().seconds()); });
-    sim::EventId dead =
-        rt.ScheduleAt(SimTime::Millis(7), [&] { log.emplace_back(3, 0.0); });
-    EXPECT_TRUE(rt.Cancel(dead));
-    sim::EventId tick = rt.RepeatEvery(
-        SimTime::Millis(4), [&] { log.emplace_back(4, rt.Now().seconds()); });
-    rt.RunUntil(SimTime::Millis(12));
-    rt.Cancel(tick);
-    rt.Run();
-    EXPECT_EQ(rt.Now(), SimTime::Millis(12));
-    return log;
-  };
-  sim::Simulator plain;
-  auto expected = scenario(plain);
-
+// Events on ONE node at one timestamp run FIFO on that node's worker
+// — the per-node serial guarantee.
+TEST(ThreadRuntimeTest, SameNodeSameTimeKeepsFifoOrder) {
   sim::Simulator clock;
-  ThreadRuntime threads(&clock, /*num_nodes=*/3, EpochRun(), nullptr);
-  auto actual = scenario(threads);
-  EXPECT_EQ(actual, expected);
-}
-
-// Same-timestamp events tagged to distinct nodes form ONE wave and run
-// on the distinct node workers — the epoch-dispatch headline.
-TEST(EpochDispatchTest, WaveRunsDistinctNodesOnTheirWorkers) {
-  sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/4, EpochRun(), nullptr);
-  std::thread::id coordinator = std::this_thread::get_id();
-  std::vector<std::thread::id> seen(4);
-  for (std::uint32_t node = 0; node < 4; ++node) {
-    rt.ScheduleAtNode(node, SimTime::Millis(1), [&seen, node] {
-      seen[node] = std::this_thread::get_id();
-    });
-  }
-  rt.Run();
-  EXPECT_EQ(rt.epochs(), 1u);
-  EXPECT_EQ(rt.epoch_width_max(), 4u);
-  EXPECT_EQ(rt.dispatched(), 4u);
-  for (std::uint32_t node = 0; node < 4; ++node) {
-    EXPECT_NE(seen[node], coordinator) << "node " << node;
-    for (std::uint32_t other = 0; other < node; ++other) {
-      EXPECT_NE(seen[node], seen[other]);
-    }
-  }
-}
-
-// Events on ONE node at one timestamp stay FIFO on that node's worker
-// even mid-wave — the per-node serial guarantee.
-TEST(EpochDispatchTest, SameNodeSameTimeKeepsFifoOrder) {
-  sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, EpochRun(), nullptr);
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, nullptr);
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
     rt.ScheduleAtNode(1, SimTime::Millis(1),
@@ -206,56 +145,15 @@ TEST(EpochDispatchTest, SameNodeSameTimeKeepsFifoOrder) {
   }
   rt.Run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(rt.epochs(), 1u);
-  EXPECT_EQ(rt.epoch_width_max(), 5u);
+  EXPECT_EQ(rt.dispatched(), 5u);
 }
 
-// Parallel-class tasks on distinct nodes genuinely overlap in wall
-// time: each parks until it has seen the other inside the wave. Under
-// serial execution this would time out and fail.
-TEST(EpochDispatchTest, ParallelClassTasksOverlapInWallTime) {
+// An event cancelling a SAME-timestamp, later-seq event on another
+// node must hit it before it runs — the GroupCommitter window-cancel
+// pattern.
+TEST(ThreadRuntimeTest, CancelReachesSameTimestampEventOnAnotherNode) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, EpochRun(), nullptr);
-  std::atomic<int> inside{0};
-  std::atomic<int> overlapped{0};
-  for (std::uint32_t node = 0; node < 2; ++node) {
-    rt.ScheduleParallelAtNode(node, SimTime::Millis(1), [&] {
-      inside.fetch_add(1);
-      auto deadline = std::chrono::steady_clock::now() +
-                      std::chrono::seconds(5);
-      while (inside.load() < 2 &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::yield();
-      }
-      if (inside.load() >= 2) overlapped.fetch_add(1);
-    });
-  }
-  rt.Run();
-  EXPECT_EQ(overlapped.load(), 2);
-}
-
-// Schedules made INSIDE a parallel-class task are deferred (id
-// kInvalidEventId, fire-and-forget) and fire on the next wave.
-TEST(EpochDispatchTest, DeferredScheduleFromParallelTaskFires) {
-  sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, EpochRun(), nullptr);
-  std::atomic<bool> followed{false};
-  std::atomic<std::uint64_t> deferred_id{1};
-  rt.ScheduleParallelAtNode(0, SimTime::Millis(1), [&] {
-    deferred_id.store(rt.ScheduleAfterNode(0, SimTime::Millis(1),
-                                           [&] { followed.store(true); }));
-  });
-  rt.Run();
-  EXPECT_EQ(deferred_id.load(), sim::kInvalidEventId);
-  EXPECT_TRUE(followed.load());
-}
-
-// An exclusive event cancelling a SAME-timestamp, later-seq event must
-// hit it even though both are already collected into the wave plan —
-// the GroupCommitter window-cancel pattern.
-TEST(EpochDispatchTest, CancelReachesCollectedSameTimestampEvent) {
-  sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, EpochRun(), nullptr);
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, nullptr);
   bool victim_ran = false;
   bool cancel_hit = false;
   sim::EventId victim = sim::kInvalidEventId;
@@ -266,6 +164,7 @@ TEST(EpochDispatchTest, CancelReachesCollectedSameTimestampEvent) {
   rt.Run();
   EXPECT_TRUE(cancel_hit);
   EXPECT_FALSE(victim_ran);
+  EXPECT_EQ(rt.task_pool().in_use(), 0u);
 }
 
 // Teardown-order contract on the REAL cluster with the thread backend:

@@ -45,7 +45,6 @@ IDENTITY_FIELDS = (
     "nodes",
     "num_shards",
     "clients_per_node",
-    "dispatch",
     "fsync",
 )
 
@@ -70,8 +69,6 @@ IGNORED_FIELDS = (
     "wall_seconds",
     "wall_sim_ratio",
     "runtime_dispatched",
-    "runtime_wall_seconds",
-    "speedup_vs_turn",
     "seconds",
     "records_per_sec",
     "syncs_per_sec",

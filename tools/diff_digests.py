@@ -1,18 +1,14 @@
 #!/usr/bin/env python3
-"""Cross-backend digest differ for BENCH_runtime.json (E15/E18).
+"""Cross-backend digest differ for BENCH_runtime.json (E15).
 
-Groups a tdr.run_report.v1 report's rows by (section, scheme, seed,
-fault_plan) and requires every backend's state_digest and
-shard_digests to be identical within a group — the sim-as-oracle
-equivalence property, re-checked from the report artifact alone so CI
-validates the whole pipeline (run -> report -> artifact), not just the
-in-process comparison. The fault_plan axis keeps faulted rows
-(crash/recovery, chaos drops) compared only against the same fault
-plan on the other backend; rows without the field compare as plan
-"none". The section axis keeps experiments apart (E18's epoch_speedup
-rows reuse E15's schemes at different cluster sizes); within a group,
-thread rows for EVERY dispatch mode (turn, epoch) must match the sim
-oracle bit for bit.
+Groups a tdr.run_report.v1 report's rows by (scheme, seed, fault_plan)
+and requires every backend's state_digest and shard_digests to be
+identical within a group — the sim-as-oracle equivalence property,
+re-checked from the report artifact alone so CI validates the whole
+pipeline (run -> report -> artifact), not just the in-process
+comparison. The fault_plan axis keeps faulted rows (crash/recovery,
+chaos drops) compared only against the same fault plan on the other
+backend; rows without the field compare as plan "none".
 
 Usage:
   diff_digests.py BENCH_runtime.json [more_reports.json ...]
@@ -39,13 +35,13 @@ def check_file(path):
             return [f"{path}: rows[{i}] missing 'backend'"]
         if "state_digest" not in row:
             return [f"{path}: rows[{i}] missing 'state_digest'"]
-        key = (row.get("section", "main"), row.get("scheme"),
-               row.get("seed"), row.get("fault_plan", "none"))
+        key = (row.get("scheme"), row.get("seed"),
+               row.get("fault_plan", "none"))
         groups.setdefault(key, []).append((backend, row))
 
     errors = []
-    for (section, scheme, seed, plan), members in sorted(groups.items()):
-        where = (f"({section}, {scheme}, seed={seed}, plan={plan})")
+    for (scheme, seed, plan), members in sorted(groups.items()):
+        where = f"({scheme}, seed={seed}, plan={plan})"
         backends = [b for b, _ in members]
         if len(set(backends)) < 2:
             errors.append(
@@ -54,21 +50,16 @@ def check_file(path):
             continue
         reference_backend, reference = members[0]
         for backend, row in members[1:]:
-            # Thread rows carry the dispatch mode; name it in mismatch
-            # output so a diverging epoch cell is identifiable.
-            label = backend
-            if "dispatch" in row:
-                label = f"{backend}/{row['dispatch']}"
             for field in ("state_digest", "shard_digests", "committed"):
                 if row.get(field) != reference.get(field):
                     errors.append(
                         f"{path}: {where} "
                         f"{field} differs: "
                         f"{reference_backend}={reference.get(field)!r} "
-                        f"{label}={row.get(field)!r}")
+                        f"{backend}={row.get(field)!r}")
     if not errors:
         n = len(groups)
-        print(f"OK {path}: {n} (section, scheme, seed, fault_plan) groups "
+        print(f"OK {path}: {n} (scheme, seed, fault_plan) groups "
               f"bit-identical across backends")
     return errors
 
