@@ -13,10 +13,9 @@
 //
 // BENCH_headline.json is a tdr.run_report.v1 document (tools/
 // check_report.py validates it in ctest): the scaling table and the
-// robustness column as rows, the retained-throughput map as invariants,
-// and the metrics-instrumentation overhead measurement as its own row.
+// robustness column as rows, and the retained-throughput map as
+// invariants.
 
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -102,55 +101,6 @@ void RunFaultedColumn(obs::RunReport* report) {
   report->SetInvariants(std::move(invariants));
   std::printf("\n(an invariant violation under faults aborts this binary, "
               "so a nonzero\n'viol' column can never ship)\n");
-}
-
-// Instrumentation overhead gate: the same clean run with the full
-// registry (cached handles, histogram of wait times, per-node labeled
-// submit counters) versus with no registry at all (every handle a
-// no-op). Wall-clock, so nondeterministic — the row records the ratio,
-// the console prints the verdict. Budget: < 5%.
-void RunOverheadColumn(obs::RunReport* report) {
-  SimConfig config;
-  config.kind = SchemeKind::kEagerGroup;
-  config.nodes = 5;
-  config.db_size = 800;
-  config.tps = 4;
-  config.actions = 5;
-  config.action_time = 0.01;
-  config.sim_seconds = 400;
-
-  auto wall_seconds = [](const SimConfig& c) {
-    auto t0 = std::chrono::steady_clock::now();
-    SimOutcome out = RunScheme(c);
-    auto t1 = std::chrono::steady_clock::now();
-    (void)out;
-    return std::chrono::duration<double>(t1 - t0).count();
-  };
-  // Warm-up run absorbs first-touch allocation and cache effects, then
-  // alternate baseline/instrumented and keep each variant's best time
-  // (min-of-k is the standard low-noise wall-clock estimator).
-  SimConfig noop = config;
-  noop.enable_metrics = false;
-  (void)wall_seconds(config);
-  double best_instr = 1e100, best_noop = 1e100;
-  for (int rep = 0; rep < 3; ++rep) {
-    double t = wall_seconds(noop);
-    if (t < best_noop) best_noop = t;
-    t = wall_seconds(config);
-    if (t < best_instr) best_instr = t;
-  }
-  double ratio = best_noop > 0 ? best_instr / best_noop : 1.0;
-  std::printf("\nMetrics instrumentation overhead (same run, registry vs "
-              "no-op handles,\nmin of 3 wall-clock reps): %.3fs vs %.3fs "
-              "= %+.1f%% (budget < 5%%)\n",
-              best_instr, best_noop, 100 * (ratio - 1));
-
-  obs::Json row = obs::Json::Object();
-  row.Set("table", obs::Json("overhead"));
-  row.Set("wall_instrumented_seconds", obs::Json(best_instr));
-  row.Set("wall_noop_seconds", obs::Json(best_noop));
-  row.Set("overhead_ratio", obs::Json(ratio));
-  report->AddRow(std::move(row));
 }
 
 void Main() {
@@ -257,7 +207,6 @@ void Main() {
       "to zero with commutative transactions (bench_two_tier).\n");
 
   RunFaultedColumn(&report);
-  RunOverheadColumn(&report);
   WriteReport(report, "BENCH_headline.json");
 }
 

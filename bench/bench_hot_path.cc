@@ -2,10 +2,10 @@
 //
 // The paper's scale argument is quantitative, so the simulator's own
 // per-transaction constant factors bound how far the sweeps can scale.
-// This bench measures those constants directly for every scheme class:
-// wall-clock nanoseconds per committed transaction and heap
-// allocations per committed transaction, over a steady-state window
-// that starts after a warmup run has filled the pools.
+// This bench counts one of those constants exactly for every scheme
+// class: heap allocations (and bytes) per committed transaction, over a
+// steady-state window that starts after a warmup run has filled the
+// pools. Wall-clock time is perfbench's job (perfbench/README.md).
 //
 // Allocation counting comes from util/alloc_audit.h: this binary links
 // tdr_alloc_audit, which replaces global operator new/delete with
@@ -13,7 +13,6 @@
 // alloc-regression gate (tests/alloc_audit_test) both key off the
 // numbers reported here; BENCH_hot_path.json is schema-checked in CI.
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -53,8 +52,8 @@ enum class HotScheme {
 struct HotConfig {
   const char* name;
   HotScheme scheme;
-  /// The configuration the ≥1.3x throughput acceptance gate is
-  /// measured on (EXPERIMENTS.md E14).
+  /// Marks the row EXPERIMENTS.md E14 highlights (batched lazy group).
+  /// A label only: no check reads it.
   bool headline = false;
 };
 
@@ -62,8 +61,6 @@ struct HotResult {
   std::uint64_t committed = 0;
   std::uint64_t deadlocks = 0;
   double sim_rate = 0;             // committed / sim-second
-  double wall_seconds = 0;         // wall time of the measured window
-  double ns_per_committed = 0;
   double allocs_per_committed = 0;
   double bytes_per_committed = 0;
 };
@@ -74,8 +71,7 @@ HotResult RunHot(const HotConfig& config) {
   copts.db_size = kDbSize;
   copts.action_time = SimTime::Seconds(kActionTime);
   copts.seed = 42;
-  // No metrics registry: measure the bare hot path, as bench_headline's
-  // overhead baseline does.
+  // No metrics registry: count the bare hot path's allocations.
   copts.enable_metrics = false;
   Cluster cluster(copts);
 
@@ -136,19 +132,14 @@ HotResult RunHot(const HotConfig& config) {
   }
 
   AllocScope scope;
-  auto wall_start = std::chrono::steady_clock::now();
   WorkloadDriver::Outcome out = driver.Run();
-  auto wall_end = std::chrono::steady_clock::now();
 
   HotResult result;
   result.committed = out.committed;
   result.deadlocks = out.deadlocks;
   result.sim_rate = out.committed_rate();
-  result.wall_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
   if (out.committed > 0) {
     auto denom = static_cast<double>(out.committed);
-    result.ns_per_committed = result.wall_seconds * 1e9 / denom;
     result.allocs_per_committed =
         static_cast<double>(scope.allocations()) / denom;
     result.bytes_per_committed = static_cast<double>(scope.bytes()) / denom;
@@ -173,8 +164,8 @@ int Main() {
       {"quorum", HotScheme::kQuorum},
   };
 
-  std::printf("%-20s %10s %10s %12s %12s %12s\n", "scheme", "committed",
-              "sim tps", "ns/txn", "allocs/txn", "bytes/txn");
+  std::printf("%-20s %10s %10s %12s %12s\n", "scheme", "committed",
+              "sim tps", "allocs/txn", "bytes/txn");
 
   obs::RunReport report("hot_path");
   report.SetConfig("nodes", obs::Json(std::uint64_t{kNodes}))
@@ -188,10 +179,9 @@ int Main() {
 
   for (const HotConfig& config : configs) {
     HotResult r = RunHot(config);
-    std::printf("%-20s %10llu %10.1f %12.0f %12.2f %12.1f\n", config.name,
+    std::printf("%-20s %10llu %10.1f %12.2f %12.1f\n", config.name,
                 static_cast<unsigned long long>(r.committed), r.sim_rate,
-                r.ns_per_committed, r.allocs_per_committed,
-                r.bytes_per_committed);
+                r.allocs_per_committed, r.bytes_per_committed);
 
     obs::Json row = obs::Json::Object();
     row.Set("scheme", obs::Json(config.name));
@@ -199,8 +189,6 @@ int Main() {
     row.Set("committed", obs::Json(r.committed));
     row.Set("deadlocks", obs::Json(r.deadlocks));
     row.Set("sim_committed_rate", obs::Json(r.sim_rate));
-    row.Set("wall_seconds", obs::Json(r.wall_seconds));
-    row.Set("ns_per_committed", obs::Json(r.ns_per_committed));
     row.Set("allocs_per_committed", obs::Json(r.allocs_per_committed));
     row.Set("bytes_per_committed", obs::Json(r.bytes_per_committed));
     report.AddRow(std::move(row));

@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "bench/harness.h"
+#include "util/stats.h"
 
 namespace tdr::bench {
 

@@ -4,7 +4,6 @@
 
 #include "fault/fault_injector.h"
 #include "fault/invariant_checker.h"
-#include "obs/timeseries.h"
 #include "replication/driver.h"
 #include "util/logging.h"
 
@@ -97,7 +96,6 @@ SimOutcome RunScheme(const SimConfig& config) {
   copts.num_shards = config.num_shards;
   copts.action_time = SimTime::Seconds(config.action_time);
   copts.seed = config.seed;
-  copts.enable_metrics = config.enable_metrics;
   copts.backend = config.backend;
   copts.wal.mode = config.durability;
   copts.wal.fsync = config.wal_fsync;
@@ -190,18 +188,6 @@ SimOutcome RunScheme(const SimConfig& config) {
   if (injector != nullptr) injector->Arm();
   if (checker != nullptr) checker->Arm();
 
-  obs::TimeSeriesRecorder::Options ropts;
-  ropts.interval = SimTime::Seconds(config.series_interval_seconds);
-  obs::TimeSeriesRecorder recorder(&cluster.runtime(), &cluster.metrics(),
-                                   ropts);
-  if (config.record_series && config.enable_metrics) {
-    recorder.TrackRate("txn.committed");
-    recorder.TrackRate("txn.deadlocks");
-    recorder.TrackRate("replica.applied");
-    recorder.TrackRate("net.delivered");
-    recorder.Start();
-  }
-
   WorkloadDriver::Options dopts;
   dopts.tps_per_node = config.tps;
   dopts.workload.actions = config.actions;
@@ -215,7 +201,6 @@ SimOutcome RunScheme(const SimConfig& config) {
   dopts.seconds = config.sim_seconds;
   WorkloadDriver driver(&cluster, scheme.get(), dopts);
   WorkloadDriver::Outcome out = driver.Run();
-  recorder.Stop();
 
   SimOutcome outcome;
   if (checker != nullptr) checker->Disarm();
@@ -291,73 +276,23 @@ SimOutcome RunScheme(const SimConfig& config) {
     outcome.wall_sim_ratio =
         sim_s > 0 ? cluster.thread_runtime()->wall_seconds() / sim_s : 0;
   }
-  if (config.enable_metrics) {
-    // Export the simulator's own health gauges before snapshotting;
-    // they are deterministic (event counts, not wall time).
-    cluster.metrics().SetGauge(
-        "sim.executed_events",
-        static_cast<double>(cluster.sim().executed_events()));
-    cluster.metrics().SetGauge(
-        "sim.clamped_schedules",
-        static_cast<double>(cluster.sim().clamped_schedules()));
-    outcome.metrics = cluster.metrics().Snapshot();
-    outcome.series = recorder.Series();
-  }
+  // Export the simulator's own health gauges before snapshotting; they
+  // are deterministic (event counts, not wall time).
+  cluster.metrics().SetGauge(
+      "sim.executed_events",
+      static_cast<double>(cluster.sim().executed_events()));
+  cluster.metrics().SetGauge(
+      "sim.clamped_schedules",
+      static_cast<double>(cluster.sim().clamped_schedules()));
+  outcome.metrics = cluster.metrics().Snapshot();
   return outcome;
 }
 
 std::vector<SimOutcome> RunSweep(const std::vector<SimConfig>& configs,
                                  SweepOptions options) {
   sim::SweepRunner runner(sim::SweepRunner::Options{options.threads});
-  return runner.Map<SimOutcome>(configs.size(), [&](std::size_t i) {
-    SimConfig config = configs[i];
-    if (options.base_seed != 0) {
-      config.seed = sim::DeriveSeed(options.base_seed, i);
-    }
-    return RunScheme(config);
-  });
-}
-
-void OutcomeStats::Add(const SimOutcome& out) {
-  committed_rate.Add(out.Rate(out.committed));
-  deadlock_rate.Add(out.deadlock_rate());
-  wait_rate.Add(out.wait_rate());
-  reconciliation_rate.Add(out.reconciliation_rate());
-  metrics.Merge(out.metrics);
-  series.Add(out.series);
-}
-
-void OutcomeStats::Merge(const OutcomeStats& other) {
-  committed_rate.Merge(other.committed_rate);
-  deadlock_rate.Merge(other.deadlock_rate);
-  wait_rate.Merge(other.wait_rate);
-  reconciliation_rate.Merge(other.reconciliation_rate);
-  metrics.Merge(other.metrics);
-  series.Merge(other.series);
-}
-
-OutcomeStats RunRepeatedStats(const SimConfig& config, std::size_t reps,
-                              std::uint64_t base_seed, SweepOptions options) {
-  sim::SweepRunner runner(sim::SweepRunner::Options{options.threads});
-  // Fixed block partition — a function of `reps` alone, never of thread
-  // count — so each block's Add order and the final Merge order are
-  // identical on every machine and the merged moments are bit-stable.
-  constexpr std::size_t kStatsBlocks = 8;
-  std::size_t blocks = kStatsBlocks < reps ? kStatsBlocks : reps;
-  if (blocks == 0) blocks = 1;
-  std::vector<OutcomeStats> partial =
-      runner.Map<OutcomeStats>(blocks, [&](std::size_t b) {
-        OutcomeStats stats;
-        for (std::size_t rep = b; rep < reps; rep += blocks) {
-          SimConfig run = config;
-          run.seed = sim::DeriveSeed(base_seed, rep);
-          stats.Add(RunScheme(run));
-        }
-        return stats;
-      });
-  OutcomeStats merged;
-  for (const OutcomeStats& block : partial) merged.Merge(block);
-  return merged;
+  return runner.Map<SimOutcome>(
+      configs.size(), [&](std::size_t i) { return RunScheme(configs[i]); });
 }
 
 obs::RunReport MakeReport(std::string experiment, const SimConfig& config) {

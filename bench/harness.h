@@ -11,14 +11,12 @@
 #include "analytic/model.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
-#include "obs/timeseries.h"
 #include "replication/cluster.h"
 #include "replication/eager.h"
 #include "replication/lazy_group.h"
 #include "replication/lazy_master.h"
 #include "replication/ownership.h"
 #include "sim/sweep_runner.h"
-#include "util/stats.h"
 #include "workload/workload.h"
 
 namespace tdr::bench {
@@ -89,15 +87,6 @@ struct SimConfig {
   /// File backend only: real fdatasync when the durable line moves.
   bool wal_fsync = false;
 
-  /// If false the cluster is built with no metrics registry: every
-  /// handle is a no-op. This is the baseline bench_headline uses to
-  /// bound instrumentation overhead.
-  bool enable_metrics = true;
-  /// If true, record a fixed-interval time series of commit/apply rates
-  /// on the simulator clock into SimOutcome::series.
-  bool record_series = false;
-  double series_interval_seconds = 0.5;
-
   // Real-threads runtime (src/runtime). Both backends order events by
   // the same virtual (time, seq) key, so a (seed, config) pair is
   // bit-identical across them — the differential suite's oracle
@@ -147,11 +136,8 @@ struct SimOutcome {
   /// kThreads only: wall-seconds per sim-second actually achieved
   /// (nondeterministic; excluded from any equivalence comparison).
   double wall_sim_ratio = 0;
-  /// Deterministic snapshot of the cluster's full registry (empty when
-  /// SimConfig::enable_metrics is false).
+  /// Deterministic snapshot of the cluster's full registry.
   obs::MetricsSnapshot metrics;
-  /// Commit/apply rate series (empty unless SimConfig::record_series).
-  obs::TimeSeries series;
 
   double Rate(std::uint64_t count) const {
     return seconds > 0 ? static_cast<double>(count) / seconds : 0;
@@ -175,45 +161,14 @@ std::string FaultPlanName(const SimConfig& config);
 struct SweepOptions {
   /// Worker threads; 0 means one per hardware thread.
   unsigned threads = 0;
-  /// When nonzero, run i's seed is overridden with
-  /// sim::DeriveSeed(base_seed, i); when zero, each config's own seed is
-  /// used verbatim. Either way the outcome vector is bit-identical at
-  /// any thread count.
-  std::uint64_t base_seed = 0;
 };
 
-/// Runs every config through RunScheme on a thread pool and returns the
-/// outcomes in config order. Each run owns its Simulator, so results
-/// are deterministic regardless of thread count or schedule.
+/// Runs every config (each with its own seed) through RunScheme on a
+/// thread pool and returns the outcomes in config order. Each run owns
+/// its Simulator, so results are deterministic regardless of thread
+/// count or schedule.
 std::vector<SimOutcome> RunSweep(const std::vector<SimConfig>& configs,
                                  SweepOptions options = {});
-
-/// Per-metric Welford accumulators over a set of SimOutcomes. Built
-/// blockwise in parallel sweeps and combined with OnlineStats::Merge
-/// (parallel Welford), in fixed block order, so the merged moments are
-/// bit-stable at any thread count.
-struct OutcomeStats {
-  OnlineStats committed_rate;
-  OnlineStats deadlock_rate;
-  OnlineStats wait_rate;
-  OnlineStats reconciliation_rate;
-  /// Sum of every counter / merge of every histogram across the
-  /// repetitions (deterministic: block order is fixed).
-  obs::MetricsSnapshot metrics;
-  /// Per-bucket Welford moments of the recorded series (empty unless
-  /// the config sets record_series).
-  obs::TimeSeriesStats series;
-
-  void Add(const SimOutcome& out);
-  void Merge(const OutcomeStats& other);
-};
-
-/// Runs `reps` repetitions of `config` with seeds DeriveSeed(base_seed,
-/// rep), accumulating each worker block's outcomes locally and merging
-/// the blocks in index order.
-OutcomeStats RunRepeatedStats(const SimConfig& config, std::size_t reps,
-                              std::uint64_t base_seed,
-                              SweepOptions options = {});
 
 /// Maps a SimConfig onto the analytic model's parameters.
 analytic::ModelParams ToModelParams(const SimConfig& config);

@@ -18,9 +18,8 @@ struct ModelParams {
   // Mobile-node parameters (§4 disconnected analysis):
   double time_between_disconnects = 3600;  // mean connected time
   double disconnected_time = 0;            // Disconnect_Time
-  // Explicitly ignored by the model; retained so ablations can name them:
-  double message_delay = 0;
-  double message_cpu = 0;
+  // The model ignores message delay and message CPU, so neither is a
+  // parameter here.
 
   std::string ToString() const;
 };

@@ -14,7 +14,6 @@ Cluster::Options MakeClusterOptions(const TwoTierSystem::Options& o) {
   c.num_nodes = o.num_base + o.num_mobile;
   c.db_size = o.db_size;
   c.action_time = o.action_time;
-  c.net = o.net;
   c.seed = o.seed;
   return c;
 }
@@ -210,7 +209,7 @@ void TwoTierSystem::ReprocessFront(MobileNode* m, int attempts) {
             // "If a base transaction deadlocks, it is resubmitted and
             // reprocessed until it succeeds" (§7).
             cluster_.metrics().Increment("twotier.base_deadlocks");
-            if (attempts + 1 > options_.max_base_retries) {
+            if (attempts + 1 > kMaxBaseRetries) {
               // Safety valve; with the paper's semantics this should be
               // unreachable in practice.
               MobileNode::PendingTxn item = std::move(m->pending_.front());
@@ -224,10 +223,9 @@ void TwoTierSystem::ReprocessFront(MobileNode* m, int attempts) {
               ReprocessFront(m, 0);
               return;
             }
-            sim().ScheduleAfter(options_.base_retry_backoff,
-                                [this, m, attempts]() {
-                                  ReprocessFront(m, attempts + 1);
-                                });
+            sim().ScheduleAfter(kBaseRetryBackoff, [this, m, attempts]() {
+              ReprocessFront(m, attempts + 1);
+            });
             return;
           }
           case TxnOutcome::kUnavailable:

@@ -112,12 +112,13 @@ class TwoTierSystem {
     std::uint32_t num_mobile = 2;
     std::uint64_t db_size = 1000;
     SimTime action_time = SimTime::Millis(10);
-    Network::Options net;
     std::uint64_t seed = 42;
-    /// Base transactions are retried on deadlock up to this many times.
-    int max_base_retries = 1000;
-    SimTime base_retry_backoff = SimTime::Millis(10);
   };
+
+  /// Base transactions are retried on deadlock up to this many times,
+  /// each after this backoff.
+  static constexpr int kMaxBaseRetries = 1000;
+  static constexpr SimTime kBaseRetryBackoff = SimTime::Millis(10);
 
   explicit TwoTierSystem(Options options);
 

@@ -236,9 +236,13 @@ ChaosOutcome RunChaosCluster(const ChaosConfig& cfg) {
 }
 
 ChaosOutcome RunChaosTwoTier(const ChaosConfig& cfg) {
+  // Mobile nodes on top of num_nodes base nodes, and the tentative
+  // transactions each mobile submits per disconnect cycle.
+  constexpr std::uint32_t kNumMobile = 2;
+  constexpr std::uint32_t kTentativePerCycle = 3;
   TwoTierSystem::Options topts;
   topts.num_base = cfg.num_nodes;
-  topts.num_mobile = cfg.num_mobile;
+  topts.num_mobile = kNumMobile;
   topts.db_size = cfg.db_size;
   topts.action_time = cfg.action_time;
   topts.seed = cfg.seed;
@@ -310,9 +314,8 @@ ChaosOutcome RunChaosTwoTier(const ChaosConfig& cfg) {
       double t0 = c * cycle;
       sys.sim().ScheduleAt(SimTime::Seconds(t0 + 0.02 * cycle),
                            [&sys, m]() { sys.Disconnect(m); });
-      for (std::uint32_t k = 0; k < cfg.tentative_per_cycle; ++k) {
-        double frac = 0.1 + 0.6 * (k + 1.0) /
-                                (cfg.tentative_per_cycle + 1.0);
+      for (std::uint32_t k = 0; k < kTentativePerCycle; ++k) {
+        double frac = 0.1 + 0.6 * (k + 1.0) / (kTentativePerCycle + 1.0);
         sys.sim().ScheduleAt(
             SimTime::Seconds(t0 + frac * cycle),
             [&sys, &gen, m, mrng]() {

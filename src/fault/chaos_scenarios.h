@@ -27,10 +27,6 @@ struct ChaosConfig {
   /// check always runs).
   SimTime check_interval = SimTime::Seconds(1);
   fault::FaultPlan plan;
-  /// Two-tier only: mobile nodes on top of num_nodes base nodes.
-  std::uint32_t num_mobile = 2;
-  /// Two-tier only: tentative transactions per mobile per cycle.
-  std::uint32_t tentative_per_cycle = 3;
   /// If non-empty, write a Chrome trace-event JSON of the run here
   /// (load in https://ui.perfetto.dev): per-node transaction slices,
   /// commit -> replica-apply flow arrows, faults on their own track.

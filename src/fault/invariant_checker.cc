@@ -45,7 +45,7 @@ InvariantChecker::InvariantChecker(Cluster* cluster, Options options)
 
 InvariantChecker::~InvariantChecker() {
   Disarm();
-  if (!violations_.empty() && options_.abort_on_unchecked) {
+  if (!violations_.empty()) {
     std::fprintf(stderr,
                  "InvariantChecker[%s]: %llu UNCHECKED invariant "
                  "violation(s) at destruction:\n",
@@ -270,7 +270,7 @@ void InvariantChecker::CheckTwoTierLedger() {
 void InvariantChecker::Report(const char* invariant, std::string detail) {
   ++violations_total_;
   cluster_->metrics().Increment("invariant.violations");
-  if (violations_.size() >= options_.max_recorded) return;
+  if (violations_.size() >= kMaxRecorded) return;
   Violation v;
   v.invariant = invariant;
   v.detail = std::move(detail);

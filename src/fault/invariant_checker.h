@@ -89,13 +89,10 @@ class InvariantChecker {
     /// Fault history provider (e.g. FaultInjector::AppliedLogString),
     /// captured into each violation.
     std::function<std::string()> trace_fn;
-    /// Abort the process from the destructor on unacknowledged
-    /// violations. On by default; tests that EXPECT violations must
-    /// TakeViolations().
-    bool abort_on_unchecked = true;
-    /// At most this many violations keep full detail (all are counted).
-    std::size_t max_recorded = 100;
   };
+
+  /// At most this many violations keep full detail (all are counted).
+  static constexpr std::size_t kMaxRecorded = 100;
 
   InvariantChecker(Cluster* cluster, Options options);
   ~InvariantChecker();

@@ -81,7 +81,7 @@ void Network::Transmit(Handle h) {
       }
     }
   }
-  SimTime latency = options_.delay + options_.message_cpu * 2 + extra;
+  SimTime latency = options_.delay + extra;
   // Delivery runs at the DESTINATION: tag the event so the thread
   // backend executes it on the receiving node's worker.
   sim_->ScheduleAfterNode(to, latency, [this, h]() { Arrive(h); });

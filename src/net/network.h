@@ -67,9 +67,6 @@ class Network {
   struct Options {
     /// One-way propagation delay (paper default: zero).
     SimTime delay = SimTime::Zero();
-    /// Sender/receiver processing cost per message (paper default: zero;
-    /// charged as additional latency, the model's simplification).
-    SimTime message_cpu = SimTime::Zero();
   };
 
   /// What the fault layer may do to one message transmission.

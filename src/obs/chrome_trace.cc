@@ -132,7 +132,6 @@ Json ChromeTraceWriter::ToJsonValue() const {
       case TraceEventType::kTxnCommit: {
         // Flow origin: one arrow fans out from this commit to every
         // replica application of its updates.
-        if (!options_.flows) break;
         auto it = applies_by_root.find(e.txn);
         if (it == applies_by_root.end()) break;
         Json flow = MakeEvent("s", "replicate", e.time.micros(), pid, tid);
@@ -145,7 +144,6 @@ Json ChromeTraceWriter::ToJsonValue() const {
         // Slice end; already folded into the X event.
         break;
       default: {
-        if (!options_.instants) break;
         Json inst = MakeEvent("i", TraceEventTypeToString(e.type),
                               e.time.micros(), pid, tid);
         inst.Set("s", "t");
@@ -164,19 +162,17 @@ Json ChromeTraceWriter::ToJsonValue() const {
   // Flow steps/ends: bind each replica-update slice back to its origin
   // commit. The last application terminates the flow ("f" with
   // bp:"e"); intermediate ones are steps ("t").
-  if (options_.flows) {
-    for (const auto& [root, applies] : applies_by_root) {
-      for (std::size_t i = 0; i < applies.size(); ++i) {
-        const TraceEvent& e = *applies[i];
-        const bool final_step = i + 1 == applies.size();
-        Json flow = MakeEvent(final_step ? "f" : "t", "replicate",
-                              e.time.micros(),
-                              static_cast<std::int64_t>(e.node),
-                              static_cast<std::int64_t>(e.txn));
-        flow.Set("id", static_cast<std::uint64_t>(root));
-        if (final_step) flow.Set("bp", "e");
-        add(e.time.micros(), std::move(flow));
-      }
+  for (const auto& [root, applies] : applies_by_root) {
+    for (std::size_t i = 0; i < applies.size(); ++i) {
+      const TraceEvent& e = *applies[i];
+      const bool final_step = i + 1 == applies.size();
+      Json flow = MakeEvent(final_step ? "f" : "t", "replicate",
+                            e.time.micros(),
+                            static_cast<std::int64_t>(e.node),
+                            static_cast<std::int64_t>(e.txn));
+      flow.Set("id", static_cast<std::uint64_t>(root));
+      if (final_step) flow.Set("bp", "e");
+      add(e.time.micros(), std::move(flow));
     }
   }
 

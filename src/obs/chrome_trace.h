@@ -38,17 +38,6 @@ namespace tdr::obs {
 /// the event stream — deterministic runs produce byte-identical traces.
 class ChromeTraceWriter : public TraceSink {
  public:
-  struct Options {
-    /// Emit per-op instant events (kOpApply etc.). On by default; turn
-    /// off to shrink traces of long runs to just slices and flows.
-    bool instants = true;
-    /// Emit flow arrows from commits to replica applications.
-    bool flows = true;
-  };
-
-  ChromeTraceWriter() : ChromeTraceWriter(Options()) {}
-  explicit ChromeTraceWriter(Options options) : options_(options) {}
-
   // TraceSink:
   void OnEvent(const TraceEvent& event) override { events_.push_back(event); }
 
@@ -71,7 +60,6 @@ class ChromeTraceWriter : public TraceSink {
   bool WriteFile(const std::string& path) const;
 
  private:
-  Options options_;
   std::vector<TraceEvent> events_;
   std::vector<std::pair<SimTime, std::string>> faults_;
 };

@@ -53,44 +53,6 @@ std::uint64_t MetricsSnapshot::Counter(std::string_view name) const {
   return m != nullptr && m->kind == MetricKind::kCounter ? m->counter : 0;
 }
 
-void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
-  // Merge-join over two name-sorted vectors; the result stays sorted.
-  std::vector<MetricValue> merged;
-  merged.reserve(metrics.size() + other.metrics.size());
-  std::size_t i = 0, j = 0;
-  while (i < metrics.size() || j < other.metrics.size()) {
-    if (j >= other.metrics.size() ||
-        (i < metrics.size() && metrics[i].name < other.metrics[j].name)) {
-      merged.push_back(std::move(metrics[i++]));
-      continue;
-    }
-    if (i >= metrics.size() || other.metrics[j].name < metrics[i].name) {
-      merged.push_back(other.metrics[j++]);
-      continue;
-    }
-    MetricValue m = std::move(metrics[i++]);
-    const MetricValue& o = other.metrics[j++];
-    assert(m.kind == o.kind && "metric kind mismatch in snapshot merge");
-    switch (m.kind) {
-      case MetricKind::kCounter:
-        m.counter += o.counter;
-        break;
-      case MetricKind::kGauge:
-        m.gauge += o.gauge;
-        break;
-      case MetricKind::kHistogram:
-        m.histogram.Merge(o.histogram);
-        break;
-      case MetricKind::kStats:
-      case MetricKind::kProfile:
-        m.stats.Merge(o.stats);
-        break;
-    }
-    merged.push_back(std::move(m));
-  }
-  metrics = std::move(merged);
-}
-
 std::string MetricsSnapshot::ToString() const {
   std::string out;
   for (const MetricValue& m : metrics) {

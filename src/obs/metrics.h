@@ -49,16 +49,12 @@ struct MetricValue {
 };
 
 /// Deterministic snapshot of a registry: values sorted by canonical
-/// name, independent of registration order. Snapshots from repetitions
-/// of a sweep merge with `Merge` (counter addition, histogram bucket
-/// addition, parallel Welford), in fixed block order, so merged results
-/// are bit-stable at any SweepRunner thread count.
+/// name, independent of registration order.
 struct MetricsSnapshot {
   std::vector<MetricValue> metrics;  // sorted by name
 
   const MetricValue* Find(std::string_view name) const;
   std::uint64_t Counter(std::string_view name) const;
-  void Merge(const MetricsSnapshot& other);
   std::string ToString() const;
 };
 
@@ -79,7 +75,7 @@ struct SnapshotOptions {
 ///
 /// The registry is single-threaded by design, like everything else in
 /// one simulation run; parallelism lives in SweepRunner, where each run
-/// owns its registry and snapshots merge deterministically.
+/// owns its registry.
 ///
 /// The string API (Increment/Get) serves cold paths and keeps the call
 /// sites of the retired CounterRegistry working verbatim; it performs a

@@ -61,30 +61,6 @@ Json RunReport::SeriesToJson(const TimeSeries& series) {
   return out;
 }
 
-Json RunReport::SeriesStatsToJson(const TimeSeriesStats& stats) {
-  Json out = Json::Object();
-  out.Set("interval_seconds", stats.interval_seconds);
-  Json channels = Json::Array();
-  for (const TimeSeriesStats::Channel& channel : stats.channels) {
-    Json c = Json::Object();
-    c.Set("name", channel.name);
-    Json mean = Json::Array();
-    Json stddev = Json::Array();
-    Json count = Json::Array();
-    for (const OnlineStats& bucket : channel.buckets) {
-      mean.Push(bucket.mean());
-      stddev.Push(bucket.stddev());
-      count.Push(bucket.count());
-    }
-    c.Set("mean", std::move(mean));
-    c.Set("stddev", std::move(stddev));
-    c.Set("count", std::move(count));
-    channels.Push(std::move(c));
-  }
-  out.Set("channels", std::move(channels));
-  return out;
-}
-
 RunReport& RunReport::SetProfile(const MetricsRegistry& registry) {
   SnapshotOptions options;
   options.include_profile = true;

@@ -20,7 +20,7 @@ namespace tdr::obs {
 ///   config      knobs the run was launched with (insertion-ordered)
 ///   rows        the bench's table, one object per sweep point
 ///   metrics     deterministic MetricsSnapshot (name-sorted)
-///   series      sim-clock TimeSeries, or merged TimeSeriesStats
+///   series      sim-clock TimeSeries
 ///   invariants  invariant-checker summary (plain values; obs does not
 ///               depend on src/fault)
 ///   profile     WALL-CLOCK phase timings — nondeterministic by
@@ -57,11 +57,6 @@ class RunReport {
     return *this;
   }
 
-  RunReport& SetSeries(const TimeSeriesStats& stats) {
-    series_ = SeriesStatsToJson(stats);
-    return *this;
-  }
-
   /// Invariant-checker summary, passed as a prebuilt object so obs
   /// never depends on src/fault.
   RunReport& SetInvariants(Json summary) {
@@ -79,7 +74,6 @@ class RunReport {
   static Json MetricsToJson(const MetricsSnapshot& snapshot);
   static Json MetricValueToJson(const MetricValue& value);
   static Json SeriesToJson(const TimeSeries& series);
-  static Json SeriesStatsToJson(const TimeSeriesStats& stats);
 
   Json ToJsonValue() const;
   std::string ToJson(int indent = 1) const {

@@ -31,46 +31,6 @@ std::string TimeSeries::ToString() const {
   return out;
 }
 
-void TimeSeriesStats::Add(const TimeSeries& series) {
-  if (channels.empty()) {
-    interval_seconds = series.interval_seconds;
-    channels.reserve(series.channels.size());
-    for (const TimeSeries::Channel& c : series.channels) {
-      channels.push_back(Channel{c.name, {}});
-    }
-  }
-  assert(channels.size() == series.channels.size() &&
-         "TimeSeriesStats::Add: channel sets differ");
-  for (std::size_t i = 0; i < channels.size(); ++i) {
-    assert(channels[i].name == series.channels[i].name);
-    const std::vector<double>& values = series.channels[i].values;
-    std::vector<OnlineStats>& buckets = channels[i].buckets;
-    if (buckets.size() < values.size()) buckets.resize(values.size());
-    for (std::size_t k = 0; k < values.size(); ++k) {
-      buckets[k].Add(values[k]);
-    }
-  }
-}
-
-void TimeSeriesStats::Merge(const TimeSeriesStats& other) {
-  if (other.channels.empty()) return;
-  if (channels.empty()) {
-    *this = other;
-    return;
-  }
-  assert(channels.size() == other.channels.size() &&
-         "TimeSeriesStats::Merge: channel sets differ");
-  for (std::size_t i = 0; i < channels.size(); ++i) {
-    assert(channels[i].name == other.channels[i].name);
-    std::vector<OnlineStats>& buckets = channels[i].buckets;
-    const std::vector<OnlineStats>& theirs = other.channels[i].buckets;
-    if (buckets.size() < theirs.size()) buckets.resize(theirs.size());
-    for (std::size_t k = 0; k < theirs.size(); ++k) {
-      buckets[k].Merge(theirs[k]);
-    }
-  }
-}
-
 TimeSeriesRecorder::TimeSeriesRecorder(runtime::Runtime* rt,
                                        MetricsRegistry* registry,
                                        Options options)

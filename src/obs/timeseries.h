@@ -9,7 +9,6 @@
 #include "obs/metrics.h"
 #include "runtime/runtime.h"
 #include "util/sim_time.h"
-#include "util/stats.h"
 
 namespace tdr::obs {
 
@@ -32,23 +31,6 @@ struct TimeSeries {
   }
   const Channel* Find(std::string_view name) const;
   std::string ToString() const;
-};
-
-/// Per-bucket Welford moments over many TimeSeries — how parallel
-/// sweeps aggregate repetitions. Add() each run's series (channels must
-/// match), Merge() partial accumulations blockwise in fixed block order
-/// (OnlineStats::Merge is the parallel-Welford combine), and the merged
-/// moments are bit-stable at any SweepRunner thread count.
-struct TimeSeriesStats {
-  double interval_seconds = 0.0;
-  struct Channel {
-    std::string name;
-    std::vector<OnlineStats> buckets;
-  };
-  std::vector<Channel> channels;
-
-  void Add(const TimeSeries& series);
-  void Merge(const TimeSeriesStats& other);
 };
 
 /// Samples registry metrics on the SIMULATOR clock — never wall time —

@@ -52,9 +52,9 @@ class Cluster {
     /// (production-style detection; see the A4 ablation).
     bool detect_deadlock_cycles = true;
     /// If false, Executor/Network/schemes are built with no registry —
-    /// every metric handle degrades to a no-op. This is the baseline
-    /// bench_headline compares against to bound instrumentation
-    /// overhead; metrics() still exists but stays empty.
+    /// every metric handle degrades to a no-op (bench_hot_path and the
+    /// allocation audit count the bare hot path this way); metrics()
+    /// still exists but stays empty.
     bool enable_metrics = true;
     /// Execution backend; every component schedules through runtime().
     RuntimeBackend backend = RuntimeBackend::kSim;

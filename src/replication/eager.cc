@@ -28,13 +28,13 @@ bool AllReachable(Cluster* cluster, NodeId origin) {
 void EagerGroupScheme::Submit(NodeId origin, const Program& program,
                               DoneCallback done) {
   if (!cluster_->node(origin)->connected() ||
-      (options_.require_all_connected && !AllReachable(cluster_, origin))) {
+      !AllReachable(cluster_, origin)) {
     cluster_->metrics().Increment("scheme.unavailable");
     if (done) done(UnavailableResult(origin, cluster_->runtime().Now()));
     return;
   }
   // Compile: each write applies at the origin replica first, then at
-  // every other (connected) replica, sequentially — Figure 1's
+  // every other replica, sequentially — Figure 1's
   // three-node eager transaction. The plan builds in the executor's
   // scratch buffer and runs out of a pooled transaction record.
   std::vector<ExecStep>& steps = cluster_->executor().NewPlan();
@@ -46,14 +46,13 @@ void EagerGroupScheme::Submit(NodeId origin, const Program& program,
     steps.push_back(ExecStep{origin, op});
     for (NodeId n = 0; n < cluster_->size(); ++n) {
       if (n == origin) continue;
-      if (!cluster_->net().Reachable(origin, n)) continue;  // quorum variant
       steps.push_back(
           ExecStep{n, op, /*charge=*/!options_.parallel_replica_updates});
     }
   }
   Executor::RunOptions opts;
   opts.action_time = cluster_->options().action_time;
-  opts.record_updates = options_.record_updates;
+  opts.record_updates = false;
   opts.lock_reads = options_.lock_reads;
   opts.wait_timeout = options_.wait_timeout;
   cluster_->executor().RunPlan(origin, std::move(opts), std::move(done));
@@ -61,21 +60,14 @@ void EagerGroupScheme::Submit(NodeId origin, const Program& program,
 
 void EagerMasterScheme::Submit(NodeId origin, const Program& program,
                                DoneCallback done) {
+  // Every node reachable implies every master reachable: "A node wanting
+  // to update an object must be connected to the object owner" (§5;
+  // same constraint eagerly).
   if (!cluster_->node(origin)->connected() ||
-      (options_.require_all_connected && !AllReachable(cluster_, origin))) {
+      !AllReachable(cluster_, origin)) {
     cluster_->metrics().Increment("scheme.unavailable");
     if (done) done(UnavailableResult(origin, cluster_->runtime().Now()));
     return;
-  }
-  // Masters must be reachable: "A node wanting to update an object must
-  // be connected to the object owner" (§5; same constraint eagerly).
-  for (const Op& op : program.ops()) {
-    if (op.IsWrite() &&
-        !cluster_->net().Reachable(origin, ownership_->OwnerOf(op.oid))) {
-      cluster_->metrics().Increment("scheme.unavailable");
-      if (done) done(UnavailableResult(origin, cluster_->runtime().Now()));
-      return;
-    }
   }
   // Compile: writes lock the master copy first ("updates go to this node
   // first and are then applied to the replicas"), then fan out.
@@ -90,13 +82,12 @@ void EagerMasterScheme::Submit(NodeId origin, const Program& program,
     steps.push_back(ExecStep{owner, op});
     for (NodeId n = 0; n < cluster_->size(); ++n) {
       if (n == owner) continue;
-      if (!cluster_->net().Reachable(origin, n)) continue;
       steps.push_back(ExecStep{n, op});
     }
   }
   Executor::RunOptions opts;
   opts.action_time = cluster_->options().action_time;
-  opts.record_updates = options_.record_updates;
+  opts.record_updates = false;
   cluster_->executor().RunPlan(origin, std::move(opts), std::move(done));
 }
 

@@ -15,15 +15,14 @@ namespace tdr {
 /// (origin first), so transaction size is Actions x Nodes and duration
 /// Actions x Nodes x Action_Time — exactly Eq. (6). There are no
 /// reconciliations; conflicts surface as waits and deadlocks.
+///
+/// "Simple eager replication systems prohibit updates if any node is
+/// disconnected": Submit fails kUnavailable unless every node is
+/// reachable from the origin. Skipping offline replicas is the quorum
+/// scheme's job (QuorumEagerScheme, §3's availability mechanism).
 class EagerGroupScheme : public ReplicationScheme {
  public:
   struct Options {
-    /// "Simple eager replication systems prohibit updates if any node is
-    /// disconnected" — when true, Submit fails kUnavailable if any node
-    /// is offline. When false, offline replicas are skipped (the quorum
-    /// assumption the paper adopts for availability).
-    bool require_all_connected = true;
-    bool record_updates = false;
     /// Footnote-2 ablation: replica updates broadcast in parallel, so
     /// only the first (origin) application of each action costs
     /// Action_Time. Transaction duration stays Actions x Action_Time
@@ -62,19 +61,12 @@ class EagerGroupScheme : public ReplicationScheme {
 /// inside the one user transaction. Ordering every writer of an object
 /// through its master removes the group scheme's update races; the
 /// deadlock analysis (Eq. 12) is otherwise identical, which the
-/// benches confirm.
+/// benches confirm. Like the group scheme, Submit fails kUnavailable
+/// unless every node (the masters included) is reachable.
 class EagerMasterScheme : public ReplicationScheme {
  public:
-  struct Options {
-    bool require_all_connected = true;
-    bool record_updates = false;
-  };
-
   EagerMasterScheme(Cluster* cluster, const Ownership* ownership)
-      : EagerMasterScheme(cluster, ownership, Options()) {}
-  EagerMasterScheme(Cluster* cluster, const Ownership* ownership,
-                    Options options)
-      : cluster_(cluster), ownership_(ownership), options_(options) {}
+      : cluster_(cluster), ownership_(ownership) {}
 
   std::string_view name() const override { return "eager-master"; }
   bool eager() const override { return true; }
@@ -89,7 +81,6 @@ class EagerMasterScheme : public ReplicationScheme {
  private:
   Cluster* cluster_;
   const Ownership* ownership_;
-  Options options_;
 };
 
 }  // namespace tdr

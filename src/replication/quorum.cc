@@ -109,7 +109,7 @@ void QuorumEagerScheme::Submit(NodeId origin, const Program& program,
   }
   Executor::RunOptions opts;
   opts.action_time = cluster_->options().action_time;
-  opts.record_updates = options_.record_updates;
+  opts.record_updates = false;
   cluster_->executor().RunPlan(origin, std::move(opts), std::move(done));
 }
 

@@ -36,7 +36,6 @@ class QuorumEagerScheme : public ReplicationScheme {
     /// Votes a read set must muster; 0 = total - write_quorum + 1 (the
     /// minimum that still guarantees intersection).
     std::uint32_t read_quorum = 0;
-    bool record_updates = false;
   };
 
   explicit QuorumEagerScheme(Cluster* cluster)

@@ -274,7 +274,7 @@ void ReplicaApplier::HandleDeadlock(Job* job) {
   m_deadlocks_.Increment();
   job->node->locks().ReleaseAll(job->txn);
   ++job->report.deadlock_retries;
-  if (job->report.deadlock_retries > job->options.max_retries) {
+  if (job->report.deadlock_retries > kMaxRetries) {
     job->report.gave_up = true;
     m_gave_up_.Increment();
     FinishJob(job);
@@ -288,7 +288,7 @@ void ReplicaApplier::HandleDeadlock(Job* job) {
   job->txn = executor_->AllocateTxnId();
   const std::uint64_t serial = job->serial;
   sim_->ScheduleAfterNode(
-      job->node->id(), job->options.retry_backoff, [this, job, serial]() {
+      job->node->id(), kRetryBackoff, [this, job, serial]() {
         if (job->serial != serial) return;
         AcquireNext(job);
       });

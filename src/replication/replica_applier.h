@@ -33,7 +33,7 @@ namespace tdr {
 ///
 /// Replica update transactions "can abort and restart without affecting
 /// the user" (§5); on deadlock the applier releases everything and
-/// retries after a short backoff, up to max_retries.
+/// retries after a short backoff, up to kMaxRetries times.
 class ReplicaApplier {
  public:
   enum class Mode {
@@ -44,8 +44,6 @@ class ReplicaApplier {
   struct Options {
     SimTime action_time = SimTime::Millis(10);
     Mode mode = Mode::kTimestampMatch;
-    int max_retries = 1000;
-    SimTime retry_backoff = SimTime::Millis(10);
     /// With a multi-shard map, a batch is partitioned by shard and each
     /// non-empty shard applies as its OWN replica transaction, in
     /// ascending shard order — atomic per shard. Lock footprints shrink
@@ -57,12 +55,17 @@ class ReplicaApplier {
     const ShardMap* shards = nullptr;
   };
 
+  /// Deadlock retries per replica transaction before it gives up, and
+  /// the backoff before each retry.
+  static constexpr int kMaxRetries = 1000;
+  static constexpr SimTime kRetryBackoff = SimTime::Millis(10);
+
   struct Report {
     std::uint64_t applied = 0;
     std::uint64_t stale = 0;         // kNewerWins: ignored stale updates
     std::uint64_t conflicts = 0;     // kTimestampMatch: reconciliations
     int deadlock_retries = 0;
-    bool gave_up = false;            // exceeded max_retries
+    bool gave_up = false;            // exceeded kMaxRetries
   };
 
   using Done = std::function<void(const Report&)>;

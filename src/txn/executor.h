@@ -162,7 +162,7 @@ class Executor {
 
   /// `nodes[i]->id()` must equal i. All pointers must outlive the
   /// executor. `metrics` may be null — instrumentation then degrades to
-  /// no-op handles, which is also how the overhead baseline is measured.
+  /// no-op handles.
   Executor(runtime::Runtime* rt, std::vector<Node*> nodes,
            obs::MetricsRegistry* metrics);
 

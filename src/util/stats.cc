@@ -19,23 +19,6 @@ void OnlineStats::Add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void OnlineStats::Merge(const OnlineStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  double delta = other.mean_ - mean_;
-  std::uint64_t n = count_ + other.count_;
-  double na = static_cast<double>(count_);
-  double nb = static_cast<double>(other.count_);
-  mean_ += delta * nb / static_cast<double>(n);
-  m2_ += other.m2_ + delta * delta * na * nb / static_cast<double>(n);
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  count_ = n;
-}
-
 double OnlineStats::variance() const {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);
@@ -92,23 +75,6 @@ void Histogram::Add(std::uint64_t value) {
   }
   ++count_;
   sum_ += value;
-}
-
-void Histogram::Merge(const Histogram& other) {
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  if (other.count_ > 0) {
-    if (count_ == 0) {
-      min_ = other.min_;
-      max_ = other.max_;
-    } else {
-      min_ = std::min(min_, other.min_);
-      max_ = std::max(max_, other.max_);
-    }
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
 }
 
 double Histogram::mean() const {

@@ -17,9 +17,6 @@ class OnlineStats {
 
   void Add(double x);
 
-  /// Merges another accumulator into this one (parallel Welford).
-  void Merge(const OnlineStats& other);
-
   std::uint64_t count() const { return count_; }
   double mean() const { return count_ == 0 ? 0.0 : mean_; }
   double min() const { return min_; }
@@ -55,7 +52,6 @@ class Histogram {
   Histogram();
 
   void Add(std::uint64_t value);
-  void Merge(const Histogram& other);
 
   std::uint64_t count() const { return count_; }
   double mean() const;

@@ -64,24 +64,4 @@ std::string TpcbWorkload::Describe() const {
       (unsigned long long)db_size_);
 }
 
-ProgramGenerator::Options HotColdShardScenario::MakeGeneratorOptions()
-    const {
-  ProgramGenerator::Options opts;
-  opts.db_size = db_size;
-  opts.actions = actions;
-  opts.mix = OpMix::AllWrites();
-  opts.skew_num_shards = num_shards;
-  opts.skew_hot_shards = hot_shards;
-  opts.skew_hot_fraction = hot_fraction;
-  return opts;
-}
-
-std::string HotColdShardScenario::Describe() const {
-  return StrPrintf(
-      "hot/cold shards: %llu objects in %u shards, %.0f%% of picks in "
-      "the first %u shard(s), %u actions/txn",
-      (unsigned long long)db_size, num_shards, hot_fraction * 100.0,
-      hot_shards, actions);
-}
-
 }  // namespace tdr

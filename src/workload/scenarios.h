@@ -6,7 +6,6 @@
 
 #include "txn/program.h"
 #include "util/rng.h"
-#include "workload/workload.h"
 
 namespace tdr {
 
@@ -78,25 +77,6 @@ class TpcbWorkload {
  private:
   Options options_;
   std::uint64_t db_size_;
-};
-
-/// Hot/cold shard skew scenario — the bench_sharding workload. The key
-/// space is range-partitioned into `num_shards` (match the cluster's
-/// ShardMap) and `hot_fraction` of every transaction's object picks
-/// land in the first `hot_shards` shards. Replica-update traffic then
-/// concentrates on a few shards, which is exactly what per-shard lock
-/// tables and per-window batch coalescing exist to absorb.
-struct HotColdShardScenario {
-  std::uint64_t db_size = 10000;
-  std::uint32_t num_shards = 16;
-  std::uint32_t hot_shards = 1;
-  double hot_fraction = 0.9;
-  std::uint32_t actions = 4;
-
-  /// ProgramGenerator options realizing the skew (all-writes mix, the
-  /// paper's base model).
-  ProgramGenerator::Options MakeGeneratorOptions() const;
-  std::string Describe() const;
 };
 
 }  // namespace tdr

@@ -1,5 +1,6 @@
 #include "workload/workload.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "storage/shard_map.h"
@@ -10,8 +11,7 @@ ProgramGenerator::ProgramGenerator(Options options)
     : options_(std::move(options)) {
   assert(options_.db_size > 0);
   assert(options_.actions > 0);
-  assert(!options_.distinct_objects ||
-         options_.actions <= options_.db_size);
+  assert(options_.actions <= options_.db_size);
   double total = options_.mix.write + options_.mix.add +
                  options_.mix.subtract + options_.mix.append +
                  options_.mix.read;
@@ -70,37 +70,27 @@ Program ProgramGenerator::Next(Rng& rng) {
 
 void ProgramGenerator::NextInto(Rng& rng, Program* out) {
   out->Clear();
-  if (options_.distinct_objects && zipf_ == nullptr && hot_span_ == 0) {
-    // Uniform + distinct: sample without replacement.
+  if (zipf_ == nullptr && hot_span_ == 0) {
+    // Uniform: sample without replacement.
     rng.SampleWithoutReplacementInto(options_.db_size, options_.actions,
                                      &sample_scratch_);
     for (std::uint64_t oid : sample_scratch_) {
-      std::int64_t operand =
-          rng.UniformRange(options_.operand_lo, options_.operand_hi);
+      std::int64_t operand = rng.UniformRange(kOperandLo, kOperandHi);
       out->Add(Op{PickType(rng), oid, operand});
     }
     return;
   }
-  // Zipfian (or repeats allowed): rejection-sample distinctness.
+  // Skewed: rejection-sample distinctness.
   chosen_scratch_.clear();
   for (std::uint32_t i = 0; i < options_.actions; ++i) {
     ObjectId oid = PickObject(rng);
-    if (options_.distinct_objects) {
-      bool dup = false;
-      for (ObjectId c : chosen_scratch_) {
-        if (c == oid) {
-          dup = true;
-          break;
-        }
-      }
-      if (dup) {
-        --i;
-        continue;
-      }
-      chosen_scratch_.push_back(oid);
+    if (std::find(chosen_scratch_.begin(), chosen_scratch_.end(), oid) !=
+        chosen_scratch_.end()) {
+      --i;
+      continue;
     }
-    std::int64_t operand =
-        rng.UniformRange(options_.operand_lo, options_.operand_hi);
+    chosen_scratch_.push_back(oid);
+    std::int64_t operand = rng.UniformRange(kOperandLo, kOperandHi);
     out->Add(Op{PickType(rng), oid, operand});
   }
 }

@@ -36,18 +36,16 @@ struct OpMix {
 };
 
 /// Generates transaction programs per the Table 2 model: each
-/// transaction touches `actions` objects "chosen uniformly from the
-/// database" (no hotspots), each with one update action. A Zipfian
-/// skew knob exists for the hotspot ablation.
+/// transaction touches `actions` distinct objects (the model counts
+/// distinct resources) "chosen uniformly from the database" (no
+/// hotspots), each with one update action. A Zipfian skew knob exists
+/// for the hotspot ablation.
 class ProgramGenerator {
  public:
   struct Options {
     std::uint64_t db_size = 10000;
     std::uint32_t actions = 4;
     OpMix mix;
-    /// Objects per transaction are distinct (the model counts distinct
-    /// resources); turn off to allow repeats.
-    bool distinct_objects = true;
     /// 0 = uniform access (the paper's model); (0,1) = Zipfian skew.
     double zipf_theta = 0.0;
     /// Hot/cold SHARD skew (the bench_sharding scenario). With
@@ -55,15 +53,16 @@ class ProgramGenerator {
     /// contiguous range shards (set it to match
     /// Cluster::Options::num_shards) and each object pick lands in the
     /// first skew_hot_shards shards with probability skew_hot_fraction,
-    /// uniform within the chosen region. Composes with
-    /// distinct_objects; mutually exclusive with zipf_theta.
+    /// uniform within the chosen region. Mutually exclusive with
+    /// zipf_theta.
     std::uint32_t skew_num_shards = 0;
     std::uint32_t skew_hot_shards = 0;
     double skew_hot_fraction = 0.0;
-    /// Operand range for arithmetic/write/append ops.
-    std::int64_t operand_lo = 1;
-    std::int64_t operand_hi = 100;
   };
+
+  /// Operand range for arithmetic/write/append ops.
+  static constexpr std::int64_t kOperandLo = 1;
+  static constexpr std::int64_t kOperandHi = 100;
 
   explicit ProgramGenerator(Options options);
 

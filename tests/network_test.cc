@@ -52,17 +52,6 @@ TEST_F(NetworkTest, DelayedDelivery) {
   EXPECT_EQ(arrival, SimTime::Millis(50));
 }
 
-TEST_F(NetworkTest, MessageCpuChargedBothEnds) {
-  Network::Options opts;
-  opts.delay = SimTime::Millis(10);
-  opts.message_cpu = SimTime::Millis(2);
-  Init(2, opts);
-  SimTime arrival;
-  net_->Send(0, 1, [&] { arrival = sim_.Now(); });
-  sim_.Run();
-  EXPECT_EQ(arrival, SimTime::Millis(14));  // 10 + 2x2
-}
-
 TEST_F(NetworkTest, InOrderDeliveryPerSender) {
   Init(2);
   std::vector<int> order;

@@ -1,6 +1,6 @@
 // The observability determinism contract: for the same (seed, config),
-// metrics snapshots, time series, and whole RunReport documents are
-// byte-identical across replays and across SweepRunner thread counts.
+// metrics snapshots and whole RunReport documents are byte-identical
+// across replays and across SweepRunner thread counts.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +26,6 @@ std::vector<SimConfig> SmallGrid() {
     config.actions = 3;
     config.action_time = 0.005;
     config.sim_seconds = 10;
-    config.record_series = true;
     grid.push_back(config);
   }
   return grid;
@@ -35,19 +34,13 @@ std::vector<SimConfig> SmallGrid() {
 obs::RunReport ReportFor(const std::vector<SimConfig>& grid,
                          const std::vector<SimOutcome>& outcomes) {
   obs::RunReport report = MakeReport("determinism", grid[0]);
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    report.AddRow(ReportRow(grid[i], outcomes[i]));
-  }
-  // Fold every run's registry and series in; any nondeterminism in a
+  // Each row carries its run's whole registry; any nondeterminism in a
   // single counter or bucket shows up as a byte difference.
-  obs::MetricsSnapshot merged;
-  obs::TimeSeriesStats series;
-  for (const SimOutcome& out : outcomes) {
-    merged.Merge(out.metrics);
-    series.Add(out.series);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    obs::Json row = ReportRow(grid[i], outcomes[i]);
+    row.Set("metrics", obs::RunReport::MetricsToJson(outcomes[i].metrics));
+    report.AddRow(std::move(row));
   }
-  report.SetMetrics(merged);
-  report.SetSeries(series);
   // Deliberately no SetProfile: wall-clock timings are the one section
   // outside the determinism contract.
   return report;
@@ -83,29 +76,7 @@ TEST(ObsDeterminismTest, PerRunSnapshotsIdenticalAcrossThreadCounts) {
     EXPECT_EQ(obs::RunReport::MetricsToJson(a[i].metrics).Dump(),
               obs::RunReport::MetricsToJson(b[i].metrics).Dump())
         << "run " << i;
-    EXPECT_EQ(obs::RunReport::SeriesToJson(a[i].series).Dump(),
-              obs::RunReport::SeriesToJson(b[i].series).Dump())
-        << "run " << i;
   }
-}
-
-TEST(ObsDeterminismTest, RepeatedStatsIdenticalAcrossThreadCounts) {
-  SimConfig config = SmallGrid()[0];
-
-  SweepOptions serial;
-  serial.threads = 1;
-  SweepOptions parallel;
-  parallel.threads = 4;
-  OutcomeStats a = RunRepeatedStats(config, 8, /*base_seed=*/99, serial);
-  OutcomeStats b = RunRepeatedStats(config, 8, /*base_seed=*/99, parallel);
-
-  EXPECT_EQ(a.committed_rate.count(), b.committed_rate.count());
-  EXPECT_EQ(a.committed_rate.mean(), b.committed_rate.mean());
-  EXPECT_EQ(a.deadlock_rate.mean(), b.deadlock_rate.mean());
-  EXPECT_EQ(obs::RunReport::MetricsToJson(a.metrics).Dump(),
-            obs::RunReport::MetricsToJson(b.metrics).Dump());
-  EXPECT_EQ(obs::RunReport::SeriesStatsToJson(a.series).Dump(),
-            obs::RunReport::SeriesStatsToJson(b.series).Dump());
 }
 
 TEST(ObsDeterminismTest, ReplayYieldsIdenticalReportBytes) {
@@ -114,8 +85,6 @@ TEST(ObsDeterminismTest, ReplayYieldsIdenticalReportBytes) {
   SimOutcome second = RunScheme(config);
   EXPECT_EQ(obs::RunReport::MetricsToJson(first.metrics).Dump(),
             obs::RunReport::MetricsToJson(second.metrics).Dump());
-  EXPECT_EQ(obs::RunReport::SeriesToJson(first.series).Dump(),
-            obs::RunReport::SeriesToJson(second.series).Dump());
   EXPECT_EQ(ReportRow(config, first).Dump(),
             ReportRow(config, second).Dump());
 }

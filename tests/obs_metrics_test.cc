@@ -201,72 +201,6 @@ TEST(MetricsRegistryTest, ResetZeroesButKeepsHandlesValid) {
   EXPECT_EQ(reg.Value("g"), 2.0);
 }
 
-// --- Merge parity -----------------------------------------------------
-
-TEST(MetricsSnapshotTest, CounterAndHistogramMergeMatchesCombinedRun) {
-  // One registry sees all the data; two others split it. Merging the
-  // split snapshots must reproduce the combined one exactly (counters
-  // and histogram buckets are pure additions).
-  MetricsRegistry all, left, right;
-  for (std::uint64_t v = 0; v < 200; ++v) {
-    all.GetHistogram("lock.wait_micros").Record(v * 37 % 997);
-    (v < 120 ? left : right)
-        .GetHistogram("lock.wait_micros")
-        .Record(v * 37 % 997);
-    all.Increment("txn.committed");
-    (v < 120 ? left : right).Increment("txn.committed");
-  }
-  MetricsSnapshot merged = left.Snapshot();
-  merged.Merge(right.Snapshot());
-  MetricsSnapshot combined = all.Snapshot();
-  EXPECT_EQ(merged.Counter("txn.committed"),
-            combined.Counter("txn.committed"));
-  const MetricValue* mh = merged.Find("lock.wait_micros");
-  const MetricValue* ch = combined.Find("lock.wait_micros");
-  ASSERT_NE(mh, nullptr);
-  ASSERT_NE(ch, nullptr);
-  EXPECT_EQ(mh->histogram.count(), ch->histogram.count());
-  EXPECT_EQ(mh->histogram.Percentile(50), ch->histogram.Percentile(50));
-  EXPECT_EQ(mh->histogram.Percentile(99), ch->histogram.Percentile(99));
-  EXPECT_DOUBLE_EQ(mh->histogram.mean(), ch->histogram.mean());
-}
-
-TEST(MetricsSnapshotTest, StatsMergeIsParallelWelford) {
-  MetricsRegistry all, left, right;
-  for (int v = 0; v < 100; ++v) {
-    double x = 0.25 * v - 7;
-    all.GetStats("s").Record(x);
-    (v % 2 == 0 ? left : right).GetStats("s").Record(x);
-  }
-  MetricsSnapshot merged = left.Snapshot();
-  merged.Merge(right.Snapshot());
-  MetricsSnapshot whole = all.Snapshot();
-  const OnlineStats& m = merged.Find("s")->stats;
-  const OnlineStats& c = whole.Find("s")->stats;
-  EXPECT_EQ(m.count(), c.count());
-  EXPECT_NEAR(m.mean(), c.mean(), 1e-12);
-  EXPECT_NEAR(m.stddev(), c.stddev(), 1e-9);
-  EXPECT_EQ(m.min(), c.min());
-  EXPECT_EQ(m.max(), c.max());
-}
-
-TEST(MetricsSnapshotTest, MergeIsUnionOverNames) {
-  MetricsRegistry a, b;
-  a.Increment("only.a", 3);
-  a.Increment("shared", 1);
-  b.Increment("only.b", 5);
-  b.Increment("shared", 2);
-  MetricsSnapshot merged = a.Snapshot();
-  merged.Merge(b.Snapshot());
-  EXPECT_EQ(merged.Counter("only.a"), 3u);
-  EXPECT_EQ(merged.Counter("only.b"), 5u);
-  EXPECT_EQ(merged.Counter("shared"), 3u);
-  // Union result stays name-sorted.
-  for (std::size_t i = 1; i < merged.metrics.size(); ++i) {
-    EXPECT_LT(merged.metrics[i - 1].name, merged.metrics[i].name);
-  }
-}
-
 // --- TimeSeriesRecorder -----------------------------------------------
 
 TEST(TimeSeriesRecorderTest, CumulativeAndRateChannels) {
@@ -321,34 +255,6 @@ TEST(TimeSeriesRecorderTest, ChannelsSortedByName) {
   ASSERT_EQ(series.channels.size(), 2u);
   EXPECT_EQ(series.channels[0].name, "alpha");
   EXPECT_EQ(series.channels[1].name, "zeta");
-}
-
-TEST(TimeSeriesStatsTest, AddThenMergeMatchesSequentialAdds) {
-  TimeSeries s1, s2;
-  s1.interval_seconds = s2.interval_seconds = 0.5;
-  s1.channels.push_back({"rate", true, {1, 2, 3}});
-  s2.channels.push_back({"rate", true, {5, 6, 7}});
-
-  TimeSeriesStats sequential;
-  sequential.Add(s1);
-  sequential.Add(s2);
-
-  TimeSeriesStats left, right;
-  left.Add(s1);
-  right.Add(s2);
-  left.Merge(right);
-
-  ASSERT_EQ(sequential.channels.size(), 1u);
-  ASSERT_EQ(left.channels.size(), 1u);
-  ASSERT_EQ(left.channels[0].buckets.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    const OnlineStats& a = sequential.channels[0].buckets[i];
-    const OnlineStats& b = left.channels[0].buckets[i];
-    EXPECT_EQ(a.count(), b.count());
-    EXPECT_NEAR(a.mean(), b.mean(), 1e-12);
-    EXPECT_EQ(a.min(), b.min());
-    EXPECT_EQ(a.max(), b.max());
-  }
 }
 
 }  // namespace

@@ -121,7 +121,6 @@ TEST(DifferentialMetricsTest, SnapshotsMatchAcrossBackends) {
     SimOutcome thr_out = RunScheme(thr_cfg);
     SCOPED_TRACE(SchemeKindName(kind));
     EXPECT_EQ(sim_out.metrics.ToString(), thr_out.metrics.ToString());
-    EXPECT_EQ(sim_out.series.ToString(), thr_out.series.ToString());
   }
 }
 

@@ -66,25 +66,6 @@ TEST(EagerGroupTest, UnavailableWhenAnyNodeDisconnected) {
   EXPECT_EQ(cluster.node(0)->store().GetUnchecked(1).value.AsScalar(), 0);
 }
 
-TEST(EagerGroupTest, QuorumVariantSkipsDisconnectedReplica) {
-  EagerGroupScheme::Options opts;
-  opts.require_all_connected = false;
-  Cluster cluster(SmallCluster(3));
-  EagerGroupScheme scheme(&cluster, opts);
-  cluster.net().SetConnected(2, false);
-  std::optional<TxnResult> result;
-  scheme.Submit(0, Program({Op::Write(1, 9)}),
-                [&](const TxnResult& r) { result = r; });
-  cluster.sim().Run();
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->outcome, TxnOutcome::kCommitted);
-  EXPECT_EQ(cluster.node(0)->store().GetUnchecked(1).value.AsScalar(), 9);
-  EXPECT_EQ(cluster.node(1)->store().GetUnchecked(1).value.AsScalar(), 9);
-  // The disconnected replica is now stale — quorum availability trades
-  // freshness ("Reads at disconnected nodes may give stale data", §3).
-  EXPECT_EQ(cluster.node(2)->store().GetUnchecked(1).value.AsScalar(), 0);
-}
-
 TEST(EagerGroupTest, CrossNodeConflictMayDeadlock) {
   // Two transactions updating the same two objects from different nodes
   // in opposite orders: the classic distributed deadlock.
@@ -164,11 +145,9 @@ TEST(EagerMasterTest, SameObjectWritersSerializeWithoutDeadlock) {
 }
 
 TEST(EagerMasterTest, UnavailableWhenOwnerDisconnected) {
-  EagerMasterScheme::Options opts;
-  opts.require_all_connected = false;
   Cluster cluster(SmallCluster(3));
   Ownership own = Ownership::RoundRobin(32, {0, 1, 2});
-  EagerMasterScheme scheme(&cluster, &own, opts);
+  EagerMasterScheme scheme(&cluster, &own);
   cluster.net().SetConnected(1, false);
   std::optional<TxnResult> result;
   // Object 7's owner (node 1) is down.

@@ -36,37 +36,6 @@ TEST(OnlineStatsTest, KnownMeanAndVariance) {
   EXPECT_NEAR(s.sum(), 40.0, 1e-9);
 }
 
-TEST(OnlineStatsTest, MergeMatchesCombined) {
-  OnlineStats a, b, combined;
-  for (int i = 0; i < 50; ++i) {
-    double x = i * 0.7 - 3;
-    a.Add(x);
-    combined.Add(x);
-  }
-  for (int i = 0; i < 70; ++i) {
-    double x = i * 1.3 + 11;
-    b.Add(x);
-    combined.Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), combined.count());
-  EXPECT_NEAR(a.mean(), combined.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), combined.variance(), 1e-9);
-  EXPECT_EQ(a.min(), combined.min());
-  EXPECT_EQ(a.max(), combined.max());
-}
-
-TEST(OnlineStatsTest, MergeWithEmpty) {
-  OnlineStats a, b;
-  a.Add(1.0);
-  a.Add(3.0);
-  a.Merge(b);  // no-op
-  EXPECT_EQ(a.count(), 2u);
-  b.Merge(a);  // adopt
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
 TEST(OnlineStatsTest, Ci95ShrinksWithSamples) {
   OnlineStats small, large;
   for (int i = 0; i < 10; ++i) small.Add(i % 5);
@@ -112,17 +81,6 @@ TEST(HistogramTest, LargeValuesClampedIntoTopBucket) {
   EXPECT_EQ(h.count(), 1u);
   EXPECT_EQ(h.max(), 1ULL << 61);
 }
-
-TEST(HistogramTest, MergeAddsCounts) {
-  Histogram a, b;
-  for (std::uint64_t i = 0; i < 100; ++i) a.Add(i);
-  for (std::uint64_t i = 100; i < 300; ++i) b.Add(i);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 300u);
-  EXPECT_EQ(a.min(), 0u);
-  EXPECT_EQ(a.max(), 299u);
-}
-
 
 }  // namespace
 }  // namespace tdr

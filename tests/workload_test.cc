@@ -93,16 +93,13 @@ TEST(ProgramGeneratorTest, MixedFractionRoughlyRespected) {
 }
 
 TEST(ProgramGeneratorTest, OperandsWithinRange) {
-  ProgramGenerator::Options o = BaseOptions();
-  o.operand_lo = 5;
-  o.operand_hi = 9;
-  ProgramGenerator gen(o);
+  ProgramGenerator gen(BaseOptions());
   Rng rng(7);
   for (int i = 0; i < 100; ++i) {
     Program p = gen.Next(rng);
     for (const Op& op : p.ops()) {
-      EXPECT_GE(op.operand, 5);
-      EXPECT_LE(op.operand, 9);
+      EXPECT_GE(op.operand, 1);
+      EXPECT_LE(op.operand, 100);
     }
   }
 }

@@ -18,11 +18,13 @@ Informational by default: every violation prints as a GitHub
 `::warning` annotation and the exit code stays 0, so CI surfaces
 drift without blocking. `--strict` upgrades violations to `::error`
 and exits 1 — flip it on once the baselines are re-recorded on the CI
-runner class.
+runner class. In either mode, a run that compares no report at all (no
+baseline, or no fresh report next to any baseline) exits 2: a gate that
+checked nothing has not passed.
 
 Usage:
-  check_bench_regression.py --baseline-dir . --fresh-dir build/bench
-  check_bench_regression.py BENCH_runtime.json --fresh-dir build/bench
+  check_bench_regression.py --baseline-dir . --fresh-dir build
+  check_bench_regression.py BENCH_runtime.json --fresh-dir build
   check_bench_regression.py --strict --tolerance 0.10 ...
 
 No third-party dependencies.
@@ -152,7 +154,7 @@ def main():
                              "BENCH_*.json in --baseline-dir)")
     parser.add_argument("--baseline-dir", default=".",
                         help="directory holding committed baselines")
-    parser.add_argument("--fresh-dir", default="build/bench",
+    parser.add_argument("--fresh-dir", default="build",
                         help="directory holding freshly produced reports")
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="relative band for rate metrics (default 0.25)")
@@ -165,9 +167,9 @@ def main():
         baselines = sorted(
             glob.glob(os.path.join(args.baseline_dir, "BENCH_*.json")))
     if not baselines:
-        print(f"no BENCH_*.json baselines under {args.baseline_dir}; "
-              f"nothing to check")
-        return 0
+        print(f"FAIL: no BENCH_*.json baselines under {args.baseline_dir}; "
+              f"nothing compared")
+        return 2
 
     problems = []
     checked = 0
@@ -183,6 +185,11 @@ def main():
         checked += 1
         print(f"checked {os.path.basename(baseline_path)}: "
               f"{compared}/{total} baseline rows matched against fresh run")
+
+    if checked == 0:
+        print(f"FAIL: no fresh report under {args.fresh_dir} matches a "
+              f"baseline; nothing compared")
+        return 2
 
     level = "error" if args.strict else "warning"
     for p in problems:

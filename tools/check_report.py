@@ -70,14 +70,8 @@ def check_series_section(series):
         expect(isinstance(name, str) and name,
                f"series.channels[{i}]: missing name")
         names.append(name)
-        # Plain series carry `values`; merged sweep stats carry per-bucket
-        # mean/stddev/count arrays.
-        has_values = isinstance(channel.get("values"), list)
-        has_moments = all(isinstance(channel.get(k), list)
-                          for k in ("mean", "stddev", "count"))
-        expect(has_values or has_moments,
-               f"series.channels[{i}] ({name}): neither values nor "
-               "mean/stddev/count arrays")
+        expect(isinstance(channel.get("values"), list),
+               f"series.channels[{i}] ({name}): values must be an array")
     expect(names == sorted(names), "series.channels: names not sorted")
 
 
