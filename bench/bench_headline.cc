@@ -11,8 +11,8 @@
 // schemes and (10/2)^2 = 25x for master-copy schemes; the 1 -> 10 story
 // is the abstract's 1000x vs 100x.
 //
-// BENCH_headline.json is a tdr.run_report.v1 document (tools/
-// check_report.py validates it in ctest): the scaling table and the
+// BENCH_headline.json is a tdr.run_report.v1 document (`tools/report.py
+// check` validates it in ctest): the scaling table and the
 // robustness column as rows, and the retained-throughput map as
 // invariants.
 

@@ -17,14 +17,12 @@
 //   (off - commit) >= 2 * (off - group),
 //
 // else the binary exits nonzero (a perf regression in the committer is
-// a test failure, not a footnote). A second section measures the
-// recovery side: wall-clock replay rate of a multi-segment log through
-// WalRecovery, the "how long is restart" number. A third section puts
-// a real price on the durability line: batched appends against a
-// file-backed WAL with the fsync knob off (buffered writes, the test
-// default) vs on (fdatasync per flush) — the honest per-sync cost on
-// this machine's storage. Results land in BENCH_wal.json
-// (schema-checked by tools/check_report.py in CI).
+// a test failure, not a footnote). A second section puts a real price
+// on the durability line: batched appends against a file-backed WAL
+// with the fsync knob off (buffered writes, the test default) vs on
+// (fdatasync per flush) — the honest per-sync cost on this machine's
+// storage. Results land in BENCH_wal.json (schema-checked by
+// tools/report.py check in CI).
 
 #include <chrono>
 #include <cstdio>
@@ -35,7 +33,6 @@
 #include "bench/harness.h"
 #include "wal/wal.h"
 #include "wal/wal_file.h"
-#include "wal/wal_recovery.h"
 
 namespace tdr::bench {
 namespace {
@@ -109,47 +106,6 @@ ThroughputResult MeasureThroughput(DurabilityMode mode) {
   return result;
 }
 
-struct RecoveryRate {
-  std::uint64_t records = 0;
-  std::uint32_t segments = 0;
-  double seconds = 0;
-  double records_per_sec = 0;
-};
-
-RecoveryRate MeasureRecoveryReplay() {
-  // A realistic multi-segment log: 400k committed records across 1 MB
-  // segments, written synced (recovery of the durable prefix is the
-  // common case; torn-tail handling is covered by the test suite).
-  constexpr std::uint64_t kRecords = 400'000;
-  wal::MemWalBackend backend(1);
-  wal::Wal::Options wopts;
-  wopts.segment_bytes = 1 << 20;
-  wal::Wal wal(0, &backend, wopts);
-  wal.Open(1);
-  for (std::uint64_t i = 1; i <= kRecords; ++i) {
-    wal.Append(/*txn=*/i, /*oid=*/i % kDbSize, /*shard=*/0,
-               Timestamp{i - 1, 0}, Timestamp{i, 0},
-               Value(static_cast<std::int64_t>(i)));
-    if (i % 64 == 0) wal.CompleteFlush(wal.BeginFlush());
-  }
-  wal.CompleteFlush(wal.BeginFlush());
-
-  RecoveryRate rate;
-  std::uint64_t check = 0;
-  wal::WalRecovery recovery(&backend);
-  const auto start = std::chrono::steady_clock::now();
-  const wal::RecoveryResult r = recovery.Recover(
-      0, [&check](const wal::WalRecord& rec) { check += rec.lsn; });
-  const auto stop = std::chrono::steady_clock::now();
-  rate.records = r.records_replayed;
-  rate.segments = r.segments_read;
-  rate.seconds = std::chrono::duration<double>(stop - start).count();
-  rate.records_per_sec =
-      rate.seconds > 0 ? static_cast<double>(rate.records) / rate.seconds : 0;
-  if (check == 0) std::abort();  // keep the apply loop observable
-  return rate;
-}
-
 struct FsyncRate {
   std::uint64_t records = 0;
   std::uint64_t syncs = 0;
@@ -165,7 +121,7 @@ struct FsyncRate {
 FsyncRate MeasureFsyncAppends(bool fsync) {
   constexpr std::uint64_t kFsyncRecords = 8192;
   constexpr std::uint64_t kFsyncBatch = 64;
-  const std::string dir = "/tmp/tdr_bench_wal_fsync";
+  const std::string dir = "/tmp/tdr_bench_fsync_appends";
   wal::FileWalBackend backend(dir, /*num_nodes=*/1, fsync);
   wal::Wal::Options wopts;
   wal::Wal wal(0, &backend, wopts);
@@ -222,11 +178,14 @@ int Main() {
   describe.action_time = 0.001;
   describe.sim_seconds = kMeasureSeconds;
   describe.durability = DurabilityMode::kGroup;
-  describe.wal_flush_latency = 0.0005;
-  describe.wal_group_window = 0.0001;
+  const auto group_wal = ClusterOptions(DurabilityMode::kGroup).wal;
   obs::RunReport report = MakeReport("bench_wal", describe);
-  report.SetConfig("clients_per_node",
-                   static_cast<std::uint64_t>(kClientsPerNode));
+  report.SetConfig("wal_flush_latency", group_wal.flush_latency.seconds())
+      .SetConfig("wal_group_window", group_wal.group_window.seconds())
+      .SetConfig("wal_group_max_records",
+                 static_cast<std::uint64_t>(group_wal.group_max_records))
+      .SetConfig("clients_per_node",
+                 static_cast<std::uint64_t>(kClientsPerNode));
 
   std::printf("%10s | %10s | %12s | %11s | %10s\n", "durability", "commit/s",
               "vs off", "wal records", "flushes");
@@ -262,21 +221,6 @@ int Main() {
       "%.1f.\nGroup commit recovers %.1fx of the loss (gate: >= 2x).\n",
       loss_commit, loss_group, recovered_ratio);
 
-  const RecoveryRate replay = MeasureRecoveryReplay();
-  std::printf(
-      "\nRecovery replay: %llu records / %u segments in %.3f s "
-      "(%.0f records/s)\n",
-      (unsigned long long)replay.records, replay.segments, replay.seconds,
-      replay.records_per_sec);
-  {
-    obs::Json row = obs::Json::Object();
-    row.Set("section", "recovery_replay");
-    row.Set("records", replay.records);
-    row.Set("segments", static_cast<std::uint64_t>(replay.segments));
-    row.Set("seconds", replay.seconds);
-    row.Set("records_per_sec", replay.records_per_sec);
-    report.AddRow(std::move(row));
-  }
   report.SetConfig("group_recovered_ratio", recovered_ratio);
 
   // The real-fsync rows: identical append/flush traffic, buffered vs

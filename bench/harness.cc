@@ -98,13 +98,7 @@ SimOutcome RunScheme(const SimConfig& config) {
   copts.seed = config.seed;
   copts.backend = config.backend;
   copts.wal.mode = config.durability;
-  copts.wal.fsync = config.wal_fsync;
   copts.wal.wal_dir = config.wal_dir;
-  copts.wal.flush_latency = SimTime::Seconds(config.wal_flush_latency);
-  copts.wal.group_window = SimTime::Seconds(config.wal_group_window);
-  copts.wal.group_max_records =
-      static_cast<std::size_t>(config.wal_group_max_records);
-  copts.wal.segment_bytes = config.wal_segment_bytes;
   Cluster cluster(copts);
 
   BatchShipper::Options batch;
@@ -272,9 +266,6 @@ SimOutcome RunScheme(const SimConfig& config) {
     // are final before the snapshot below.
     cluster.thread_runtime()->Shutdown();
     outcome.runtime_dispatched = cluster.thread_runtime()->dispatched();
-    double sim_s = cluster.thread_runtime()->sim_seconds();
-    outcome.wall_sim_ratio =
-        sim_s > 0 ? cluster.thread_runtime()->wall_seconds() / sim_s : 0;
   }
   // Export the simulator's own health gauges before snapshotting; they
   // are deterministic (event counts, not wall time).
@@ -310,11 +301,28 @@ obs::RunReport MakeReport(std::string experiment, const SimConfig& config) {
       .SetConfig("batch_max_updates", config.batch_max_updates)
       .SetConfig("hot_fraction", config.hot_fraction)
       .SetConfig("hot_shards", static_cast<std::uint64_t>(config.hot_shards))
-      .SetConfig("durability", DurabilityModeName(config.durability))
-      .SetConfig("wal_flush_latency", config.wal_flush_latency)
-      .SetConfig("wal_group_window", config.wal_group_window)
-      .SetConfig("wal_group_max_records", config.wal_group_max_records);
+      .SetConfig("durability", DurabilityModeName(config.durability));
   return report;
+}
+
+SimConfig E15Config(SchemeKind kind, std::uint64_t seed) {
+  SimConfig c;
+  c.kind = kind;
+  c.nodes = 4;
+  c.db_size = 256;
+  c.tps = 25;
+  c.actions = 4;
+  c.action_time = 0.01;
+  c.sim_seconds = 5;
+  c.seed = seed;
+  c.num_shards = 4;
+  c.drain = true;
+  c.run_invariant_checker = true;
+  if (kind == SchemeKind::kLazyGroup || kind == SchemeKind::kLazyMaster) {
+    c.batch_flush_window = 0.05;
+    c.batch_max_updates = 16;
+  }
+  return c;
 }
 
 std::string FaultPlanName(const SimConfig& config) {
@@ -345,9 +353,8 @@ obs::Json ReportRow(const SimConfig& config, const SimOutcome& out) {
   row.Set("reconciliation_rate", out.reconciliation_rate());
   row.Set("unavailable", out.unavailable);
   row.Set("divergent_slots", out.divergent_slots);
-  // Fault-plan digest channel: every row names its plan (satellite of
-  // the cross-backend diff — tools/diff_digests.py groups on it) and,
-  // when faulted, carries the equivalence fingerprints.
+  // Every row names its fault plan, an identity field for
+  // tools/report.py regress.
   row.Set("fault_plan", FaultPlanName(config));
   if (config.durability != DurabilityMode::kOff) {
     row.Set("durability", DurabilityModeName(config.durability));

@@ -77,15 +77,10 @@ struct SimConfig {
 
   // Durability / WAL (src/wal). kOff keeps the legacy crash model;
   // kCommit/kGroup put a per-node WAL under the commit path and route
-  // crash recovery through it.
+  // crash recovery through it, with WalSet::Options' default flush
+  // latency, group window and segment size.
   DurabilityMode durability = DurabilityMode::kOff;
-  double wal_flush_latency = 0.0005;  // seconds per simulated fsync
-  double wal_group_window = 0.00025;  // group-commit window (seconds)
-  std::uint64_t wal_group_max_records = 64;
-  std::uint64_t wal_segment_bytes = 64 * 1024;
   std::string wal_dir;  // empty = in-memory WAL backend
-  /// File backend only: real fdatasync when the durable line moves.
-  bool wal_fsync = false;
 
   // Real-threads runtime (src/runtime). Both backends order events by
   // the same virtual (time, seq) key, so a (seed, config) pair is
@@ -133,9 +128,6 @@ struct SimOutcome {
   /// kThreads only: events executed on worker threads (deterministic —
   /// a function of the event schedule, not of thread timing).
   std::uint64_t runtime_dispatched = 0;
-  /// kThreads only: wall-seconds per sim-second actually achieved
-  /// (nondeterministic; excluded from any equivalence comparison).
-  double wall_sim_ratio = 0;
   /// Deterministic snapshot of the cluster's full registry.
   obs::MetricsSnapshot metrics;
 
@@ -151,10 +143,16 @@ struct SimOutcome {
 /// measured rates.
 SimOutcome RunScheme(const SimConfig& config);
 
+/// E15's run (bench_runtime, the committed digest baseline): 4 nodes,
+/// 4 shards, DB_Size 256, TPS 25, 5 s, drained with the invariant
+/// checker armed; the lazy pair batched at 50 ms / 16 updates. The
+/// differential suites run it on both backends.
+SimConfig E15Config(SchemeKind kind, std::uint64_t seed);
+
 /// Canonical name of the fault plan `config` runs under ("none" when
 /// clean, else e.g. "drop=0.05+partition+crash"). Report rows carry it
-/// so tools/diff_digests.py compares faulted runs only against the
-/// same faulted runs on the other backend.
+/// as an identity field, so a regression check pairs a faulted row only
+/// with the same faulted row of the baseline.
 std::string FaultPlanName(const SimConfig& config);
 
 /// Options for a parallel sweep of independent simulation runs.

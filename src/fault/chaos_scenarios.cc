@@ -105,8 +105,7 @@ obs::Json InvariantSummaryJson(const ChaosOutcome& out) {
 /// a finished chaos run. Shared by the cluster and two-tier runners.
 void EmitChaosArtifacts(const ChaosConfig& cfg, const ChaosOutcome& out,
                         const obs::ChromeTraceWriter& trace,
-                        const obs::TimeSeries& series,
-                        const obs::MetricsRegistry& registry) {
+                        const obs::TimeSeries& series) {
   if (!cfg.trace_path.empty() && !trace.WriteFile(cfg.trace_path)) {
     std::fprintf(stderr, "chaos: cannot write trace to %s\n",
                  cfg.trace_path.c_str());
@@ -133,7 +132,6 @@ void EmitChaosArtifacts(const ChaosConfig& cfg, const ChaosOutcome& out,
   report.SetMetrics(out.metrics);
   report.SetSeries(series);
   report.SetInvariants(InvariantSummaryJson(out));
-  report.SetProfile(registry);
   if (!report.WriteFile(cfg.report_path)) {
     std::fprintf(stderr, "chaos: cannot write report to %s\n",
                  cfg.report_path.c_str());
@@ -231,7 +229,7 @@ ChaosOutcome RunChaosCluster(const ChaosConfig& cfg) {
   out.state_digest = cluster.StateDigest();
   FillNetAndFaultStats(injector, &out);
   out.metrics = cluster.metrics().Snapshot();
-  EmitChaosArtifacts(cfg, out, trace, recorder.Series(), cluster.metrics());
+  EmitChaosArtifacts(cfg, out, trace, recorder.Series());
   return out;
 }
 
@@ -369,7 +367,7 @@ ChaosOutcome RunChaosTwoTier(const ChaosConfig& cfg) {
   out.base_rejected = sys.base_rejected();
   FillNetAndFaultStats(injector, &out);
   out.metrics = cluster.metrics().Snapshot();
-  EmitChaosArtifacts(cfg, out, trace, recorder.Series(), cluster.metrics());
+  EmitChaosArtifacts(cfg, out, trace, recorder.Series());
   return out;
 }
 

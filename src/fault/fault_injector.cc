@@ -52,12 +52,6 @@ void FaultInjector::Apply(const FaultAction& action) {
     case FaultAction::Kind::kRestart:
       Restart(action.a);
       break;
-    case FaultAction::Kind::kCutLink:
-      CutLink(action.a, action.b);
-      break;
-    case FaultAction::Kind::kHealLink:
-      HealLink(action.a, action.b);
-      break;
     case FaultAction::Kind::kPartition:
       StartPartition(action.name, action.group);
       break;

@@ -14,8 +14,6 @@ const char* KindName(FaultAction::Kind kind) {
   switch (kind) {
     case FaultAction::Kind::kCrash: return "crash";
     case FaultAction::Kind::kRestart: return "restart";
-    case FaultAction::Kind::kCutLink: return "cut-link";
-    case FaultAction::Kind::kHealLink: return "heal-link";
     case FaultAction::Kind::kPartition: return "partition";
     case FaultAction::Kind::kHealPartition: return "heal-partition";
     case FaultAction::Kind::kChaosOn: return "chaos-on";
@@ -32,10 +30,6 @@ std::string FaultAction::ToString() const {
     case Kind::kCrash:
     case Kind::kRestart:
       s += StrPrintf(" node=%u", a);
-      break;
-    case Kind::kCutLink:
-    case Kind::kHealLink:
-      s += StrPrintf(" link=(%u,%u)", a, b);
       break;
     case Kind::kPartition: {
       s += " \"" + name + "\" group={";
@@ -71,26 +65,6 @@ FaultPlan& FaultPlan::RestartAt(SimTime t, NodeId node) {
   a.kind = FaultAction::Kind::kRestart;
   a.a = node;
   actions_.push_back(std::move(a));
-  return *this;
-}
-
-FaultPlan& FaultPlan::CutLinkAt(SimTime t, NodeId a, NodeId b) {
-  FaultAction act;
-  act.at = t;
-  act.kind = FaultAction::Kind::kCutLink;
-  act.a = a;
-  act.b = b;
-  actions_.push_back(std::move(act));
-  return *this;
-}
-
-FaultPlan& FaultPlan::HealLinkAt(SimTime t, NodeId a, NodeId b) {
-  FaultAction act;
-  act.at = t;
-  act.kind = FaultAction::Kind::kHealLink;
-  act.a = a;
-  act.b = b;
-  actions_.push_back(std::move(act));
   return *this;
 }
 
@@ -145,23 +119,17 @@ bool FaultPlan::ChaosAlwaysOn() const {
 
 bool FaultPlan::EndsHealed() const {
   std::map<NodeId, int> crashed;
-  std::map<std::pair<NodeId, NodeId>, int> cut;
   std::map<std::string, int> parts;
   for (const FaultAction& a : actions_) {
     switch (a.kind) {
       case FaultAction::Kind::kCrash: ++crashed[a.a]; break;
       case FaultAction::Kind::kRestart: --crashed[a.a]; break;
-      case FaultAction::Kind::kCutLink: ++cut[{a.a, a.b}]; break;
-      case FaultAction::Kind::kHealLink: --cut[{a.a, a.b}]; break;
       case FaultAction::Kind::kPartition: ++parts[a.name]; break;
       case FaultAction::Kind::kHealPartition: --parts[a.name]; break;
       default: break;
     }
   }
   for (const auto& [k, v] : crashed) {
-    if (v > 0) return false;
-  }
-  for (const auto& [k, v] : cut) {
     if (v > 0) return false;
   }
   for (const auto& [k, v] : parts) {

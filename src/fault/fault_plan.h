@@ -18,8 +18,6 @@ struct FaultAction {
   enum class Kind {
     kCrash,          // node `a` fails (volatile state lost, log survives)
     kRestart,        // node `a` recovers from its log and rejoins
-    kCutLink,        // link (a, b) goes down
-    kHealLink,       // link (a, b) comes back
     kPartition,      // named partition: `group` is split from the rest
     kHealPartition,  // the named partition heals
     kChaosOn,        // probabilistic message faults start
@@ -29,7 +27,6 @@ struct FaultAction {
   SimTime at;
   Kind kind = Kind::kCrash;
   NodeId a = kInvalidNodeId;
-  NodeId b = kInvalidNodeId;
   std::string name;            // partition actions only
   std::vector<NodeId> group;   // kPartition only: the isolated side
 
@@ -69,8 +66,6 @@ class FaultPlan {
  public:
   FaultPlan& CrashAt(SimTime t, NodeId node);
   FaultPlan& RestartAt(SimTime t, NodeId node);
-  FaultPlan& CutLinkAt(SimTime t, NodeId a, NodeId b);
-  FaultPlan& HealLinkAt(SimTime t, NodeId a, NodeId b);
   FaultPlan& PartitionAt(SimTime t, std::string name,
                          std::vector<NodeId> group);
   FaultPlan& HealPartitionAt(SimTime t, std::string name);
@@ -85,9 +80,9 @@ class FaultPlan {
   /// on/off schedule).
   bool ChaosAlwaysOn() const;
 
-  /// True if every crash has a later restart, every cut link a later
-  /// heal and every partition a later heal — a well-formed plan for
-  /// convergence testing (the system must be whole again at the end).
+  /// True if every crash has a later restart and every partition a
+  /// later heal — a well-formed plan for convergence testing (the
+  /// system must be whole again at the end).
   bool EndsHealed() const;
 
   /// Generates a random well-formed plan over `num_nodes` nodes within

@@ -21,7 +21,7 @@ namespace tdr::obs {
 ///    backslash).
 ///
 /// This is a writer's data model, not a parser — nothing in the repo
-/// reads JSON back (tools/check_report.py does, in Python).
+/// reads JSON back (tools/report.py does, in Python).
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };

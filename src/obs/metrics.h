@@ -20,11 +20,12 @@ enum class MetricKind : std::uint8_t {
   kGauge = 1,      // last-write-wins double (queue depth, sim totals)
   kHistogram = 2,  // util/stats.h Histogram (latency-like uint64 values)
   kStats = 3,      // util/stats.h OnlineStats (Welford moments)
-  kProfile = 4,    // OnlineStats of WALL-CLOCK micros (ProfileScope).
-                   // Nondeterministic by nature, so Snapshot() excludes
-                   // profile metrics unless explicitly asked — replay
-                   // and sweep determinism must never depend on the
-                   // host's clock.
+  kProfile = 4,    // OnlineStats of WALL-CLOCK values (the thread
+                   // runtime's worker measurements, published at
+                   // Shutdown). Nondeterministic by nature, so
+                   // Snapshot() excludes profile metrics unless
+                   // explicitly asked — replay and sweep determinism
+                   // must never depend on the host's clock.
 };
 
 std::string_view MetricKindName(MetricKind kind);

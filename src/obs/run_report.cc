@@ -61,18 +61,6 @@ Json RunReport::SeriesToJson(const TimeSeries& series) {
   return out;
 }
 
-RunReport& RunReport::SetProfile(const MetricsRegistry& registry) {
-  SnapshotOptions options;
-  options.include_profile = true;
-  Json out = Json::Object();
-  for (const MetricValue& value : registry.Snapshot(options).metrics) {
-    if (value.kind != MetricKind::kProfile) continue;
-    out.Set(value.name, MetricValueToJson(value));
-  }
-  profile_ = std::move(out);
-  return *this;
-}
-
 Json RunReport::ToJsonValue() const {
   Json doc = Json::Object();
   doc.Set("schema", "tdr.run_report.v1");
@@ -82,7 +70,6 @@ Json RunReport::ToJsonValue() const {
   if (!metrics_.is_null()) doc.Set("metrics", metrics_);
   if (!series_.is_null()) doc.Set("series", series_);
   if (!invariants_.is_null()) doc.Set("invariants", invariants_);
-  if (!profile_.is_null()) doc.Set("profile", profile_);
   return doc;
 }
 

@@ -11,7 +11,7 @@
 namespace tdr::obs {
 
 /// The one machine-readable output format for every bench and chaos
-/// run (schema id "tdr.run_report.v1"; tools/check_report.py validates
+/// run (schema id "tdr.run_report.v1"; tools/report.py check validates
 /// it). A report has fixed top-level sections, each optional except the
 /// header, always emitted in the same order:
 ///
@@ -23,11 +23,10 @@ namespace tdr::obs {
 ///   series      sim-clock TimeSeries
 ///   invariants  invariant-checker summary (plain values; obs does not
 ///               depend on src/fault)
-///   profile     WALL-CLOCK phase timings — nondeterministic by
-///               design, kept out of every determinism comparison
 ///
-/// Everything except `profile` is a pure function of (seed, plan):
-/// byte-identical across replays and SweepRunner thread counts.
+/// Every section a simulated run fills is a pure function of (seed,
+/// plan): byte-identical across replays and SweepRunner thread counts.
+/// Host wall time is perfbench's to measure, not a report's.
 class RunReport {
  public:
   explicit RunReport(std::string experiment)
@@ -64,10 +63,6 @@ class RunReport {
     return *this;
   }
 
-  /// Profile section from the registry's kProfile metrics (wall-clock;
-  /// excluded from determinism guarantees).
-  RunReport& SetProfile(const MetricsRegistry& registry);
-
   // --- Section serializers (also useful standalone in tests) ---------
 
   /// {"<name>": {"kind": ..., ...}, ...} in snapshot (= sorted) order.
@@ -90,7 +85,6 @@ class RunReport {
   Json metrics_;     // null until SetMetrics
   Json series_;      // null until SetSeries
   Json invariants_;  // null until SetInvariants
-  Json profile_;     // null until SetProfile
 };
 
 }  // namespace tdr::obs

@@ -1,6 +1,5 @@
 #include "replication/driver.h"
 
-#include "obs/profile.h"
 #include "replication/lazy_group.h"
 #include "util/logging.h"
 
@@ -40,7 +39,6 @@ WorkloadDriver::WorkloadDriver(Cluster* cluster, ReplicationScheme* scheme,
         "driver.submitted", {{"node", std::to_string(origin)}}));
   }
   skipped_crashed_ = cluster_->metrics().GetCounter("driver.skipped_crashed");
-  profile_event_loop_ = cluster_->metrics().GetProfile("profile.event_loop");
 }
 
 std::uint64_t WorkloadDriver::CurrentReconciliations() const {
@@ -100,13 +98,7 @@ WorkloadDriver::Outcome WorkloadDriver::Run() {
   }
   SimTime horizon =
       cluster_->runtime().Now() + SimTime::Seconds(options_.seconds);
-  {
-    // Wall-clock cost of the whole event loop for this window — the
-    // profile section of run reports (kProfile: never part of
-    // deterministic snapshots).
-    obs::ProfileScope scope(profile_event_loop_);
-    cluster_->runtime().RunUntil(horizon);
-  }
+  cluster_->runtime().RunUntil(horizon);
   for (auto& a : arrivals) a->Stop();
 
   Baseline after = Snapshot();

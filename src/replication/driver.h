@@ -97,7 +97,6 @@ class WorkloadDriver {
   /// every window so Run() itself stays off the allocator.
   std::vector<obs::MetricsRegistry::Counter> submitted_at_;
   obs::MetricsRegistry::Counter skipped_crashed_;
-  obs::MetricsRegistry::StatsHandle profile_event_loop_;
   std::uint64_t submitted_ = 0;
 };
 

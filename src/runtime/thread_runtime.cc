@@ -182,10 +182,6 @@ void ThreadRuntime::PublishMetrics() {
       util.Record(ToSeconds(w->busy) / wall_seconds_);
     }
   }
-  if (sim_seconds_ > 0) {
-    metrics_->GetProfile("runtime.wall_sim_ratio")
-        .Record(wall_seconds_ / sim_seconds_);
-  }
 }
 
 }  // namespace tdr::runtime

@@ -47,7 +47,7 @@ class ThreadRuntime final : public Runtime {
   /// `clock` is the cluster's own simulator, used as virtual clock and
   /// event core (never Run directly when this backend owns it).
   /// `metrics` may be null; profile metrics (worker busy time, mailbox
-  /// depth, wall/sim ratio) are published on Shutdown.
+  /// depth, utilization) are published on Shutdown.
   ThreadRuntime(sim::Simulator* clock, std::uint32_t num_nodes,
                 obs::MetricsRegistry* metrics);
 
@@ -103,8 +103,8 @@ class ThreadRuntime final : public Runtime {
   /// Always 0 (one event per turn); kept because perfbench still reads it.
   std::uint64_t epochs() const { return 0; }
   const TaskPool& task_pool() const { return *pool_; }
-  /// Wall-clock seconds spent inside Run/RunUntil, and the virtual
-  /// seconds they advanced — their ratio is the wall/sim speed metric.
+  /// Wall-clock seconds spent inside Run/RunUntil (the denominator of
+  /// worker utilization), and the virtual seconds they advanced.
   double wall_seconds() const { return wall_seconds_; }
   double sim_seconds() const { return sim_seconds_; }
   /// Total wall-clock seconds workers spent executing callbacks. Only

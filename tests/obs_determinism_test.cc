@@ -41,8 +41,6 @@ obs::RunReport ReportFor(const std::vector<SimConfig>& grid,
     row.Set("metrics", obs::RunReport::MetricsToJson(outcomes[i].metrics));
     report.AddRow(std::move(row));
   }
-  // Deliberately no SetProfile: wall-clock timings are the one section
-  // outside the determinism contract.
   return report;
 }
 

@@ -2,7 +2,7 @@
 // documents — Perfetto's trace-event contract (monotone per-track
 // timestamps, complete X slices, flow triples) and the
 // tdr.run_report.v1 section layout. The *ChaosArtifacts* test doubles
-// as the ctest fixture that produces the files tools/check_report.py
+// as the ctest fixture that produces the files tools/report.py check
 // validates.
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 
 #include "fault/chaos_scenarios.h"
 #include "obs/chrome_trace.h"
-#include "obs/profile.h"
 #include "obs/run_report.h"
 #include "replication/cluster.h"
 #include "replication/lazy_master.h"
@@ -166,7 +165,7 @@ TEST(ChromeTraceWriterTest, RealLazyMasterRunStaysMonotone) {
 TEST(RunReportTest, SectionsEmitInFixedOrder) {
   MetricsRegistry reg;
   reg.Increment("txn.committed", 3);
-  { ProfileScope scope(reg.GetProfile("profile.event_loop")); }
+  reg.GetProfile("runtime.worker_utilization").Record(0.5);
 
   TimeSeries series;
   series.interval_seconds = 0.5;
@@ -177,8 +176,7 @@ TEST(RunReportTest, SectionsEmitInFixedOrder) {
       .AddRow(Json::Object().Set("committed", Json(3)))
       .SetMetrics(reg.Snapshot())
       .SetSeries(series)
-      .SetInvariants(Json::Object().Set("violations", Json(0)))
-      .SetProfile(reg);
+      .SetInvariants(Json::Object().Set("violations", Json(0)));
 
   Json doc = report.ToJsonValue();
   EXPECT_EQ(doc.Find("schema")->AsString(), "tdr.run_report.v1");
@@ -192,14 +190,13 @@ TEST(RunReportTest, SectionsEmitInFixedOrder) {
   ASSERT_NE(committed, nullptr);
   EXPECT_EQ(committed->Find("kind")->AsString(), "counter");
   EXPECT_EQ(committed->Find("value")->AsInt(), 3);
-  // The deterministic metrics section never contains profile entries...
-  EXPECT_EQ(metrics->Find("profile.event_loop"), nullptr);
-  // ...which live in the separate profile section.
-  const Json* profile = doc.Find("profile");
-  ASSERT_NE(profile, nullptr);
-  EXPECT_NE(profile->Find("profile.event_loop"), nullptr);
+  // Wall-clock (profile) metrics appear nowhere in a report: not in the
+  // deterministic metrics section, and there is no profile section.
+  EXPECT_EQ(metrics->Find("runtime.worker_utilization"), nullptr);
+  EXPECT_EQ(doc.Find("profile"), nullptr);
   ASSERT_NE(doc.Find("series"), nullptr);
   ASSERT_NE(doc.Find("invariants"), nullptr);
+  EXPECT_EQ(doc.size(), 7u);  // schema .. invariants, nothing else
 }
 
 // Produces the on-disk artifacts for the schema-checker ctest fixture:

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/timeseries.h"
 #include "replication/cluster.h"
 #include "replication/eager.h"
@@ -48,8 +47,6 @@ TEST(MetricsRegistryTest, DefaultHandlesAreNoOps) {
   EXPECT_EQ(gauge.value(), 0.0);
   EXPECT_EQ(hist.histogram(), nullptr);
   EXPECT_EQ(stats.stats(), nullptr);
-  // ProfileScope on a no-op handle must also be safe.
-  { ProfileScope scope((MetricsRegistry::StatsHandle())); }
 }
 
 TEST(MetricsRegistryTest, HandlesSurviveFurtherRegistrations) {
@@ -123,7 +120,7 @@ TEST(MetricsRegistryTest, SnapshotSortedRegardlessOfRegistrationOrder) {
 TEST(MetricsRegistryTest, ProfileExcludedFromSnapshotByDefault) {
   MetricsRegistry reg;
   reg.GetCounter("txn.committed").Increment();
-  { ProfileScope scope(reg.GetProfile("profile.event_loop")); }
+  reg.GetProfile("profile.event_loop").Record(12.5);
   MetricsSnapshot deterministic = reg.Snapshot();
   EXPECT_EQ(deterministic.Find("profile.event_loop"), nullptr);
   EXPECT_NE(deterministic.Find("txn.committed"), nullptr);
@@ -137,11 +134,11 @@ TEST(MetricsRegistryTest, ProfileExcludedFromSnapshotByDefault) {
   EXPECT_EQ(prof->stats.count(), 1u);
 }
 
-// A recording ProfileScope reads the host clock twice, which costs more
-// than a lock acquire or a replica apply, so no scope sits on those
-// per-operation paths. A cluster with metrics on that runs eager-group
-// and sharded lazy-group traffic, outside any driver, therefore holds
-// no profile metric at all.
+// Only the thread runtime records wall-clock (profile) metrics, once at
+// Shutdown; reading the host clock costs more than a lock acquire or a
+// replica apply, so no per-operation path records one. A sim cluster
+// with metrics on that runs eager-group and sharded lazy-group traffic
+// therefore holds no profile metric at all.
 TEST(MetricsRegistryTest, TrafficRecordsNoProfileMetric) {
   for (bool eager : {true, false}) {
     Cluster::Options copts;

@@ -5,16 +5,16 @@
 // checker's verdict. The thread backend executes the same virtual
 // (time, seq) event order, one event at a time, so equivalence is by
 // construction; this suite is what keeps that construction honest for
-// all six scheme configurations across a spread of seeds.
-//
-// tools/diff_digests.py applies the same check to bench_runtime's
-// BENCH_runtime.json rows, so CI cross-checks the property twice.
+// all six scheme configurations across a spread of seeds, at this
+// file's small configuration and at E15's (bench_runtime's committed
+// digest baseline). It is the one check of backend equivalence.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.h"
@@ -58,18 +58,33 @@ SimConfig SmallConfig(SchemeKind kind, std::uint64_t seed,
   return c;
 }
 
+/// E15's configuration on `backend`: 4 shards, DB_Size 256, 5 s.
+SimConfig E15OnBackend(SchemeKind kind, std::uint64_t seed,
+                       RuntimeBackend backend) {
+  SimConfig c = E15Config(kind, seed);
+  c.backend = backend;
+  return c;
+}
+
 class DifferentialTest : public ::testing::TestWithParam<SchemeKind> {};
 
 TEST_P(DifferentialTest, ThreadBackendMatchesSimOracle) {
   const SchemeKind kind = GetParam();
-  const std::uint64_t seeds = SeedCount();
-  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-    SimOutcome sim_out =
-        RunScheme(SmallConfig(kind, seed, RuntimeBackend::kSim));
-    SimOutcome thr_out =
-        RunScheme(SmallConfig(kind, seed, RuntimeBackend::kThreads));
-    SCOPED_TRACE(std::string(SchemeKindName(kind)) +
-                 " seed=" + std::to_string(seed));
+  std::vector<std::pair<SimConfig, SimConfig>> runs;
+  for (std::uint64_t seed = 1; seed <= SeedCount(); ++seed) {
+    runs.emplace_back(SmallConfig(kind, seed, RuntimeBackend::kSim),
+                      SmallConfig(kind, seed, RuntimeBackend::kThreads));
+  }
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    runs.emplace_back(E15OnBackend(kind, seed, RuntimeBackend::kSim),
+                      E15OnBackend(kind, seed, RuntimeBackend::kThreads));
+  }
+  for (const auto& [sim_cfg, thr_cfg] : runs) {
+    SimOutcome sim_out = RunScheme(sim_cfg);
+    SimOutcome thr_out = RunScheme(thr_cfg);
+    SCOPED_TRACE(std::string(SchemeKindName(kind)) + " db_size=" +
+                 std::to_string(sim_cfg.db_size) +
+                 " seed=" + std::to_string(sim_cfg.seed));
     // The headline: bit-identical full-state digest (values AND
     // virtual-clock timestamps on every replica)...
     EXPECT_EQ(sim_out.state_digest, thr_out.state_digest);

@@ -54,7 +54,7 @@ TEST(ThreadRuntimeTest, SemanticsMatchBareSimulator) {
   EXPECT_EQ(threads.dispatched() + threads.inline_events(),
             static_cast<std::uint64_t>(expected.size()));
   // Run/RunUntil account the virtual time they advanced and their
-  // wall-clock cost (the wall/sim ratio metric).
+  // wall-clock cost (the worker-utilization denominator).
   EXPECT_DOUBLE_EQ(threads.sim_seconds(), 0.012);
   EXPECT_GT(threads.wall_seconds(), 0.0);
 }

@@ -6,7 +6,8 @@
 // the backend axis it checks the STORAGE axis: the in-memory and
 // file-system WAL backends must recover to the same digests (the
 // simulated flush schedule is identical; only where the bytes live
-// differs).
+// differs). The group-commit sweep also runs E15's crash rows
+// (bench_runtime's configuration, seeds 1-2) on both backends.
 //
 // Seed depth is env-tunable: TDR_DIFF_SEEDS (default 10 here; the
 // nightly ctest entry runs 200 — see tests/CMakeLists.txt).
@@ -18,6 +19,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.h"
@@ -60,6 +62,17 @@ SimConfig CrashConfig(SchemeKind kind, std::uint64_t seed,
   return c;
 }
 
+/// E15's crash row on `backend`: 4 shards, DB_Size 256, 5 s, the last
+/// node crashed and restarted under WAL group commit.
+SimConfig E15CrashConfig(SchemeKind kind, std::uint64_t seed,
+                         RuntimeBackend backend) {
+  SimConfig c = E15Config(kind, seed);
+  c.backend = backend;
+  c.durability = DurabilityMode::kGroup;
+  c.fault_crash_cycle = true;
+  return c;
+}
+
 void ExpectIdentical(const SimOutcome& sim_out, const SimOutcome& thr_out) {
   EXPECT_EQ(sim_out.state_digest, thr_out.state_digest);
   EXPECT_EQ(sim_out.shard_digests, thr_out.shard_digests);
@@ -80,16 +93,23 @@ class WalDifferentialTest : public ::testing::TestWithParam<SchemeKind> {};
 
 TEST_P(WalDifferentialTest, CrashRecoveryMatchesSimOracle) {
   const SchemeKind kind = GetParam();
-  const std::uint64_t seeds = SeedCount(10);
-  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-    const SimConfig sim_cfg =
-        CrashConfig(kind, seed, RuntimeBackend::kSim, DurabilityMode::kGroup);
-    const SimConfig thr_cfg = CrashConfig(kind, seed, RuntimeBackend::kThreads,
-                                          DurabilityMode::kGroup);
+  std::vector<std::pair<SimConfig, SimConfig>> runs;
+  for (std::uint64_t seed = 1; seed <= SeedCount(10); ++seed) {
+    runs.emplace_back(
+        CrashConfig(kind, seed, RuntimeBackend::kSim, DurabilityMode::kGroup),
+        CrashConfig(kind, seed, RuntimeBackend::kThreads,
+                    DurabilityMode::kGroup));
+  }
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    runs.emplace_back(E15CrashConfig(kind, seed, RuntimeBackend::kSim),
+                      E15CrashConfig(kind, seed, RuntimeBackend::kThreads));
+  }
+  for (const auto& [sim_cfg, thr_cfg] : runs) {
     SimOutcome sim_out = RunScheme(sim_cfg);
     SimOutcome thr_out = RunScheme(thr_cfg);
-    SCOPED_TRACE(std::string(SchemeKindName(kind)) +
-                 " seed=" + std::to_string(seed));
+    SCOPED_TRACE(std::string(SchemeKindName(kind)) + " db_size=" +
+                 std::to_string(sim_cfg.db_size) +
+                 " seed=" + std::to_string(sim_cfg.seed));
     ExpectIdentical(sim_out, thr_out);
     // The run exercised the machinery it claims to: records were
     // logged, the crashed node actually recovered through the WAL.
