@@ -28,17 +28,8 @@ SimOutcome RunWith(SchemeKind kind, double zipf_theta, double delay_s,
   copts.seed = 31;
   copts.net.delay = SimTime::Seconds(delay_s);
   Cluster cluster(copts);
-  std::vector<NodeId> all = {0, 1, 2};
-  Ownership ownership = Ownership::RoundRobin(copts.db_size, all);
-  std::unique_ptr<ReplicationScheme> scheme;
-  LazyGroupScheme* lazy = nullptr;
-  if (kind == SchemeKind::kLazyGroup) {
-    auto lg = std::make_unique<LazyGroupScheme>(&cluster);
-    lazy = lg.get();
-    scheme = std::move(lg);
-  } else {
-    scheme = std::make_unique<EagerGroupScheme>(&cluster);
-  }
+  ClusterScheme built = MakeScheme(&cluster, kind);
+  LazyGroupScheme* lazy = built.lazy_group;
   ProgramGenerator::Options gopts;
   gopts.db_size = copts.db_size;
   gopts.actions = 4;
@@ -54,7 +45,7 @@ SimOutcome RunWith(SchemeKind kind, double zipf_theta, double delay_s,
     auto gen_rng = std::make_shared<Rng>(rng.Fork());
     arrivals.push_back(std::make_unique<OpenLoopArrivals>(
         &cluster.sim(), aopts, rng.Fork(),
-        [&out, s = scheme.get(), &gen, origin, gen_rng]() {
+        [&out, s = built.scheme.get(), &gen, origin, gen_rng]() {
           ++out.submitted;
           s->Submit(origin, gen.Next(*gen_rng), nullptr);
         }));

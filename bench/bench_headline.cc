@@ -75,12 +75,12 @@ void RunFaultedColumn(obs::RunReport* report) {
     clean_rates[name] = clean.Rate(clean.committed);
     faulted_rates[name] = faulted.Rate(faulted.committed);
     retained[name] = Normalized(faulted_rates[name], clean_rates[name]);
-    total_violations += faulted.invariant_violations;
+    total_violations += faulted.violations;
     std::printf("%-12s | %10.2f | %10.2f | %7.1f%% | %9llu | %5llu\n",
                 name.c_str(), clean_rates[name], faulted_rates[name],
                 100 * retained[name],
                 (unsigned long long)faulted.unavailable,
-                (unsigned long long)faulted.invariant_violations);
+                (unsigned long long)faulted.violations);
     for (std::size_t j = 0; j < 2; ++j) {
       obs::Json row = ReportRow(grid[2 * i + j], outcomes[2 * i + j]);
       row.Set("table", obs::Json("faults"));

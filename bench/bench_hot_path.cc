@@ -22,11 +22,7 @@
 #include "bench/harness.h"
 #include "obs/run_report.h"
 #include "replication/driver.h"
-#include "replication/eager.h"
-#include "replication/lazy_group.h"
-#include "replication/lazy_master.h"
-#include "replication/ownership.h"
-#include "replication/quorum.h"
+#include "replication/scheme_factory.h"
 #include "util/alloc_audit.h"
 
 namespace tdr::bench {
@@ -40,18 +36,11 @@ constexpr double kActionTime = 0.005;  // 5 ms
 constexpr double kWarmupSeconds = 5;
 constexpr double kMeasureSeconds = 20;
 
-enum class HotScheme {
-  kEagerGroup,
-  kLazyGroup,
-  kLazyGroupBatched,
-  kLazyMaster,
-  kLazyMasterBatched,
-  kQuorum,
-};
-
 struct HotConfig {
   const char* name;
-  HotScheme scheme;
+  SchemeKind kind;
+  /// Lazy kinds: ship in 50 ms windows instead of per commit.
+  bool batched = false;
   /// Marks the row EXPERIMENTS.md E14 highlights (batched lazy group).
   /// A label only: no check reads it.
   bool headline = false;
@@ -71,52 +60,18 @@ HotResult RunHot(const HotConfig& config) {
   copts.db_size = kDbSize;
   copts.action_time = SimTime::Seconds(kActionTime);
   copts.seed = 42;
-  // No metrics registry: count the bare hot path's allocations.
-  copts.enable_metrics = false;
   Cluster cluster(copts);
 
-  std::vector<NodeId> all_nodes(kNodes);
-  for (std::uint32_t i = 0; i < kNodes; ++i) all_nodes[i] = i;
-  Ownership ownership = Ownership::RoundRobin(kDbSize, all_nodes);
-
-  BatchShipper::Options batched;
-  batched.flush_window = SimTime::Millis(50);
-
-  std::unique_ptr<ReplicationScheme> scheme;
-  switch (config.scheme) {
-    case HotScheme::kEagerGroup:
-      scheme = std::make_unique<EagerGroupScheme>(&cluster);
-      break;
-    case HotScheme::kLazyGroup:
-      scheme = std::make_unique<LazyGroupScheme>(&cluster);
-      break;
-    case HotScheme::kLazyGroupBatched: {
-      LazyGroupScheme::Options o;
-      o.batch = batched;
-      scheme = std::make_unique<LazyGroupScheme>(&cluster, o);
-      break;
-    }
-    case HotScheme::kLazyMaster:
-      scheme = std::make_unique<LazyMasterScheme>(&cluster, &ownership);
-      break;
-    case HotScheme::kLazyMasterBatched: {
-      LazyMasterScheme::Options o;
-      o.batch = batched;
-      scheme =
-          std::make_unique<LazyMasterScheme>(&cluster, &ownership, o);
-      break;
-    }
-    case HotScheme::kQuorum:
-      scheme = std::make_unique<QuorumEagerScheme>(&cluster);
-      break;
-  }
+  BatchShipper::Options batch{SimTime::Zero(), 0, true};  // per commit
+  if (config.batched) batch = {SimTime::Millis(50), 128, true};
+  ClusterScheme built = MakeScheme(&cluster, config.kind, batch);
 
   WorkloadDriver::Options dopts;
   dopts.tps_per_node = kTpsPerNode;
   dopts.workload.db_size = kDbSize;
   dopts.workload.actions = kActions;
   dopts.seconds = kMeasureSeconds;
-  WorkloadDriver driver(&cluster, scheme.get(), dopts);
+  WorkloadDriver driver(&cluster, built.scheme.get(), dopts);
 
   // Warmup window: reaches open-loop steady state and fills every pool
   // (event slots, messages, lock waiters, inflight txns, batches).
@@ -156,12 +111,12 @@ int Main() {
   }
 
   const std::vector<HotConfig> configs = {
-      {"eager-group", HotScheme::kEagerGroup},
-      {"lazy-group", HotScheme::kLazyGroup},
-      {"lazy-group-batched", HotScheme::kLazyGroupBatched, true},
-      {"lazy-master", HotScheme::kLazyMaster},
-      {"lazy-master-batched", HotScheme::kLazyMasterBatched},
-      {"quorum", HotScheme::kQuorum},
+      {"eager-group", SchemeKind::kEagerGroup},
+      {"lazy-group", SchemeKind::kLazyGroup},
+      {"lazy-group-batched", SchemeKind::kLazyGroup, true, true},
+      {"lazy-master", SchemeKind::kLazyMaster},
+      {"lazy-master-batched", SchemeKind::kLazyMaster, true},
+      {"quorum", SchemeKind::kQuorum},
   };
 
   std::printf("%-20s %10s %10s %12s %12s\n", "scheme", "committed",

@@ -44,15 +44,10 @@ AvailResult Run(bool quorum_mode, double disconnect_seconds) {
   copts.action_time = SimTime::Millis(5);
   copts.seed = 13;
   Cluster cluster(copts);
-  std::unique_ptr<ReplicationScheme> scheme;
-  QuorumEagerScheme* quorum = nullptr;
-  if (quorum_mode) {
-    auto q = std::make_unique<QuorumEagerScheme>(&cluster);
-    quorum = q.get();
-    scheme = std::move(q);
-  } else {
-    scheme = std::make_unique<EagerGroupScheme>(&cluster);
-  }
+  ClusterScheme built = MakeScheme(
+      &cluster, quorum_mode ? SchemeKind::kQuorum : SchemeKind::kEagerGroup);
+  ReplicationScheme* scheme = built.scheme.get();
+  QuorumEagerScheme* quorum = built.quorum;
 
   Rng rng = cluster.ForkRng();
   AvailResult result;
@@ -75,7 +70,7 @@ AvailResult Run(bool quorum_mode, double disconnect_seconds) {
     auto gen_rng = std::make_shared<Rng>(rng.Fork());
     arrivals.push_back(std::make_unique<OpenLoopArrivals>(
         &cluster.sim(), aopts, rng.Fork(),
-        [&result, s = scheme.get(), origin, gen_rng]() {
+        [&result, s = scheme, origin, gen_rng]() {
           ++result.submitted;
           ObjectId oid = gen_rng->UniformInt(64);
           s->Submit(origin, Program({Op::Add(oid, 1)}),

@@ -32,27 +32,8 @@ std::uint64_t MeasureTransactions(SchemeKind kind, std::uint32_t nodes) {
   copts.db_size = 64;
   copts.action_time = SimTime::Millis(10);
   Cluster cluster(copts);
-  std::vector<NodeId> all(nodes);
-  for (std::uint32_t i = 0; i < nodes; ++i) all[i] = i;
-  Ownership own = Ownership::RoundRobin(64, all);
-
-  std::unique_ptr<ReplicationScheme> scheme;
-  switch (kind) {
-    case SchemeKind::kEagerGroup:
-      scheme = std::make_unique<EagerGroupScheme>(&cluster);
-      break;
-    case SchemeKind::kEagerMaster:
-      scheme = std::make_unique<EagerMasterScheme>(&cluster, &own);
-      break;
-    case SchemeKind::kLazyGroup:
-      scheme = std::make_unique<LazyGroupScheme>(&cluster);
-      break;
-    case SchemeKind::kLazyMaster:
-      scheme = std::make_unique<LazyMasterScheme>(&cluster, &own);
-      break;
-    default:
-      return 0;
-  }
+  ClusterScheme built = MakeScheme(&cluster, kind);
+  ReplicationScheme* scheme = built.scheme.get();
   // A single-object update: Table 1 counts transactions per object
   // update (multi-owner transactions add one slave txn per owner).
   scheme->Submit(0, Program({Op::Write(1, 10)}), nullptr);
@@ -100,24 +81,8 @@ void Main() {
     Cluster::Options copts;
     copts.num_nodes = kNodes;
     Cluster probe(copts);
-    std::unique_ptr<ReplicationScheme> scheme;
-    std::vector<NodeId> all(kNodes);
-    for (std::uint32_t i = 0; i < kNodes; ++i) all[i] = i;
-    Ownership own = Ownership::RoundRobin(copts.db_size, all);
-    switch (e.kind) {
-      case SchemeKind::kEagerGroup:
-        scheme = std::make_unique<EagerGroupScheme>(&probe);
-        break;
-      case SchemeKind::kEagerMaster:
-        scheme = std::make_unique<EagerMasterScheme>(&probe, &own);
-        break;
-      case SchemeKind::kLazyGroup:
-        scheme = std::make_unique<LazyGroupScheme>(&probe);
-        break;
-      default:
-        scheme = std::make_unique<LazyMasterScheme>(&probe, &own);
-        break;
-    }
+    ClusterScheme built = MakeScheme(&probe, e.kind);
+    const ReplicationScheme* scheme = built.scheme.get();
     std::uint64_t measured = measured_txns[&e - entries];
     std::printf("%-14s | %-6s | %-6s | %-18s | %-18llu | %s\n",
                 std::string(scheme->name()).c_str(),

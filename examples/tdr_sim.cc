@@ -4,7 +4,8 @@
 //           [seconds] [seed]
 //
 //   scheme: eager-group | eager-group-parallel | eager-group-readlocks |
-//           eager-master | lazy-group | lazy-master   (default lazy-group)
+//           eager-master | lazy-group | lazy-master | quorum-eager |
+//           two-tier   (default lazy-group)
 //
 // Runs the Table-2 workload model under the chosen strategy and prints
 // measured rates next to the paper's closed-form predictions — the same
@@ -12,7 +13,7 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 
 #include "bench/harness.h"
 #include "util/logging.h"
@@ -20,30 +21,17 @@
 using namespace tdr;
 using namespace tdr::bench;
 
-namespace {
-
-SchemeKind ParseScheme(const char* name) {
-  if (std::strcmp(name, "eager-group") == 0) return SchemeKind::kEagerGroup;
-  if (std::strcmp(name, "eager-group-parallel") == 0) {
-    return SchemeKind::kEagerGroupParallel;
-  }
-  if (std::strcmp(name, "eager-group-readlocks") == 0) {
-    return SchemeKind::kEagerGroupReadLocks;
-  }
-  if (std::strcmp(name, "eager-master") == 0) {
-    return SchemeKind::kEagerMaster;
-  }
-  if (std::strcmp(name, "lazy-group") == 0) return SchemeKind::kLazyGroup;
-  if (std::strcmp(name, "lazy-master") == 0) return SchemeKind::kLazyMaster;
-  std::fprintf(stderr, "unknown scheme '%s'\n", name);
-  std::exit(2);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   SimConfig config;
-  config.kind = argc > 1 ? ParseScheme(argv[1]) : SchemeKind::kLazyGroup;
+  config.kind = SchemeKind::kLazyGroup;
+  if (argc > 1) {
+    std::optional<SchemeKind> kind = SchemeKindFromName(argv[1]);
+    if (!kind.has_value()) {
+      std::fprintf(stderr, "unknown scheme '%s'\n", argv[1]);
+      return 2;
+    }
+    config.kind = *kind;
+  }
   config.nodes = argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2]))
                           : 3;
   config.db_size =

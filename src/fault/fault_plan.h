@@ -75,6 +75,8 @@ class FaultPlan {
 
   const std::vector<FaultAction>& actions() const { return actions_; }
   const ChaosProfile& chaos() const { return chaos_; }
+  /// True if the plan injects nothing: no action and no chaos.
+  bool empty() const { return actions_.empty() && chaos_.empty(); }
 
   /// True if chaos should be on from t=0 (nonempty profile, no explicit
   /// on/off schedule).

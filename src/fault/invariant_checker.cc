@@ -9,18 +9,6 @@
 
 namespace tdr::fault {
 
-const char* SchemeClassName(SchemeClass scheme) {
-  switch (scheme) {
-    case SchemeClass::kEagerGroup: return "eager-group";
-    case SchemeClass::kEagerMaster: return "eager-master";
-    case SchemeClass::kQuorum: return "quorum-eager";
-    case SchemeClass::kLazyGroup: return "lazy-group";
-    case SchemeClass::kLazyMaster: return "lazy-master";
-    case SchemeClass::kTwoTier: return "two-tier";
-  }
-  return "?";
-}
-
 std::string Violation::ToString() const {
   std::string s = StrPrintf("[t=%.6fs] %s: %s", at.seconds(),
                             invariant.c_str(), detail.c_str());
@@ -49,7 +37,7 @@ InvariantChecker::~InvariantChecker() {
     std::fprintf(stderr,
                  "InvariantChecker[%s]: %llu UNCHECKED invariant "
                  "violation(s) at destruction:\n",
-                 SchemeClassName(options_.scheme),
+                 std::string(SchemeKindName(options_.scheme)).c_str(),
                  (unsigned long long)violations_total_);
     for (const Violation& v : violations_) {
       std::fprintf(stderr, "%s\n", v.ToString().c_str());
@@ -77,7 +65,7 @@ void InvariantChecker::CheckNow() {
   if (UsesOwnership() && options_.ownership != nullptr) {
     CheckMasterDominance();
   }
-  if (options_.scheme == SchemeClass::kQuorum && options_.quorum != nullptr) {
+  if (options_.scheme == SchemeKind::kQuorum && options_.quorum != nullptr) {
     CheckQuorumIntersection();
   }
   cluster_->metrics().Increment("invariant.sweeps");
@@ -86,7 +74,7 @@ void InvariantChecker::CheckNow() {
 void InvariantChecker::CheckFinal() {
   CheckNow();
   CheckConvergence();
-  if (options_.scheme == SchemeClass::kTwoTier &&
+  if (options_.scheme == SchemeKind::kTwoTier &&
       options_.two_tier != nullptr) {
     CheckTwoTierLedger();
   }
@@ -213,7 +201,7 @@ void InvariantChecker::CheckQuorumIntersection() {
 }
 
 void InvariantChecker::CheckConvergence() {
-  if (options_.scheme == SchemeClass::kLazyGroup) {
+  if (options_.scheme == SchemeKind::kLazyGroup) {
     // Divergence here is the paper's system delusion — the invariant is
     // that we DETECT it, not that it is absent.
     delusion_slots_ = cluster_->DivergentSlots();
@@ -221,7 +209,7 @@ void InvariantChecker::CheckConvergence() {
                                    delusion_slots_);
     return;
   }
-  if (options_.scheme == SchemeClass::kTwoTier) {
+  if (options_.scheme == SchemeKind::kTwoTier) {
     // Mobile replicas may legitimately lag (they refresh on their own
     // schedule); the paper's property 4 binds the always-connected tier.
     const TwoTierSystem* sys = options_.two_tier;

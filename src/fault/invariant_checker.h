@@ -9,6 +9,7 @@
 #include "replication/cluster.h"
 #include "replication/ownership.h"
 #include "replication/quorum.h"
+#include "replication/scheme_factory.h"
 #include "sim/simulator.h"
 #include "storage/timestamp.h"
 
@@ -18,20 +19,9 @@ class TwoTierSystem;
 
 namespace tdr::fault {
 
-/// Which scheme's guarantees the checker enforces. The invariant set
-/// per class follows the paper's claims: eager schemes and lazy-master
-/// must converge; lazy-group is EXPECTED to diverge under faults
-/// (system delusion) — divergence is recorded, not flagged.
-enum class SchemeClass {
-  kEagerGroup,
-  kEagerMaster,
-  kQuorum,
-  kLazyGroup,
-  kLazyMaster,
-  kTwoTier,
-};
-
-const char* SchemeClassName(SchemeClass scheme);
+/// A second name for SchemeKind, the scheme whose guarantees the
+/// checker enforces. Only perfbench/ still spells it this way.
+using SchemeClass = SchemeKind;
 
 /// One detected invariant violation, with the simulated time it was
 /// observed and (when a fault trace provider is wired) the fault
@@ -76,7 +66,12 @@ struct Violation {
 class InvariantChecker {
  public:
   struct Options {
-    SchemeClass scheme = SchemeClass::kEagerGroup;
+    /// The invariant set per kind follows the paper's claims: eager
+    /// schemes and lazy-master must converge; lazy-group is EXPECTED to
+    /// diverge under faults (system delusion), so its divergence is
+    /// recorded, not flagged. The eager-group ablations check as eager
+    /// group.
+    SchemeKind scheme = SchemeKind::kEagerGroup;
     /// Master map, required for master-dominance (eager-master,
     /// lazy-master, two-tier).
     const Ownership* ownership = nullptr;
@@ -127,9 +122,9 @@ class InvariantChecker {
 
  private:
   bool UsesOwnership() const {
-    return options_.scheme == SchemeClass::kEagerMaster ||
-           options_.scheme == SchemeClass::kLazyMaster ||
-           options_.scheme == SchemeClass::kTwoTier;
+    return options_.scheme == SchemeKind::kEagerMaster ||
+           options_.scheme == SchemeKind::kLazyMaster ||
+           options_.scheme == SchemeKind::kTwoTier;
   }
   void CheckMonotoneTimestamps();
   void CheckTimestampValueAgreement();

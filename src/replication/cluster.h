@@ -51,11 +51,6 @@ class Cluster {
     /// detection. Turn off to rely on executor wait timeouts instead
     /// (production-style detection; see the A4 ablation).
     bool detect_deadlock_cycles = true;
-    /// If false, Executor/Network/schemes are built with no registry —
-    /// every metric handle degrades to a no-op (bench_hot_path and the
-    /// allocation audit count the bare hot path this way); metrics()
-    /// still exists but stays empty.
-    bool enable_metrics = true;
     /// Execution backend; every component schedules through runtime().
     RuntimeBackend backend = RuntimeBackend::kSim;
     /// Per-node write-ahead logging (src/wal). kOff keeps the legacy
@@ -88,10 +83,6 @@ class Cluster {
   wal::RecoveryManager& recovery() { return *recovery_; }
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
-  /// The registry to hand to components: null when metrics are off.
-  obs::MetricsRegistry* metrics_or_null() {
-    return options_.enable_metrics ? &metrics_ : nullptr;
-  }
   WaitForGraph& graph() { return graph_; }
   /// The cluster-wide range partition of the key space.
   const ShardMap& shards() const { return shards_; }

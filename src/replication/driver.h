@@ -71,11 +71,6 @@ class WorkloadDriver {
   /// cluster measure their own windows.
   Outcome Run();
 
-  /// Reconciliations reported by the scheme if it is a LazyGroupScheme
-  /// (else the cluster's replica.conflicts counter). Exposed for
-  /// callers composing their own measurement logic.
-  std::uint64_t CurrentReconciliations() const;
-
  private:
   struct Baseline {
     std::uint64_t committed = 0, deadlocks = 0, waits = 0;
@@ -85,6 +80,9 @@ class WorkloadDriver {
   };
 
   Baseline Snapshot() const;
+  /// Reconciliations reported by the scheme if it is a LazyGroupScheme
+  /// (else the cluster's replica.conflicts counter).
+  std::uint64_t CurrentReconciliations() const;
 
   Cluster* cluster_;
   ReplicationScheme* scheme_;

@@ -7,9 +7,9 @@ namespace tdr {
 LazyGroupScheme::LazyGroupScheme(Cluster* cluster, Options options)
     : cluster_(cluster),
       applier_(&cluster->runtime(), &cluster->executor(),
-               cluster->metrics_or_null()),
+               &cluster->metrics()),
       shipper_(&cluster->runtime(), &cluster->net(), cluster->size(), name(),
-               cluster->metrics_or_null(), options.batch,
+               &cluster->metrics(), options.batch,
                [this](const UpdateBatch& batch) {
                  ApplyAt(cluster_->node(batch.dest), batch.updates);
                }) {}

@@ -12,9 +12,9 @@ LazyMasterScheme::LazyMasterScheme(Cluster* cluster,
     : cluster_(cluster),
       ownership_(ownership),
       applier_(&cluster->runtime(), &cluster->executor(),
-               cluster->metrics_or_null()),
+               &cluster->metrics()),
       shipper_(&cluster->runtime(), &cluster->net(), cluster->size(), name(),
-               cluster->metrics_or_null(), options.batch,
+               &cluster->metrics(), options.batch,
                [this](const UpdateBatch& batch) {
                  ApplyAt(cluster_->node(batch.dest), batch.updates);
                }) {

@@ -84,6 +84,9 @@ class Callback {
   // trivially destructible. The nulls matter: moving and destroying
   // callbacks happens several times per event, and a predictable
   // load-test-skip beats an indirect call through a per-type thunk.
+  // An empty trivially-copyable capture (a lambda capturing nothing)
+  // gets a no-op `relocate` instead: it has no bytes to move, and the
+  // memcpy would read a buffer its construction never wrote.
   struct Ops {
     void (*invoke)(void* self);
     // Move-constructs *src into dst and destroys *src (null: memcpy).
@@ -102,7 +105,7 @@ class Callback {
   static constexpr Ops kInlineOps{
       [](void* self) { (*static_cast<D*>(self))(); },
       std::is_trivially_copyable_v<D>
-          ? nullptr
+          ? (std::is_empty_v<D> ? +[](void*, void*) noexcept {} : nullptr)
           : +[](void* src, void* dst) noexcept {
               D* from = static_cast<D*>(src);
               ::new (dst) D(std::move(*from));

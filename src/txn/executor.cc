@@ -227,7 +227,6 @@ void Executor::StepAcquire(Inflight* t) {
         if (t->id != id) return;
         SimTime waited = sim_->Now() - t->wait_started;
         t->result.wait_time += waited;
-        wait_hist_.Add(static_cast<std::uint64_t>(waited.micros()));
         m_wait_micros_.Record(static_cast<std::uint64_t>(waited.micros()));
         if (trace_ != nullptr) {
           const ExecStep& granted = t->steps[t->pc];

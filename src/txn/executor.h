@@ -16,7 +16,6 @@
 #include "txn/program.h"
 #include "txn/trace.h"
 #include "util/sim_time.h"
-#include "util/stats.h"
 
 namespace tdr {
 
@@ -212,9 +211,6 @@ class Executor {
   /// RunOptions::wait_timeout is used).
   std::uint64_t wait_timeouts() const { return wait_timeouts_; }
 
-  /// Distribution of lock-wait durations (simulated micros).
-  const Histogram& wait_histogram() const { return wait_hist_; }
-
  private:
   /// Buffered write: final value per (node, object), flat-sorted.
   struct WriteEntry {
@@ -302,7 +298,6 @@ class Executor {
   std::uint64_t deadlocked_ = 0;
   std::uint64_t rejected_ = 0;
   std::uint64_t wait_timeouts_ = 0;
-  Histogram wait_hist_;
 };
 
 /// Compiles `program` into a single-node plan: every op runs at `node`.

@@ -25,7 +25,7 @@
 #include "replication/lazy_group.h"
 #include "replication/lazy_master.h"
 #include "replication/ownership.h"
-#include "replication/quorum.h"
+#include "replication/scheme_factory.h"
 #include "util/alloc_audit.h"
 #include "workload/workload.h"
 
@@ -44,7 +44,9 @@ Cluster::Options BaseOptions() {
   return o;
 }
 
-enum class SchemeKind {
+// gtest prints SteadyStateConfig into the ctest names as raw bytes, so
+// these values stay fixed.
+enum class AuditScheme {
   kEagerGroup,
   kLazyGroup,
   kLazyGroupBatched,
@@ -55,35 +57,23 @@ enum class SchemeKind {
 
 struct SteadyStateConfig {
   const char* name;
-  SchemeKind kind;
+  AuditScheme kind;
 };
 
-std::unique_ptr<ReplicationScheme> MakeScheme(SchemeKind kind,
-                                              Cluster* cluster,
-                                              const Ownership* ownership) {
-  BatchShipper::Options batched;
-  batched.flush_window = SimTime::Millis(50);
-  switch (kind) {
-    case SchemeKind::kEagerGroup:
-      return std::make_unique<EagerGroupScheme>(cluster);
-    case SchemeKind::kLazyGroup:
-      return std::make_unique<LazyGroupScheme>(cluster);
-    case SchemeKind::kLazyGroupBatched: {
-      LazyGroupScheme::Options o;
-      o.batch = batched;
-      return std::make_unique<LazyGroupScheme>(cluster, o);
-    }
-    case SchemeKind::kLazyMaster:
-      return std::make_unique<LazyMasterScheme>(cluster, ownership);
-    case SchemeKind::kLazyMasterBatched: {
-      LazyMasterScheme::Options o;
-      o.batch = batched;
-      return std::make_unique<LazyMasterScheme>(cluster, ownership, o);
-    }
-    case SchemeKind::kQuorum:
-      return std::make_unique<QuorumEagerScheme>(cluster);
+/// The factory's scheme for `kind`; the batched ones ship in 50 ms
+/// windows.
+ClusterScheme BuildScheme(AuditScheme kind, Cluster* cluster) {
+  constexpr SchemeKind kKinds[] = {
+      SchemeKind::kEagerGroup, SchemeKind::kLazyGroup,
+      SchemeKind::kLazyGroup,  SchemeKind::kLazyMaster,
+      SchemeKind::kLazyMaster, SchemeKind::kQuorum,
+  };
+  BatchShipper::Options batch{SimTime::Zero(), 0, true};
+  if (kind == AuditScheme::kLazyGroupBatched ||
+      kind == AuditScheme::kLazyMasterBatched) {
+    batch = {SimTime::Millis(50), 128, true};
   }
-  return nullptr;
+  return MakeScheme(cluster, kKinds[static_cast<int>(kind)], batch);
 }
 
 /// One traffic window: every node submits one generated transaction,
@@ -109,17 +99,9 @@ TEST_P(SteadyStateAllocTest, SecondWindowAllocatesNothing) {
   if (!AllocAuditLinked()) {
     GTEST_SKIP() << "tdr_alloc_audit hooks not linked";
   }
-  Cluster::Options copts = BaseOptions();
-  // Bare hot path, as bench_hot_path measures it. (The metrics registry
-  // keeps its own allocation story; the zero-allocation contract is for
-  // the transaction machinery.)
-  copts.enable_metrics = false;
-  Cluster cluster(copts);
-  std::vector<NodeId> all_nodes(kNodes);
-  for (std::uint32_t i = 0; i < kNodes; ++i) all_nodes[i] = i;
-  Ownership ownership = Ownership::RoundRobin(kDbSize, all_nodes);
-  std::unique_ptr<ReplicationScheme> scheme =
-      MakeScheme(GetParam().kind, &cluster, &ownership);
+  Cluster cluster(BaseOptions());
+  ClusterScheme built = BuildScheme(GetParam().kind, &cluster);
+  ReplicationScheme* scheme = built.scheme.get();
 
   ProgramGenerator::Options gopts;
   gopts.db_size = kDbSize;
@@ -131,7 +113,7 @@ TEST_P(SteadyStateAllocTest, SecondWindowAllocatesNothing) {
   // Warmup window: grows every pool and scratch buffer (inflight txns,
   // lock waiters, wait-for-graph nodes, message slots, payload leases,
   // batch streams, applier jobs) to the traffic's working set.
-  PumpTransactions(cluster, scheme.get(), gen, rng, scratch, 4000);
+  PumpTransactions(cluster, scheme, gen, rng, scratch, 4000);
 
 
   // Pooled buffers ratchet capacity to the all-time maximum the traffic
@@ -151,11 +133,11 @@ TEST_P(SteadyStateAllocTest, SecondWindowAllocatesNothing) {
     TraceNextAllocations(std::atoll(trace));
   }
   AllocScope window_1x;
-  PumpTransactions(cluster, scheme.get(), gen, rng, scratch, 400);
+  PumpTransactions(cluster, scheme, gen, rng, scratch, 400);
   std::uint64_t allocs_1x = window_1x.allocations();
 
   AllocScope window_4x;
-  PumpTransactions(cluster, scheme.get(), gen, rng, scratch, 1600);
+  PumpTransactions(cluster, scheme, gen, rng, scratch, 1600);
   std::uint64_t allocs_4x = window_4x.allocations();
 
   EXPECT_LE(allocs_1x, 12u)
@@ -169,14 +151,14 @@ TEST_P(SteadyStateAllocTest, SecondWindowAllocatesNothing) {
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, SteadyStateAllocTest,
     ::testing::Values(
-        SteadyStateConfig{"eager_group", SchemeKind::kEagerGroup},
-        SteadyStateConfig{"lazy_group", SchemeKind::kLazyGroup},
+        SteadyStateConfig{"eager_group", AuditScheme::kEagerGroup},
+        SteadyStateConfig{"lazy_group", AuditScheme::kLazyGroup},
         SteadyStateConfig{"lazy_group_batched",
-                          SchemeKind::kLazyGroupBatched},
-        SteadyStateConfig{"lazy_master", SchemeKind::kLazyMaster},
+                          AuditScheme::kLazyGroupBatched},
+        SteadyStateConfig{"lazy_master", AuditScheme::kLazyMaster},
         SteadyStateConfig{"lazy_master_batched",
-                          SchemeKind::kLazyMasterBatched},
-        SteadyStateConfig{"quorum", SchemeKind::kQuorum}),
+                          AuditScheme::kLazyMasterBatched},
+        SteadyStateConfig{"quorum", AuditScheme::kQuorum}),
     [](const ::testing::TestParamInfo<SteadyStateConfig>& info) {
       return info.param.name;
     });
@@ -190,7 +172,6 @@ TEST(WalSteadyStateAllocTest, SecondWindowAllocatesNothing) {
     GTEST_SKIP() << "tdr_alloc_audit hooks not linked";
   }
   Cluster::Options copts = BaseOptions();
-  copts.enable_metrics = false;
   copts.wal.mode = DurabilityMode::kGroup;
   // Segments big enough that the measured windows never roll: a roll is
   // O(total bytes / segment bytes) capacity growth, not per-commit
@@ -241,11 +222,10 @@ TEST(ShardedApplyAllocTest, SecondWindowAllocatesNothing) {
     GTEST_SKIP() << "tdr_alloc_audit hooks not linked";
   }
   Cluster::Options copts = BaseOptions();
-  copts.enable_metrics = false;
   copts.num_shards = 4;
   Cluster cluster(copts);
-  std::unique_ptr<ReplicationScheme> scheme =
-      MakeScheme(SchemeKind::kLazyGroupBatched, &cluster, nullptr);
+  ClusterScheme built = BuildScheme(AuditScheme::kLazyGroupBatched, &cluster);
+  ReplicationScheme* scheme = built.scheme.get();
 
   ProgramGenerator::Options gopts;
   gopts.db_size = kDbSize;
@@ -254,17 +234,17 @@ TEST(ShardedApplyAllocTest, SecondWindowAllocatesNothing) {
   Rng rng = cluster.ForkRng();
   Program scratch;
 
-  PumpTransactions(cluster, scheme.get(), gen, rng, scratch, 4000);
+  PumpTransactions(cluster, scheme, gen, rng, scratch, 4000);
 
   if (const char* trace = std::getenv("TDR_TRACE_ALLOCS")) {
     TraceNextAllocations(std::atoll(trace));
   }
   AllocScope window_1x;
-  PumpTransactions(cluster, scheme.get(), gen, rng, scratch, 400);
+  PumpTransactions(cluster, scheme, gen, rng, scratch, 400);
   std::uint64_t allocs_1x = window_1x.allocations();
 
   AllocScope window_4x;
-  PumpTransactions(cluster, scheme.get(), gen, rng, scratch, 1600);
+  PumpTransactions(cluster, scheme, gen, rng, scratch, 1600);
   std::uint64_t allocs_4x = window_4x.allocations();
 
   EXPECT_LE(allocs_1x, 12u)

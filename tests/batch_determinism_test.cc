@@ -99,7 +99,7 @@ TEST(BatchDeterminismTest, FaultedBatchedRunsKeepInvariantsGreen) {
     // The green gate is the checker's CheckFinal after heal + batch
     // flush + catch-up (divergent_slots is sampled at the horizon,
     // mid-faults, so it is legitimately nonzero here).
-    EXPECT_EQ(out.invariant_violations, 0u) << SchemeKindName(kind);
+    EXPECT_EQ(out.violations, 0u) << SchemeKindName(kind);
     EXPECT_GT(out.committed, 0u) << SchemeKindName(kind);
     EXPECT_GT(out.batches_shipped, 0u) << SchemeKindName(kind);
   }

@@ -81,7 +81,7 @@ class BatchShipperTest : public ::testing::Test {
 TEST_F(BatchShipperTest, WindowFlushShipsOneCoalescedBatch) {
   BatchShipper shipper(
       &cluster_->sim(), &cluster_->net(), cluster_->size(), "test",
-      cluster_->metrics_or_null(), WindowOptions(SimTime::Millis(50), 0),
+      &cluster_->metrics(), WindowOptions(SimTime::Millis(50), 0),
       [&](const UpdateBatch& b) { delivered_.push_back(b); });
   shipper.Enqueue(0, 1, {Rec(7, 0, 1, 10)});
   shipper.Enqueue(0, 1, {Rec(7, 1, 2, 20), Rec(8, 0, 3, 30)});
@@ -103,7 +103,7 @@ TEST_F(BatchShipperTest, WindowFlushShipsOneCoalescedBatch) {
 TEST_F(BatchShipperTest, SizeCapFlushesImmediately) {
   BatchShipper shipper(
       &cluster_->sim(), &cluster_->net(), cluster_->size(), "test",
-      cluster_->metrics_or_null(), WindowOptions(SimTime::Seconds(100), 2),
+      &cluster_->metrics(), WindowOptions(SimTime::Seconds(100), 2),
       [&](const UpdateBatch& b) { delivered_.push_back(b); });
   shipper.Enqueue(0, 1, {Rec(7, 0, 1, 10), Rec(8, 0, 2, 20)});
   cluster_->sim().Run();  // no 100s window wait: the cap already fired
@@ -114,7 +114,7 @@ TEST_F(BatchShipperTest, SizeCapFlushesImmediately) {
 TEST_F(BatchShipperTest, StreamsAreIndependentAndSequenced) {
   BatchShipper shipper(
       &cluster_->sim(), &cluster_->net(), cluster_->size(), "test",
-      cluster_->metrics_or_null(), WindowOptions(SimTime::Millis(10), 0),
+      &cluster_->metrics(), WindowOptions(SimTime::Millis(10), 0),
       [&](const UpdateBatch& b) { delivered_.push_back(b); });
   shipper.Enqueue(0, 1, {Rec(7, 0, 1, 10)});
   shipper.Enqueue(0, 2, {Rec(7, 0, 1, 10)});
@@ -131,7 +131,7 @@ TEST_F(BatchShipperTest, StreamsAreIndependentAndSequenced) {
 TEST_F(BatchShipperTest, FlushAllDrainsPendingStreams) {
   BatchShipper shipper(
       &cluster_->sim(), &cluster_->net(), cluster_->size(), "test",
-      cluster_->metrics_or_null(), WindowOptions(SimTime::Seconds(100), 0),
+      &cluster_->metrics(), WindowOptions(SimTime::Seconds(100), 0),
       [&](const UpdateBatch& b) { delivered_.push_back(b); });
   shipper.Enqueue(0, 1, {Rec(7, 0, 1, 10)});
   shipper.Enqueue(2, 0, {Rec(8, 0, 2, 20)});
@@ -147,7 +147,7 @@ TEST_F(BatchShipperTest, FlushAllDrainsPendingStreams) {
 TEST_F(BatchShipperTest, ZeroWindowCapOneShipsEveryUpdateExactlyOnce) {
   BatchShipper shipper(
       &cluster_->sim(), &cluster_->net(), cluster_->size(), "test",
-      cluster_->metrics_or_null(), WindowOptions(SimTime::Zero(), 1),
+      &cluster_->metrics(), WindowOptions(SimTime::Zero(), 1),
       [&](const UpdateBatch& b) { delivered_.push_back(b); });
   shipper.Enqueue(0, 1, {Rec(7, 0, 1, 10)});
   shipper.Enqueue(0, 1, {Rec(8, 0, 2, 20)});
@@ -178,7 +178,7 @@ TEST_F(BatchShipperTest, ZeroWindowCapOneShipsEveryUpdateExactlyOnce) {
 TEST_F(BatchShipperTest, CapOneMultiRecordEnqueueShipsOneBatch) {
   BatchShipper shipper(
       &cluster_->sim(), &cluster_->net(), cluster_->size(), "test",
-      cluster_->metrics_or_null(), WindowOptions(SimTime::Zero(), 1),
+      &cluster_->metrics(), WindowOptions(SimTime::Zero(), 1),
       [&](const UpdateBatch& b) { delivered_.push_back(b); });
   shipper.Enqueue(0, 1, {Rec(7, 0, 1, 10), Rec(8, 0, 2, 20), Rec(9, 0, 3, 30)});
   EXPECT_EQ(shipper.batches_shipped(), 1u);
@@ -195,7 +195,7 @@ TEST_F(BatchShipperTest, CapOneMultiRecordEnqueueShipsOneBatch) {
 TEST_F(BatchShipperTest, ZeroWindowZeroCapShipsEachEnqueueAtOnce) {
   BatchShipper shipper(
       &cluster_->sim(), &cluster_->net(), cluster_->size(), "test",
-      cluster_->metrics_or_null(), WindowOptions(SimTime::Zero(), 0),
+      &cluster_->metrics(), WindowOptions(SimTime::Zero(), 0),
       [&](const UpdateBatch& b) { delivered_.push_back(b); });
   shipper.Enqueue(0, 1, {Rec(7, 0, 1, 10)});
   EXPECT_EQ(shipper.batches_shipped(), 1u);
@@ -217,7 +217,7 @@ TEST_F(BatchShipperTest, ZeroWindowZeroCapShipsEachEnqueueAtOnce) {
 TEST_F(BatchShipperTest, SelfAndEmptyEnqueuesAreIgnored) {
   BatchShipper shipper(
       &cluster_->sim(), &cluster_->net(), cluster_->size(), "test",
-      cluster_->metrics_or_null(), WindowOptions(SimTime::Millis(10), 0),
+      &cluster_->metrics(), WindowOptions(SimTime::Millis(10), 0),
       [&](const UpdateBatch& b) { delivered_.push_back(b); });
   shipper.Enqueue(1, 1, {Rec(7, 0, 1, 10)});  // self-send
   shipper.Enqueue(0, 1, {});                  // empty

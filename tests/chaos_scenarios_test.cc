@@ -10,28 +10,29 @@
 #include <vector>
 
 #include "fault/chaos_scenarios.h"
+#include "fault/run_scheme.h"
 #include "sim/sweep_runner.h"
 
 namespace tdr::workload {
 namespace {
 
-using fault::SchemeClass;
-
-ChaosConfig BaseConfig(SchemeClass scheme) {
-  ChaosConfig cfg;
-  cfg.scheme = scheme;
-  cfg.num_nodes = 4;
+SimConfig BaseConfig(SchemeKind kind) {
+  SimConfig cfg;
+  cfg.kind = kind;
+  cfg.nodes = 4;
   cfg.db_size = 64;
-  cfg.tps_per_node = 10;
-  cfg.seconds = 20;
+  cfg.tps = 10;
+  cfg.action_time = 0.001;
+  cfg.sim_seconds = 20;
   cfg.seed = 42;
+  cfg.check_invariants = true;
   return cfg;
 }
 
-ChaosConfig ScenarioConfig(SchemeClass scheme, const std::string& name) {
-  ChaosConfig cfg = BaseConfig(scheme);
+SimConfig ScenarioConfig(SchemeKind kind, const std::string& name) {
+  SimConfig cfg = BaseConfig(kind);
   const ChaosScenario& s = FindScenario(name);
-  cfg.plan = s.plan(cfg.num_nodes, SimTime::Seconds(cfg.seconds));
+  cfg.plan = s.plan(cfg.nodes, SimTime::Seconds(cfg.sim_seconds));
   return cfg;
 }
 
@@ -48,9 +49,9 @@ TEST(ChaosCatalogTest, CatalogIsComplete) {
 // --- Partition during eager commits ----------------------------------
 
 TEST(ChaosScenarioTest, PartitionDuringEagerGroupCommit) {
-  ChaosConfig cfg = ScenarioConfig(SchemeClass::kEagerGroup,
-                                   "partition-during-commit");
-  ChaosOutcome out = RunChaos(cfg);
+  SimConfig cfg = ScenarioConfig(SchemeKind::kEagerGroup,
+                                 "partition-during-commit");
+  SimOutcome out = RunScheme(cfg);
   // Eager group requires all nodes: the partition window shows up as
   // unavailability, never as divergence.
   EXPECT_EQ(out.violations, 0u) << out.ToString();
@@ -60,9 +61,9 @@ TEST(ChaosScenarioTest, PartitionDuringEagerGroupCommit) {
 }
 
 TEST(ChaosScenarioTest, PartitionDuringQuorumCommit) {
-  ChaosConfig cfg =
-      ScenarioConfig(SchemeClass::kQuorum, "partition-during-commit");
-  ChaosOutcome out = RunChaos(cfg);
+  SimConfig cfg =
+      ScenarioConfig(SchemeKind::kQuorum, "partition-during-commit");
+  SimOutcome out = RunScheme(cfg);
   // The majority side keeps committing; the minority side reads
   // unavailable; quorum intersection holds throughout.
   EXPECT_EQ(out.violations, 0u) << out.ToString();
@@ -73,9 +74,9 @@ TEST(ChaosScenarioTest, PartitionDuringQuorumCommit) {
 }
 
 TEST(ChaosScenarioTest, PartitionDuringLazyMasterPropagation) {
-  ChaosConfig cfg =
-      ScenarioConfig(SchemeClass::kLazyMaster, "partition-during-commit");
-  ChaosOutcome out = RunChaos(cfg);
+  SimConfig cfg =
+      ScenarioConfig(SchemeKind::kLazyMaster, "partition-during-commit");
+  SimOutcome out = RunScheme(cfg);
   EXPECT_EQ(out.violations, 0u) << out.ToString();
   EXPECT_TRUE(out.converged);
   EXPECT_GT(out.committed, 0u);
@@ -84,8 +85,8 @@ TEST(ChaosScenarioTest, PartitionDuringLazyMasterPropagation) {
 // --- Master crash mid-propagation ------------------------------------
 
 TEST(ChaosScenarioTest, MasterCrashMidPropagationLazyMaster) {
-  ChaosConfig cfg = ScenarioConfig(SchemeClass::kLazyMaster, "master-crash");
-  ChaosOutcome out = RunChaos(cfg);
+  SimConfig cfg = ScenarioConfig(SchemeKind::kLazyMaster, "master-crash");
+  SimOutcome out = RunScheme(cfg);
   // Node 1 masters a quarter of the objects; while it is down those
   // objects are unavailable, and its replica misses updates it must
   // recover via catch-up. Convergence must still hold at the end.
@@ -96,15 +97,15 @@ TEST(ChaosScenarioTest, MasterCrashMidPropagationLazyMaster) {
 }
 
 TEST(ChaosScenarioTest, MasterCrashEagerMaster) {
-  ChaosConfig cfg = ScenarioConfig(SchemeClass::kEagerMaster, "master-crash");
-  ChaosOutcome out = RunChaos(cfg);
+  SimConfig cfg = ScenarioConfig(SchemeKind::kEagerMaster, "master-crash");
+  SimOutcome out = RunScheme(cfg);
   EXPECT_EQ(out.violations, 0u) << out.ToString();
   EXPECT_TRUE(out.converged);
 }
 
 TEST(ChaosScenarioTest, CrashQuorumStillMeetsQuorum) {
-  ChaosConfig cfg = ScenarioConfig(SchemeClass::kQuorum, "master-crash");
-  ChaosOutcome out = RunChaos(cfg);
+  SimConfig cfg = ScenarioConfig(SchemeKind::kQuorum, "master-crash");
+  SimOutcome out = RunScheme(cfg);
   // 3 of 4 votes remain: writes keep committing through the crash.
   EXPECT_EQ(out.violations, 0u) << out.ToString();
   EXPECT_TRUE(out.converged);
@@ -114,8 +115,8 @@ TEST(ChaosScenarioTest, CrashQuorumStillMeetsQuorum) {
 // --- Lazy group under chaos: delusion is DETECTED, not absent --------
 
 TEST(ChaosScenarioTest, LazyGroupFlakyNetworkDelusionIsDetected) {
-  ChaosConfig cfg = ScenarioConfig(SchemeClass::kLazyGroup, "flaky-network");
-  ChaosOutcome out = RunChaos(cfg);
+  SimConfig cfg = ScenarioConfig(SchemeKind::kLazyGroup, "flaky-network");
+  SimOutcome out = RunScheme(cfg);
   // Dropped replica updates leave stale replicas; subsequent
   // timestamp-match failures surface as reconciliations and persistent
   // divergence — the paper's system delusion, *counted* by the checker.
@@ -129,9 +130,9 @@ TEST(ChaosScenarioTest, LazyGroupFlakyNetworkDelusionIsDetected) {
 // --- Duplicate delivery / reconnect storm ----------------------------
 
 TEST(ChaosScenarioTest, LazyMasterIdempotentUnderDuplicateDelivery) {
-  ChaosConfig cfg =
-      ScenarioConfig(SchemeClass::kLazyMaster, "dup-storm-reconnect");
-  ChaosOutcome out = RunChaos(cfg);
+  SimConfig cfg =
+      ScenarioConfig(SchemeKind::kLazyMaster, "dup-storm-reconnect");
+  SimOutcome out = RunScheme(cfg);
   // Newer-wins application is idempotent: replayed slave updates are
   // stale on second delivery and ignored, so duplicates are harmless.
   EXPECT_GT(out.injected_duplicates, 0u);
@@ -140,9 +141,9 @@ TEST(ChaosScenarioTest, LazyMasterIdempotentUnderDuplicateDelivery) {
 }
 
 TEST(ChaosScenarioTest, TwoTierMobileReconnectUnderDuplicateDelivery) {
-  ChaosConfig cfg =
-      ScenarioConfig(SchemeClass::kTwoTier, "dup-storm-reconnect");
-  ChaosOutcome out = RunChaos(cfg);
+  SimConfig cfg =
+      ScenarioConfig(SchemeKind::kTwoTier, "dup-storm-reconnect");
+  SimOutcome out = RunScheme(cfg);
   EXPECT_EQ(out.violations, 0u) << out.ToString();
   EXPECT_TRUE(out.converged);
   // The ledger balanced: every tentative transaction was reprocessed.
@@ -152,9 +153,9 @@ TEST(ChaosScenarioTest, TwoTierMobileReconnectUnderDuplicateDelivery) {
 }
 
 TEST(ChaosScenarioTest, TwoTierSurvivesBaseCrashAndPartition) {
-  ChaosConfig cfg =
-      ScenarioConfig(SchemeClass::kTwoTier, "crash-partition-drop");
-  ChaosOutcome out = RunChaos(cfg);
+  SimConfig cfg =
+      ScenarioConfig(SchemeKind::kTwoTier, "crash-partition-drop");
+  SimOutcome out = RunScheme(cfg);
   EXPECT_EQ(out.violations, 0u) << out.ToString();
   EXPECT_TRUE(out.converged);
   EXPECT_GT(out.tentative_submitted, 0u);
@@ -169,35 +170,35 @@ TEST(ChaosScenarioTest, TwoTierSurvivesBaseCrashAndPartition) {
 // counts, with zero invariant violations for eager/lazy-master/two-tier
 // and nonzero DETECTED delusion for lazy-group.
 TEST(ChaosReplayTest, AcceptanceScenarioIsBitIdenticalAndInvariantClean) {
-  const std::vector<SchemeClass> schemes = {
-      SchemeClass::kEagerGroup, SchemeClass::kEagerMaster,
-      SchemeClass::kQuorum,     SchemeClass::kLazyMaster,
-      SchemeClass::kLazyGroup,  SchemeClass::kTwoTier,
+  const std::vector<SchemeKind> schemes = {
+      SchemeKind::kEagerGroup, SchemeKind::kEagerMaster,
+      SchemeKind::kQuorum,     SchemeKind::kLazyMaster,
+      SchemeKind::kLazyGroup,  SchemeKind::kTwoTier,
   };
 
   auto run_all = [&](unsigned threads) {
     sim::SweepRunner runner(sim::SweepRunner::Options{.threads = threads});
     return runner.Map<std::uint64_t>(schemes.size(), [&](std::size_t i) {
-      ChaosConfig cfg =
+      SimConfig cfg =
           ScenarioConfig(schemes[i], "crash-partition-drop");
-      ChaosOutcome out = RunChaos(cfg);
-      if (schemes[i] == SchemeClass::kLazyGroup) {
+      SimOutcome out = RunScheme(cfg);
+      if (schemes[i] == SchemeKind::kLazyGroup) {
         // Delusion must be present AND detected.
         EXPECT_GT(out.reconciliations + out.delusion_slots, 0u);
         EXPECT_EQ(out.violations, 0u) << out.ToString();
       } else {
         EXPECT_EQ(out.violations, 0u)
-            << SchemeClassName(schemes[i]) << ": " << out.ToString()
+            << SchemeKindName(schemes[i]) << ": " << out.ToString()
             << "\nfaults:\n" << out.fault_log;
-        EXPECT_TRUE(out.converged) << SchemeClassName(schemes[i]);
+        EXPECT_TRUE(out.converged) << SchemeKindName(schemes[i]);
       }
       // The scenario's drop faults actually fired for the schemes that
       // propagate over the network (eager/quorum install replica writes
       // as direct executor steps — no messages to drop).
-      if (schemes[i] == SchemeClass::kLazyMaster ||
-          schemes[i] == SchemeClass::kLazyGroup ||
-          schemes[i] == SchemeClass::kTwoTier) {
-        EXPECT_GT(out.injected_drops, 0u) << SchemeClassName(schemes[i]);
+      if (schemes[i] == SchemeKind::kLazyMaster ||
+          schemes[i] == SchemeKind::kLazyGroup ||
+          schemes[i] == SchemeKind::kTwoTier) {
+        EXPECT_GT(out.injected_drops, 0u) << SchemeKindName(schemes[i]);
       }
       return out.Fingerprint();
     });
@@ -211,19 +212,19 @@ TEST(ChaosReplayTest, AcceptanceScenarioIsBitIdenticalAndInvariantClean) {
 }
 
 TEST(ChaosReplayTest, DifferentSeedsDiverge) {
-  ChaosConfig cfg =
-      ScenarioConfig(SchemeClass::kLazyMaster, "crash-partition-drop");
-  ChaosOutcome a = RunChaos(cfg);
+  SimConfig cfg =
+      ScenarioConfig(SchemeKind::kLazyMaster, "crash-partition-drop");
+  SimOutcome a = RunScheme(cfg);
   cfg.seed = 43;
-  ChaosOutcome b = RunChaos(cfg);
+  SimOutcome b = RunScheme(cfg);
   EXPECT_NE(a.Fingerprint(), b.Fingerprint());
 }
 
 TEST(ChaosReplayTest, FaultLogIsReplayedVerbatim) {
-  ChaosConfig cfg =
-      ScenarioConfig(SchemeClass::kEagerGroup, "crash-partition-drop");
-  ChaosOutcome a = RunChaos(cfg);
-  ChaosOutcome b = RunChaos(cfg);
+  SimConfig cfg =
+      ScenarioConfig(SchemeKind::kEagerGroup, "crash-partition-drop");
+  SimOutcome a = RunScheme(cfg);
+  SimOutcome b = RunScheme(cfg);
   EXPECT_FALSE(a.fault_log.empty());
   EXPECT_EQ(a.fault_log, b.fault_log);
 }

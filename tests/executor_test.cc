@@ -324,8 +324,11 @@ TEST_F(ExecutorTest, WaitHistogramRecordsWaits) {
     exec_->Run(0, LocalPlan(0, p), Opts(), nullptr);
   });
   sim_.Run();
-  EXPECT_EQ(exec_->wait_histogram().count(), 1u);
-  EXPECT_GT(exec_->wait_histogram().mean(), 0.0);
+  const Histogram* waits =
+      counters_.GetHistogram("lock.wait_micros").histogram();
+  ASSERT_NE(waits, nullptr);
+  EXPECT_EQ(waits->count(), 1u);
+  EXPECT_GT(waits->mean(), 0.0);
 }
 
 }  // namespace

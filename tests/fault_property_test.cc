@@ -8,55 +8,54 @@
 #include <cstdint>
 #include <vector>
 
-#include "fault/chaos_scenarios.h"
 #include "fault/fault_plan.h"
+#include "fault/run_scheme.h"
 #include "sim/sweep_runner.h"
 
 namespace tdr::workload {
 namespace {
 
-using fault::SchemeClass;
-
 constexpr int kPairs = 200;
 
 // Scheme classes cycled across the pairs. Two-tier is exercised too,
 // at a lower rate (its runs are the most expensive).
-SchemeClass SchemeFor(int i) {
-  if (i % 8 == 7) return SchemeClass::kTwoTier;
+SchemeKind SchemeFor(int i) {
+  if (i % 8 == 7) return SchemeKind::kTwoTier;
   switch (i % 5) {
-    case 0: return SchemeClass::kEagerGroup;
-    case 1: return SchemeClass::kEagerMaster;
-    case 2: return SchemeClass::kQuorum;
-    case 3: return SchemeClass::kLazyMaster;
-    default: return SchemeClass::kLazyGroup;
+    case 0: return SchemeKind::kEagerGroup;
+    case 1: return SchemeKind::kEagerMaster;
+    case 2: return SchemeKind::kQuorum;
+    case 3: return SchemeKind::kLazyMaster;
+    default: return SchemeKind::kLazyGroup;
   }
 }
 
-ChaosConfig ConfigFor(int i) {
-  ChaosConfig cfg;
-  cfg.scheme = SchemeFor(i);
-  cfg.num_nodes = 4;
+SimConfig ConfigFor(int i) {
+  SimConfig cfg;
+  cfg.kind = SchemeFor(i);
+  cfg.nodes = 4;
   cfg.db_size = 32;
-  cfg.tps_per_node = 5;
-  cfg.seconds = 10;
+  cfg.tps = 5;
+  cfg.action_time = 0.001;
+  cfg.sim_seconds = 10;
   cfg.seed = sim::DeriveSeed(0xfa017ULL, static_cast<std::uint64_t>(i));
-  cfg.check_interval = SimTime::Seconds(2);
+  cfg.check_invariants = true;
   // The plan's own randomness comes from a stream derived from the same
   // pair index, so pair i is fully reproducible in isolation.
   Rng plan_rng(cfg.seed, 31);
-  cfg.plan = fault::FaultPlan::Random(&plan_rng, cfg.num_nodes,
-                                      SimTime::Seconds(cfg.seconds));
+  cfg.plan = fault::FaultPlan::Random(&plan_rng, cfg.nodes,
+                                      SimTime::Seconds(cfg.sim_seconds));
   return cfg;
 }
 
 TEST(FaultPropertyTest, RandomPlansReplayIdenticallyAndConverge) {
   sim::SweepRunner runner;
   runner.Run(kPairs, [](std::size_t i) {
-    ChaosConfig cfg = ConfigFor(static_cast<int>(i));
+    SimConfig cfg = ConfigFor(static_cast<int>(i));
     ASSERT_TRUE(cfg.plan.EndsHealed()) << cfg.plan.ToString();
 
-    ChaosOutcome first = RunChaos(cfg);
-    ChaosOutcome second = RunChaos(cfg);
+    SimOutcome first = RunScheme(cfg);
+    SimOutcome second = RunScheme(cfg);
 
     // (a) bit-identical replay from (seed, plan).
     EXPECT_EQ(first.Fingerprint(), second.Fingerprint())
@@ -67,7 +66,7 @@ TEST(FaultPropertyTest, RandomPlansReplayIdenticallyAndConverge) {
     EXPECT_EQ(first.fault_log, second.fault_log);
 
     // (b) post-heal guarantees per scheme class.
-    if (cfg.scheme == SchemeClass::kLazyGroup) {
+    if (cfg.kind == SchemeKind::kLazyGroup) {
       // Divergence, if any, must have been detected (recorded as
       // delusion) — never silent.
       EXPECT_EQ(first.violations, 0u) << first.ToString();
@@ -76,11 +75,11 @@ TEST(FaultPropertyTest, RandomPlansReplayIdenticallyAndConverge) {
       }
     } else {
       EXPECT_EQ(first.violations, 0u)
-          << "pair " << i << " (" << SchemeClassName(cfg.scheme)
+          << "pair " << i << " (" << SchemeKindName(cfg.kind)
           << ") plan:\n" << cfg.plan.ToString() << "\n" << first.ToString()
           << "\nfaults:\n" << first.fault_log;
       EXPECT_TRUE(first.converged)
-          << "pair " << i << " (" << SchemeClassName(cfg.scheme)
+          << "pair " << i << " (" << SchemeKindName(cfg.kind)
           << ") plan:\n" << cfg.plan.ToString() << "\n" << first.ToString();
     }
   });

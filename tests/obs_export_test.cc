@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "fault/chaos_scenarios.h"
+#include "fault/run_scheme.h"
 #include "obs/chrome_trace.h"
 #include "obs/run_report.h"
 #include "replication/cluster.h"
@@ -203,19 +204,20 @@ TEST(RunReportTest, SectionsEmitInFixedOrder) {
 // the acceptance-criterion chaos scenario (crash + partition + drop)
 // with both the Chrome trace and the run report enabled.
 TEST(ChaosArtifactsTest, WritesChaosArtifacts) {
-  workload::ChaosConfig cfg;
-  cfg.scheme = fault::SchemeClass::kLazyMaster;
-  cfg.num_nodes = 4;
+  SimConfig cfg;
+  cfg.kind = SchemeKind::kLazyMaster;
+  cfg.nodes = 4;
   cfg.db_size = 64;
-  cfg.tps_per_node = 10;
-  cfg.seconds = 20;
+  cfg.tps = 10;
+  cfg.action_time = 0.001;
+  cfg.sim_seconds = 20;
   cfg.seed = 42;
   cfg.plan = workload::FindScenario("crash-partition-drop")
-                 .plan(cfg.num_nodes, SimTime::Seconds(cfg.seconds));
+                 .plan(cfg.nodes, SimTime::Seconds(cfg.sim_seconds));
   cfg.trace_path = "obs_chaos_trace.json";
   cfg.report_path = "obs_chaos_report.json";
 
-  workload::ChaosOutcome out = workload::RunChaos(cfg);
+  SimOutcome out = RunScheme(cfg);
   EXPECT_EQ(out.violations, 0u) << out.ToString();
   EXPECT_GT(out.committed, 0u);
   // The snapshot rode along on the outcome.

@@ -5,18 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <numeric>
 
 #include "replication/cluster.h"
-#include "replication/eager.h"
-#include "replication/lazy_group.h"
-#include "replication/lazy_master.h"
+#include "replication/scheme_factory.h"
 #include "workload/workload.h"
 
 namespace tdr {
 namespace {
 
+// gtest prints Param into the ctest names as raw bytes, so these values
+// stay fixed; kSchemeOf maps each onto the factory's kind.
 enum class Kind { kEagerGroup, kEagerMaster, kLazyGroup, kLazyMaster };
+constexpr SchemeKind kSchemeOf[] = {
+    SchemeKind::kEagerGroup, SchemeKind::kEagerMaster, SchemeKind::kLazyGroup,
+    SchemeKind::kLazyMaster};
 
 std::string KindName(Kind kind) {
   switch (kind) {
@@ -47,31 +49,14 @@ class SchemePropertyTest : public ::testing::TestWithParam<Param> {
     copts.action_time = SimTime::Millis(5);
     copts.seed = GetParam().seed;
     cluster_ = std::make_unique<Cluster>(copts);
-    std::vector<NodeId> all(GetParam().nodes);
-    std::iota(all.begin(), all.end(), 0);
-    ownership_ = std::make_unique<Ownership>(
-        Ownership::RoundRobin(db_size, all));
-    switch (GetParam().kind) {
-      case Kind::kEagerGroup:
-        scheme_ = std::make_unique<EagerGroupScheme>(cluster_.get());
-        break;
-      case Kind::kEagerMaster:
-        scheme_ = std::make_unique<EagerMasterScheme>(cluster_.get(),
-                                                      ownership_.get());
-        break;
-      case Kind::kLazyGroup:
-        scheme_ = std::make_unique<LazyGroupScheme>(cluster_.get());
-        break;
-      case Kind::kLazyMaster:
-        scheme_ = std::make_unique<LazyMasterScheme>(cluster_.get(),
-                                                     ownership_.get());
-        break;
-    }
+    built_ = MakeScheme(cluster_.get(),
+                        kSchemeOf[static_cast<int>(GetParam().kind)]);
+    scheme_ = built_.scheme.get();
   }
 
   std::unique_ptr<Cluster> cluster_;
-  std::unique_ptr<Ownership> ownership_;
-  std::unique_ptr<ReplicationScheme> scheme_;
+  ClusterScheme built_;
+  ReplicationScheme* scheme_ = nullptr;
 };
 
 TEST_P(SchemePropertyTest, CommittedIncrementsAreConserved) {

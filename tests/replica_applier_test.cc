@@ -12,7 +12,7 @@ class ReplicaApplierTest : public ::testing::Test {
   ReplicaApplierTest()
       : cluster_(MakeOptions()),
         applier_(&cluster_.sim(), &cluster_.executor(),
-                 cluster_.metrics_or_null()) {}
+                 &cluster_.metrics()) {}
 
   static Cluster::Options MakeOptions() {
     Cluster::Options o;

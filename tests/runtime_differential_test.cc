@@ -48,8 +48,7 @@ SimConfig SmallConfig(SchemeKind kind, std::uint64_t seed,
   c.backend = backend;
   // Quiesce before digesting and arm the checker: digests compare a
   // drained cluster, verdicts compare the invariant channel.
-  c.drain = true;
-  c.run_invariant_checker = true;
+  c.check_invariants = true;
   if (kind == SchemeKind::kLazyGroup || kind == SchemeKind::kLazyMaster) {
     // Exercise the batch plane (window + size cap) on both backends.
     c.batch_flush_window = 0.05;
@@ -100,8 +99,8 @@ TEST_P(DifferentialTest, ThreadBackendMatchesSimOracle) {
     EXPECT_EQ(sim_out.batches_shipped, thr_out.batches_shipped);
     EXPECT_EQ(sim_out.divergent_slots, thr_out.divergent_slots);
     // Invariant-checker verdicts agree (and pass) on both backends.
-    EXPECT_EQ(sim_out.invariant_violations, 0u);
-    EXPECT_EQ(thr_out.invariant_violations, 0u);
+    EXPECT_EQ(sim_out.violations, 0u);
+    EXPECT_EQ(thr_out.violations, 0u);
     EXPECT_EQ(sim_out.delusion_slots, thr_out.delusion_slots);
     // The run did real cross-thread work: every thread-backend run
     // dispatched events to workers.

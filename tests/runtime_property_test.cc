@@ -54,7 +54,7 @@ SimConfig ToConfig(const Triple& t, RuntimeBackend backend) {
   c.fault_drop_probability = t.drop_probability;
   c.fault_partition_cycle = t.partition_cycle;
   c.backend = backend;
-  c.drain = true;  // faulted runs drain anyway; make fault-free match
+  c.check_invariants = true;  // faulted runs are checked; match them
   if (t.kind == SchemeKind::kLazyGroup || t.kind == SchemeKind::kLazyMaster) {
     c.batch_flush_window = 0.04;
     c.batch_max_updates = 6;

@@ -177,7 +177,6 @@ TEST(DispatchAllocTest, SteadyStateDispatchAllocatesNothing) {
   copts.db_size = kDbSize;
   copts.action_time = SimTime::Millis(5);
   copts.seed = 42;
-  copts.enable_metrics = false;
   copts.backend = RuntimeBackend::kThreads;
   Cluster cluster(copts);
   EagerGroupScheme scheme(&cluster);

@@ -163,7 +163,7 @@ TEST(ShardedApplierTest, MultiShardBatchAppliesAtomicallyPerShard) {
     records.push_back(rec);
   }
   ReplicaApplier applier(&cluster.sim(), &cluster.executor(),
-                         cluster.metrics_or_null());
+                         &cluster.metrics());
   ReplicaApplier::Options aopts;
   aopts.mode = ReplicaApplier::Mode::kNewerWins;
   aopts.action_time = SimTime::Millis(1);
@@ -226,7 +226,7 @@ TEST(ShardedApplierTest, ConcurrentBatchesAggregateSeparately) {
             LockManager::AcquireOutcome::kGranted);
 
   ReplicaApplier applier(&cluster.sim(), &cluster.executor(),
-                         cluster.metrics_or_null());
+                         &cluster.metrics());
   ReplicaApplier::Options aopts;
   aopts.mode = ReplicaApplier::Mode::kNewerWins;
   aopts.action_time = SimTime::Millis(1);
@@ -275,7 +275,7 @@ TEST(ShardedApplierTest, DoneCanStartAnotherShardedApply) {
   opts.num_shards = 4;
   Cluster cluster(opts);
   ReplicaApplier applier(&cluster.sim(), &cluster.executor(),
-                         cluster.metrics_or_null());
+                         &cluster.metrics());
   ReplicaApplier::Options aopts;
   aopts.mode = ReplicaApplier::Mode::kNewerWins;
   aopts.action_time = SimTime::Millis(1);

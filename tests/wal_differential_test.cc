@@ -53,8 +53,7 @@ SimConfig CrashConfig(SchemeKind kind, std::uint64_t seed,
   // flush window on the way down, recovery replays the durable prefix
   // and catches up from peers on the way back.
   c.fault_crash_cycle = true;
-  c.drain = true;
-  c.run_invariant_checker = true;
+  c.check_invariants = true;
   if (kind == SchemeKind::kLazyGroup || kind == SchemeKind::kLazyMaster) {
     c.batch_flush_window = 0.05;
     c.batch_max_updates = 8;
@@ -85,8 +84,8 @@ void ExpectIdentical(const SimOutcome& sim_out, const SimOutcome& thr_out) {
   EXPECT_EQ(sim_out.wal_flushes, thr_out.wal_flushes);
   EXPECT_EQ(sim_out.wal_recoveries, thr_out.wal_recoveries);
   EXPECT_EQ(sim_out.wal_replayed, thr_out.wal_replayed);
-  EXPECT_EQ(sim_out.invariant_violations, 0u);
-  EXPECT_EQ(thr_out.invariant_violations, 0u);
+  EXPECT_EQ(sim_out.violations, 0u);
+  EXPECT_EQ(thr_out.violations, 0u);
 }
 
 class WalDifferentialTest : public ::testing::TestWithParam<SchemeKind> {};
@@ -175,7 +174,7 @@ TEST(WalDifferentialModesTest, FileBackendMatchesMemBackend) {
       EXPECT_EQ(mem_out.committed, file_out.committed);
       EXPECT_EQ(mem_out.wal_records, file_out.wal_records);
       EXPECT_EQ(mem_out.wal_replayed, file_out.wal_replayed);
-      EXPECT_EQ(file_out.invariant_violations, 0u);
+      EXPECT_EQ(file_out.violations, 0u);
       std::filesystem::remove_all(file_cfg.wal_dir);
     }
   }
@@ -197,8 +196,8 @@ TEST(WalDifferentialModesTest, LegacyOffModeStillMatches) {
     EXPECT_EQ(sim_out.shard_digests, thr_out.shard_digests);
     EXPECT_EQ(sim_out.wal_records, 0u);
     EXPECT_EQ(sim_out.wal_recoveries, 0u);
-    EXPECT_EQ(sim_out.invariant_violations, 0u);
-    EXPECT_EQ(thr_out.invariant_violations, 0u);
+    EXPECT_EQ(sim_out.violations, 0u);
+    EXPECT_EQ(thr_out.violations, 0u);
   }
 }
 
