@@ -9,7 +9,9 @@
 //
 // Runs the Table-2 workload model under the chosen strategy and prints
 // measured rates next to the paper's closed-form predictions — the same
-// engine the bench/ binaries use, exposed for ad-hoc exploration.
+// engine the bench/ binaries use, exposed for ad-hoc exploration. The
+// paper models neither quorum nor two-tier, so their model column
+// reads "-".
 
 #include <cstdio>
 #include <cstdlib>
@@ -62,17 +64,27 @@ int main(int argc, char** argv) {
                   .c_str());
   std::printf("%-28s %12llu\n", "transactions committed",
               (unsigned long long)out.committed);
-  std::printf("%-28s %12.4f %12.4f\n", "wait rate (/s)", out.wait_rate(),
-              analytic::EagerWaitRate(p));
-  bool lazy_group = config.kind == SchemeKind::kLazyGroup;
-  std::printf("%-28s %12.5f %12.5f\n", "deadlock rate (/s)",
-              out.deadlock_rate(),
-              config.kind == SchemeKind::kLazyMaster
-                  ? analytic::LazyMasterDeadlockRate(p)
-                  : (lazy_group ? 0.0 : analytic::EagerDeadlockRate(p)));
-  std::printf("%-28s %12.4f %12.4f\n", "reconciliation rate (/s)",
+  // The paper gives no closed form for quorum or two-tier: their model
+  // column reads "-" rather than another scheme's equation.
+  const bool modeled = config.kind != SchemeKind::kQuorum &&
+                       config.kind != SchemeKind::kTwoTier;
+  auto model = [modeled](const char* fmt, double value) {
+    return modeled ? StrPrintf(fmt, value) : std::string("-");
+  };
+  const bool lazy_group = config.kind == SchemeKind::kLazyGroup;
+  const double model_deadlocks =
+      config.kind == SchemeKind::kLazyMaster
+          ? analytic::LazyMasterDeadlockRate(p)
+          : (lazy_group ? 0.0 : analytic::EagerDeadlockRate(p));
+  const double model_reconciliations =
+      lazy_group ? analytic::LazyGroupReconciliationRate(p) : 0.0;
+  std::printf("%-28s %12.4f %12s\n", "wait rate (/s)", out.wait_rate(),
+              model("%.4f", analytic::EagerWaitRate(p)).c_str());
+  std::printf("%-28s %12.5f %12s\n", "deadlock rate (/s)",
+              out.deadlock_rate(), model("%.5f", model_deadlocks).c_str());
+  std::printf("%-28s %12.4f %12s\n", "reconciliation rate (/s)",
               out.reconciliation_rate(),
-              lazy_group ? analytic::LazyGroupReconciliationRate(p) : 0.0);
+              model("%.4f", model_reconciliations).c_str());
   std::printf("%-28s %12llu\n", "unavailable",
               (unsigned long long)out.unavailable);
   std::printf("%-28s %12llu\n", "divergent replica slots",

@@ -78,7 +78,9 @@ class Wal {
   std::uint64_t durable_lsn() const { return durable_lsn_; }
   std::size_t pending_records() const { return pending_records_; }
   std::size_t pending_bytes() const { return pending_.size(); }
-  std::uint64_t file_size() const { return file_ != nullptr ? file_->size() : 0; }
+  std::uint64_t file_size() const {
+    return file_ != nullptr ? file_->size() : 0;
+  }
   std::uint64_t synced_size() const {
     return file_ != nullptr ? file_->synced_size() : 0;
   }

@@ -1,5 +1,6 @@
 #include "wal/wal_format.h"
 
+#include <bit>
 #include <cstring>
 
 #include "wal/crc32c.h"
@@ -8,116 +9,150 @@ namespace tdr::wal {
 
 namespace {
 
-void PutU32(std::uint32_t v, std::vector<std::uint8_t>* out) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<std::uint8_t>((v >> shift) & 0xFF));
+// Field offsets of the layout in wal_format.h, shared by the encoders
+// and the decoders. Record header, from the record's first byte:
+constexpr std::size_t kLenAt = 0;
+constexpr std::size_t kCrcAt = 4;
+// Payload, from its first byte (kRecordHeaderSize into the record):
+constexpr std::size_t kLsnAt = 0;
+constexpr std::size_t kTxnAt = 8;
+constexpr std::size_t kOidAt = 16;
+constexpr std::size_t kShardAt = 24;
+constexpr std::size_t kOldCounterAt = 28;
+constexpr std::size_t kOldNodeAt = 36;
+constexpr std::size_t kNewCounterAt = 40;
+constexpr std::size_t kNewNodeAt = 48;
+constexpr std::size_t kKindAt = 52;
+// The value: a scalar's i64, or a list's u32 count and then its items.
+constexpr std::size_t kValueAt = 53;
+constexpr std::size_t kListItemsAt = kValueAt + 4;
+// Segment header, from the segment's first byte:
+constexpr std::size_t kMagicAt = 0;
+constexpr std::size_t kNodeAt = 8;
+constexpr std::size_t kSegmentAt = 12;
+
+constexpr std::uint8_t kScalarKind = 0;
+constexpr std::uint8_t kListKind = 1;
+
+// Little-endian loads and stores at any alignment: one move each on a
+// little-endian host.
+void StoreU32(std::uint8_t* p, std::uint32_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
   }
+  std::memcpy(p, &v, 4);
 }
 
-void PutU64(std::uint64_t v, std::vector<std::uint8_t>* out) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<std::uint8_t>((v >> shift) & 0xFF));
+void StoreU64(std::uint8_t* p, std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
   }
+  std::memcpy(p, &v, 8);
 }
 
-std::uint32_t GetU32(const std::uint8_t* p) {
+std::uint32_t LoadU32(const std::uint8_t* p) {
   std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[i]} << (8 * i);
+  std::memcpy(&v, p, 4);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
   return v;
 }
 
-std::uint64_t GetU64(const std::uint8_t* p) {
+std::uint64_t LoadU64(const std::uint8_t* p) {
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[i]} << (8 * i);
+  std::memcpy(&v, p, 8);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
   return v;
 }
-
-// Fixed payload prefix before the value: lsn, txn, oid, shard, two
-// timestamps, value kind.
-constexpr std::size_t kPayloadPrefix = 8 + 8 + 8 + 4 + 12 + 12 + 1;
 
 }  // namespace
 
 void EncodeSegmentHeader(NodeId node, std::uint32_t segment,
                          std::vector<std::uint8_t>* out) {
-  PutU64(kSegmentMagic, out);
-  PutU32(node, out);
-  PutU32(segment, out);
+  const std::size_t at = out->size();
+  out->resize(at + kSegmentHeaderSize);
+  std::uint8_t* h = out->data() + at;
+  StoreU64(h + kMagicAt, kSegmentMagic);
+  StoreU32(h + kNodeAt, node);
+  StoreU32(h + kSegmentAt, segment);
 }
 
 bool CheckSegmentHeader(const std::uint8_t* data, std::size_t size,
                         NodeId node, std::uint32_t segment) {
   if (size < kSegmentHeaderSize) return false;
-  return GetU64(data) == kSegmentMagic && GetU32(data + 8) == node &&
-         GetU32(data + 12) == segment;
+  return LoadU64(data + kMagicAt) == kSegmentMagic &&
+         LoadU32(data + kNodeAt) == node &&
+         LoadU32(data + kSegmentAt) == segment;
 }
 
 void AppendRecord(std::uint64_t lsn, TxnId txn, ObjectId oid, ShardId shard,
                   const Timestamp& old_ts, const Timestamp& new_ts,
                   const Value& value, std::vector<std::uint8_t>* out) {
-  const std::size_t header_at = out->size();
-  // Reserve the header slots; the payload length and CRC are patched in
-  // once the payload is written (single pass, no scratch buffer).
-  out->resize(header_at + kRecordHeaderSize);
-  const std::size_t payload_at = out->size();
-  PutU64(lsn, out);
-  PutU64(txn, out);
-  PutU64(oid, out);
-  PutU32(shard, out);
-  PutU64(old_ts.counter, out);
-  PutU32(old_ts.node, out);
-  PutU64(new_ts.counter, out);
-  PutU32(new_ts.node, out);
-  if (value.is_scalar()) {
-    out->push_back(0);
-    PutU64(static_cast<std::uint64_t>(value.AsScalar()), out);
+  const bool scalar = value.is_scalar();
+  const std::size_t payload_len =
+      scalar ? kValueAt + 8 : kListItemsAt + 8 * value.AsList().size();
+  // One resize (the writer's buffer keeps its capacity, so steady state
+  // never allocates), then every field is stored at its offset.
+  const std::size_t at = out->size();
+  out->resize(at + kRecordHeaderSize + payload_len);
+  std::uint8_t* record = out->data() + at;
+  std::uint8_t* p = record + kRecordHeaderSize;
+  StoreU64(p + kLsnAt, lsn);
+  StoreU64(p + kTxnAt, txn);
+  StoreU64(p + kOidAt, oid);
+  StoreU32(p + kShardAt, shard);
+  StoreU64(p + kOldCounterAt, old_ts.counter);
+  StoreU32(p + kOldNodeAt, old_ts.node);
+  StoreU64(p + kNewCounterAt, new_ts.counter);
+  StoreU32(p + kNewNodeAt, new_ts.node);
+  if (scalar) {
+    p[kKindAt] = kScalarKind;
+    StoreU64(p + kValueAt, static_cast<std::uint64_t>(value.AsScalar()));
   } else {
-    out->push_back(1);
+    p[kKindAt] = kListKind;
     const Value::List& list = value.AsList();
-    PutU32(static_cast<std::uint32_t>(list.size()), out);
-    for (std::int64_t item : list) {
-      PutU64(static_cast<std::uint64_t>(item), out);
+    StoreU32(p + kValueAt, static_cast<std::uint32_t>(list.size()));
+    std::uint8_t* item = p + kListItemsAt;
+    for (std::int64_t v : list) {
+      StoreU64(item, static_cast<std::uint64_t>(v));
+      item += 8;
     }
   }
-  const std::uint32_t payload_len =
-      static_cast<std::uint32_t>(out->size() - payload_at);
-  const std::uint32_t crc = Crc32c(out->data() + payload_at, payload_len);
-  std::uint8_t* header = out->data() + header_at;
-  for (int i = 0; i < 4; ++i) {
-    header[i] = static_cast<std::uint8_t>((payload_len >> (8 * i)) & 0xFF);
-    header[4 + i] = static_cast<std::uint8_t>((crc >> (8 * i)) & 0xFF);
-  }
+  StoreU32(record + kLenAt, static_cast<std::uint32_t>(payload_len));
+  StoreU32(record + kCrcAt, Crc32c(p, payload_len));
 }
 
 std::size_t DecodeRecord(const std::uint8_t* data, std::size_t size,
                          WalRecord* out) {
   if (size < kRecordHeaderSize) return 0;
-  const std::uint32_t payload_len = GetU32(data);
-  const std::uint32_t crc = GetU32(data + 4);
-  if (payload_len < kPayloadPrefix) return 0;  // cannot hold the prefix
+  const std::uint32_t payload_len = LoadU32(data + kLenAt);
+  const std::uint32_t crc = LoadU32(data + kCrcAt);
+  if (payload_len < kValueAt) return 0;  // cannot hold the fixed fields
   if (size - kRecordHeaderSize < payload_len) return 0;
   const std::uint8_t* p = data + kRecordHeaderSize;
   if (Crc32c(p, payload_len) != crc) return 0;
-  out->lsn = GetU64(p);
-  out->txn = GetU64(p + 8);
-  out->oid = GetU64(p + 16);
-  out->shard = GetU32(p + 24);
-  out->old_ts = Timestamp{GetU64(p + 28), GetU32(p + 36)};
-  out->new_ts = Timestamp{GetU64(p + 40), GetU32(p + 48)};
-  const std::uint8_t kind = p[52];
-  const std::uint8_t* v = p + 53;
-  const std::size_t value_bytes = payload_len - (kPayloadPrefix);
-  if (kind == 0) {
+  out->lsn = LoadU64(p + kLsnAt);
+  out->txn = LoadU64(p + kTxnAt);
+  out->oid = LoadU64(p + kOidAt);
+  out->shard = LoadU32(p + kShardAt);
+  out->old_ts = Timestamp{LoadU64(p + kOldCounterAt), LoadU32(p + kOldNodeAt)};
+  out->new_ts = Timestamp{LoadU64(p + kNewCounterAt), LoadU32(p + kNewNodeAt)};
+  const std::size_t value_bytes = payload_len - kValueAt;
+  if (p[kKindAt] == kScalarKind) {
     if (value_bytes != 8) return 0;
-    out->value = Value(static_cast<std::int64_t>(GetU64(v)));
-  } else if (kind == 1) {
+    out->value = Value(static_cast<std::int64_t>(LoadU64(p + kValueAt)));
+  } else if (p[kKindAt] == kListKind) {
     if (value_bytes < 4) return 0;
-    const std::uint32_t n = GetU32(v);
+    const std::uint32_t n = LoadU32(p + kValueAt);
     if (value_bytes != 4 + std::size_t{n} * 8) return 0;
     Value::List list;
     list.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
-      list.push_back(static_cast<std::int64_t>(GetU64(v + 4 + 8 * i)));
+      list.push_back(
+          static_cast<std::int64_t>(LoadU64(p + kListItemsAt + 8 * i)));
     }
     out->value = Value(std::move(list));
   } else {

@@ -11,22 +11,25 @@
 
 namespace tdr::wal {
 
-/// Binary WAL record layout (all integers little-endian):
+/// Binary WAL record layout. Every field is fixed-width little-endian
+/// at a fixed offset (the number before each field, counted from the
+/// record's first byte and then from the payload's):
 ///
-///   u32 payload_len          # bytes after the 8-byte record header
-///   u32 crc32c(payload)      # detects torn tails and bit rot
-///   payload:
-///     u64 lsn                # per-node log sequence number, from 1
-///     u64 txn                # committing transaction id
-///     u64 oid                # object written
-///     u32 shard              # ShardMap::ShardOf(oid), for sharded replay
-///     u64 old_ts.counter     # timestamp the write replaced
-///     u32 old_ts.node
-///     u64 new_ts.counter     # commit timestamp installed
-///     u32 new_ts.node
-///     u8  value_kind         # 0 = scalar, 1 = list
-///     scalar: i64            # kind 0
-///     list:   u32 n, n*i64   # kind 1 (sorted items, Value::List order)
+///    0  u32 payload_len          # bytes after the 8-byte record header
+///    4  u32 crc32c(payload)      # detects torn tails and bit rot
+///       payload:
+///    0    u64 lsn                # per-node log sequence number, from 1
+///    8    u64 txn                # committing transaction id
+///   16    u64 oid                # object written
+///   24    u32 shard              # ShardMap::ShardOf(oid), for sharded replay
+///   28    u64 old_ts.counter     # timestamp the write replaced
+///   36    u32 old_ts.node
+///   40    u64 new_ts.counter     # commit timestamp installed
+///   48    u32 new_ts.node
+///   52    u8  value_kind         # 0 = scalar, 1 = list
+///   53    scalar: i64            # kind 0: payload_len 61
+///   53    list:   u32 n, n*i64   # kind 1: payload_len 57 + 8n (sorted
+///                                #   items, Value::List order)
 ///
 /// A record is valid iff payload_len is in range, the CRC matches, and
 /// the payload decodes completely. Recovery stops at the first invalid
@@ -45,8 +48,10 @@ struct WalRecord {
 /// Fixed per-record header: payload_len + crc.
 inline constexpr std::size_t kRecordHeaderSize = 8;
 
-/// Segment files open with a 16-byte header:
-///   u64 magic "TDRWAL01", u32 node, u32 segment index.
+/// Segment files open with a 16-byte header, little-endian like a record:
+///    0  u64 magic "TDRWAL01"
+///    8  u32 node
+///   12  u32 segment index
 /// Recovery refuses a segment whose header does not match its path.
 inline constexpr std::uint64_t kSegmentMagic = 0x3130'4C41'5752'4454ULL;
 inline constexpr std::size_t kSegmentHeaderSize = 16;

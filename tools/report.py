@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Checks for tdr.run_report.v1 documents and the committed bench baselines.
+"""Checks for run reports, the committed bench baselines and perfbench outputs.
 
   report.py check report.json [more_reports.json ...] [--trace t.json ...]
 
@@ -25,12 +25,26 @@
     baseline, or no fresh report next to any baseline) exits 2: a gate
     that checked nothing has not passed.
 
+  report.py diff PARENT CHANGE
+
+    Compares two perfbench outputs of one workload (the `metric`, `span`
+    and `fingerprint` lines perfbench/run.py prints, as CI's perfbench
+    job uploads them), one from a parent commit and one from a change. A
+    fingerprint mismatch, and each `exact` metric that differs or is
+    missing on one side, prints as a GitHub `::error` annotation naming
+    the metric's layer (the prefix of its name); the exit code is then
+    1. Every `host` metric and span self time prints with its parent
+    value, change value and ratio, furthest from 1 first, to show which
+    layer a saving or a regression sits in. An input with no `metric`
+    line exits 2.
+
 No third-party dependencies.
 """
 
 import argparse
 import glob
 import json
+import math
 import os
 import sys
 
@@ -294,6 +308,106 @@ def run_regress(args):
     return 0
 
 
+# --- diff --------------------------------------------------------------
+
+
+def read_perfbench(path):
+    """A perfbench output -> (fingerprint, {metric: (value, exactness)},
+    {span: self_ms}). Lines of any other kind are skipped."""
+    fingerprint = None
+    metrics = {}
+    spans = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            fields = line.split()
+            if fields[:1] == ["metric"] and len(fields) == 6:
+                metrics[fields[1]] = (float(fields[2]), fields[5])
+            elif fields[:1] == ["span"] and len(fields) > 2:
+                attrs = dict(f.split("=", 1) for f in fields[2:] if "=" in f)
+                if "self_ms" in attrs:
+                    spans[fields[1]] = float(attrs["self_ms"])
+            elif fields[:1] == ["fingerprint"]:
+                fingerprint = " ".join(fields[1:])
+    return fingerprint, metrics, spans
+
+
+def layer(name):
+    return name.split(".", 1)[0]
+
+
+def ratio(parent, change):
+    """change / parent; None when either side is missing."""
+    if parent is None or change is None:
+        return None
+    if parent == change:
+        return 1.0
+    return change / parent if parent else math.inf
+
+
+def distance_from_one(r):
+    """How far a ratio is from 1, in log terms (so 0.5 and 2 rank alike);
+    a missing side, a zero or an infinity ranks first."""
+    if r is None or r <= 0 or math.isinf(r):
+        return math.inf
+    return abs(math.log(r))
+
+
+def run_diff(args):
+    parent_fp, parent_metrics, parent_spans = read_perfbench(args.parent)
+    change_fp, change_metrics, change_spans = read_perfbench(args.change)
+    for path, metrics in ((args.parent, parent_metrics),
+                          (args.change, change_metrics)):
+        if not metrics:
+            print(f"FAIL: no metric line in {path}; nothing compared")
+            return 2
+
+    problems = []
+    if parent_fp != change_fp:
+        problems.append(f"fingerprint changed: {parent_fp} -> {change_fp}")
+    both = {**parent_metrics, **change_metrics}
+    exact = sorted(n for n, (_, kind) in both.items() if kind == "exact")
+    for name in exact:
+        base = parent_metrics.get(name)
+        fresh = change_metrics.get(name)
+        what = f"exact metric {name} (layer {layer(name)})"
+        if base is None or fresh is None:
+            side = "parent" if base is None else "change"
+            problems.append(f"{what} missing from the {side}")
+        elif base[0] != fresh[0]:
+            problems.append(f"{what} changed {base[0]!r} -> {fresh[0]!r}")
+
+    rows = []
+    for name in sorted(set(both) - set(exact)):
+        rows.append(("metric", name,
+                     parent_metrics.get(name, (None,))[0],
+                     change_metrics.get(name, (None,))[0]))
+    for name in sorted(set(parent_spans) | set(change_spans)):
+        rows.append(("span", f"{name} self_ms", parent_spans.get(name),
+                     change_spans.get(name)))
+    rows.sort(key=lambda row: -distance_from_one(ratio(row[2], row[3])))
+
+    def cell(value):
+        return "-" if value is None else f"{value:.6g}"
+
+    print(f"{len(exact)} exact metric(s); host metrics and span self "
+          f"times, furthest from 1 first:")
+    print(f"  {'':6} {'name':36} {'parent':>12} {'change':>12} "
+          f"{'change/parent':>13}")
+    for kind, name, base, fresh in rows:
+        r = ratio(base, fresh)
+        r_cell = "-" if r is None else f"{r:.3f}"
+        print(f"  {kind:6} {name:36} {cell(base):>12} {cell(fresh):>12} "
+              f"{r_cell:>13}")
+
+    for p in problems:
+        print(f"::error title=perfbench diff::{p}")
+    if problems:
+        print(f"{len(problems)} exact difference(s)")
+        return 1
+    print(f"OK: fingerprint and {len(exact)} exact metric(s) identical")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -313,7 +427,15 @@ def main():
     regress.add_argument("--fresh-dir", default="build",
                          help="directory holding freshly produced reports")
 
+    diff = sub.add_parser("diff",
+                          help="compare a parent's and a change's "
+                               "perfbench outputs")
+    diff.add_argument("parent", help="the parent commit's perfbench output")
+    diff.add_argument("change", help="the change's perfbench output")
+
     args = parser.parse_args()
+    if args.command == "diff":
+        return run_diff(args)
     if args.command == "check":
         if not args.reports and not args.trace:
             check.print_usage()
