@@ -75,8 +75,12 @@ HotResult RunHot(const HotConfig& config) {
   // Warmup window: a first Run() of the same driver, so as long as the
   // measured one. It reaches open-loop steady state and fills every
   // pool (event slots, messages, lock waiters, inflight txns, batches).
-  // Only the second window is measured.
-  (void)driver.Run();
+  // Only the second window is measured: its counts are the registry's
+  // after it minus before it.
+  driver.Run();
+  const Executor& executor = cluster.executor();
+  const std::uint64_t committed_before = executor.committed();
+  const std::uint64_t deadlocks_before = executor.deadlocked();
 
   // TDR_TRACE_ALLOCS=N dumps backtraces for the first N measured-window
   // allocations of every config — how to localize a regression when the
@@ -87,14 +91,14 @@ HotResult RunHot(const HotConfig& config) {
   }
 
   AllocScope scope;
-  WorkloadDriver::Outcome out = driver.Run();
+  driver.Run();
 
   HotResult result;
-  result.committed = out.committed;
-  result.deadlocks = out.deadlocks;
-  result.sim_rate = out.committed_rate();
-  if (out.committed > 0) {
-    auto denom = static_cast<double>(out.committed);
+  result.committed = executor.committed() - committed_before;
+  result.deadlocks = executor.deadlocked() - deadlocks_before;
+  result.sim_rate = static_cast<double>(result.committed) / kMeasureSeconds;
+  if (result.committed > 0) {
+    auto denom = static_cast<double>(result.committed);
     result.allocs_per_committed =
         static_cast<double>(scope.allocations()) / denom;
     result.bytes_per_committed = static_cast<double>(scope.bytes()) / denom;

@@ -84,7 +84,6 @@ Status TwoTierSystem::SubmitTentative(NodeId mobile_id, Program program,
   item.acceptance = acceptance ? std::move(acceptance) : AcceptAlways();
   item.on_tentative_cb = std::move(on_tentative);
   item.on_final = std::move(on_final);
-  ++tentative_submitted_;
   cluster_.metrics().Increment("twotier.tentative_submitted");
   m->to_execute_.push_back(std::move(item));
   if (!m->executing_) ExecuteNextTentative(m);
@@ -179,7 +178,6 @@ void TwoTierSystem::ReprocessFront(MobileNode* m, int attempts) {
           case TxnOutcome::kCommitted: {
             MobileNode::PendingTxn item = std::move(m->pending_.front());
             m->pending_.pop_front();
-            ++base_committed_;
             base_deadlock_retries_ += attempts;
             cluster_.metrics().Increment("twotier.base_committed");
             FinalOutcome out;
@@ -193,7 +191,6 @@ void TwoTierSystem::ReprocessFront(MobileNode* m, int attempts) {
           case TxnOutcome::kRejected: {
             MobileNode::PendingTxn item = std::move(m->pending_.front());
             m->pending_.pop_front();
-            ++base_rejected_;
             base_deadlock_retries_ += attempts;
             cluster_.metrics().Increment("twotier.base_rejected");
             FinalOutcome out;

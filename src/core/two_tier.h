@@ -198,9 +198,15 @@ class TwoTierSystem {
   void Disconnect(NodeId mobile_id);
 
   // Aggregate statistics.
-  std::uint64_t tentative_submitted() const { return tentative_submitted_; }
-  std::uint64_t base_committed() const { return base_committed_; }
-  std::uint64_t base_rejected() const { return base_rejected_; }
+  std::uint64_t tentative_submitted() const {
+    return cluster_.metrics().Get("twotier.tentative_submitted");
+  }
+  std::uint64_t base_committed() const {
+    return cluster_.metrics().Get("twotier.base_committed");
+  }
+  std::uint64_t base_rejected() const {
+    return cluster_.metrics().Get("twotier.base_rejected");
+  }
   std::uint64_t base_deadlock_retries() const {
     return base_deadlock_retries_;
   }
@@ -221,9 +227,6 @@ class TwoTierSystem {
   Ownership ownership_;
   LazyMasterScheme lazy_master_;
   std::map<NodeId, std::unique_ptr<MobileNode>> mobiles_;
-  std::uint64_t tentative_submitted_ = 0;
-  std::uint64_t base_committed_ = 0;
-  std::uint64_t base_rejected_ = 0;
   std::uint64_t base_deadlock_retries_ = 0;
 };
 

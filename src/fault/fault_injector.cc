@@ -192,18 +192,15 @@ Network::InterceptVerdict FaultInjector::OnTransmit(NodeId /*from*/,
   bool dup = rng_.Bernoulli(chaos.duplicate_probability);
   bool delay = rng_.Bernoulli(chaos.delay_probability);
   if (drop) {
-    ++injected_drops_;
     cluster_->metrics().Increment("fault.injected_drops");
     v.drop = true;
     return v;
   }
   if (dup) {
-    ++injected_duplicates_;
     cluster_->metrics().Increment("fault.injected_duplicates");
     v.copies = 2;
   }
   if (delay && chaos.max_extra_delay > SimTime::Zero()) {
-    ++injected_delays_;
     cluster_->metrics().Increment("fault.injected_delays");
     v.extra_delay = SimTime::Micros(
         1 + rng_.UniformInt(

@@ -63,13 +63,19 @@ class FaultInjector : public Network::MessageInterceptor {
   void HealAll();
 
   bool chaos_active() const { return chaos_active_; }
-  std::uint64_t injected_drops() const { return injected_drops_; }
-  std::uint64_t injected_duplicates() const { return injected_duplicates_; }
-  std::uint64_t injected_delays() const { return injected_delays_; }
+  // The cluster's `fault.injected_*` counts (one injector per cluster).
+  std::uint64_t injected_drops() const {
+    return cluster_->metrics().Get("fault.injected_drops");
+  }
+  std::uint64_t injected_duplicates() const {
+    return cluster_->metrics().Get("fault.injected_duplicates");
+  }
+  std::uint64_t injected_delays() const {
+    return cluster_->metrics().Get("fault.injected_delays");
+  }
 
-  /// Human-readable log of every fault applied so far, with event
-  /// times — the trace attached to invariant violations.
-  const std::vector<std::string>& applied_log() const { return applied_log_; }
+  /// Human-readable log of every fault applied so far, one line each
+  /// with its event time — the trace attached to invariant violations.
   std::string AppliedLogString() const;
 
   /// Observer invoked once per applied fault, at the fault's simulated
@@ -101,9 +107,6 @@ class FaultInjector : public Network::MessageInterceptor {
   std::vector<sim::EventId> scheduled_;
   std::vector<std::string> applied_log_;
   FaultObserver observer_;
-  std::uint64_t injected_drops_ = 0;
-  std::uint64_t injected_duplicates_ = 0;
-  std::uint64_t injected_delays_ = 0;
 };
 
 }  // namespace tdr::fault

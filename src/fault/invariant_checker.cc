@@ -38,7 +38,7 @@ InvariantChecker::~InvariantChecker() {
                  "InvariantChecker[%s]: %llu UNCHECKED invariant "
                  "violation(s) at destruction:\n",
                  std::string(SchemeKindName(options_.scheme)).c_str(),
-                 (unsigned long long)violations_total_);
+                 (unsigned long long)violations_total());
     for (const Violation& v : violations_) {
       std::fprintf(stderr, "%s\n", v.ToString().c_str());
     }
@@ -256,7 +256,6 @@ void InvariantChecker::CheckTwoTierLedger() {
 }
 
 void InvariantChecker::Report(const char* invariant, std::string detail) {
-  ++violations_total_;
   cluster_->metrics().Increment("invariant.violations");
   if (violations_.size() >= kMaxRecorded) return;
   Violation v;

@@ -109,7 +109,12 @@ class InvariantChecker {
   /// delusion recording) and the two-tier ledger.
   void CheckFinal();
 
-  std::uint64_t violations_total() const { return violations_total_; }
+  /// Violations reported so far, recorded or not (the cluster's
+  /// `invariant.violations` count, so the cluster must outlive the
+  /// checker).
+  std::uint64_t violations_total() const {
+    return cluster_->metrics().Get("invariant.violations");
+  }
   const std::vector<Violation>& violations() const { return violations_; }
 
   /// Acknowledges and returns all recorded violations; afterwards the
@@ -144,7 +149,6 @@ class InvariantChecker {
   // monotonicity watermarks reset (recovery replays an old prefix).
   std::vector<std::uint64_t> wipe_epoch_seen_;
   std::vector<Violation> violations_;
-  std::uint64_t violations_total_ = 0;
   std::uint64_t delusion_slots_ = 0;
 };
 

@@ -252,16 +252,21 @@ SimOutcome RunScheme(const SimConfig& config) {
     }
     dopts.seconds = config.sim_seconds;
     WorkloadDriver driver(&cluster, built.scheme.get(), dopts);
-    WorkloadDriver::Outcome window = driver.Run();
-    outcome.submitted = window.submitted;
-    outcome.committed = window.committed;
-    outcome.deadlocks = window.deadlocks;
-    outcome.waits = window.waits;
-    outcome.reconciliations = window.reconciliations;
-    outcome.unavailable = window.unavailable;
-    outcome.replica_deadlocks = window.replica_deadlocks;
-    outcome.replica_applied = window.replica_applied;
-    outcome.divergent_slots = window.divergent_slots;
+    driver.Run();
+    // The window's counts, read before any drain. The cluster counted
+    // nothing before the window, so each cell holds the window's count.
+    const obs::MetricsRegistry& m = cluster.metrics();
+    outcome.submitted = driver.submitted();
+    outcome.committed = cluster.executor().committed();
+    outcome.deadlocks = cluster.executor().deadlocked();
+    outcome.waits = m.Get("lock.waits");
+    outcome.reconciliations = built.lazy_group != nullptr
+                                  ? built.lazy_group->reconciliations()
+                                  : m.Get("replica.conflicts");
+    outcome.unavailable = m.Get("scheme.unavailable");
+    outcome.replica_deadlocks = m.Get("replica.deadlocks");
+    outcome.replica_applied = m.Get("replica.applied");
+    outcome.divergent_slots = cluster.DivergentSlots();
   }
   outcome.seconds = config.sim_seconds;
   recorder.Stop();

@@ -16,24 +16,21 @@ Network::Network(runtime::Runtime* rt, std::vector<Node*> nodes,
       held_(nodes_.size() * nodes_.size()),
       on_reconnect_(nodes_.size()),
       on_disconnect_(nodes_.size()) {
-  if (metrics != nullptr) {
-    m_sent_ = metrics->GetCounter("net.sent");
-    m_held_ = metrics->GetCounter("net.held");
-    m_dropped_ = metrics->GetCounter("net.dropped");
-    m_duplicated_ = metrics->GetCounter("net.duplicated");
-    m_crash_dropped_ = metrics->GetCounter("net.crash_dropped");
-    m_delivered_ = metrics->GetCounter("net.delivered");
-    m_inbox_lost_ = metrics->GetCounter("net.inbox_lost");
-    m_crashes_ = metrics->GetCounter("net.crashes");
-    m_restarts_ = metrics->GetCounter("net.restarts");
-  }
+  m_sent_ = metrics->GetCounter("net.sent");
+  m_held_ = metrics->GetCounter("net.held");
+  m_dropped_ = metrics->GetCounter("net.dropped");
+  m_duplicated_ = metrics->GetCounter("net.duplicated");
+  m_crash_dropped_ = metrics->GetCounter("net.crash_dropped");
+  m_delivered_ = metrics->GetCounter("net.delivered");
+  m_inbox_lost_ = metrics->GetCounter("net.inbox_lost");
+  m_crashes_ = metrics->GetCounter("net.crashes");
+  m_restarts_ = metrics->GetCounter("net.restarts");
 }
 
 Network::~Network() = default;
 
 void Network::Send(NodeId from, NodeId to, Handler fn) {
   assert(from < nodes_.size() && to < nodes_.size());
-  ++sent_;
   m_sent_.Increment();
   Handle h = pool_.Acquire(from, to, std::move(fn));
   if (from != to && !nodes_[from]->connected()) {
@@ -56,7 +53,6 @@ void Network::Transmit(Handle h) {
   if (from != to) {
     if (!LinkUp(from, to)) {
       // Link cut: park on the link; SetLinkUp(..., true) resumes us.
-      ++held_total_;
       m_held_.Increment();
       pool_.Push(held_[LinkIndex(from, to)], h);
       return;
@@ -64,7 +60,6 @@ void Network::Transmit(Handle h) {
     if (interceptor_ != nullptr) {
       InterceptVerdict v = interceptor_->OnTransmit(from, to);
       if (v.drop || v.copies == 0) {
-        ++dropped_;
         m_dropped_.Increment();
         pool_.Release(h);
         return;
@@ -76,7 +71,6 @@ void Network::Transmit(Handle h) {
         // at the same latency, so nothing could interleave between
         // them — merged delivery is observationally identical.
         pool_.Get(h).copies = v.copies;
-        duplicated_ += v.copies - 1;
         m_duplicated_.Increment(v.copies - 1);
       }
     }
@@ -98,7 +92,6 @@ void Network::Arrive(Handle h) {
   }
   if (from != to && nodes_[to]->crashed()) {
     // A crashed receiver has no process to buffer the message: lost.
-    dropped_ += copies;
     m_crash_dropped_.Increment(copies);
     pool_.Release(h);
     return;
@@ -114,7 +107,6 @@ void Network::Arrive(Handle h) {
   // reference), and releasing first lets the slot recycle immediately.
   sim::Callback fn = std::move(pool_.Get(h).fn);
   pool_.Release(h);
-  delivered_ += copies;
   m_delivered_.Increment(copies);
   for (std::uint32_t c = 0; c < copies; ++c) fn();
 }
@@ -151,7 +143,6 @@ void Network::SetConnected(NodeId node, bool connected) {
     std::uint32_t copies = pool_.Get(h).copies;
     sim::Callback fn = std::move(pool_.Get(h).fn);
     pool_.Release(h);
-    delivered_ += copies;
     m_delivered_.Increment(copies);
     for (std::uint32_t c = 0; c < copies; ++c) fn();
     h = next;
@@ -216,7 +207,6 @@ void Network::Crash(NodeId node) {
   // committed update in the node's durable log, re-shipped at Restart.
   std::size_t lost = static_cast<std::size_t>(inbox_[node].count);
   if (lost > 0) {
-    dropped_ += lost;
     m_inbox_lost_.Increment(lost);
     Discard(inbox_[node]);
   }
@@ -238,7 +228,6 @@ void Network::DiscardOutbox(NodeId node) {
   assert(node < nodes_.size());
   std::size_t lost = static_cast<std::size_t>(outbox_[node].count);
   if (lost > 0) {
-    dropped_ += lost;
     m_dropped_.Increment(lost);
     Discard(outbox_[node]);
   }

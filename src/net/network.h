@@ -85,8 +85,8 @@ class Network {
     virtual InterceptVerdict OnTransmit(NodeId from, NodeId to) = 0;
   };
 
-  /// `metrics` may be null (uninstrumented network). `rt` is the
-  /// execution backend (the simulator, or the thread backend).
+  /// `metrics` receives the network's counts and must outlive it. `rt`
+  /// is the execution backend (the simulator, or the thread backend).
   Network(runtime::Runtime* rt, std::vector<Node*> nodes, Options options,
           obs::MetricsRegistry* metrics);
 
@@ -163,21 +163,23 @@ class Network {
   /// instead.
   void DiscardOutbox(NodeId node);
 
-  std::uint64_t messages_sent() const { return sent_; }
-  std::uint64_t messages_delivered() const { return delivered_; }
+  std::uint64_t messages_sent() const { return m_sent_.value(); }
+  std::uint64_t messages_delivered() const { return m_delivered_.value(); }
   std::uint64_t messages_queued() const { return queued_; }
-  std::uint64_t messages_dropped() const { return dropped_; }
-  std::uint64_t messages_duplicated() const { return duplicated_; }
-  std::uint64_t messages_held() const { return held_total_; }
+  /// Lost to the fault layer, to a crashed receiver, or with a crashed
+  /// node's inbox or discarded outbox.
+  std::uint64_t messages_dropped() const {
+    return m_dropped_.value() + m_crash_dropped_.value() +
+           m_inbox_lost_.value();
+  }
+  std::uint64_t messages_duplicated() const { return m_duplicated_.value(); }
+  std::uint64_t messages_held() const { return m_held_.value(); }
   std::size_t PendingAt(NodeId node) const {
     return static_cast<std::size_t>(outbox_[node].count +
                                     inbox_[node].count);
   }
   /// Messages currently parked on cut links.
   std::size_t HeldCount() const;
-
-  /// Pool occupancy: messages currently queued, parked, or in flight.
-  std::size_t MessagesLive() const { return pool_.in_use(); }
 
  private:
   using Handle = net::MessagePool::Handle;
@@ -194,8 +196,8 @@ class Network {
   runtime::Runtime* sim_;
   std::vector<Node*> nodes_;
   Options options_;
-  // Cached metric handles (no-ops without a registry); Send/Transmit/
-  // Arrive are the hottest paths in large sweeps.
+  // Cached metric handles, the only store of the network's counts;
+  // Send/Transmit/Arrive are the hottest paths in large sweeps.
   obs::MetricsRegistry::Counter m_sent_;
   obs::MetricsRegistry::Counter m_held_;
   obs::MetricsRegistry::Counter m_dropped_;
@@ -218,12 +220,7 @@ class Network {
   std::vector<std::vector<std::function<void()>>> on_reconnect_;
   std::vector<std::vector<std::function<void()>>> on_disconnect_;
   std::vector<std::function<void(NodeId, NodeId)>> on_link_restored_;
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
   std::uint64_t queued_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t duplicated_ = 0;
-  std::uint64_t held_total_ = 0;
 };
 
 /// Drives the connect/disconnect cycle of one (mobile) node, per the

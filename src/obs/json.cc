@@ -46,11 +46,6 @@ const Json* Json::Item(std::size_t index) const {
   return &items_[index];
 }
 
-double Json::AsDouble(double fallback) const {
-  if (type_ != Type::kNumber) return fallback;
-  return is_int_ ? static_cast<double>(int_) : num_;
-}
-
 std::int64_t Json::AsInt(std::int64_t fallback) const {
   if (type_ != Type::kNumber) return fallback;
   return is_int_ ? int_ : static_cast<std::int64_t>(num_);

@@ -64,13 +64,9 @@ class Json {
   const Json* Item(std::size_t index) const;
 
   // Scalar reads for structural checks (tests walk emitted documents
-  // with these). Each returns the fallback when the type differs.
-  double AsDouble(double fallback = 0.0) const;
+  // with these). AsInt returns the fallback when the type differs.
   std::int64_t AsInt(std::int64_t fallback = 0) const;
   const std::string& AsString() const { return str_; }
-  bool AsBool(bool fallback = false) const {
-    return type_ == Type::kBool ? bool_ : fallback;
-  }
 
   std::size_t size() const;
 

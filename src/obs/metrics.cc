@@ -14,8 +14,6 @@ std::string_view MetricKindName(MetricKind kind) {
       return "gauge";
     case MetricKind::kHistogram:
       return "histogram";
-    case MetricKind::kStats:
-      return "stats";
     case MetricKind::kProfile:
       return "profile";
   }
@@ -33,7 +31,6 @@ std::string MetricValue::ToString() const {
     }
     case MetricKind::kHistogram:
       return name + "=[" + histogram.ToString() + "]";
-    case MetricKind::kStats:
     case MetricKind::kProfile:
       return name + "=[" + stats.ToString() + "]";
   }
@@ -110,21 +107,10 @@ MetricsRegistry::Counter MetricsRegistry::GetCounter(
       &Resolve(name, std::move(labels), MetricKind::kCounter)->counter);
 }
 
-MetricsRegistry::Gauge MetricsRegistry::GetGauge(std::string_view name,
-                                                 std::vector<Label> labels) {
-  return Gauge(&Resolve(name, std::move(labels), MetricKind::kGauge)->gauge);
-}
-
 MetricsRegistry::HistogramHandle MetricsRegistry::GetHistogram(
     std::string_view name, std::vector<Label> labels) {
   return HistogramHandle(
       &Resolve(name, std::move(labels), MetricKind::kHistogram)->histogram);
-}
-
-MetricsRegistry::StatsHandle MetricsRegistry::GetStats(
-    std::string_view name, std::vector<Label> labels) {
-  return StatsHandle(
-      &Resolve(name, std::move(labels), MetricKind::kStats)->stats);
 }
 
 MetricsRegistry::StatsHandle MetricsRegistry::GetProfile(
@@ -152,7 +138,7 @@ std::uint64_t MetricsRegistry::Get(std::string_view name) const {
 }
 
 void MetricsRegistry::SetGauge(std::string_view name, double value) {
-  GetGauge(name).Set(value);
+  Resolve(name, {}, MetricKind::kGauge)->gauge = value;
 }
 
 double MetricsRegistry::Value(std::string_view name) const {
@@ -166,15 +152,6 @@ double MetricsRegistry::Value(std::string_view name) const {
       return m.gauge;
     default:
       return 0.0;
-  }
-}
-
-void MetricsRegistry::Reset() {
-  for (Metric& m : metrics_) {
-    m.counter = 0;
-    m.gauge = 0.0;
-    m.histogram = Histogram();
-    m.stats = OnlineStats();
   }
 }
 
@@ -195,16 +172,6 @@ MetricsSnapshot MetricsRegistry::Snapshot(
     snap.metrics.push_back(std::move(v));
   }
   return snap;
-}
-
-std::vector<std::pair<std::string, std::uint64_t>>
-MetricsRegistry::CounterSnapshot() const {
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  for (const auto& [canonical, idx] : index_) {
-    const Metric& m = metrics_[idx];
-    if (m.kind == MetricKind::kCounter) out.emplace_back(canonical, m.counter);
-  }
-  return out;
 }
 
 std::string MetricsRegistry::ToString() const {

@@ -6,7 +6,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "util/stats.h"
@@ -17,10 +16,9 @@ namespace tdr::obs {
 /// same canonical name under two kinds is a programming error.
 enum class MetricKind : std::uint8_t {
   kCounter = 0,    // monotone uint64 (events, messages, deadlocks)
-  kGauge = 1,      // last-write-wins double (queue depth, sim totals)
+  kGauge = 1,      // last-write-wins double (sim totals)
   kHistogram = 2,  // util/stats.h Histogram (latency-like uint64 values)
-  kStats = 3,      // util/stats.h OnlineStats (Welford moments)
-  kProfile = 4,    // OnlineStats of WALL-CLOCK values (the thread
+  kProfile = 3,    // OnlineStats of WALL-CLOCK values (the thread
                    // runtime's worker measurements, published at
                    // Shutdown). Nondeterministic by nature, so
                    // Snapshot() excludes profile metrics unless
@@ -44,7 +42,7 @@ struct MetricValue {
   std::uint64_t counter = 0;
   double gauge = 0.0;
   Histogram histogram;  // kHistogram only
-  OnlineStats stats;    // kStats / kProfile only
+  OnlineStats stats;    // kProfile only
 
   std::string ToString() const;
 };
@@ -71,8 +69,10 @@ struct SnapshotOptions {
 /// only place that allocates) and update through it in O(1) with no
 /// allocation: a handle is a raw pointer at the metric's storage cell,
 /// stable for the registry's lifetime (`std::deque` slabs never move).
-/// A default-constructed handle is a no-op, so instrumented code runs
-/// unchanged — and unmeasurably — when no registry is attached.
+/// Every instrumented component is built on a registry: a handle must be
+/// acquired before use, and the registry must outlive it. A component
+/// that counts into the registry keeps no second copy of the count; its
+/// accessor reads the cell.
 ///
 /// The registry is single-threaded by design, like everything else in
 /// one simulation run; parallelism lives in SweepRunner, where each run
@@ -86,10 +86,8 @@ class MetricsRegistry {
   class Counter {
    public:
     Counter() = default;
-    void Increment(std::uint64_t delta = 1) {
-      if (cell_ != nullptr) *cell_ += delta;
-    }
-    std::uint64_t value() const { return cell_ != nullptr ? *cell_ : 0; }
+    void Increment(std::uint64_t delta = 1) { *cell_ += delta; }
+    std::uint64_t value() const { return *cell_; }
 
    private:
     friend class MetricsRegistry;
@@ -97,30 +95,10 @@ class MetricsRegistry {
     std::uint64_t* cell_ = nullptr;
   };
 
-  class Gauge {
-   public:
-    Gauge() = default;
-    void Set(double value) {
-      if (cell_ != nullptr) *cell_ = value;
-    }
-    void Add(double delta) {
-      if (cell_ != nullptr) *cell_ += delta;
-    }
-    double value() const { return cell_ != nullptr ? *cell_ : 0.0; }
-
-   private:
-    friend class MetricsRegistry;
-    explicit Gauge(double* cell) : cell_(cell) {}
-    double* cell_ = nullptr;
-  };
-
   class HistogramHandle {
    public:
     HistogramHandle() = default;
-    void Record(std::uint64_t value) {
-      if (hist_ != nullptr) hist_->Add(value);
-    }
-    /// Null for a no-op handle.
+    void Record(std::uint64_t value) { hist_->Add(value); }
     const Histogram* histogram() const { return hist_; }
 
    private:
@@ -132,10 +110,7 @@ class MetricsRegistry {
   class StatsHandle {
    public:
     StatsHandle() = default;
-    void Record(double value) {
-      if (stats_ != nullptr) stats_->Add(value);
-    }
-    const OnlineStats* stats() const { return stats_; }
+    void Record(double value) { stats_->Add(value); }
 
    private:
     friend class MetricsRegistry;
@@ -153,37 +128,27 @@ class MetricsRegistry {
   // so handles may be acquired redundantly and cached freely.
 
   Counter GetCounter(std::string_view name, std::vector<Label> labels = {});
-  Gauge GetGauge(std::string_view name, std::vector<Label> labels = {});
   HistogramHandle GetHistogram(std::string_view name,
                                std::vector<Label> labels = {});
-  StatsHandle GetStats(std::string_view name, std::vector<Label> labels = {});
-  /// Like GetStats but kind kProfile: wall-clock values, excluded from
-  /// deterministic snapshots (see MetricKind::kProfile).
+  /// Wall-clock values, excluded from deterministic snapshots (see
+  /// MetricKind::kProfile).
   StatsHandle GetProfile(std::string_view name,
                          std::vector<Label> labels = {});
 
   // --- String API (cold-path convenience, CounterRegistry-compatible) -
 
   void Increment(std::string_view name, std::uint64_t delta = 1);
-  /// Counter value; 0 if the name is unknown (or not a counter).
+  /// Counter value; 0 if the name is unknown (or not a counter). Never
+  /// registers a cell.
   std::uint64_t Get(std::string_view name) const;
   void SetGauge(std::string_view name, double value);
   /// Counter or gauge value as a double (what TimeSeriesRecorder
   /// samples); 0 for unknown names and non-scalar kinds.
   double Value(std::string_view name) const;
 
-  /// Zeroes every value. Registrations — and outstanding handles — stay
-  /// valid.
-  void Reset();
-
   std::size_t size() const { return metrics_.size(); }
-  /// Distinct label sets interned so far (the empty set not counted).
-  std::size_t label_sets_interned() const { return label_sets_.size(); }
 
   MetricsSnapshot Snapshot(const SnapshotOptions& options = {}) const;
-  /// Sorted (name, value) pairs of the counters only — the old
-  /// CounterRegistry::Snapshot shape, kept for table printing.
-  std::vector<std::pair<std::string, std::uint64_t>> CounterSnapshot() const;
   std::string ToString() const;
 
  private:

@@ -23,7 +23,6 @@ Json RunReport::MetricValueToJson(const MetricValue& value) {
       v.Set("p95", value.histogram.Percentile(95.0));
       v.Set("p99", value.histogram.Percentile(99.0));
       break;
-    case MetricKind::kStats:
     case MetricKind::kProfile:
       v.Set("count", value.stats.count());
       v.Set("mean", value.stats.mean());

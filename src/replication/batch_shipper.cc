@@ -29,14 +29,12 @@ BatchShipper::BatchShipper(runtime::Runtime* rt, Network* net,
   // a one-time ratchet.
   reserve_floor_ = flush_at_ > 0 ? flush_at_ + 32 : 160;
   for (Stream& s : streams_) s.builder.Reserve(reserve_floor_);
-  if (metrics != nullptr) {
-    std::vector<obs::Label> labels{{"stream", std::string(stream)}};
-    m_batches_ = metrics->GetCounter("batch.shipped", labels);
-    m_updates_ = metrics->GetCounter("batch.updates", labels);
-    m_coalesced_ = metrics->GetCounter("batch.coalesced", labels);
-    m_batch_size_ = metrics->GetHistogram("batch.size", labels);
-    m_flush_delay_us_ = metrics->GetHistogram("batch.flush_delay_us", labels);
-  }
+  std::vector<obs::Label> labels{{"stream", std::string(stream)}};
+  m_batches_ = metrics->GetCounter("batch.shipped", labels);
+  m_updates_ = metrics->GetCounter("batch.updates", labels);
+  m_coalesced_ = metrics->GetCounter("batch.coalesced", labels);
+  m_batch_size_ = metrics->GetHistogram("batch.size", labels);
+  m_flush_delay_us_ = metrics->GetHistogram("batch.flush_delay_us", labels);
 }
 
 BatchShipper::~BatchShipper() {
@@ -90,9 +88,6 @@ void BatchShipper::Flush(NodeId origin, NodeId dest) {
   net::SharedPool<UpdateBatch>::Lease batch = batch_pool_.Acquire();
   batch->updates.reserve(reserve_floor_);  // swap hands this to the builder
   s.builder.TakeInto(origin, dest, s.next_seq++, s.opened, &*batch);
-  ++batches_shipped_;
-  updates_shipped_ += batch->size();
-  updates_coalesced_ += batch->coalesced;
   m_batches_.Increment();
   m_updates_.Increment(batch->size());
   m_coalesced_.Increment(batch->coalesced);

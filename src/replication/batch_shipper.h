@@ -57,8 +57,8 @@ class BatchShipper {
   /// Runs at the DESTINATION at delivery time.
   using DeliverFn = std::function<void(const UpdateBatch&)>;
 
-  /// `stream` labels this shipper's metrics (e.g. "lazy-group").
-  /// `metrics` may be null. `rt` and `net` must outlive the shipper.
+  /// `stream` labels this shipper's metrics (e.g. "lazy-group"), which
+  /// `metrics` holds. `rt`, `net` and `metrics` must outlive the shipper.
   BatchShipper(runtime::Runtime* rt, Network* net, std::uint32_t num_nodes,
                std::string_view stream, obs::MetricsRegistry* metrics,
                Options options, DeliverFn deliver);
@@ -91,9 +91,9 @@ class BatchShipper {
   void FlushAll();
 
   const Options& options() const { return options_; }
-  std::uint64_t batches_shipped() const { return batches_shipped_; }
-  std::uint64_t updates_shipped() const { return updates_shipped_; }
-  std::uint64_t updates_coalesced() const { return updates_coalesced_; }
+  std::uint64_t batches_shipped() const { return m_batches_.value(); }
+  std::uint64_t updates_shipped() const { return m_updates_.value(); }
+  std::uint64_t updates_coalesced() const { return m_coalesced_.value(); }
   /// Updates currently parked across all streams.
   std::size_t PendingUpdates() const;
 
@@ -124,15 +124,12 @@ class BatchShipper {
   // Shipped batches ride the network as pooled leases (released when
   // the message is delivered or dropped), not per-flush allocations.
   net::SharedPool<UpdateBatch> batch_pool_;
-  // Cached handles (no-ops without a registry).
+  // Cached handles: the only store of the shipper's counts.
   obs::MetricsRegistry::Counter m_batches_;
   obs::MetricsRegistry::Counter m_updates_;
   obs::MetricsRegistry::Counter m_coalesced_;
   obs::MetricsRegistry::HistogramHandle m_batch_size_;
   obs::MetricsRegistry::HistogramHandle m_flush_delay_us_;
-  std::uint64_t batches_shipped_ = 0;
-  std::uint64_t updates_shipped_ = 0;
-  std::uint64_t updates_coalesced_ = 0;
 };
 
 }  // namespace tdr

@@ -11,8 +11,7 @@ Cluster::Cluster(Options options)
   nodes_.reserve(options_.num_nodes);
   for (NodeId id = 0; id < options_.num_nodes; ++id) {
     nodes_.push_back(std::make_unique<Node>(
-        id, options_.db_size, &graph_, options_.detect_deadlock_cycles,
-        &shards_));
+        id, options_.db_size, &graph_, options_.detect_deadlock_cycles));
   }
   if (options_.backend == RuntimeBackend::kThreads) {
     thread_rt_ = std::make_unique<runtime::ThreadRuntime>(

@@ -40,9 +40,9 @@ class Cluster {
     std::uint32_t num_nodes = 3;
     std::uint64_t db_size = 10000;
     /// Shards the key space is range-partitioned into (clamped to
-    /// [1, db_size]). Every per-object structure — lock tables, replica
-    /// appliers, batch streams — keys its state off the resulting
-    /// ShardMap. One shard reproduces the unsharded data plane exactly.
+    /// [1, db_size]). The replica appliers, the WAL and the shard
+    /// digests key their state off the resulting ShardMap. One shard
+    /// reproduces the unsharded data plane exactly.
     std::uint32_t num_shards = 1;
     SimTime action_time = SimTime::Millis(10);  // Table 2 Action_Time
     Network::Options net;

@@ -64,7 +64,9 @@ class LazyGroupScheme : public ReplicationScheme, private TxnObserver {
 
   /// Reconciliations detected so far (timestamp-match failures across
   /// all replicas).
-  std::uint64_t reconciliations() const { return reconciliations_; }
+  std::uint64_t reconciliations() const {
+    return cluster_->metrics().Get("lazy_group.reconciliations");
+  }
   /// Replica updates applied cleanly.
   std::uint64_t replica_applied() const { return replica_applied_; }
 
@@ -79,7 +81,6 @@ class LazyGroupScheme : public ReplicationScheme, private TxnObserver {
   Cluster* cluster_;
   ReplicaApplier applier_;
   BatchShipper shipper_;
-  std::uint64_t reconciliations_ = 0;
   std::uint64_t replica_applied_ = 0;
 };
 

@@ -94,10 +94,7 @@ void LazyMasterScheme::CatchUpNode(NodeId node) {
                                           &applied);
     assert(s.ok());
     (void)s;
-    if (applied) {
-      ++catch_up_objects_;
-      cluster_->metrics().Increment("lazy_master.catch_up_objects");
-    }
+    if (applied) cluster_->metrics().Increment("lazy_master.catch_up_objects");
   }
 }
 
@@ -133,7 +130,6 @@ void LazyMasterScheme::ApplyAt(Node* dest,
   applier_.Apply(dest, records, aopts,
                  [this](const ReplicaApplier::Report& report) {
                    slave_applied_ += report.applied;
-                   stale_ignored_ += report.stale;
                  });
 }
 

@@ -93,8 +93,9 @@ class LazyMasterScheme : public ReplicationScheme, private TxnObserver {
   BatchShipper* batch_shipper() { return &shipper_; }
 
   std::uint64_t slave_updates_applied() const { return slave_applied_; }
-  std::uint64_t stale_updates_ignored() const { return stale_ignored_; }
-  std::uint64_t catch_up_objects() const { return catch_up_objects_; }
+  std::uint64_t catch_up_objects() const {
+    return cluster_->metrics().Get("lazy_master.catch_up_objects");
+  }
 
  private:
   /// Executor completion hook (RunOptions::observer on every master
@@ -108,8 +109,6 @@ class LazyMasterScheme : public ReplicationScheme, private TxnObserver {
   ReplicaApplier applier_;
   BatchShipper shipper_;
   std::uint64_t slave_applied_ = 0;
-  std::uint64_t stale_ignored_ = 0;
-  std::uint64_t catch_up_objects_ = 0;
 };
 
 }  // namespace tdr

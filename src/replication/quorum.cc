@@ -193,7 +193,6 @@ void QuorumEagerScheme::CatchUp(NodeId rejoined) {
       assert(s.ok());
       (void)s;
       if (applied) {
-        ++catch_up_objects_;
         ++refreshed;
         cluster_->metrics().Increment("quorum.catch_up_objects");
       }

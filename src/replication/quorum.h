@@ -89,7 +89,9 @@ class QuorumEagerScheme : public ReplicationScheme {
     return ReachableVotes(origin) >= write_quorum_;
   }
 
-  std::uint64_t catch_up_objects() const { return catch_up_objects_; }
+  std::uint64_t catch_up_objects() const {
+    return cluster_->metrics().Get("quorum.catch_up_objects");
+  }
 
   /// Anti-entropy sweep: every connected node refreshes from the newest
   /// reachable version of each object. With all links healed this fully
@@ -109,7 +111,6 @@ class QuorumEagerScheme : public ReplicationScheme {
   std::uint32_t total_votes_ = 0;
   std::uint32_t write_quorum_ = 0;
   std::uint32_t read_quorum_ = 0;
-  std::uint64_t catch_up_objects_ = 0;
   /// Submit's write-set scratch (reused per call, never live across
   /// reentry — Submit does not call itself).
   std::vector<NodeId> members_scratch_;

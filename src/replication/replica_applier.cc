@@ -151,12 +151,9 @@ obs::MetricsRegistry::Counter& ReplicaApplier::ShardAppliedCounter(
   if (shard >= shard_applied_.size()) {
     std::size_t old_size = shard_applied_.size();
     shard_applied_.resize(shard + 1);
-    if (metrics_ != nullptr) {
-      for (std::size_t s = old_size; s < shard_applied_.size(); ++s) {
-        shard_applied_[s] = metrics_->GetCounter(
-            "replica.shard_applied",
-            {{"shard", std::to_string(s)}});
-      }
+    for (std::size_t s = old_size; s < shard_applied_.size(); ++s) {
+      shard_applied_[s] = metrics_->GetCounter(
+          "replica.shard_applied", {{"shard", std::to_string(s)}});
     }
   }
   return shard_applied_[shard];

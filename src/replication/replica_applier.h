@@ -71,18 +71,16 @@ class ReplicaApplier {
   using Done = std::function<void(const Report&)>;
 
   /// `executor` supplies transaction ids (shared id space keeps the
-  /// global wait-for graph sound); `metrics` may be null.
+  /// global wait-for graph sound); `metrics` receives the counts.
   ReplicaApplier(runtime::Runtime* rt, Executor* executor,
                  obs::MetricsRegistry* metrics)
       : sim_(rt), executor_(executor), metrics_(metrics) {
-    if (metrics != nullptr) {
-      m_waits_ = metrics->GetCounter("replica.waits");
-      m_applied_ = metrics->GetCounter("replica.applied");
-      m_conflicts_ = metrics->GetCounter("replica.conflicts");
-      m_stale_ = metrics->GetCounter("replica.stale");
-      m_deadlocks_ = metrics->GetCounter("replica.deadlocks");
-      m_gave_up_ = metrics->GetCounter("replica.gave_up");
-    }
+    m_waits_ = metrics->GetCounter("replica.waits");
+    m_applied_ = metrics->GetCounter("replica.applied");
+    m_conflicts_ = metrics->GetCounter("replica.conflicts");
+    m_stale_ = metrics->GetCounter("replica.stale");
+    m_deadlocks_ = metrics->GetCounter("replica.deadlocks");
+    m_gave_up_ = metrics->GetCounter("replica.gave_up");
   }
 
   ReplicaApplier(const ReplicaApplier&) = delete;
@@ -143,7 +141,7 @@ class ReplicaApplier {
   runtime::Runtime* sim_;
   Executor* executor_;
   obs::MetricsRegistry* metrics_;
-  // Cached metric handles; no-ops when built without a registry.
+  // Cached metric handles.
   obs::MetricsRegistry::Counter m_waits_;
   obs::MetricsRegistry::Counter m_applied_;
   obs::MetricsRegistry::Counter m_conflicts_;
@@ -151,7 +149,7 @@ class ReplicaApplier {
   obs::MetricsRegistry::Counter m_deadlocks_;
   obs::MetricsRegistry::Counter m_gave_up_;
   // Lazily acquired `replica.shard_applied{shard=K}` handles, indexed
-  // by shard (no-ops without a registry).
+  // by shard.
   std::vector<obs::MetricsRegistry::Counter> shard_applied_;
   TraceSink* trace_ = nullptr;
   std::size_t active_ = 0;

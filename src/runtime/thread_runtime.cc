@@ -164,7 +164,6 @@ double ThreadRuntime::worker_busy_seconds() const {
 }
 
 void ThreadRuntime::PublishMetrics() {
-  if (metrics_ == nullptr) return;
   // Wall-clock-derived values go to kProfile metrics only: they are
   // nondeterministic by nature and must never leak into deterministic
   // snapshots (obs::SnapshotOptions excludes kProfile by default), so

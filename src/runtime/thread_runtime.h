@@ -46,8 +46,8 @@ class ThreadRuntime final : public Runtime {
 
   /// `clock` is the cluster's own simulator, used as virtual clock and
   /// event core (never Run directly when this backend owns it).
-  /// `metrics` may be null; profile metrics (worker busy time, mailbox
-  /// depth, utilization) are published on Shutdown.
+  /// Profile metrics (worker busy time, mailbox depth, utilization) are
+  /// published into `metrics` on Shutdown.
   ThreadRuntime(sim::Simulator* clock, std::uint32_t num_nodes,
                 obs::MetricsRegistry* metrics);
 

@@ -17,8 +17,8 @@ using ShardId = std::uint32_t;
 ///
 /// Sharding is the scale lever the replication model keeps pointing at:
 /// per-update work grows with the number of objects guarded by one
-/// structure, so the lock tables, replica appliers, and batch streams
-/// all key their state off this map. Contiguous ranges (rather than a
+/// structure, so the replica appliers, quorum catch-up and the WAL all
+/// key their state off this map. Contiguous ranges (rather than a
 /// hash) keep every per-shard operation a dense scan — shard digests
 /// and the hot/cold skew workload are contiguous-id walks — and make
 /// "hot shard" mean what it does in a production

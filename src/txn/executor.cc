@@ -28,15 +28,13 @@ Executor::Executor(runtime::Runtime* rt, std::vector<Node*> nodes,
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     assert(nodes_[i] != nullptr && nodes_[i]->id() == i);
   }
-  if (metrics != nullptr) {
-    m_started_ = metrics->GetCounter("txn.started");
-    m_lock_waits_ = metrics->GetCounter("lock.waits");
-    m_deadlocks_ = metrics->GetCounter("txn.deadlocks");
-    m_wait_timeouts_ = metrics->GetCounter("txn.wait_timeouts");
-    m_committed_ = metrics->GetCounter("txn.committed");
-    m_rejected_ = metrics->GetCounter("txn.rejected");
-    m_wait_micros_ = metrics->GetHistogram("lock.wait_micros");
-  }
+  m_started_ = metrics->GetCounter("txn.started");
+  m_lock_waits_ = metrics->GetCounter("lock.waits");
+  m_deadlocks_ = metrics->GetCounter("txn.deadlocks");
+  m_wait_timeouts_ = metrics->GetCounter("txn.wait_timeouts");
+  m_committed_ = metrics->GetCounter("txn.committed");
+  m_rejected_ = metrics->GetCounter("txn.rejected");
+  m_wait_micros_ = metrics->GetHistogram("lock.wait_micros");
 }
 
 void Executor::Emit(TraceEventType type, const Inflight* t, NodeId node,
@@ -257,7 +255,6 @@ void Executor::StepAcquire(Inflight* t) {
                 return;
               }
               t->result.timed_out = true;
-              ++wait_timeouts_;
               m_wait_timeouts_.Increment();
               Abort(t, TxnOutcome::kDeadlock);
             });
@@ -273,10 +270,7 @@ void Executor::StepAcquire(Inflight* t) {
 
 void Executor::StepExecute(Inflight* t) {
   const ExecStep& step = t->steps[t->pc];
-  SimTime cost = (!step.charge || (!step.op.IsWrite() &&
-                                   !t->opts.charge_reads))
-                     ? SimTime::Zero()
-                     : t->opts.action_time;
+  SimTime cost = step.charge ? t->opts.action_time : SimTime::Zero();
   TxnId id = t->id;
   // The step mutates step.node's store/locks: run it on that node's
   // worker under the thread backend.
@@ -449,7 +443,6 @@ void Executor::Commit(Inflight* t) {
     }
     t->result.outcome = TxnOutcome::kCommitted;
     t->result.end_time = sim_->Now();
-    ++committed_;
     m_committed_.Increment();
     if (trace_ != nullptr) {
       Emit(TraceEventType::kTxnCommit, t, t->origin, 0,
@@ -461,7 +454,6 @@ void Executor::Commit(Inflight* t) {
   // The transaction is committed the instant its writes are installed;
   // durability only gates completion (and thus lock release).
   t->result.outcome = TxnOutcome::kCommitted;
-  ++committed_;
   m_committed_.Increment();
   if (trace_ != nullptr) {
     Emit(TraceEventType::kTxnCommit, t, t->origin, 0,
@@ -502,12 +494,7 @@ void Executor::Abort(Inflight* t, TxnOutcome outcome) {
   }
   t->result.outcome = outcome;
   t->result.end_time = sim_->Now();
-  if (outcome == TxnOutcome::kDeadlock) {
-    ++deadlocked_;
-  } else {
-    ++rejected_;
-    m_rejected_.Increment();
-  }
+  if (outcome == TxnOutcome::kRejected) m_rejected_.Increment();
   if (trace_ != nullptr) {
     Emit(TraceEventType::kTxnAbort, t, t->origin, 0,
          std::string(TxnOutcomeToString(outcome)));

@@ -143,9 +143,6 @@ class Executor {
     /// Completion hook (not owned; may be null). See TxnObserver.
     TxnObserver* observer = nullptr;
     bool record_updates = true;     // build UpdateRecords at commit
-    /// Charge action_time for read steps too (default true: the model's
-    /// Actions are all the same length).
-    bool charge_reads = true;
     /// Take exclusive locks on reads as well — the "true serialization"
     /// the base model deliberately omits ("no read locks"). Ablation
     /// only; rates can only get worse with it on.
@@ -160,8 +157,7 @@ class Executor {
   };
 
   /// `nodes[i]->id()` must equal i. All pointers must outlive the
-  /// executor. `metrics` may be null — instrumentation then degrades to
-  /// no-op handles.
+  /// executor; `metrics` receives its counts.
   Executor(runtime::Runtime* rt, std::vector<Node*> nodes,
            obs::MetricsRegistry* metrics);
 
@@ -204,12 +200,15 @@ class Executor {
   void set_durability(DurabilityHook* hook) { durability_ = hook; }
   DurabilityHook* durability() const { return durability_; }
 
-  std::uint64_t committed() const { return committed_; }
-  std::uint64_t deadlocked() const { return deadlocked_; }
-  std::uint64_t rejected() const { return rejected_; }
+  std::uint64_t committed() const { return m_committed_.value(); }
+  /// Deadlock victims: wait-for cycles plus wait timeouts.
+  std::uint64_t deadlocked() const {
+    return m_deadlocks_.value() + m_wait_timeouts_.value();
+  }
+  std::uint64_t rejected() const { return m_rejected_.value(); }
   /// Subset of deadlocked() caused by wait timeouts (only nonzero when
   /// RunOptions::wait_timeout is used).
-  std::uint64_t wait_timeouts() const { return wait_timeouts_; }
+  std::uint64_t wait_timeouts() const { return m_wait_timeouts_.value(); }
 
  private:
   /// Buffered write: final value per (node, object), flat-sorted.
@@ -275,8 +274,8 @@ class Executor {
   runtime::Runtime* sim_;
   std::vector<Node*> nodes_;
   // Metric handles, acquired once at construction: the hot path bumps
-  // through them in O(1) with no allocation and no name lookup. All are
-  // no-ops when the executor was built without a registry.
+  // through them in O(1) with no allocation and no name lookup. They
+  // are the only store of the executor's counts.
   obs::MetricsRegistry::Counter m_started_;
   obs::MetricsRegistry::Counter m_lock_waits_;
   obs::MetricsRegistry::Counter m_deadlocks_;
@@ -294,10 +293,6 @@ class Executor {
   std::vector<ExecStep> plan_scratch_;
   std::vector<NodeId> members_scratch_;  // quorum write-set members
   TxnId next_txn_id_ = 1;
-  std::uint64_t committed_ = 0;
-  std::uint64_t deadlocked_ = 0;
-  std::uint64_t rejected_ = 0;
-  std::uint64_t wait_timeouts_ = 0;
 };
 
 /// Compiles `program` into a single-node plan: every op runs at `node`.

@@ -117,7 +117,6 @@ LockManager::AcquireOutcome LockManager::Acquire(TxnId txn, ObjectId oid,
     return AcquireOutcome::kDeadlock;
   }
   ++total_waits_;
-  ++shard_waits_[ShardOf(oid)];
   ++waiter_count_;
   return AcquireOutcome::kQueued;
 }

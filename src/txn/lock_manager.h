@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "sim/callback.h"
-#include "storage/shard_map.h"
 #include "storage/types.h"
 #include "txn/wait_for_graph.h"
 #include "util/flat_map.h"
@@ -56,19 +55,12 @@ class LockManager {
   /// then someone else's job (e.g. the executor's wait timeouts). That
   /// is the production timeout-based alternative the ablation bench
   /// compares against.
-  ///
-  /// `shards` (may be null = one shard, must otherwise outlive the
-  /// manager) no longer changes the table layout — the flat table is
-  /// already O(1) per object — but still labels each wait with its
-  /// shard for the hot-shard diagnostics.
   LockManager(NodeId node, std::uint64_t db_size, WaitForGraph* graph,
-              bool detect_cycles = true, const ShardMap* shards = nullptr)
+              bool detect_cycles = true)
       : node_(node),
         graph_(graph),
         detect_cycles_(detect_cycles),
-        shards_(shards),
-        slots_(db_size),
-        shard_waits_(shards != nullptr ? shards->num_shards() : 1, 0) {}
+        slots_(db_size) {}
 
   LockManager(const LockManager&) = delete;
   LockManager& operator=(const LockManager&) = delete;
@@ -115,15 +107,6 @@ class LockManager {
   std::uint64_t total_deadlocks() const { return total_deadlocks_; }
   std::uint64_t bad_releases() const { return bad_releases_; }
 
-  /// Lock waits that queued on objects of `shard` (0 for out-of-range
-  /// shards) — the hot-shard contention signal.
-  std::uint64_t shard_waits(ShardId shard) const {
-    return shard < shard_waits_.size() ? shard_waits_[shard] : 0;
-  }
-  std::uint32_t num_shards() const {
-    return static_cast<std::uint32_t>(shard_waits_.size());
-  }
-
   NodeId node() const { return node_; }
   std::uint64_t db_size() const { return slots_.size(); }
 
@@ -144,10 +127,6 @@ class LockManager {
     std::uint32_t next = kNil;
   };
 
-  ShardId ShardOf(ObjectId oid) const {
-    return shards_ != nullptr ? shards_->ShardOf(oid) : 0;
-  }
-
   std::uint32_t AcquireWaiter(TxnId txn, sim::Callback on_grant);
   void RecycleWaiter(std::uint32_t idx);
   std::uint32_t AcquireHeldEntry();
@@ -161,9 +140,7 @@ class LockManager {
   NodeId node_;
   WaitForGraph* graph_;
   bool detect_cycles_;
-  const ShardMap* shards_;
   std::vector<Slot> slots_;  // one per object id
-  std::vector<std::uint64_t> shard_waits_;
   // Waiter pool, free-listed through Waiter::next.
   std::vector<Waiter> waiters_;
   std::uint32_t free_waiter_ = kNil;

@@ -17,13 +17,11 @@ namespace tdr {
 /// compose behaviour on top; Node itself is policy-free.
 class Node {
  public:
-  /// `shards` may be null (single-shard lock table) and must otherwise
-  /// outlive the node.
   Node(NodeId id, std::uint64_t db_size, WaitForGraph* graph,
-       bool detect_deadlock_cycles = true, const ShardMap* shards = nullptr)
+       bool detect_deadlock_cycles = true)
       : id_(id),
         store_(db_size),
-        locks_(id, db_size, graph, detect_deadlock_cycles, shards),
+        locks_(id, db_size, graph, detect_deadlock_cycles),
         clock_(id) {}
 
   Node(const Node&) = delete;

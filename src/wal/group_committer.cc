@@ -5,6 +5,20 @@
 
 namespace tdr::wal {
 
+WalMetrics::WalMetrics(obs::MetricsRegistry* metrics)
+    : records_appended(metrics->GetCounter("wal.records_appended")),
+      flushes(metrics->GetCounter("wal.flushes")),
+      records_synced(metrics->GetCounter("wal.records_synced")),
+      flush_records(metrics->GetHistogram("wal.flush_records")),
+      flush_wait_micros(metrics->GetHistogram("wal.flush_wait_micros")),
+      crash_dropped_records(metrics->GetCounter("wal.crash_dropped_records")),
+      crash_voided_waiters(metrics->GetCounter("wal.crash_voided_waiters")),
+      torn_tail_truncations(metrics->GetCounter("wal.torn_tail_truncations")),
+      torn_tail_bytes(metrics->GetCounter("wal.torn_tail_bytes")),
+      recovery_replayed(metrics->GetCounter("wal.recovery_replayed")),
+      recovery_segments(metrics->GetCounter("wal.recovery_segments")),
+      catch_up_adopted(metrics->GetCounter("wal.catch_up_adopted")) {}
+
 GroupCommitter::GroupCommitter(runtime::Runtime* rt, NodeId node, Wal* wal,
                                Options options, WalMetrics* metrics)
     : rt_(rt), node_(node), wal_(wal), options_(options), metrics_(metrics) {

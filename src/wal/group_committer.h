@@ -14,9 +14,11 @@
 
 namespace tdr::wal {
 
-/// Metric handles shared by every node's committer (registered once by
-/// WalSet; all default-constructed no-ops when metrics are off).
+/// Metric handles shared by every node's committer, registered once by
+/// WalSet: the only store of the WAL's counts.
 struct WalMetrics {
+  explicit WalMetrics(obs::MetricsRegistry* metrics);
+
   obs::MetricsRegistry::Counter records_appended;
   obs::MetricsRegistry::Counter flushes;
   obs::MetricsRegistry::Counter records_synced;

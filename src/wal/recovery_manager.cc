@@ -49,7 +49,6 @@ void RecoveryManager::Restart(NodeId node) {
         n->clock().Observe(rec.new_ts);
       });
   wals_->ResetWriter(node, result.next_lsn, result.next_segment);
-  records_replayed_ += result.records_replayed;
   ++recoveries_;
   m.recovery_replayed.Increment(result.records_replayed);
   m.recovery_segments.Increment(result.segments_read);

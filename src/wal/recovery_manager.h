@@ -49,7 +49,11 @@ class RecoveryManager {
 
   bool wal_enabled() const { return wals_ != nullptr; }
 
-  std::uint64_t records_replayed() const { return records_replayed_; }
+  /// WAL records replayed by every recovery so far (0 with the WAL off).
+  std::uint64_t records_replayed() const {
+    return wals_ != nullptr ? wals_->wal_metrics().recovery_replayed.value()
+                            : 0;
+  }
   std::uint64_t recoveries() const { return recoveries_; }
 
  private:
@@ -60,7 +64,6 @@ class RecoveryManager {
   WalSet* wals_;  // null = kOff pass-through
   WalRecovery recovery_;
   std::vector<std::uint64_t> wipe_epoch_;
-  std::uint64_t records_replayed_ = 0;
   std::uint64_t recoveries_ = 0;
 };
 

@@ -12,32 +12,14 @@ WalSet::WalSet(runtime::Runtime* rt, std::uint32_t num_nodes,
       shards_(shards),
       options_(std::move(options)),
       rng_(rng),
+      metrics_(metrics),
       crashed_(num_nodes, 0) {
   assert(options_.mode != DurabilityMode::kOff);
-  if (metrics != nullptr) {
-    metrics_.records_appended = metrics->GetCounter("wal.records_appended");
-    metrics_.flushes = metrics->GetCounter("wal.flushes");
-    metrics_.records_synced = metrics->GetCounter("wal.records_synced");
-    metrics_.flush_records = metrics->GetHistogram("wal.flush_records");
-    metrics_.flush_wait_micros =
-        metrics->GetHistogram("wal.flush_wait_micros");
-    metrics_.crash_dropped_records =
-        metrics->GetCounter("wal.crash_dropped_records");
-    metrics_.crash_voided_waiters =
-        metrics->GetCounter("wal.crash_voided_waiters");
-    metrics_.torn_tail_truncations =
-        metrics->GetCounter("wal.torn_tail_truncations");
-    metrics_.torn_tail_bytes = metrics->GetCounter("wal.torn_tail_bytes");
-    metrics_.recovery_replayed = metrics->GetCounter("wal.recovery_replayed");
-    metrics_.recovery_segments = metrics->GetCounter("wal.recovery_segments");
-    metrics_.catch_up_adopted = metrics->GetCounter("wal.catch_up_adopted");
-  }
   if (options_.wal_dir.empty()) {
     backend_ = std::make_unique<MemWalBackend>(
         num_nodes, static_cast<std::size_t>(options_.segment_bytes));
   } else {
-    backend_ = std::make_unique<FileWalBackend>(options_.wal_dir, num_nodes,
-                                                options_.fsync);
+    backend_ = std::make_unique<FileWalBackend>(options_.wal_dir, num_nodes);
   }
   Wal::Options wal_options;
   wal_options.segment_bytes = options_.segment_bytes;

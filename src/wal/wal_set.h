@@ -30,11 +30,6 @@ class WalSet : public DurabilityHook {
     /// Empty: in-memory backend (MemWalBackend — the simulator
     /// default). Non-empty: FileWalBackend rooted at this directory.
     std::string wal_dir;
-    /// FileWalBackend only: issue a real fdatasync when the durable
-    /// line moves (see FileWalBackend). Off by default — the simulated
-    /// flush latency models the cost; turn on to pay (and measure) the
-    /// true disk price.
-    bool fsync = false;
     SimTime flush_latency = SimTime::Micros(500);
     SimTime group_window = SimTime::Micros(250);
     std::size_t group_max_records = 64;

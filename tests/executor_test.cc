@@ -86,10 +86,9 @@ TEST_F(ExecutorTest, BufferedWritesInvisibleUntilCommit) {
   exec_->Run(0, LocalPlan(0, writer), Opts(),
              [&](const TxnResult& r) { r1 = r; });
   sim_.ScheduleAt(SimTime::Millis(15), [&] {
-    Program reader({Op::Read(0)});
-    Executor::RunOptions o = Opts();
-    o.charge_reads = false;  // sample instantaneously
-    exec_->Run(0, LocalPlan(0, reader), o,
+    std::vector<ExecStep> reader = LocalPlan(0, Program({Op::Read(0)}));
+    reader[0].charge = false;  // sample instantaneously
+    exec_->Run(0, std::move(reader), Opts(),
                [&](const TxnResult& r) { r2 = r; });
   });
   sim_.RunUntil(SimTime::Millis(16));
@@ -255,18 +254,6 @@ TEST_F(ExecutorTest, EmptyPlanCommitsImmediately) {
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->outcome, TxnOutcome::kCommitted);
   EXPECT_EQ(result->Duration(), SimTime::Zero());
-}
-
-TEST_F(ExecutorTest, ChargeReadsFalseMakesReadsFree) {
-  Init(1);
-  std::optional<TxnResult> result;
-  Executor::RunOptions o = Opts();
-  o.charge_reads = false;
-  Program p({Op::Read(0), Op::Read(1), Op::Write(2, 1)});
-  exec_->Run(0, LocalPlan(0, p), o,
-             [&](const TxnResult& r) { result = r; });
-  sim_.Run();
-  EXPECT_EQ(result->Duration(), SimTime::Millis(10));  // only the write
 }
 
 TEST_F(ExecutorTest, LamportClocksAdvancePastCommits) {

@@ -210,10 +210,11 @@ TEST_F(NetworkTest, OutboxPreservesOrderAcrossReconnect) {
 TEST(ConnectivityScheduleTest, DeterministicCycle) {
   sim::Simulator sim;
   WaitForGraph graph;
+  obs::MetricsRegistry metrics;
   std::vector<std::unique_ptr<Node>> nodes;
   nodes.push_back(std::make_unique<Node>(0, 4, &graph));
   std::vector<Node*> ptrs{nodes[0].get()};
-  Network net(&sim, ptrs, {}, nullptr);
+  Network net(&sim, ptrs, {}, &metrics);
 
   ConnectivitySchedule::Options opts;
   opts.time_between_disconnects = SimTime::Seconds(10);
@@ -233,9 +234,10 @@ TEST(ConnectivityScheduleTest, DeterministicCycle) {
 TEST(ConnectivityScheduleTest, StartDisconnected) {
   sim::Simulator sim;
   WaitForGraph graph;
+  obs::MetricsRegistry metrics;
   std::vector<std::unique_ptr<Node>> nodes;
   nodes.push_back(std::make_unique<Node>(0, 4, &graph));
-  Network net(&sim, {nodes[0].get()}, {}, nullptr);
+  Network net(&sim, {nodes[0].get()}, {}, &metrics);
 
   ConnectivitySchedule::Options opts;
   opts.time_between_disconnects = SimTime::Seconds(1);
@@ -253,9 +255,10 @@ TEST(ConnectivityScheduleTest, StartDisconnected) {
 TEST(ConnectivityScheduleTest, StopFreezesState) {
   sim::Simulator sim;
   WaitForGraph graph;
+  obs::MetricsRegistry metrics;
   std::vector<std::unique_ptr<Node>> nodes;
   nodes.push_back(std::make_unique<Node>(0, 4, &graph));
-  Network net(&sim, {nodes[0].get()}, {}, nullptr);
+  Network net(&sim, {nodes[0].get()}, {}, &metrics);
 
   ConnectivitySchedule::Options opts;
   opts.time_between_disconnects = SimTime::Seconds(2);
@@ -271,9 +274,10 @@ TEST(ConnectivityScheduleTest, StopFreezesState) {
 TEST(ConnectivityScheduleTest, DestructionCancelsPendingPhaseChange) {
   sim::Simulator sim;
   WaitForGraph graph;
+  obs::MetricsRegistry metrics;
   std::vector<std::unique_ptr<Node>> nodes;
   nodes.push_back(std::make_unique<Node>(0, 4, &graph));
-  Network net(&sim, {nodes[0].get()}, {}, nullptr);
+  Network net(&sim, {nodes[0].get()}, {}, &metrics);
   {
     ConnectivitySchedule::Options opts;
     opts.time_between_disconnects = SimTime::Seconds(10);
@@ -291,9 +295,10 @@ TEST(ConnectivityScheduleTest, DestructionCancelsPendingPhaseChange) {
 TEST(ConnectivityScheduleTest, ZeroDisconnectedTimeNeverDisconnects) {
   sim::Simulator sim;
   WaitForGraph graph;
+  obs::MetricsRegistry metrics;
   std::vector<std::unique_ptr<Node>> nodes;
   nodes.push_back(std::make_unique<Node>(0, 4, &graph));
-  Network net(&sim, {nodes[0].get()}, {}, nullptr);
+  Network net(&sim, {nodes[0].get()}, {}, &metrics);
 
   ConnectivitySchedule::Options opts;
   opts.time_between_disconnects = SimTime::Seconds(1);

@@ -85,5 +85,108 @@ TEST(RunSchemeTest, QuorumRunDrainsCheckedAndConverges) {
   EXPECT_GT(out.committed, 0u);
 }
 
+// A run's outcome is its registry: every count in SimOutcome equals the
+// cells that count the same events. Each kind MakeScheme builds (every
+// kind before kTwoTier) runs E15's small configuration
+// (bench/harness.cc E15Config), unchecked.
+SimConfig SmallConfig(SchemeKind kind) {
+  SimConfig c;
+  c.kind = kind;
+  c.nodes = 4;
+  c.db_size = 256;
+  c.tps = 25;
+  c.actions = 4;
+  c.action_time = 0.01;
+  c.sim_seconds = 5;
+  c.seed = 1;
+  c.num_shards = 4;
+  if (kind == SchemeKind::kLazyGroup || kind == SchemeKind::kLazyMaster) {
+    c.batch_flush_window = 0.05;
+    c.batch_max_updates = 16;
+  }
+  return c;
+}
+
+/// Sum of the counters whose canonical name starts with `prefix`, e.g.
+/// every `driver.submitted{node=*}` cell.
+std::uint64_t SumCounters(const obs::MetricsSnapshot& snap,
+                          std::string_view prefix) {
+  std::uint64_t sum = 0;
+  for (const obs::MetricValue& m : snap.metrics) {
+    if (m.name.compare(0, prefix.size(), prefix) == 0) sum += m.counter;
+  }
+  return sum;
+}
+
+/// The counts RunScheme takes after any drain, against the final
+/// snapshot.
+void ExpectRunCountsMatchRegistry(const SimOutcome& out) {
+  const obs::MetricsSnapshot& m = out.metrics;
+  EXPECT_EQ(out.net_dropped, m.Counter("net.dropped") +
+                                 m.Counter("net.crash_dropped") +
+                                 m.Counter("net.inbox_lost"));
+  EXPECT_EQ(out.net_duplicated, m.Counter("net.duplicated"));
+  EXPECT_EQ(out.net_held, m.Counter("net.held"));
+  EXPECT_EQ(out.injected_drops, m.Counter("fault.injected_drops"));
+  EXPECT_EQ(out.injected_duplicates, m.Counter("fault.injected_duplicates"));
+  EXPECT_EQ(out.injected_delays, m.Counter("fault.injected_delays"));
+  EXPECT_EQ(out.batches_shipped, SumCounters(m, "batch.shipped{"));
+  EXPECT_EQ(out.updates_coalesced, SumCounters(m, "batch.coalesced{"));
+  EXPECT_EQ(out.catch_up_objects,
+            m.Counter("lazy_master.catch_up_objects") +
+                m.Counter("quorum.catch_up_objects"));
+  EXPECT_EQ(out.wal_records, m.Counter("wal.records_appended"));
+  EXPECT_EQ(out.wal_flushes, m.Counter("wal.flushes"));
+  EXPECT_EQ(out.wal_replayed, m.Counter("wal.recovery_replayed"));
+}
+
+// An unchecked run never drains, so its snapshot is taken at window end
+// and holds the window's counts too.
+TEST(RunSchemeTest, UncheckedRunCountsAreItsRegistry) {
+  for (int i = 0; i < static_cast<int>(SchemeKind::kTwoTier); ++i) {
+    const auto kind = static_cast<SchemeKind>(i);
+    SCOPED_TRACE(SchemeKindName(kind));
+    const SimOutcome out = RunScheme(SmallConfig(kind));
+    const obs::MetricsSnapshot& m = out.metrics;
+    EXPECT_GT(out.committed, 0u);
+    EXPECT_EQ(out.committed, m.Counter("txn.committed"));
+    EXPECT_EQ(out.deadlocks,
+              m.Counter("txn.deadlocks") + m.Counter("txn.wait_timeouts"));
+    EXPECT_EQ(out.waits, m.Counter("lock.waits"));
+    EXPECT_EQ(out.unavailable, m.Counter("scheme.unavailable"));
+    EXPECT_EQ(out.replica_deadlocks, m.Counter("replica.deadlocks"));
+    EXPECT_EQ(out.replica_applied, m.Counter("replica.applied"));
+    EXPECT_EQ(out.submitted, SumCounters(m, "driver.submitted{node="));
+    EXPECT_EQ(out.reconciliations,
+              m.Counter(kind == SchemeKind::kLazyGroup
+                            ? "lazy_group.reconciliations"
+                            : "replica.conflicts"));
+    ExpectRunCountsMatchRegistry(out);
+  }
+}
+
+// The last node crashes and restarts mid-window; the checked run drains
+// before it counts. Every kind runs the durable-store crash model, and
+// E15's six kinds also run its crash rows, under WAL group commit.
+// Quorum is not among them: under WAL durability the invariant checker
+// counts a crashed node's wiped store as lost votes, and its
+// quorum-intersection sweep reports a violation while the node is down.
+TEST(RunSchemeTest, CrashRunCountsAreItsRegistry) {
+  for (int i = 0; i < static_cast<int>(SchemeKind::kTwoTier); ++i) {
+    const auto kind = static_cast<SchemeKind>(i);
+    SCOPED_TRACE(SchemeKindName(kind));
+    SimConfig config = SmallConfig(kind);
+    config.fault_crash_cycle = true;
+    const SimOutcome out = RunScheme(config);
+    EXPECT_GT(out.committed, 0u);
+    ExpectRunCountsMatchRegistry(out);
+    if (kind == SchemeKind::kQuorum) continue;
+    config.durability = DurabilityMode::kGroup;
+    const SimOutcome durable = RunScheme(config);
+    EXPECT_GT(durable.wal_replayed, 0u);
+    ExpectRunCountsMatchRegistry(durable);
+  }
+}
+
 }  // namespace
 }  // namespace tdr

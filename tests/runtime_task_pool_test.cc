@@ -89,7 +89,8 @@ TEST(TaskPoolTest, AddressesStayStableAcrossGrowth) {
 // must still return the wrapper to the pool (not leak it).
 TEST(TaskPoolRuntimeTest, CancelReleasesPooledTask) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, nullptr);
+  obs::MetricsRegistry metrics;
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, &metrics);
   int ran = 0;
   sim::EventId id =
       rt.ScheduleAfterNode(0, SimTime::Millis(1), [&] { ++ran; });
@@ -105,7 +106,8 @@ TEST(TaskPoolRuntimeTest, CancelReleasesPooledTask) {
 // the series is cancelled.
 TEST(TaskPoolRuntimeTest, RepeatSeriesHoldsOneWrapperUntilCancelled) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, nullptr);
+  obs::MetricsRegistry metrics;
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, &metrics);
   int ticks = 0;
   sim::EventId series = rt.RepeatEvery(SimTime::Millis(1), [&] { ++ticks; });
   rt.RunUntil(SimTime::Millis(10));
@@ -121,7 +123,8 @@ TEST(TaskPoolRuntimeTest, RepeatSeriesHoldsOneWrapperUntilCancelled) {
 // further growth.
 TEST(TaskPoolRuntimeTest, WaveWiderThanPoolGrowsOnceThenReuses) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/4, nullptr);
+  obs::MetricsRegistry metrics;
+  ThreadRuntime rt(&clock, /*num_nodes=*/4, &metrics);
   constexpr int kPerNode = ThreadRuntime::kTaskPoolCapacity / 4 + 16;
   constexpr int kWidth = 4 * kPerNode;
   int ran = 0;

@@ -48,7 +48,9 @@ TEST(ThreadRuntimeTest, SemanticsMatchBareSimulator) {
   auto expected = scenario(plain);
 
   sim::Simulator clock;
-  ThreadRuntime threads(&clock, /*num_nodes=*/3, nullptr);
+
+  obs::MetricsRegistry metrics;
+  ThreadRuntime threads(&clock, /*num_nodes=*/3, &metrics);
   auto actual = scenario(threads);
   EXPECT_EQ(actual, expected);
   EXPECT_EQ(threads.dispatched() + threads.inline_events(),
@@ -61,7 +63,8 @@ TEST(ThreadRuntimeTest, SemanticsMatchBareSimulator) {
 
 TEST(ThreadRuntimeTest, NodeTaggedEventsRunOnThatNodesThread) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/3, nullptr);
+  obs::MetricsRegistry metrics;
+  ThreadRuntime rt(&clock, /*num_nodes=*/3, &metrics);
   std::thread::id coordinator = std::this_thread::get_id();
   std::vector<std::thread::id> seen(3);
   for (std::uint32_t node = 0; node < 3; ++node) {
@@ -88,7 +91,8 @@ TEST(ThreadRuntimeTest, NodeTaggedEventsRunOnThatNodesThread) {
 
 TEST(ThreadRuntimeTest, SameNodeEventsShareOneThread) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, nullptr);
+  obs::MetricsRegistry metrics;
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, &metrics);
   std::vector<std::thread::id> runs;
   for (int i = 0; i < 5; ++i) {
     rt.ScheduleAfterNode(1, SimTime::Millis(i + 1),
@@ -103,7 +107,8 @@ TEST(ThreadRuntimeTest, SameNodeEventsShareOneThread) {
 
 TEST(ThreadRuntimeTest, ShutdownIsIdempotentAndFallsBackInline) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, nullptr);
+  obs::MetricsRegistry metrics;
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, &metrics);
   int ran = 0;
   rt.ScheduleAfterNode(0, SimTime::Millis(1), [&] { ++ran; });
   rt.Run();
@@ -124,7 +129,8 @@ TEST(ThreadRuntimeTest, ShutdownIsIdempotentAndFallsBackInline) {
 
 TEST(ThreadRuntimeTest, OutOfRangeNodeRunsInline) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, nullptr);
+  obs::MetricsRegistry metrics;
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, &metrics);
   std::thread::id where;
   rt.ScheduleAfterNode(7, SimTime::Millis(1),
                        [&] { where = std::this_thread::get_id(); });
@@ -137,7 +143,8 @@ TEST(ThreadRuntimeTest, OutOfRangeNodeRunsInline) {
 // — the per-node serial guarantee.
 TEST(ThreadRuntimeTest, SameNodeSameTimeKeepsFifoOrder) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, nullptr);
+  obs::MetricsRegistry metrics;
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, &metrics);
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
     rt.ScheduleAtNode(1, SimTime::Millis(1),
@@ -153,7 +160,8 @@ TEST(ThreadRuntimeTest, SameNodeSameTimeKeepsFifoOrder) {
 // pattern.
 TEST(ThreadRuntimeTest, CancelReachesSameTimestampEventOnAnotherNode) {
   sim::Simulator clock;
-  ThreadRuntime rt(&clock, /*num_nodes=*/2, nullptr);
+  obs::MetricsRegistry metrics;
+  ThreadRuntime rt(&clock, /*num_nodes=*/2, &metrics);
   bool victim_ran = false;
   bool cancel_hit = false;
   sim::EventId victim = sim::kInvalidEventId;

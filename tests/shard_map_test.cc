@@ -81,51 +81,6 @@ TEST(ObjectStoreShardTest, ShardDigestLocalizesChanges) {
   EXPECT_NE(a.Digest(), b.Digest());
 }
 
-TEST(ShardedLockManagerTest, SemanticsIdenticalAcrossShardCounts) {
-  // The same acquire/release script must behave identically with one
-  // table and with per-shard tables.
-  ShardMap shards(100, 8);
-  WaitForGraph g1, g8;
-  LockManager plain(0, 100, &g1);
-  LockManager sharded(0, 100, &g8, true, &shards);
-  EXPECT_EQ(sharded.num_shards(), 8u);
-  for (LockManager* lm : {&plain, &sharded}) {
-    EXPECT_EQ(lm->Acquire(1, 10, nullptr),
-              LockManager::AcquireOutcome::kGranted);
-    EXPECT_EQ(lm->Acquire(1, 90, nullptr),
-              LockManager::AcquireOutcome::kGranted);
-    bool granted = false;
-    EXPECT_EQ(lm->Acquire(2, 10, [&] { granted = true; }),
-              LockManager::AcquireOutcome::kQueued);
-    EXPECT_EQ(lm->LockedObjectCount(), 2u);
-    EXPECT_EQ(lm->WaiterCount(), 1u);
-    lm->Release(1, 10);
-    EXPECT_TRUE(granted);
-    EXPECT_TRUE(lm->Holds(2, 10));
-    lm->ReleaseAll(1);
-    lm->ReleaseAll(2);
-    EXPECT_EQ(lm->LockedObjectCount(), 0u);
-  }
-}
-
-TEST(ShardedLockManagerTest, ShardWaitsAttributeToTheRightShard) {
-  ShardMap shards(100, 4);  // shard size 25
-  WaitForGraph graph;
-  LockManager locks(0, 100, &graph, true, &shards);
-  ASSERT_EQ(locks.Acquire(1, 30, nullptr),
-            LockManager::AcquireOutcome::kGranted);
-  ASSERT_EQ(locks.Acquire(2, 30, [] {}),
-            LockManager::AcquireOutcome::kQueued);  // shard 1 wait
-  ASSERT_EQ(locks.Acquire(1, 80, nullptr),
-            LockManager::AcquireOutcome::kGranted);
-  ASSERT_EQ(locks.Acquire(3, 80, [] {}),
-            LockManager::AcquireOutcome::kQueued);  // shard 3 wait
-  EXPECT_EQ(locks.shard_waits(0), 0u);
-  EXPECT_EQ(locks.shard_waits(1), 1u);
-  EXPECT_EQ(locks.shard_waits(2), 0u);
-  EXPECT_EQ(locks.shard_waits(3), 1u);
-}
-
 TEST(ClusterShardTest, ShardDigestsAgreeAcrossFreshReplicas) {
   Cluster::Options opts;
   opts.num_nodes = 3;

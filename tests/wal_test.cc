@@ -341,7 +341,8 @@ TEST(WalSetTest, FreshWalSetOnAReusedDirStartsACleanLog) {
   WalSet::Options opts;
   opts.mode = DurabilityMode::kCommit;
   opts.wal_dir = dir;
-  WalSet wals(&sim, /*num_nodes=*/1, &shards, opts, Rng(1, 2), nullptr);
+  obs::MetricsRegistry metrics;
+  WalSet wals(&sim, /*num_nodes=*/1, &shards, opts, Rng(1, 2), &metrics);
   // The stale segments are gone: the new writer opened segment 0.
   EXPECT_EQ(wals.wal(0)->segment(), 0u);
   EXPECT_EQ(wals.backend()->SegmentCount(0), 1u);
@@ -419,7 +420,9 @@ TEST(WalWriterTest, RollsSegmentsAtTheCap) {
 
 struct CommitterRig {
   explicit CommitterRig(GroupCommitter::Options opts)
-      : backend(1), wal(0, &backend, Wal::Options{}),
+      : backend(1),
+        wal(0, &backend, Wal::Options{}),
+        metrics(&registry),
         committer(&sim, 0, &wal, opts, &metrics) {
     wal.Open(1);
   }
@@ -440,7 +443,8 @@ struct CommitterRig {
   sim::Simulator sim;
   MemWalBackend backend;
   Wal wal;
-  WalMetrics metrics;  // unregistered handles: all no-ops
+  obs::MetricsRegistry registry;
+  WalMetrics metrics;
   GroupCommitter committer;
   std::uint64_t lsn_hint_ = 1;
 };

@@ -69,7 +69,6 @@ REQUIRED_BY_KIND = {
     "counter": {"value"},
     "gauge": {"value"},
     "histogram": {"count", "mean", "min", "max", "p50", "p95", "p99"},
-    "stats": {"count", "mean", "stddev", "min", "max"},
 }
 
 
