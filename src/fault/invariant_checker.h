@@ -50,7 +50,9 @@ struct Violation {
 ///    the primary copy").
 ///  * quorum-intersection (quorum): replicas holding the newest version
 ///    of an object muster at least write_quorum votes, so any future
-///    write/read quorum intersects the latest committed write.
+///    write/read quorum intersects the latest committed write. Under
+///    the WAL the sweep waits while any node is down (its store is
+///    wiped until replay); a durable store still counts when crashed.
 ///  * convergence (final; all but lazy-group): once every fault heals
 ///    and queues drain, all replicas hold identical values. For
 ///    lazy-group the divergent slot count is recorded as the DETECTED

@@ -167,13 +167,10 @@ void ReplicaApplier::AcquireNext(Job* job) {
     return;
   }
   const UpdateRecord& rec = job->records[job->idx];
-  // Start the cache misses the next event will take: ApplyCurrent reads
-  // this record's store slot one action_time from now and then takes
-  // the next record's lock. See DESIGN.md §12.6.
+  // Start the cache miss the next event will take: ApplyCurrent reads
+  // this record's store slot one action_time from now. See DESIGN.md
+  // §12.6.
   job->node->store().Prefetch(rec.oid);
-  if (job->idx + 1 < job->records.size()) {
-    job->node->locks().Prefetch(job->records[job->idx + 1].oid);
-  }
   const std::uint64_t serial = job->serial;
   LockManager::AcquireOutcome outcome = job->node->locks().Acquire(
       job->txn, rec.oid, [this, job, serial]() {

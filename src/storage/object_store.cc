@@ -105,7 +105,10 @@ std::uint64_t MixObject(std::uint64_t h, const StoredObject& obj) {
 // store. When every lane's object is a scalar (nearly always), the
 // lanes mix word by word in lockstep, so the CPU overlaps the kLanes
 // multiply chains; any list falls back to MixObject lane by lane. Both
-// feed each chain the same words in the same order.
+// feed each chain the same words in the same order. The scalar path
+// mixes each word's zero high bytes in one multiply (FnvMixNarrow): the
+// tag has three significant bytes, nearly every scalar and node id one,
+// and nearly every counter at most three; a wider word takes FnvMix.
 template <std::size_t kLanes>
 void DigestLanes(const StoredObject* const* stores, ObjectId begin,
                  ObjectId end, std::uint64_t* out) {
@@ -122,16 +125,18 @@ void DigestLanes(const StoredObject* const* stores, ObjectId begin,
       for (std::size_t k = 0; k < kLanes; ++k) h[k] = MixObject(h[k], *obj[k]);
       continue;
     }
-    for (std::size_t k = 0; k < kLanes; ++k) h[k] = FnvMix(h[k], kScalarTag);
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      h[k] = FnvMixNarrow<3>(h[k], kScalarTag);
+    }
     for (std::size_t k = 0; k < kLanes; ++k) {
       const auto scalar = static_cast<std::uint64_t>(obj[k]->value.AsScalar());
-      h[k] = FnvMix(h[k], scalar);
+      h[k] = FnvMixNarrow<1>(h[k], scalar);
     }
     for (std::size_t k = 0; k < kLanes; ++k) {
-      h[k] = FnvMix(h[k], obj[k]->ts.counter);
+      h[k] = FnvMixNarrow<3>(h[k], obj[k]->ts.counter);
     }
     for (std::size_t k = 0; k < kLanes; ++k) {
-      h[k] = FnvMix(h[k], obj[k]->ts.node);
+      h[k] = FnvMixNarrow<1>(h[k], obj[k]->ts.node);
     }
   }
   for (std::size_t k = 0; k < kLanes; ++k) out[k] = h[k];

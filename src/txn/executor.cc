@@ -200,14 +200,9 @@ void Executor::StepAcquire(Inflight* t) {
     return;
   }
   const ExecStep& step = t->steps[t->pc];
-  // Start the cache misses this step's later events will take: ApplyStep
-  // reads the step's store slot one action_time from now, and then
-  // takes the next step's lock. See DESIGN.md §12.6.
+  // Start the cache miss ApplyStep will take one action_time from now,
+  // when it reads the step's store slot. See DESIGN.md §12.6.
   node(step.node)->store().Prefetch(step.op.oid);
-  if (t->pc + 1 < t->steps.size()) {
-    const ExecStep& next = t->steps[t->pc + 1];
-    node(next.node)->locks().Prefetch(next.op.oid);
-  }
   TouchNode(t, step.node);
   if (!step.op.IsWrite() && !t->opts.lock_reads) {
     // Committed-read: no lock.

@@ -77,41 +77,40 @@ void LockManager::HeldErase(TxnId txn, ObjectId oid) {
 
 LockManager::AcquireOutcome LockManager::Acquire(TxnId txn, ObjectId oid,
                                                  GrantCallback on_grant) {
-  assert(oid < slots_.size() && "object id outside the lock table");
-  Slot& s = slots_[oid];
-  if (s.holder == kInvalidTxnId) {
-    s.holder = txn;
-    ++locked_objects_;
+  assert(oid < db_size_ && "object id outside the lock table");
+  Slot* s = slots_.Find(Key(oid));
+  if (s == nullptr) {
+    slots_.Insert(Key(oid), Slot{txn, kNil, kNil});
     HeldPush(txn, oid);
     return AcquireOutcome::kGranted;
   }
-  if (s.holder == txn) {
+  if (s->holder == txn) {
     return AcquireOutcome::kGranted;  // reentrant
   }
   // Must wait. Tentatively enqueue and add wait-for edges — edge to the
   // holder and to each earlier waiter (FIFO queues mean you wait behind
   // them too) — then test whether this request closes a cycle.
-  std::uint32_t prev_tail = s.q_tail;
+  std::uint32_t prev_tail = s->q_tail;
   std::uint32_t w = AcquireWaiter(txn, std::move(on_grant));
   if (prev_tail == kNil) {
-    s.q_head = w;
+    s->q_head = w;
   } else {
     waiters_[prev_tail].next = w;
   }
-  s.q_tail = w;
-  graph_->AddEdge(txn, s.holder);
-  for (std::uint32_t i = s.q_head; i != w; i = waiters_[i].next) {
+  s->q_tail = w;
+  graph_->AddEdge(txn, s->holder);
+  for (std::uint32_t i = s->q_head; i != w; i = waiters_[i].next) {
     graph_->AddEdge(txn, waiters_[i].txn);
   }
   if (detect_cycles_ && graph_->HasCycleFrom(txn)) {
     // The requester is the deadlock victim: withdraw the request.
     ++total_deadlocks_;
     if (prev_tail == kNil) {
-      s.q_head = kNil;
+      s->q_head = kNil;
     } else {
       waiters_[prev_tail].next = kNil;
     }
-    s.q_tail = prev_tail;
+    s->q_tail = prev_tail;
     RecycleWaiter(w);
     graph_->ClearOutEdges(txn);
     return AcquireOutcome::kDeadlock;
@@ -126,35 +125,35 @@ void LockManager::Release(TxnId txn, ObjectId oid) {
 }
 
 void LockManager::ReleaseLocked(TxnId txn, ObjectId oid, bool update_held) {
-  assert(oid < slots_.size());
-  Slot& s = slots_[oid];
-  if (s.holder != txn) {
+  assert(oid < db_size_);
+  Slot* s = slots_.Find(Key(oid));
+  if (s == nullptr || s->holder != txn) {
     ++bad_releases_;
     return;
   }
   if (update_held) HeldErase(txn, oid);
-  if (s.q_head == kNil) {
-    s.holder = kInvalidTxnId;
-    --locked_objects_;
+  if (s->q_head == kNil) {
+    slots_.Erase(Key(oid));
     return;
   }
-  // Grant to the FIFO front. Move the callback out of the pool before
-  // invoking: the grant handler may reenter Acquire and grow the pool.
-  std::uint32_t front = s.q_head;
+  // Grant to the FIFO front. Move the callback out of the pool, and
+  // finish with the entry, before invoking: the grant handler may
+  // reenter Acquire, which may grow the pool or rehash the table.
+  std::uint32_t front = s->q_head;
   TxnId next_txn = waiters_[front].txn;
   sim::Callback on_grant = std::move(waiters_[front].on_grant);
-  s.q_head = waiters_[front].next;
-  if (s.q_head == kNil) s.q_tail = kNil;
+  s->q_head = waiters_[front].next;
+  if (s->q_head == kNil) s->q_tail = kNil;
   RecycleWaiter(front);
   --waiter_count_;
-  s.holder = next_txn;
+  s->holder = next_txn;
   HeldPush(next_txn, oid);
   // The granted transaction no longer waits for anyone (it was the
   // front: its only edges were to the old holder).
   graph_->ClearOutEdges(next_txn);
   // Remaining waiters no longer wait for the old holder; they already
   // hold edges to the new holder (it was an earlier waiter).
-  for (std::uint32_t i = s.q_head; i != kNil; i = waiters_[i].next) {
+  for (std::uint32_t i = s->q_head; i != kNil; i = waiters_[i].next) {
     graph_->RemoveEdge(waiters_[i].txn, txn);
   }
   if (on_grant) on_grant();
@@ -178,10 +177,11 @@ void LockManager::ReleaseAll(TxnId txn) {
 }
 
 bool LockManager::CancelRequest(TxnId txn, ObjectId oid) {
-  assert(oid < slots_.size());
-  Slot& s = slots_[oid];
+  assert(oid < db_size_);
+  Slot* s = slots_.Find(Key(oid));
+  if (s == nullptr) return false;  // unlocked: nobody queues
   std::uint32_t prev = kNil;
-  std::uint32_t cur = s.q_head;
+  std::uint32_t cur = s->q_head;
   while (cur != kNil && waiters_[cur].txn != txn) {
     prev = cur;
     cur = waiters_[cur].next;
@@ -193,11 +193,11 @@ bool LockManager::CancelRequest(TxnId txn, ObjectId oid) {
     graph_->RemoveEdge(waiters_[i].txn, txn);
   }
   if (prev == kNil) {
-    s.q_head = waiters_[cur].next;
+    s->q_head = waiters_[cur].next;
   } else {
     waiters_[prev].next = waiters_[cur].next;
   }
-  if (s.q_tail == cur) s.q_tail = prev;
+  if (s->q_tail == cur) s->q_tail = prev;
   RecycleWaiter(cur);
   --waiter_count_;
   graph_->ClearOutEdges(txn);
@@ -205,8 +205,9 @@ bool LockManager::CancelRequest(TxnId txn, ObjectId oid) {
 }
 
 bool LockManager::Holds(TxnId txn, ObjectId oid) const {
-  assert(oid < slots_.size());
-  return slots_[oid].holder == txn;
+  assert(oid < db_size_);
+  const Slot* s = slots_.Find(Key(oid));
+  return s != nullptr && s->holder == txn;
 }
 
 std::size_t LockManager::HeldCount(TxnId txn) const {

@@ -25,18 +25,21 @@ namespace tdr {
 /// transactions execute actions sequentially, which guarantees this.
 /// The wait-for bookkeeping relies on it.
 ///
-/// Representation: object ids are dense by construction (ObjectStore
-/// is 0..db_size), so the lock table is one flat slot per object —
-/// holder plus an intrusive FIFO of pooled waiters (SBO grant
-/// callbacks, sim/callback.h) — instead of the ordered maps it
-/// replaced. Semantics are bit-for-bit identical: grant order is the
-/// queue's FIFO order, wait-for edges are installed/removed at exactly
-/// the same points, and the reverse (txn -> held objects) index keeps
-/// insertion order so ReleaseAll releases in acquisition order.
+/// Representation: a hashed lock table that holds an entry only for an
+/// object that has a holder, the way classic lock managers hash lock
+/// names. By the paper's Eq. (1) a node runs only TPS x Actions x
+/// Action_Time transactions at once, each holding at most Actions
+/// locks, so the table stays a few hundred entries however large
+/// DB_Size grows. An entry is a holder plus an intrusive FIFO of pooled
+/// waiters (SBO grant callbacks, sim/callback.h). Grant order is the
+/// queue's FIFO order, wait-for edges are installed/removed at fixed
+/// points, and the reverse (txn -> held objects) index keeps insertion
+/// order so ReleaseAll releases in acquisition order; replay digests
+/// depend on all three, not on where an entry sits in the table.
 /// Steady state allocates nothing: waiter slots and held-entry vectors
-/// recycle through free lists, and the reverse index is a
-/// backward-shift-deleting flat map that never rehashes once the
-/// workload's concurrency high-water is reached.
+/// recycle through free lists, and both tables are backward-shift-
+/// deleting flat maps that never rehash once the workload's
+/// concurrency high-water is reached.
 class LockManager {
  public:
   enum class AcquireOutcome {
@@ -47,10 +50,10 @@ class LockManager {
 
   using GrantCallback = sim::Callback;
 
-  /// `db_size` bounds the object ids this manager may see (the flat
-  /// table has one slot per object). `graph` is shared across all lock
-  /// managers of a cluster and must outlive them. With `detect_cycles`
-  /// false the wait-for graph is still maintained (for diagnostics) but
+  /// `db_size` bounds the object ids this manager may see; nothing is
+  /// sized by it. `graph` is shared across all lock managers of a
+  /// cluster and must outlive them. With `detect_cycles` false the
+  /// wait-for graph is still maintained (for diagnostics) but
   /// requests that close a cycle simply QUEUE — deadlock resolution is
   /// then someone else's job (e.g. the executor's wait timeouts). That
   /// is the production timeout-based alternative the ablation bench
@@ -58,9 +61,9 @@ class LockManager {
   LockManager(NodeId node, std::uint64_t db_size, WaitForGraph* graph,
               bool detect_cycles = true)
       : node_(node),
+        db_size_(db_size),
         graph_(graph),
-        detect_cycles_(detect_cycles),
-        slots_(db_size) {}
+        detect_cycles_(detect_cycles) {}
 
   LockManager(const LockManager&) = delete;
   LockManager& operator=(const LockManager&) = delete;
@@ -87,18 +90,11 @@ class LockManager {
 
   bool Holds(TxnId txn, ObjectId oid) const;
 
-  /// Hints the CPU to start loading `oid`'s lock slot into cache, for a
-  /// caller that will acquire it a while later. Changes no state; an
-  /// out-of-range id is ignored.
-  void Prefetch(ObjectId oid) const {
-    if (oid < slots_.size()) __builtin_prefetch(&slots_[oid]);
-  }
-
   /// Number of locks `txn` currently holds at this node.
   std::size_t HeldCount(TxnId txn) const;
 
   /// Number of objects currently locked at this node.
-  std::size_t LockedObjectCount() const { return locked_objects_; }
+  std::size_t LockedObjectCount() const { return slots_.size(); }
 
   /// Number of transactions queued (waiting) at this node.
   std::size_t WaiterCount() const { return waiter_count_; }
@@ -108,12 +104,11 @@ class LockManager {
   std::uint64_t bad_releases() const { return bad_releases_; }
 
   NodeId node() const { return node_; }
-  std::uint64_t db_size() const { return slots_.size(); }
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
-  /// Flat per-object lock slot; q_head/q_tail index the waiter pool.
+  /// A locked object's entry; q_head/q_tail index the waiter pool.
   struct Slot {
     TxnId holder = kInvalidTxnId;
     std::uint32_t q_head = kNil;
@@ -136,11 +131,18 @@ class LockManager {
   /// Release with optional reverse-index maintenance (ReleaseAll
   /// detaches the whole entry up front and skips per-oid erases).
   void ReleaseLocked(TxnId txn, ObjectId oid, bool update_held);
+  /// The lock table's key for `oid` (FlatMap64 reserves key 0).
+  static std::uint64_t Key(ObjectId oid) { return oid + 1; }
 
   NodeId node_;
+  std::uint64_t db_size_;  // bounds the ids; asserted only
   WaitForGraph* graph_;
   bool detect_cycles_;
-  std::vector<Slot> slots_;  // one per object id
+  // Lock table: Key(oid) -> entry, present exactly while `oid` has a
+  // holder. An Insert may rehash and an Erase shifts entries back, so
+  // no Slot pointer is held across either, nor across a grant callback
+  // (which may acquire or release).
+  FlatMap64<Slot> slots_;
   // Waiter pool, free-listed through Waiter::next.
   std::vector<Waiter> waiters_;
   std::uint32_t free_waiter_ = kNil;
@@ -149,7 +151,6 @@ class LockManager {
   FlatMap64<std::uint32_t> held_index_;
   std::vector<std::vector<ObjectId>> held_entries_;
   std::vector<std::uint32_t> held_free_;
-  std::size_t locked_objects_ = 0;
   std::size_t waiter_count_ = 0;
   std::uint64_t total_waits_ = 0;
   std::uint64_t total_deadlocks_ = 0;

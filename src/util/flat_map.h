@@ -10,8 +10,8 @@ namespace tdr {
 
 /// Open-addressed linear-probe hash map from a 64-bit key to a small
 /// trivially-copyable value, built for steady-state-zero-allocation
-/// hot paths (lock-manager reverse index, batch-builder coalescing
-/// index). Two properties matter there:
+/// hot paths (lock table and its reverse index, batch-builder
+/// coalescing index). Two properties matter there:
 ///
 ///  * deletion is backward-shift, not tombstone: a workload that
 ///    inserts and erases forever (every transaction does) never
@@ -34,7 +34,7 @@ class FlatMap64 {
   FlatMap64& operator=(const FlatMap64&) = delete;
 
   /// Pointer to the value for `key`, or null. Invalidated by the next
-  /// Insert (possible rehash).
+  /// Insert (possible rehash) or Erase (entries shift back).
   Value* Find(std::uint64_t key) {
     assert(key != kEmptyKey);
     for (std::size_t i = IdealSlot(key);; i = (i + 1) & mask_) {

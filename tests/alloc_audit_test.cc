@@ -2,7 +2,7 @@
 //
 // Steady state is defined as: pools warmed by a first traffic window,
 // then a second, identical window. Over that second window the entire
-// transaction path — plan build, executor, flat lock tables +
+// transaction path — plan build, executor, hashed lock tables +
 // wait-for graph, pooled network messages, batch shipping, replica
 // apply — must perform ZERO heap allocations, for every scheme class,
 // batched and unbatched. This binary links tdr_alloc_audit, replacing
@@ -253,6 +253,30 @@ TEST(ShardedApplyAllocTest, SecondWindowAllocatesNothing) {
   EXPECT_LE(allocs_4x, 48u)
       << "6400-txn steady-state window allocated " << allocs_4x
       << " times (" << window_4x.bytes() << " bytes)";
+}
+
+// A replica costs its store slot and nothing else per object: two
+// clusters that differ only in db_size differ in allocated bytes by
+// exactly nodes x the extra objects x sizeof(StoredObject). A per-object
+// lock slot, version vector or index would show as extra bytes.
+TEST(FootprintTest, PerObjectBytesAreTheStoreSlot) {
+  if (!AllocAuditLinked()) {
+    GTEST_SKIP() << "tdr_alloc_audit hooks not linked";
+  }
+  auto cluster_bytes = [](std::uint64_t db_size) {
+    Cluster::Options o = BaseOptions();
+    o.db_size = db_size;
+    AllocScope scope;
+    Cluster cluster(o);
+    return scope.bytes();
+  };
+  // The first Cluster of a process also sets up state once for all.
+  cluster_bytes(kDbSize);
+  constexpr std::uint64_t kExtra = 3 * kDbSize;
+  const std::uint64_t small = cluster_bytes(kDbSize);
+  const std::uint64_t extra = cluster_bytes(kDbSize + kExtra) - small;
+  const std::uint64_t slots = kNodes * kExtra * sizeof(StoredObject);
+  EXPECT_EQ(extra, slots);
 }
 
 // The invariant sweep scans the node stores in place. Once the first

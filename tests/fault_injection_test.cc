@@ -12,6 +12,7 @@
 #include "fault/fault_plan.h"
 #include "fault/invariant_checker.h"
 #include "replication/cluster.h"
+#include "replication/quorum.h"
 
 namespace tdr {
 namespace {
@@ -391,6 +392,56 @@ TEST(InvariantCheckerTest, DetectsReplicaAheadOfMaster) {
   auto violations = checker.TakeViolations();
   ASSERT_FALSE(violations.empty());
   EXPECT_EQ(violations[0].invariant, "single-master-dominance");
+}
+
+// Quorum-intersection's negative control. A version committed at a
+// write quorum and then rolled back at all but one of its holders falls
+// below W votes, and the sweep reports it with and without the WAL.
+// With a node down, the durable-store model still counts that node's
+// store; under the WAL the store is wiped until replay, so the sweep
+// waits for the node.
+TEST(InvariantCheckerTest, DetectsNewestVersionBelowWriteQuorum) {
+  for (DurabilityMode mode : {DurabilityMode::kOff, DurabilityMode::kGroup}) {
+    SCOPED_TRACE(DurabilityModeName(mode));
+    Cluster::Options o = FourNodes();
+    o.wal.mode = mode;
+    Cluster cluster(o);
+    QuorumEagerScheme quorum(&cluster);
+    ASSERT_EQ(quorum.write_quorum(), 3u);
+    InvariantChecker::Options opts;
+    opts.scheme = SchemeClass::kQuorum;
+    opts.quorum = &quorum;
+    InvariantChecker checker(&cluster, opts);
+    quorum.Submit(0, Program({Op::Write(6, 42)}), nullptr);
+    cluster.sim().Run();
+    std::vector<NodeId> holders;
+    for (NodeId id = 0; id < cluster.size(); ++id) {
+      if (!cluster.node(id)->store().GetUnchecked(6).ts.IsZero()) {
+        holders.push_back(id);
+      }
+    }
+    ASSERT_EQ(holders.size(), 3u);
+    const Timestamp newest = cluster.node(holders[0])->store()
+                                 .GetUnchecked(6).ts;
+    for (std::size_t i = 1; i < holders.size(); ++i) {
+      ASSERT_TRUE(cluster.node(holders[i])
+                      ->store()
+                      .Put(6, Value(0), Timestamp::Zero())
+                      .ok());
+    }
+    checker.CheckNow();
+    auto violations = checker.TakeViolations();
+    ASSERT_EQ(violations.size(), 1u);
+    EXPECT_EQ(violations[0].invariant, "quorum-intersection");
+    EXPECT_EQ(violations[0].detail,
+              "object 6: newest version ts " + newest.ToString() +
+                  " held by only 1 of 3 required votes");
+
+    cluster.recovery().Crash(holders[1]);
+    checker.CheckNow();
+    EXPECT_EQ(checker.TakeViolations().size(),
+              mode == DurabilityMode::kOff ? 1u : 0u);
+  }
 }
 
 TEST(InvariantCheckerTest, ViolationCarriesFaultTrace) {

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "txn/lock_manager.h"
 #include "util/rng.h"
@@ -44,13 +46,24 @@ class LockModelTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(LockModelTest, RandomSequencesAgreeWithReference) {
   Rng rng(GetParam());
   WaitForGraph graph;
-  LockManager real(0, 4096, &graph);
+  // The lock table holds locked objects only, so a 2^40-object table
+  // costs what a small one does.
+  constexpr std::uint64_t kDbSize = 1ull << 40;
+  LockManager real(0, kDbSize, &graph);
   RefModel ref;
   std::map<TxnId, std::set<ObjectId>> granted;  // from grant callbacks
 
   const int kTxns = 12;
-  const int kObjects = 6;
   const int kSteps = 3000;
+  // Sparse ids across the table, the first and last included. Half the
+  // requests go to the six hot ones, so requests queue, deadlock and
+  // cancel; the rest spread over all of them, so many are held at once.
+  std::vector<ObjectId> objects = {0, kDbSize - 1};
+  while (objects.size() < 48) objects.push_back(rng.UniformInt(kDbSize));
+  const std::size_t kHot = 6;
+  // The table starts at 16 entries and doubles at its 13th and 25th:
+  // the run must get there with waiters queued.
+  std::size_t peak_locked_while_waiting = 0;
 
   // A txn may wait for at most one lock at a time (the documented
   // contract); track who is waiting where.
@@ -58,8 +71,11 @@ TEST_P(LockModelTest, RandomSequencesAgreeWithReference) {
 
   for (int step = 0; step < kSteps; ++step) {
     TxnId t = 1 + rng.UniformInt(kTxns);
-    ObjectId o = rng.UniformInt(kObjects);
-    switch (rng.UniformInt(3)) {
+    ObjectId o = objects[rng.UniformInt(
+        rng.UniformInt(2) == 0 ? kHot : objects.size())];
+    // Six steps in eight acquire, one releases all and one cancels.
+    const std::uint64_t op = rng.UniformInt(8);
+    switch (op < 6 ? 0 : op - 5) {
       case 0: {  // acquire
         if (waiting_on.count(t)) break;  // contract: one wait at a time
         bool held_before = real.Holds(t, o);
@@ -127,12 +143,17 @@ TEST_P(LockModelTest, RandomSequencesAgreeWithReference) {
     }
     // Structural agreement after every step.
     for (TxnId txn = 1; txn <= kTxns; ++txn) {
-      for (ObjectId oid = 0; oid < kObjects; ++oid) {
+      for (ObjectId oid : objects) {
         EXPECT_EQ(real.Holds(txn, oid), ref.Holds(txn, oid))
             << "step " << step << " txn " << txn << " obj " << oid;
       }
     }
+    if (real.WaiterCount() > 0) {
+      peak_locked_while_waiting =
+          std::max(peak_locked_while_waiting, real.LockedObjectCount());
+    }
   }
+  EXPECT_GE(peak_locked_while_waiting, 25u);
   // Drain: release everything, expect a completely clean end state.
   for (int round = 0; round < kTxns + 1; ++round) {
     for (TxnId t = 1; t <= kTxns; ++t) {

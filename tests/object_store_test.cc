@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "storage/tentative_store.h"
+#include "util/fnv.h"
 
 namespace tdr {
 namespace {
@@ -151,6 +155,40 @@ TEST(ObjectStoreTest, DigestCoversLists) {
   ASSERT_TRUE(a.Put(0, la, Timestamp(1, 0)).ok());
   ASSERT_TRUE(b.Put(0, lb, Timestamp(1, 0)).ok());
   EXPECT_NE(a.Digest(), b.Digest());
+}
+
+// FnvMixNarrow<N> is FnvMix for every word: one that fits in N bytes
+// takes the short path, a wider one the fallback. Each N is checked at
+// the byte-length edges and at words of every significant length.
+template <int kBytes>
+void ExpectNarrowMixIsFnvMix(const std::vector<std::uint64_t>& words) {
+  const std::uint64_t chains[] = {kFnvOffsetBasis, 0, UINT64_MAX};
+  for (std::uint64_t h : chains) {
+    for (std::uint64_t x : words) {
+      EXPECT_EQ(FnvMixNarrow<kBytes>(h, x), FnvMix(h, x))
+          << kBytes << " bytes, x = " << x << ", h = " << h;
+    }
+  }
+}
+
+TEST(FnvTest, NarrowMixIsFnvMix) {
+  std::vector<std::uint64_t> words = {
+      0, 255, 256, (1ull << 24) - 1, 1ull << 24, (1ull << 32) - 1,
+      1ull << 32, UINT64_MAX};
+  for (int len = 1; len <= 8; ++len) {
+    const int top = 8 * len - 1;
+    words.push_back(1ull << top);              // only its top bit
+    words.push_back((1ull << top) | 0xa5);     // top bit and low bits
+    words.push_back(~0ull >> (64 - 8 * len));  // every bit of len bytes
+  }
+  ExpectNarrowMixIsFnvMix<1>(words);
+  ExpectNarrowMixIsFnvMix<2>(words);
+  ExpectNarrowMixIsFnvMix<3>(words);
+  ExpectNarrowMixIsFnvMix<4>(words);
+  ExpectNarrowMixIsFnvMix<5>(words);
+  ExpectNarrowMixIsFnvMix<6>(words);
+  ExpectNarrowMixIsFnvMix<7>(words);
+  ExpectNarrowMixIsFnvMix<8>(words);
 }
 
 TEST(TentativeStoreTest, ReadFallsThroughToMaster) {

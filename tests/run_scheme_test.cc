@@ -166,11 +166,8 @@ TEST(RunSchemeTest, UncheckedRunCountsAreItsRegistry) {
 }
 
 // The last node crashes and restarts mid-window; the checked run drains
-// before it counts. Every kind runs the durable-store crash model, and
-// E15's six kinds also run its crash rows, under WAL group commit.
-// Quorum is not among them: under WAL durability the invariant checker
-// counts a crashed node's wiped store as lost votes, and its
-// quorum-intersection sweep reports a violation while the node is down.
+// before it counts. Every kind runs the crash twice: on the durable-store
+// model and under WAL group commit.
 TEST(RunSchemeTest, CrashRunCountsAreItsRegistry) {
   for (int i = 0; i < static_cast<int>(SchemeKind::kTwoTier); ++i) {
     const auto kind = static_cast<SchemeKind>(i);
@@ -180,7 +177,6 @@ TEST(RunSchemeTest, CrashRunCountsAreItsRegistry) {
     const SimOutcome out = RunScheme(config);
     EXPECT_GT(out.committed, 0u);
     ExpectRunCountsMatchRegistry(out);
-    if (kind == SchemeKind::kQuorum) continue;
     config.durability = DurabilityMode::kGroup;
     const SimOutcome durable = RunScheme(config);
     EXPECT_GT(durable.wal_replayed, 0u);
