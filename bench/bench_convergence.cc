@@ -56,7 +56,7 @@ ConvResult RunCounter(std::uint32_t replicas, int updates_each,
   }
   result.converged = cluster.Converged();
   result.final_value =
-      cluster.replica(0).store().GetUnchecked(0).value.AsScalar();
+      cluster.replica(0).store().GetUnchecked(0).AsScalar();
   return result;
 }
 
@@ -141,7 +141,7 @@ void Main() {
     std::printf("  %d notes appended at 3 replicas -> every replica holds "
                 "%zu notes, converged=%s\n",
                 notes,
-                cluster.replica(0).store().GetUnchecked(0).value.AsList()
+                cluster.replica(0).store().GetUnchecked(0).AsList()
                     .size(),
                 cluster.Converged() ? "yes" : "NO");
   }

@@ -96,10 +96,10 @@ AvailResult Run(bool quorum_mode, double disconnect_seconds) {
   for (ObjectId oid = 0; oid < 64; ++oid) {
     if (quorum != nullptr) {
       auto latest = quorum->ReadLatest(oid);
-      result.final_value += latest.ok() ? latest->value.AsScalar() : 0;
+      result.final_value += latest.ok() ? latest->AsScalar() : 0;
     } else {
       result.final_value +=
-          cluster.node(0)->store().GetUnchecked(oid).value.AsScalar();
+          cluster.node(0)->store().GetUnchecked(oid).AsScalar();
     }
   }
   if (quorum != nullptr) result.catch_up = quorum->catch_up_objects();

@@ -127,7 +127,7 @@ void RunTwoTier() {
                   .node(0)
                   ->store()
                   .GetUnchecked(kAccount)
-                  .value.AsScalar());
+                  .AsScalar());
 }
 
 }  // namespace

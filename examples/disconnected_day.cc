@@ -113,14 +113,14 @@ int main() {
   std::printf("\n===== end of day =====\n");
   std::printf("orders accepted/rejected: %d/%d\n", accepted, rejected);
   std::printf("stock remaining at HQ: %lld\n",
-              (long long)hq.GetUnchecked(kStock).value.AsScalar());
+              (long long)hq.GetUnchecked(kStock).AsScalar());
   std::printf("order log: %s\n",
-              hq.GetUnchecked(kOrderLog).value.ToString().c_str());
+              hq.GetUnchecked(kOrderLog).value().ToString().c_str());
   for (std::uint32_t m = 0; m < 3; ++m) {
     std::printf("%s's quota (mastered on the laptop, visible at HQ): "
                 "%lld\n",
                 kNames[m],
-                (long long)hq.GetUnchecked(2 + m).value.AsScalar());
+                (long long)hq.GetUnchecked(2 + m).AsScalar());
   }
   std::printf("base tier converged: %s — the books balance, the bounced "
               "deal is a phone call, not a database repair.\n",

@@ -55,11 +55,11 @@ int main() {
               (long long)sys.mobile(kLaptop)
                   .Read(kWidgetPrice)
                   .value()
-                  .value.AsScalar(),
+                  .AsScalar(),
               (long long)sys.mobile(kLaptop)
                   .Read(kWidgetStock)
                   .value()
-                  .value.AsScalar());
+                  .AsScalar());
 
   // On the road: quote a price (touch the price so base/tentative final
   // values are comparable), reserve 2 widgets, log the order (append
@@ -95,9 +95,9 @@ int main() {
   std::printf(
       "final HQ state: price=$%lld stock=%lld orders=%s, base tier "
       "converged=%s\n",
-      (long long)hq.GetUnchecked(kWidgetPrice).value.AsScalar(),
-      (long long)hq.GetUnchecked(kWidgetStock).value.AsScalar(),
-      hq.GetUnchecked(kOrderLog).value.ToString().c_str(),
+      (long long)hq.GetUnchecked(kWidgetPrice).AsScalar(),
+      (long long)hq.GetUnchecked(kWidgetStock).AsScalar(),
+      hq.GetUnchecked(kOrderLog).value().ToString().c_str(),
       sys.BaseTierConverged() ? "yes" : "no");
   std::printf(
       "\nthe price quote bounced (price rose), the reservation bounced\n"

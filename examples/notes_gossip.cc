@@ -41,7 +41,7 @@ int main() {
                 offices.replica(2)
                     .store()
                     .GetUnchecked(kThread)
-                    .value.ToString()
+                    .value().ToString()
                     .c_str());
     std::printf("converged=%s, all four notes survive, in timestamp "
                 "order.\n",
@@ -60,7 +60,7 @@ int main() {
                 (long long)offices.replica(0)
                     .store()
                     .GetUnchecked(kTitle)
-                    .value.AsScalar());
+                    .AsScalar());
   }
 
   Banner("3. version vectors + the Oracle rule catalogue");
@@ -83,7 +83,7 @@ int main() {
                 (long long)offices.replica(0)
                     .store()
                     .GetUnchecked(kBudget)
-                    .value.AsScalar());
+                    .AsScalar());
   }
 
   Banner("4. commutative deltas (no rules needed)");
@@ -98,7 +98,7 @@ int main() {
                 (long long)offices.replica(1)
                     .store()
                     .GetUnchecked(kBudget)
-                    .value.AsScalar());
+                    .AsScalar());
     std::printf(
         "\n§6's ladder, climbed: convergence is easy; convergence that\n"
         "keeps every update takes commutative operations — which is the\n"

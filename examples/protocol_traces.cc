@@ -121,7 +121,7 @@ void Figure5TwoTier() {
                   .node(0)
                   ->store()
                   .GetUnchecked(0)
-                  .value.AsScalar());
+                  .AsScalar());
 }
 
 }  // namespace

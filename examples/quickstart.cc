@@ -55,7 +55,7 @@ int main() {
               (long long)sys.mobile(kLaptop)
                   .Read(kAccount)
                   .value()
-                  .value.AsScalar());
+                  .AsScalar());
   // ...but the bank's master copy is untouched. The laptop never saw the
   // deposit either — its replica is stale, which is fine.
   std::printf("[bank   ] master balance while laptop offline: $%lld\n",
@@ -63,7 +63,7 @@ int main() {
                   .node(0)
                   ->store()
                   .GetUnchecked(kAccount)
-                  .value.AsScalar());
+                  .AsScalar());
 
   // Reconnect: replica refresh + reprocessing happen automatically.
   sys.Connect(kLaptop);
@@ -74,13 +74,13 @@ int main() {
                   .node(0)
                   ->store()
                   .GetUnchecked(kAccount)
-                  .value.AsScalar());
+                  .AsScalar());
   std::printf("[laptop ] refreshed balance: $%lld (tentative versions: "
               "%zu)\n",
               (long long)sys.mobile(kLaptop)
                   .Read(kAccount)
                   .value()
-                  .value.AsScalar(),
+                  .AsScalar(),
               sys.mobile(kLaptop).PendingCount());
   std::printf("base tier converged: %s\n",
               sys.BaseTierConverged() ? "yes" : "no");

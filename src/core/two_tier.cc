@@ -116,7 +116,7 @@ void TwoTierSystem::ExecuteNextTentative(MobileNode* m) {
     for (const Op& op : item.program.ops()) {
       auto cur = m->tentative_.Read(op.oid);
       assert(cur.ok());
-      Value value = cur.value().value;
+      Value value = cur.value().value();
       if (op.type == OpType::kRead) {
         res.reads.push_back(value);
         continue;

@@ -26,7 +26,7 @@ InvariantChecker::InvariantChecker(Cluster* cluster, Options options)
     : cluster_(cluster), options_(std::move(options)) {
   last_ts_.resize(cluster_->size());
   for (NodeId id = 0; id < cluster_->size(); ++id) {
-    last_ts_[id].assign(cluster_->options().db_size, Timestamp::Zero());
+    last_ts_[id].assign(cluster_->options().db_size, 0);
   }
   wipe_epoch_seen_.assign(cluster_->size(), 0);
 }
@@ -92,18 +92,19 @@ void InvariantChecker::CheckMonotoneTimestamps() {
     const std::uint64_t epoch = cluster_->recovery().wipe_epoch(id);
     if (epoch != wipe_epoch_seen_[id]) {
       wipe_epoch_seen_[id] = epoch;
-      last_ts_[id].assign(last_ts_[id].size(), Timestamp::Zero());
+      last_ts_[id].assign(last_ts_[id].size(), 0);
     }
     if (wal && cluster_->node(id)->crashed()) continue;
     const ObjectStore& store = cluster_->node(id)->store();
-    std::vector<Timestamp>& last = last_ts_[id];
+    std::vector<std::uint64_t>& last = last_ts_[id];
     for (ObjectId oid = 0; oid < store.size(); ++oid) {
-      const Timestamp ts = store.GetUnchecked(oid).ts;
+      const std::uint64_t ts = store.GetUnchecked(oid).packed_ts();
       if (ts < last[oid]) {
         Report("monotone-timestamps",
                StrPrintf("node %u object %llu went backwards: %s -> %s", id,
                          (unsigned long long)oid,
-                         last[oid].ToString().c_str(), ts.ToString().c_str()));
+                         UnpackTimestamp(last[oid]).ToString().c_str(),
+                         UnpackTimestamp(ts).ToString().c_str()));
       }
       last[oid] = ts;
     }
@@ -128,14 +129,15 @@ void InvariantChecker::CheckTimestampValueAgreement() {
       const StoredObject& obj = live[i].second->GetUnchecked(oid);
       for (std::size_t j = 0; j < i; ++j) {
         const StoredObject& first = live[j].second->GetUnchecked(oid);
-        if (first.ts != obj.ts) continue;
-        if (first.value != obj.value) {
+        if (first.packed_ts() != obj.packed_ts()) continue;
+        if (!first.SameValueAs(obj)) {
           Report("timestamp-value-agreement",
                  StrPrintf("object %llu at ts %s: node %u holds %s, node %u "
                            "holds %s",
-                           (unsigned long long)oid, obj.ts.ToString().c_str(),
-                           live[j].first, first.value.ToString().c_str(),
-                           live[i].first, obj.value.ToString().c_str()));
+                           (unsigned long long)oid,
+                           obj.ts().ToString().c_str(), live[j].first,
+                           first.value().ToString().c_str(), live[i].first,
+                           obj.value().ToString().c_str()));
         }
         break;
       }
@@ -154,11 +156,11 @@ void InvariantChecker::CheckMasterDominance() {
     // until restart recovery catches it up; skip until then.
     if (wal && cluster_->node(owner)->crashed()) continue;
     const Timestamp master_ts =
-        cluster_->node(owner)->store().GetUnchecked(oid).ts;
+        cluster_->node(owner)->store().GetUnchecked(oid).ts();
     for (NodeId id = 0; id < cluster_->size(); ++id) {
       if (id == owner) continue;
       if (wal && cluster_->node(id)->crashed()) continue;
-      const Timestamp ts = cluster_->node(id)->store().GetUnchecked(oid).ts;
+      const Timestamp ts = cluster_->node(id)->store().GetUnchecked(oid).ts();
       if (ts > master_ts) {
         Report("single-master-dominance",
                StrPrintf("object %llu: replica at node %u (ts %s) is ahead "
@@ -188,13 +190,13 @@ void InvariantChecker::CheckQuorumIntersection() {
   for (ObjectId oid = 0; oid < db; ++oid) {
     Timestamp newest = Timestamp::Zero();
     for (NodeId id = 0; id < cluster_->size(); ++id) {
-      const Timestamp ts = cluster_->node(id)->store().GetUnchecked(oid).ts;
+      const Timestamp ts = cluster_->node(id)->store().GetUnchecked(oid).ts();
       if (ts > newest) newest = ts;
     }
     if (newest.IsZero()) continue;  // never written: everyone agrees
     std::uint32_t votes = 0;
     for (NodeId id = 0; id < cluster_->size(); ++id) {
-      if (cluster_->node(id)->store().GetUnchecked(oid).ts == newest) {
+      if (cluster_->node(id)->store().GetUnchecked(oid).ts() == newest) {
         votes += q->VoteOf(id);
       }
     }

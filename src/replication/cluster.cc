@@ -61,9 +61,11 @@ std::uint64_t Cluster::DivergentSlots() const {
   if (nodes_.empty()) return divergent;
   const ObjectStore& reference = nodes_[0]->store();
   for (ObjectId oid = 0; oid < reference.size(); ++oid) {
-    const Value& value = reference.GetUnchecked(oid).value;
+    const StoredObject& slot = reference.GetUnchecked(oid);
     for (std::size_t i = 1; i < nodes_.size(); ++i) {
-      if (nodes_[i]->store().GetUnchecked(oid).value != value) ++divergent;
+      if (!nodes_[i]->store().GetUnchecked(oid).SameValueAs(slot)) {
+        ++divergent;
+      }
     }
   }
   return divergent;

@@ -7,7 +7,7 @@ namespace tdr {
 
 ReconciliationRule TimePriorityRule() {
   return [](const ConflictContext& ctx) {
-    return ctx.a->ts >= ctx.b->ts ? *ctx.a : *ctx.b;
+    return ctx.a->ts() >= ctx.b->ts() ? *ctx.a : *ctx.b;
   };
 }
 
@@ -19,14 +19,13 @@ ReconciliationRule SitePriorityRule() {
 
 ReconciliationRule ValuePriorityRule() {
   return [](const ConflictContext& ctx) {
-    return ctx.a->value.AsScalar() >= ctx.b->value.AsScalar() ? *ctx.a
-                                                              : *ctx.b;
+    return ctx.a->AsScalar() >= ctx.b->AsScalar() ? *ctx.a : *ctx.b;
   };
 }
 
 ReconciliationRule EarliestTimestampRule() {
   return [](const ConflictContext& ctx) {
-    return ctx.a->ts <= ctx.b->ts ? *ctx.a : *ctx.b;
+    return ctx.a->ts() <= ctx.b->ts() ? *ctx.a : *ctx.b;
   };
 }
 
@@ -39,24 +38,22 @@ ReconciliationRule PriorityGroupRule(std::map<NodeId, int> rank) {
     int ra = rank_of(ctx.node_a);
     int rb = rank_of(ctx.node_b);
     if (ra != rb) return ra < rb ? *ctx.a : *ctx.b;
-    return ctx.a->ts >= ctx.b->ts ? *ctx.a : *ctx.b;
+    return ctx.a->ts() >= ctx.b->ts() ? *ctx.a : *ctx.b;
   };
 }
 
 ReconciliationRule MinimumValueRule() {
   return [](const ConflictContext& ctx) {
-    return ctx.a->value.AsScalar() <= ctx.b->value.AsScalar() ? *ctx.a
-                                                              : *ctx.b;
+    return ctx.a->AsScalar() <= ctx.b->AsScalar() ? *ctx.a : *ctx.b;
   };
 }
 
 ReconciliationRule AverageValueRule() {
   return [](const ConflictContext& ctx) {
-    StoredObject merged = ctx.a->ts >= ctx.b->ts ? *ctx.a : *ctx.b;
-    std::int64_t a = ctx.a->value.AsScalar();
-    std::int64_t b = ctx.b->value.AsScalar();
-    merged.value = Value(a + (b - a) / 2);
-    return merged;
+    std::int64_t a = ctx.a->AsScalar();
+    std::int64_t b = ctx.b->AsScalar();
+    return StoredObject(Value(a + (b - a) / 2),
+                        std::max(ctx.a->ts(), ctx.b->ts()));
   };
 }
 
@@ -70,18 +67,14 @@ ReconciliationRule OverwriteRule() {
 
 ReconciliationRule ListMergeRule() {
   return [](const ConflictContext& ctx) {
-    StoredObject merged = ctx.a->ts >= ctx.b->ts ? *ctx.a : *ctx.b;
-    if (ctx.a->value.is_list() || ctx.b->value.is_list()) {
-      Value combined = ctx.a->value;
-      for (std::int64_t item : ctx.b->value.AsList()) {
-        combined.Append(item);
-      }
-      merged.value = std::move(combined);
-    } else {
-      merged.value =
-          Value(ctx.a->value.AsScalar() + ctx.b->value.AsScalar());
+    const Timestamp newer = std::max(ctx.a->ts(), ctx.b->ts());
+    if (ctx.a->is_list() || ctx.b->is_list()) {
+      StoredObject merged = *ctx.a;
+      for (std::int64_t item : ctx.b->AsList()) merged.Append(item);
+      merged.set_ts(newer);
+      return merged;
     }
-    return merged;
+    return StoredObject(Value(ctx.a->AsScalar() + ctx.b->AsScalar()), newer);
   };
 }
 
@@ -91,10 +84,8 @@ ReconciliationRule AdditiveMergeRule() {
     // ancestor value is zero (each side's value IS its accumulated
     // increments); for nonzero ancestors the op-based gossip path is the
     // correct commutative mechanism. Takes the newer timestamp.
-    StoredObject merged = ctx.a->ts >= ctx.b->ts ? *ctx.a : *ctx.b;
-    merged.value =
-        Value(ctx.a->value.AsScalar() + ctx.b->value.AsScalar());
-    return merged;
+    return StoredObject(Value(ctx.a->AsScalar() + ctx.b->AsScalar()),
+                        std::max(ctx.a->ts(), ctx.b->ts()));
   };
 }
 
@@ -129,27 +120,25 @@ GossipReplica::GossipReplica(NodeId id, std::uint64_t db_size)
 
 Timestamp GossipReplica::NextTs() { return clock_.Tick(); }
 
-void GossipReplica::LocalReplace(ObjectId oid, Value value) {
-  StoredObject& obj = store_.GetMutable(oid);
-  obj.value = std::move(value);
-  obj.ts = NextTs();
+void GossipReplica::LocalReplace(ObjectId oid, const Value& value) {
+  store_.GetMutable(oid).Set(value, NextTs());
   vv_[oid].Increment(id_);
 }
 
 void GossipReplica::LocalReplaceAdd(ObjectId oid, std::int64_t delta) {
   const StoredObject& cur = store_.GetUnchecked(oid);
-  LocalReplace(oid, Value(cur.value.AsScalar() + delta));
+  LocalReplace(oid, Value(cur.AsScalar() + delta));
 }
 
 void GossipReplica::LocalDelta(ObjectId oid, std::int64_t delta) {
   StoredObject& obj = store_.GetMutable(oid);
-  obj.value.SetScalar(obj.value.AsScalar() + delta);
-  obj.ts = NextTs();
+  obj.SetScalar(obj.AsScalar() + delta);
+  obj.set_ts(NextTs());
   LoggedOp op;
   op.kind = LoggedOp::Kind::kDelta;
   op.oid = oid;
   op.arg = delta;
-  op.ts = obj.ts;
+  op.ts = obj.ts();
   op.origin = id_;
   op.seq = next_seq_++;
   delivered_seq_[id_] = op.seq;
@@ -158,13 +147,13 @@ void GossipReplica::LocalDelta(ObjectId oid, std::int64_t delta) {
 
 void GossipReplica::LocalAppend(ObjectId oid, std::int64_t item) {
   StoredObject& obj = store_.GetMutable(oid);
-  obj.value.Append(item);
-  obj.ts = NextTs();
+  obj.Append(item);
+  obj.set_ts(NextTs());
   LoggedOp op;
   op.kind = LoggedOp::Kind::kAppend;
   op.oid = oid;
   op.arg = item;
-  op.ts = obj.ts;
+  op.ts = obj.ts();
   op.origin = id_;
   op.seq = next_seq_++;
   delivered_seq_[id_] = op.seq;
@@ -180,7 +169,7 @@ std::uint64_t GossipReplica::ExchangeState(GossipReplica* other,
     StoredObject& theirs = other->store_.GetMutable(oid);
     VersionVector& my_vv = vv_[oid];
     VersionVector& their_vv = other->vv_[oid];
-    if (mine.value == theirs.value && my_vv == their_vv) continue;
+    if (mine.SameValueAs(theirs) && my_vv == their_vv) continue;
     if (my_vv.Dominates(their_vv)) {
       theirs = mine;  // "the most recent update wins each pairwise
                       // exchange" — here, the causally dominant one
@@ -204,7 +193,7 @@ std::uint64_t GossipReplica::ExchangeState(GossipReplica* other,
     ctx.a = &mine;
     ctx.b = &theirs;
     StoredObject winner = rule(ctx);
-    winner.ts = std::max(mine.ts, theirs.ts);
+    winner.set_ts(std::max(mine.ts(), theirs.ts()));
     mine = winner;
     theirs = winner;
     my_vv.Merge(their_vv);
@@ -218,11 +207,11 @@ std::uint64_t GossipReplica::ExchangeState(GossipReplica* other,
 void GossipReplica::ApplyForeignOp(const LoggedOp& op) {
   StoredObject& obj = store_.GetMutable(op.oid);
   if (op.kind == LoggedOp::Kind::kDelta) {
-    obj.value.SetScalar(obj.value.AsScalar() + op.arg);
+    obj.SetScalar(obj.AsScalar() + op.arg);
   } else {
-    obj.value.Append(op.arg);
+    obj.Append(op.arg);
   }
-  obj.ts = std::max(obj.ts, op.ts);
+  obj.set_ts(std::max(obj.ts(), op.ts));
   clock_.Observe(op.ts);
   op_log_.push_back(op);  // retained for transitive forwarding
 }

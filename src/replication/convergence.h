@@ -136,7 +136,7 @@ class GossipReplica {
   /// Local timestamped replace ("change account from $200 to $150"):
   /// installs `value` with a fresh timestamp and bumps this replica's
   /// version-vector slot. Races with other replicas' replaces.
-  void LocalReplace(ObjectId oid, Value value);
+  void LocalReplace(ObjectId oid, const Value& value);
 
   /// Read-modify-write convenience: replace with current + delta. This
   /// is the checkbook update *expressed as a replace* — the encoding

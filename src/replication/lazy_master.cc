@@ -90,7 +90,7 @@ void LazyMasterScheme::CatchUpNode(NodeId node) {
     const StoredObject& master =
         cluster_->node(owner)->store().GetUnchecked(oid);
     bool applied = false;
-    Status s = dest->store().ApplyIfNewer(oid, master.value, master.ts,
+    Status s = dest->store().ApplyIfNewer(oid, master.value(), master.ts(),
                                           &applied);
     assert(s.ok());
     (void)s;

@@ -123,7 +123,7 @@ Result<StoredObject> QuorumEagerScheme::ReadLatest(ObjectId oid) const {
       return Status::NotFound("ReadLatest: object out of range");
     }
     const StoredObject& obj = store.GetUnchecked(oid);
-    if (newest == nullptr || obj.ts > newest->ts) newest = &obj;
+    if (newest == nullptr || obj.ts() > newest->ts()) newest = &obj;
     votes += votes_[id];
     if (votes >= read_quorum_) break;
   }
@@ -146,7 +146,7 @@ Result<StoredObject> QuorumEagerScheme::ReadLatestAt(NodeId reader,
       return Status::NotFound("ReadLatestAt: object out of range");
     }
     const StoredObject& obj = store.GetUnchecked(oid);
-    if (newest == nullptr || obj.ts > newest->ts) newest = &obj;
+    if (newest == nullptr || obj.ts() > newest->ts()) newest = &obj;
     votes += votes_[id];
     if (votes >= read_quorum_) break;
   }
@@ -184,12 +184,12 @@ void QuorumEagerScheme::CatchUp(NodeId rejoined) {
         }
         const StoredObject& obj =
             cluster_->node(id)->store().GetUnchecked(oid);
-        if (newest == nullptr || obj.ts > newest->ts) newest = &obj;
+        if (newest == nullptr || obj.ts() > newest->ts()) newest = &obj;
       }
       if (newest == nullptr) continue;  // nobody else is up
       bool applied = false;
-      Status s = node->store().ApplyIfNewer(oid, newest->value, newest->ts,
-                                            &applied);
+      Status s = node->store().ApplyIfNewer(oid, newest->value(),
+                                            newest->ts(), &applied);
       assert(s.ok());
       (void)s;
       if (applied) {

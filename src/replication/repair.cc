@@ -8,10 +8,11 @@ std::vector<ObjectId> DivergenceRepair::FindDivergentObjects() const {
   std::vector<ObjectId> out;
   const std::uint64_t db_size = cluster_->options().db_size;
   for (ObjectId oid = 0; oid < db_size; ++oid) {
-    const Value& reference =
-        cluster_->node(0)->store().GetUnchecked(oid).value;
+    const StoredObject& reference =
+        cluster_->node(0)->store().GetUnchecked(oid);
     for (NodeId n = 1; n < cluster_->size(); ++n) {
-      if (cluster_->node(n)->store().GetUnchecked(oid).value != reference) {
+      if (!cluster_->node(n)->store().GetUnchecked(oid).SameValueAs(
+              reference)) {
         out.push_back(oid);
         break;
       }
@@ -28,19 +29,20 @@ StoredObject DivergenceRepair::PickWinner(ObjectId oid,
   // Each distinct VERSION enters the tournament once: several replicas
   // holding the same lost branch must not be folded in repeatedly (it
   // would double-count additive merges).
-  std::vector<Value> seen = {winner.value};
+  std::vector<Value> seen = {winner.value()};
   for (NodeId n = 1; n < cluster_->size(); ++n) {
     const StoredObject& challenger =
         cluster_->node(n)->store().GetUnchecked(oid);
+    const Value challenger_value = challenger.value();
     bool already = false;
     for (const Value& v : seen) {
-      if (v == challenger.value) {
+      if (v == challenger_value) {
         already = true;
         break;
       }
     }
     if (already) continue;
-    seen.push_back(challenger.value);
+    seen.push_back(challenger_value);
     ConflictContext ctx;
     ctx.oid = oid;
     ctx.node_a = winner_node;
@@ -51,9 +53,9 @@ StoredObject DivergenceRepair::PickWinner(ObjectId oid,
     // Track provenance: if the merged value equals the challenger's the
     // challenger "won"; synthesized values (additive etc.) keep the
     // incumbent's label with a marker.
-    if (merged.value == challenger.value) {
+    if (merged.SameValueAs(challenger)) {
       winner_node = n;
-    } else if (!(merged.value == winner.value)) {
+    } else if (!merged.SameValueAs(winner)) {
       winner_node = kInvalidNodeId;  // synthesized by the rule
     }
     winner = std::move(merged);
@@ -72,7 +74,7 @@ DivergenceRepair::Report DivergenceRepair::Plan(
     // Count distinct values across replicas.
     std::vector<Value> seen;
     for (NodeId n = 0; n < cluster_->size(); ++n) {
-      const Value& v = cluster_->node(n)->store().GetUnchecked(oid).value;
+      const Value v = cluster_->node(n)->store().GetUnchecked(oid).value();
       bool found = false;
       for (const Value& s : seen) {
         if (s == v) {
@@ -85,7 +87,7 @@ DivergenceRepair::Report DivergenceRepair::Plan(
     obj.distinct_versions = static_cast<std::uint32_t>(seen.size());
     NodeId source = 0;
     StoredObject winner = PickWinner(oid, rule, &source);
-    obj.winner = winner.value;
+    obj.winner = winner.value();
     obj.winner_source = source == kInvalidNodeId
                             ? "merged"
                             : StrPrintf("node %u", source);
@@ -105,7 +107,7 @@ DivergenceRepair::Report DivergenceRepair::Execute(
     cluster_->node(0)->clock().Observe(cluster_->node(n)->clock().Peek());
     for (const ObjectReport& obj : report.objects) {
       cluster_->node(0)->clock().Observe(
-          cluster_->node(n)->store().GetUnchecked(obj.oid).ts);
+          cluster_->node(n)->store().GetUnchecked(obj.oid).ts());
     }
   }
   for (const ObjectReport& obj : report.objects) {
@@ -114,7 +116,7 @@ DivergenceRepair::Report DivergenceRepair::Execute(
       Node* node = cluster_->node(n);
       node->clock().Observe(repair_ts);
       const StoredObject& cur = node->store().GetUnchecked(obj.oid);
-      if (cur.value == obj.winner && cur.ts == repair_ts) continue;
+      if (cur.value() == obj.winner && cur.ts() == repair_ts) continue;
       Status s = node->store().Put(obj.oid, obj.winner, repair_ts);
       (void)s;
       ++report.replicas_patched;

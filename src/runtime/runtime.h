@@ -42,15 +42,15 @@ class Runtime {
 
   /// Schedules `fn` at absolute virtual time `when` (clamped to Now()
   /// if in the past, as sim::Simulator does).
-  virtual sim::EventId ScheduleAt(SimTime when, sim::Callback fn) = 0;
+  virtual sim::EventId ScheduleAt(SimTime when, sim::Callback&& fn) = 0;
 
   /// Schedules `fn` to run `delay` after Now() (negative delays clamp
   /// to zero).
-  virtual sim::EventId ScheduleAfter(SimTime delay, sim::Callback fn) = 0;
+  virtual sim::EventId ScheduleAfter(SimTime delay, sim::Callback&& fn) = 0;
 
   /// Schedules `fn` every `interval` until the returned id is
   /// cancelled.
-  virtual sim::EventId RepeatEvery(SimTime interval, sim::Callback fn) = 0;
+  virtual sim::EventId RepeatEvery(SimTime interval, sim::Callback&& fn) = 0;
 
   /// Cancels a pending event; true if it existed and had not fired.
   virtual bool Cancel(sim::EventId id) = 0;
@@ -72,12 +72,12 @@ class Runtime {
   /// mutates. The base implementations drop the tag — exactly what the
   /// single-threaded simulator wants.
   virtual sim::EventId ScheduleAtNode(std::uint32_t node, SimTime when,
-                                      sim::Callback fn) {
+                                      sim::Callback&& fn) {
     (void)node;
     return ScheduleAt(when, std::move(fn));
   }
   virtual sim::EventId ScheduleAfterNode(std::uint32_t node, SimTime delay,
-                                         sim::Callback fn) {
+                                         sim::Callback&& fn) {
     (void)node;
     return ScheduleAfter(delay, std::move(fn));
   }

@@ -56,7 +56,7 @@ ThreadRuntime::ThreadRuntime(sim::Simulator* clock, std::uint32_t num_nodes,
 ThreadRuntime::~ThreadRuntime() { Shutdown(); }
 
 sim::EventId ThreadRuntime::ScheduleAtNode(std::uint32_t node, SimTime when,
-                                           sim::Callback fn) {
+                                           sim::Callback&& fn) {
   // Pooled wrapper: the callback moves into the task at schedule time,
   // so the lambda registered with the clock captures two pointers and
   // stays inside sim::Callback's inline buffer — no allocation.
@@ -69,7 +69,8 @@ sim::EventId ThreadRuntime::ScheduleAtNode(std::uint32_t node, SimTime when,
       });
 }
 
-sim::EventId ThreadRuntime::RepeatEvery(SimTime interval, sim::Callback fn) {
+sim::EventId ThreadRuntime::RepeatEvery(SimTime interval,
+                                        sim::Callback&& fn) {
   // The series' task holds the callback for its whole life and every
   // tick runs it borrowed (`fn` set): the wrapper's lease releases the
   // task when the series is cancelled or the clock is torn down.

@@ -57,13 +57,13 @@ class ThreadRuntime final : public Runtime {
   // --- Runtime interface --------------------------------------------
 
   SimTime Now() const override { return clock_->Now(); }
-  sim::EventId ScheduleAt(SimTime when, sim::Callback fn) override {
+  sim::EventId ScheduleAt(SimTime when, sim::Callback&& fn) override {
     return ScheduleAtNode(kAnyNode, when, std::move(fn));
   }
-  sim::EventId ScheduleAfter(SimTime delay, sim::Callback fn) override {
+  sim::EventId ScheduleAfter(SimTime delay, sim::Callback&& fn) override {
     return ScheduleAfterNode(kAnyNode, delay, std::move(fn));
   }
-  sim::EventId RepeatEvery(SimTime interval, sim::Callback fn) override;
+  sim::EventId RepeatEvery(SimTime interval, sim::Callback&& fn) override;
   bool Cancel(sim::EventId id) override { return clock_->Cancel(id); }
   std::uint64_t RunUntil(SimTime horizon) override;
   std::uint64_t Run(std::uint64_t max_events = (1ULL << 32)) override;
@@ -72,9 +72,9 @@ class ThreadRuntime final : public Runtime {
     return clock_->PendingEvents();
   }
   sim::EventId ScheduleAtNode(std::uint32_t node, SimTime when,
-                              sim::Callback fn) override;
+                              sim::Callback&& fn) override;
   sim::EventId ScheduleAfterNode(std::uint32_t node, SimTime delay,
-                                 sim::Callback fn) override {
+                                 sim::Callback&& fn) override {
     return ScheduleAtNode(node, After(delay), std::move(fn));
   }
 

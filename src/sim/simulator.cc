@@ -5,7 +5,7 @@
 
 namespace tdr::sim {
 
-EventId Simulator::RepeatEvery(SimTime interval, Callback fn) {
+EventId Simulator::RepeatEvery(SimTime interval, Callback&& fn) {
   assert(interval > SimTime::Zero());
   // The previous engine allocated a separate series handle from the
   // sequence counter before scheduling the first tick. Consume one here

@@ -60,7 +60,7 @@ class Simulator final : public runtime::Runtime {
   /// Schedules `fn` to run at absolute time `when`. Scheduling in the
   /// past is an error and the event is clamped to Now() (and counted in
   /// `clamped_schedules()` so tests can assert it never happens).
-  EventId ScheduleAt(SimTime when, Callback fn) override {
+  EventId ScheduleAt(SimTime when, Callback&& fn) override {
     if (when < now_) {
       ++clamped_schedules_;
       when = now_;
@@ -71,7 +71,7 @@ class Simulator final : public runtime::Runtime {
   /// Schedules `fn` to run `delay` after Now(). Negative delays clamp to
   /// zero and count in `clamped_schedules()`, same as past-time
   /// ScheduleAt.
-  EventId ScheduleAfter(SimTime delay, Callback fn) override {
+  EventId ScheduleAfter(SimTime delay, Callback&& fn) override {
     if (delay < SimTime::Zero()) {
       ++clamped_schedules_;
       delay = SimTime::Zero();
@@ -99,7 +99,7 @@ class Simulator final : public runtime::Runtime {
   /// Schedules `fn` every `interval`, starting at Now() + interval, until
   /// the returned id is cancelled. `fn` runs before the next occurrence
   /// is scheduled, so it may Cancel the series from inside itself.
-  EventId RepeatEvery(SimTime interval, Callback fn) override;
+  EventId RepeatEvery(SimTime interval, Callback&& fn) override;
 
   /// Runs events until the queue is empty or `horizon` is passed. Events
   /// scheduled exactly at the horizon DO run. Returns the number of
@@ -180,7 +180,7 @@ class Simulator final : public runtime::Runtime {
     return (static_cast<EventId>(gen) << 32) | slot;
   }
 
-  EventId AddEvent(SimTime when, SimTime interval, Callback fn) {
+  EventId AddEvent(SimTime when, SimTime interval, Callback&& fn) {
     std::uint32_t slot = AcquireSlot();
     Event& e = slots_[slot];
     e.interval = interval;

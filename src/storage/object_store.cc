@@ -8,6 +8,8 @@
 
 namespace tdr {
 
+void StoredObject::DeleteList() { delete list(); }
+
 ObjectStore::ObjectStore(std::uint64_t db_size) : objects_(db_size) {}
 
 Result<std::reference_wrapper<const StoredObject>> ObjectStore::Get(
@@ -20,13 +22,11 @@ Result<std::reference_wrapper<const StoredObject>> ObjectStore::Get(
   return std::cref(objects_[oid]);
 }
 
-Status ObjectStore::Put(ObjectId oid, Value value, Timestamp ts) {
+Status ObjectStore::Put(ObjectId oid, const Value& value, Timestamp ts) {
   if (!Contains(oid)) {
     return Status::NotFound("Put: object out of range");
   }
-  StoredObject& obj = objects_[oid];
-  obj.value = std::move(value);
-  obj.ts = ts;
+  objects_[oid].Set(value, ts);
   return Status::OK();
 }
 
@@ -37,7 +37,7 @@ Status ObjectStore::ApplyIfTimestampMatches(ObjectId oid, const Value& value,
     return Status::NotFound("ApplyIfTimestampMatches: object out of range");
   }
   StoredObject& obj = objects_[oid];
-  if (obj.ts != expected_old_ts) {
+  if (obj.packed_ts() != PackTimestamp(expected_old_ts)) {
     // "If the current timestamp of the local replica does not match the
     // old timestamp seen by the root transaction, then the update may be
     // dangerous. ... the node rejects the incoming transaction and
@@ -49,8 +49,7 @@ Status ObjectStore::ApplyIfTimestampMatches(ObjectId oid, const Value& value,
     // oid and both timestamps if it wants a detailed trace record.
     return Status::Conflict("ts mismatch");
   }
-  obj.value = value;
-  obj.ts = new_ts;
+  obj.Set(value, new_ts);
   return Status::OK();
 }
 
@@ -60,9 +59,8 @@ Status ObjectStore::ApplyIfNewer(ObjectId oid, const Value& value,
     return Status::NotFound("ApplyIfNewer: object out of range");
   }
   StoredObject& obj = objects_[oid];
-  if (new_ts > obj.ts) {
-    obj.value = value;
-    obj.ts = new_ts;
+  if (PackTimestamp(new_ts) > obj.packed_ts()) {
+    obj.Set(value, new_ts);
     if (applied != nullptr) *applied = true;
   } else {
     // "If the record timestamp is newer than a replica update timestamp,
@@ -75,7 +73,7 @@ Status ObjectStore::ApplyIfNewer(ObjectId oid, const Value& value,
 bool ObjectStore::SameValuesAs(const ObjectStore& other) const {
   if (objects_.size() != other.objects_.size()) return false;
   for (std::size_t i = 0; i < objects_.size(); ++i) {
-    if (objects_[i].value != other.objects_[i].value) return false;
+    if (!objects_[i].SameValueAs(other.objects_[i])) return false;
   }
   return true;
 }
@@ -88,17 +86,18 @@ constexpr std::uint64_t kListTag = 0x115717;
 // One object's contribution to a store's digest chain: its kind tag,
 // then the scalar or every list item, then its timestamp.
 std::uint64_t MixObject(std::uint64_t h, const StoredObject& obj) {
-  if (obj.value.is_scalar()) {
+  if (obj.is_scalar()) {
     h = FnvMix(h, kScalarTag);
-    h = FnvMix(h, static_cast<std::uint64_t>(obj.value.AsScalar()));
+    h = FnvMix(h, static_cast<std::uint64_t>(obj.AsScalar()));
   } else {
     h = FnvMix(h, kListTag);
-    for (std::int64_t item : obj.value.AsList()) {
+    for (std::int64_t item : obj.AsList()) {
       h = FnvMix(h, static_cast<std::uint64_t>(item));
     }
   }
-  h = FnvMix(h, obj.ts.counter);
-  return FnvMix(h, obj.ts.node);
+  const Timestamp ts = obj.ts();
+  h = FnvMix(h, ts.counter);
+  return FnvMix(h, ts.node);
 }
 
 // Advances kLanes independent digest chains over [begin, end), one per
@@ -119,7 +118,7 @@ void DigestLanes(const StoredObject* const* stores, ObjectId begin,
     bool all_scalar = true;
     for (std::size_t k = 0; k < kLanes; ++k) {
       obj[k] = &stores[k][oid];
-      all_scalar = all_scalar && obj[k]->value.is_scalar();
+      all_scalar = all_scalar && obj[k]->is_scalar();
     }
     if (!all_scalar) {
       for (std::size_t k = 0; k < kLanes; ++k) h[k] = MixObject(h[k], *obj[k]);
@@ -129,14 +128,14 @@ void DigestLanes(const StoredObject* const* stores, ObjectId begin,
       h[k] = FnvMixNarrow<3>(h[k], kScalarTag);
     }
     for (std::size_t k = 0; k < kLanes; ++k) {
-      const auto scalar = static_cast<std::uint64_t>(obj[k]->value.AsScalar());
+      const auto scalar = static_cast<std::uint64_t>(obj[k]->AsScalar());
       h[k] = FnvMixNarrow<1>(h[k], scalar);
     }
     for (std::size_t k = 0; k < kLanes; ++k) {
-      h[k] = FnvMixNarrow<3>(h[k], obj[k]->ts.counter);
+      h[k] = FnvMixNarrow<3>(h[k], obj[k]->ts().counter);
     }
     for (std::size_t k = 0; k < kLanes; ++k) {
-      h[k] = FnvMixNarrow<1>(h[k], obj[k]->ts.node);
+      h[k] = FnvMixNarrow<1>(h[k], obj[k]->ts().node);
     }
   }
   for (std::size_t k = 0; k < kLanes; ++k) out[k] = h[k];

@@ -1,6 +1,7 @@
 #ifndef TDR_STORAGE_OBJECT_STORE_H_
 #define TDR_STORAGE_OBJECT_STORE_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -20,21 +21,148 @@ namespace tdr {
 /// timestamp of the transaction that last wrote it. Every node holds
 /// one per object (§2), so this is the model's per-replica footprint.
 ///
-/// Aligned to its size so that no slot straddles two cache lines: a
-/// store's vector would otherwise start 16 bytes into a line (the
-/// allocator's chunk header), and every other slot would cost two
-/// misses, with the timestamp a replica apply reads first in the
-/// second line. DESIGN.md §12.6.
-struct alignas(32) StoredObject {
-  Value value;
-  Timestamp ts;
+/// Sixteen bytes in two words (DESIGN.md §12.5). Word 0 holds the
+/// scalar, or the owning pointer to the list. Word 1 packs the
+/// timestamp and the value's kind, `PackTimestamp(ts) << 1 | is_list`,
+/// so `word1 >> 1` orders exactly as Timestamp's (counter, node) and
+/// the §4 match and §5 newer-wins tests each compare one integer. The
+/// kind sits beside the timestamp because a scalar needs all 64 bits of
+/// its word. An all-zero slot is scalar 0 at Timestamp::Zero().
+///
+/// The slot keeps Value's semantics: copies are deep, a list reads as
+/// its size, and Append promotes a scalar. A moved-from slot is scalar
+/// zero at Timestamp::Zero().
+///
+/// Aligned to its size: a 16-byte slot at a 16-byte boundary never
+/// crosses a 64-byte cache line, so the one prefetch a replica apply
+/// issues covers the whole slot. DESIGN.md §12.6.
+class alignas(16) StoredObject {
+ public:
+  using List = Value::List;
+
+  /// Scalar zero at Timestamp::Zero().
+  StoredObject() = default;
+  StoredObject(const Value& value, Timestamp ts) { Set(value, ts); }
+
+  StoredObject(const StoredObject& other) { *this = other; }
+  StoredObject& operator=(const StoredObject& other) {
+    if (other.is_list()) {
+      AssignList(*other.list());
+    } else {
+      AssignScalar(other.scalar());
+    }
+    word1_ = other.word1_;
+    return *this;
+  }
+  StoredObject(StoredObject&& other) noexcept
+      : word0_(other.word0_), word1_(other.word1_) {
+    other.word0_ = 0;
+    other.word1_ = 0;
+  }
+  StoredObject& operator=(StoredObject&& other) noexcept {
+    if (this != &other) {
+      FreeList();
+      word0_ = other.word0_;
+      word1_ = other.word1_;
+      other.word0_ = 0;
+      other.word1_ = 0;
+    }
+    return *this;
+  }
+  ~StoredObject() { FreeList(); }
+
+  bool is_scalar() const { return (word1_ & kListBit) == 0; }
+  bool is_list() const { return !is_scalar(); }
+
+  /// Scalar accessor; a list reads as its size, as Value::AsScalar.
+  std::int64_t AsScalar() const {
+    if (is_scalar()) return scalar();
+    return static_cast<std::int64_t>(list()->size());
+  }
+  const List& AsList() const {
+    static const List kEmpty;
+    return is_list() ? *list() : kEmpty;
+  }
+  /// A deep copy of the value.
+  Value value() const {
+    return is_list() ? Value(*list()) : Value(scalar());
+  }
+  /// Kinds are distinct: a scalar never equals a list.
+  bool SameValueAs(const StoredObject& other) const {
+    if (is_list() && other.is_list()) return *list() == *other.list();
+    return word0_ == other.word0_ && is_list() == other.is_list();
+  }
+
+  Timestamp ts() const { return UnpackTimestamp(packed_ts()); }
+  /// The timestamp as PackTimestamp packs it: one word that orders as
+  /// Timestamp does.
+  std::uint64_t packed_ts() const { return word1_ >> 1; }
+
+  void set_ts(Timestamp ts) {
+    assert(FitsPackedTimestamp(ts));
+    word1_ = PackTimestamp(ts) << 1 | (word1_ & kListBit);
+  }
+  /// Installs a copy of `value` (reusing this slot's list, if it has
+  /// one) and `ts`.
+  void Set(const Value& value, Timestamp ts) {
+    if (value.is_list()) {
+      AssignList(value.AsList());
+    } else {
+      AssignScalar(value.AsScalar());
+    }
+    set_ts(ts);
+  }
+  /// Becomes the scalar `v`, freeing any list. Keeps the timestamp.
+  void SetScalar(std::int64_t v) { AssignScalar(v); }
+  /// Value::Append on the slot: a scalar is promoted to a list holding
+  /// the old scalar first (if nonzero), and items stay sorted. Keeps
+  /// the timestamp.
+  void Append(std::int64_t item) {
+    if (is_scalar()) {
+      auto* promoted = new List;
+      if (scalar() != 0) promoted->push_back(scalar());
+      word0_ = reinterpret_cast<std::uintptr_t>(promoted);
+      word1_ |= kListBit;
+    }
+    List& items = *list();
+    items.insert(std::lower_bound(items.begin(), items.end(), item), item);
+  }
 
   std::string ToString() const {
-    return value.ToString() + " @" + ts.ToString();
+    return value().ToString() + " @" + ts().ToString();
   }
+
+ private:
+  static constexpr std::uint64_t kListBit = 1;
+
+  std::int64_t scalar() const { return static_cast<std::int64_t>(word0_); }
+  List* list() const { return reinterpret_cast<List*>(word0_); }
+  void FreeList() {
+    if (is_list()) DeleteList();
+  }
+  // Out of line, so that a compiler inlining a scalar slot's destructor
+  // never sees a `delete` of the scalar's bits on a path it cannot prove
+  // dead (GCC 12's -Warray-bounds does).
+  void DeleteList();
+  void AssignScalar(std::int64_t v) {
+    FreeList();
+    word0_ = static_cast<std::uint64_t>(v);
+    word1_ &= ~kListBit;
+  }
+  void AssignList(const List& items) {
+    if (is_list()) {
+      *list() = items;  // reuses this list's capacity
+    } else {
+      word0_ = reinterpret_cast<std::uintptr_t>(new List(items));
+      word1_ |= kListBit;
+    }
+  }
+
+  std::uint64_t word0_ = 0;  // the scalar, or the owned List*
+  std::uint64_t word1_ = 0;  // PackTimestamp(ts) << 1 | is_list
 };
-static_assert(sizeof(StoredObject) == 32,
-              "a replica slot is a 16-byte Value and a 16-byte Timestamp");
+static_assert(sizeof(StoredObject) == 16,
+              "a replica slot is one word of value and one of timestamp");
 
 /// A node's replica of the database: DB_Size objects, dense ids.
 ///
@@ -77,7 +205,7 @@ class ObjectStore {
 
   /// Installs a new value and timestamp unconditionally (used by the
   /// local commit path, which owns the object's lock).
-  Status Put(ObjectId oid, Value value, Timestamp ts);
+  Status Put(ObjectId oid, const Value& value, Timestamp ts);
 
   /// The lazy-GROUP safety test (§4, Figure 4): the incoming replica
   /// update carries the timestamp the root transaction saw. Applies the

@@ -12,14 +12,12 @@ Result<StoredObject> TentativeStore::Read(ObjectId oid) const {
   return base.value().get();
 }
 
-Status TentativeStore::WriteTentative(ObjectId oid, Value value,
+Status TentativeStore::WriteTentative(ObjectId oid, const Value& value,
                                       Timestamp ts) {
   if (!master_->Contains(oid)) {
     return Status::NotFound("WriteTentative: object out of range");
   }
-  StoredObject& slot = overlay_[oid];
-  slot.value = std::move(value);
-  slot.ts = ts;
+  overlay_[oid].Set(value, ts);
   return Status::OK();
 }
 

@@ -44,7 +44,7 @@ class TentativeStore {
   }
 
   /// Writes a tentative version (never touches the master version).
-  Status WriteTentative(ObjectId oid, Value value, Timestamp ts);
+  Status WriteTentative(ObjectId oid, const Value& value, Timestamp ts);
 
   /// Number of objects with live tentative versions.
   std::size_t TentativeCount() const { return overlay_.size(); }

@@ -1,6 +1,18 @@
 #include "storage/timestamp.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace tdr {
+
+void LamportClock::FailLimit(const char* what, std::uint64_t value) {
+  std::fprintf(stderr,
+               "timestamp %s %llu does not fit a packed timestamp "
+               "(node <= %u, counter <= %llu)\n",
+               what, static_cast<unsigned long long>(value), kMaxTimestampNode,
+               static_cast<unsigned long long>(kMaxTimestampCounter));
+  std::abort();
+}
 
 bool VersionVector::Dominates(const VersionVector& other) const {
   bool strictly_greater = false;

@@ -51,13 +51,48 @@ struct Timestamp {
   }
 };
 
-/// Per-node Lamport clock.
+/// A store slot keeps a timestamp in 63 bits of one word (DESIGN.md
+/// §12.5): the counter in the high 47, the node id in the low 16. Every
+/// timestamp is held to these limits where it is born: a LamportClock's
+/// node at construction and its counter in Tick, and a timestamp read
+/// back from the WAL in wal::DecodeRecord.
+inline constexpr int kTimestampNodeBits = 16;
+inline constexpr NodeId kMaxTimestampNode =
+    (NodeId{1} << kTimestampNodeBits) - 1;
+inline constexpr std::uint64_t kMaxTimestampCounter =
+    (std::uint64_t{1} << (63 - kTimestampNodeBits)) - 1;
+
+constexpr bool FitsPackedTimestamp(Timestamp ts) {
+  return ts.counter <= kMaxTimestampCounter && ts.node <= kMaxTimestampNode;
+}
+
+/// (counter, node) in one word. Within the limits above, packed words
+/// order and compare exactly as Timestamp's `<` and `==`, and
+/// Timestamp::Zero() packs to 0.
+constexpr std::uint64_t PackTimestamp(Timestamp ts) {
+  return ts.counter << kTimestampNodeBits | ts.node;
+}
+constexpr Timestamp UnpackTimestamp(std::uint64_t packed) {
+  return Timestamp{packed >> kTimestampNodeBits,
+                   static_cast<NodeId>(packed & kMaxTimestampNode)};
+}
+
+/// Per-node Lamport clock. A node id past kMaxTimestampNode, or a Tick
+/// past kMaxTimestampCounter, aborts, in release builds too: a timestamp
+/// that did not fit would order wrongly in every store slot.
 class LamportClock {
  public:
-  explicit LamportClock(NodeId node) : node_(node) {}
+  explicit LamportClock(NodeId node) : node_(node) {
+    if (node > kMaxTimestampNode) FailLimit("node id", node);
+  }
 
   /// Produces the next local timestamp.
-  Timestamp Tick() { return Timestamp{++counter_, node_}; }
+  Timestamp Tick() {
+    if (counter_ >= kMaxTimestampCounter) [[unlikely]] {
+      FailLimit("counter", counter_ + 1);
+    }
+    return Timestamp{++counter_, node_};
+  }
 
   /// Advances the clock past an observed remote timestamp (standard
   /// Lamport receive rule).
@@ -68,6 +103,9 @@ class LamportClock {
   Timestamp Peek() const { return Timestamp{counter_, node_}; }
 
  private:
+  /// Reports a node id or counter past the packed limits and aborts.
+  [[noreturn]] static void FailLimit(const char* what, std::uint64_t value);
+
   NodeId node_;
   std::uint64_t counter_ = 0;
 };

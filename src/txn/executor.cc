@@ -293,7 +293,7 @@ void Executor::ApplyStep(Inflight* t) {
     // Visible value: own buffered write, else last committed value.
     t->result.reads.push_back(
         buffered != nullptr ? *buffered
-                            : n->store().GetUnchecked(step.op.oid).value);
+                            : n->store().GetUnchecked(step.op.oid).value());
   } else if (buffered != nullptr) {
     step.op.ApplyTo(buffered);
   } else {
@@ -301,8 +301,8 @@ void Executor::ApplyStep(Inflight* t) {
     // write here — lazy replica updates carry it as their "old time"
     // (Figure 4).
     const StoredObject& obj = n->store().GetUnchecked(step.op.oid);
-    ObserveTs(t, step.node, step.op.oid, obj.ts);
-    Value visible = obj.value;
+    ObserveTs(t, step.node, step.op.oid, obj.ts());
+    Value visible = obj.value();
     step.op.ApplyTo(&visible);
     PutWrite(t, step.node, step.op.oid, std::move(visible));
   }
@@ -340,9 +340,9 @@ void Executor::ApplyQuorumStep(Inflight* t) {
     }
     const StoredObject& obj =
         node(member)->store().GetUnchecked(step.op.oid);
-    if (members.front() == member || obj.ts > best_ts) {
-      best = obj.value;
-      best_ts = obj.ts;
+    if (members.front() == member || obj.ts() > best_ts) {
+      best = obj.value();
+      best_ts = obj.ts();
     }
   }
   if (!have_own) {

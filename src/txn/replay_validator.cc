@@ -34,7 +34,7 @@ std::vector<ObjectId> ReplayValidator::Divergence(
   const Value kZero;
   std::vector<ObjectId> diff;
   for (ObjectId oid = 0; oid < store.size(); ++oid) {
-    const Value& live = store.GetUnchecked(oid).value;
+    const Value live = store.GetUnchecked(oid).value();
     auto it = replayed.find(oid);
     const Value& expected = it != replayed.end() ? it->second : kZero;
     if (live != expected) diff.push_back(oid);

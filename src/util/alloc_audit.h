@@ -14,8 +14,9 @@ namespace tdr {
 /// util/alloc_audit_hooks.cc, packaged as the `tdr_alloc_audit` static
 /// library — is linked into the final binary. That TU replaces the
 /// global `operator new` / `operator delete` with counting versions, so
-/// only audit-aware targets (tests/alloc_audit_test, bench_hot_path)
-/// pay for the hook; everything else keeps the stock allocator.
+/// only audit-aware targets (tests/alloc_audit_test,
+/// tests/runtime_task_pool_test and bench_hot_path) pay for the hook;
+/// everything else keeps the stock allocator.
 ///
 /// Counting is process-wide and thread-safe (relaxed atomics). Audited
 /// measurement windows are expected to be single-threaded simulation

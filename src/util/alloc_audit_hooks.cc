@@ -2,9 +2,10 @@
 //
 // This TU is compiled into the `tdr_alloc_audit` static library and
 // linked ONLY into allocation-audited targets (tests/alloc_audit_test,
-// bench_hot_path). Linking it replaces the C++ runtime's operator
-// new/delete for the whole binary ([replacement.functions]); every
-// other target keeps the stock allocator and pays nothing.
+// tests/runtime_task_pool_test and bench_hot_path). Linking it
+// replaces the C++ runtime's operator new/delete for the whole binary
+// ([replacement.functions]); every other target keeps the stock
+// allocator and pays nothing.
 //
 // The hooks forward to malloc/free and bump the relaxed atomics in
 // util/alloc_audit.h. They must not themselves use operator new.

@@ -1,10 +1,52 @@
 #include "util/stats.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 
 namespace tdr {
+namespace {
+
+constexpr std::uint64_t kLastBoundBelow = std::uint64_t{1} << 62;
+
+constexpr std::uint64_t NextBound(std::uint64_t b) {
+  return b + std::max<std::uint64_t>(1, b / 2);
+}
+
+constexpr std::size_t CountBounds() {
+  std::size_t n = 10;
+  for (std::uint64_t b = 10; b < kLastBoundBelow; b = NextBound(b)) ++n;
+  return n;
+}
+
+constexpr std::size_t kNumBounds = CountBounds();
+
+constexpr std::array<std::uint64_t, kNumBounds> kBounds = [] {
+  std::array<std::uint64_t, kNumBounds> bounds{};
+  for (std::size_t i = 0; i < 10; ++i) bounds[i] = i + 1;
+  for (std::size_t i = 10; i < kNumBounds; ++i) {
+    bounds[i] = NextBound(bounds[i - 1]);
+  }
+  return bounds;
+}();
+
+// kFirstOfWidth[w] is the bucket of the least value of bit width w,
+// 2^(w-1) (0 for w = 0): every value of that width lands there or a few
+// buckets further, past the bounds below it that share its width.
+constexpr std::array<std::uint8_t, 65> kFirstOfWidth = [] {
+  std::array<std::uint8_t, 65> first{};
+  for (int w = 0; w <= 64; ++w) {
+    const std::uint64_t least = w == 0 ? 0 : std::uint64_t{1} << (w - 1);
+    std::size_t i = 0;
+    while (i + 1 < kNumBounds && kBounds[i] < least) ++i;
+    first[w] = static_cast<std::uint8_t>(i);
+  }
+  return first;
+}();
+
+}  // namespace
 
 void OnlineStats::Add(double x) {
   if (count_ == 0) {
@@ -42,31 +84,18 @@ std::string OnlineStats::ToString() const {
   return buf;
 }
 
-const std::vector<std::uint64_t>& Histogram::Boundaries() {
-  // Upper bounds: 1,2,3,...,10, then 12,14,...  roughly exponential with
-  // ~1.5x steps, up to 2^62.
-  static const std::vector<std::uint64_t>& kBounds = *[] {
-    auto* v = new std::vector<std::uint64_t>;
-    for (std::uint64_t i = 1; i <= 10; ++i) v->push_back(i);
-    std::uint64_t b = 10;
-    while (b < (1ULL << 62)) {
-      b += std::max<std::uint64_t>(1, b / 2);
-      v->push_back(b);
-    }
-    return v;
-  }();
-  return kBounds;
+std::span<const std::uint64_t> Histogram::Bounds() { return kBounds; }
+
+std::size_t Histogram::BucketOf(std::uint64_t value) {
+  std::size_t idx = kFirstOfWidth[std::bit_width(value)];
+  while (idx + 1 < kNumBounds && kBounds[idx] < value) ++idx;
+  return idx;
 }
 
-Histogram::Histogram() : buckets_(Boundaries().size(), 0) {}
+Histogram::Histogram() : buckets_(kNumBounds, 0) {}
 
 void Histogram::Add(std::uint64_t value) {
-  const auto& bounds = Boundaries();
-  auto it = std::lower_bound(bounds.begin(), bounds.end(), value);
-  std::size_t idx = it == bounds.end() ? bounds.size() - 1
-                                       : static_cast<std::size_t>(
-                                             it - bounds.begin());
-  ++buckets_[idx];
+  ++buckets_[BucketOf(value)];
   if (count_ == 0) {
     min_ = max_ = value;
   } else {
@@ -86,15 +115,14 @@ double Histogram::Percentile(double p) const {
   if (count_ == 0) return 0.0;
   p = std::clamp(p, 0.0, 100.0);
   double rank = p / 100.0 * static_cast<double>(count_);
-  const auto& bounds = Boundaries();
   std::uint64_t cum = 0;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     if (buckets_[i] == 0) continue;
     double lo_cum = static_cast<double>(cum);
     cum += buckets_[i];
     if (static_cast<double>(cum) >= rank) {
-      double lo = i == 0 ? 0.0 : static_cast<double>(bounds[i - 1]);
-      double hi = static_cast<double>(bounds[i]);
+      double lo = i == 0 ? 0.0 : static_cast<double>(kBounds[i - 1]);
+      double hi = static_cast<double>(kBounds[i]);
       double frac =
           (rank - lo_cum) / static_cast<double>(buckets_[i]);
       double v = lo + frac * (hi - lo);

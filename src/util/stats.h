@@ -1,8 +1,10 @@
 #ifndef TDR_UTIL_STATS_H_
 #define TDR_UTIL_STATS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,10 +66,16 @@ class Histogram {
 
   std::string ToString() const;
 
- private:
-  static const std::vector<std::uint64_t>& Boundaries();
+  /// Bucket upper bounds: 1, 2, ..., 10, then steps of about 1.5x up to
+  /// 2^62.
+  static std::span<const std::uint64_t> Bounds();
+  /// The bucket `value` is counted in: the first whose bound is at least
+  /// `value`, or the last one for a value past the last bound. Found from
+  /// the value's bit width, which no more than four bounds share.
+  static std::size_t BucketOf(std::uint64_t value);
 
-  std::vector<std::uint64_t> buckets_;  // parallel to Boundaries()
+ private:
+  std::vector<std::uint64_t> buckets_;  // parallel to Bounds()
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   std::uint64_t min_ = 0;

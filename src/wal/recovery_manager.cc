@@ -71,20 +71,22 @@ void RecoveryManager::PeerCatchUp(Node* node) {
     for (Node* peer : nodes_) {
       if (peer == node || peer->crashed()) continue;
       if (!net_->Reachable(node->id(), peer->id())) continue;
-      const Timestamp& ts = peer->store().GetUnchecked(oid).ts;
-      if (best == nullptr || ts > best->store().GetUnchecked(oid).ts) {
+      const std::uint64_t ts = peer->store().GetUnchecked(oid).packed_ts();
+      if (best == nullptr ||
+          ts > best->store().GetUnchecked(oid).packed_ts()) {
         best = peer;
       }
     }
     if (best == nullptr) continue;
     const StoredObject& theirs = best->store().GetUnchecked(oid);
     const StoredObject& mine = node->store().GetUnchecked(oid);
-    if (!(theirs.ts > mine.ts)) continue;
+    if (theirs.packed_ts() <= mine.packed_ts()) continue;
     // Adopt and log: repaired state must survive the NEXT crash too.
-    wals_->LogWrite(node->id(), kInvalidTxnId, oid, mine.ts, theirs.ts,
-                    theirs.value);
-    node->store().Put(oid, theirs.value, theirs.ts);
-    node->clock().Observe(theirs.ts);
+    const Value value = theirs.value();
+    const Timestamp ts = theirs.ts();
+    wals_->LogWrite(node->id(), kInvalidTxnId, oid, mine.ts(), ts, value);
+    node->store().Put(oid, value, ts);
+    node->clock().Observe(ts);
     m.catch_up_adopted.Increment();
   }
   for (Node* peer : nodes_) {

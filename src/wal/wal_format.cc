@@ -140,6 +140,12 @@ std::size_t DecodeRecord(const std::uint8_t* data, std::size_t size,
   out->shard = LoadU32(p + kShardAt);
   out->old_ts = Timestamp{LoadU64(p + kOldCounterAt), LoadU32(p + kOldNodeAt)};
   out->new_ts = Timestamp{LoadU64(p + kNewCounterAt), LoadU32(p + kNewNodeAt)};
+  // A clock never issues a timestamp past the limits a store slot packs,
+  // so a record that carries one is as corrupt as one with a bad CRC.
+  if (!FitsPackedTimestamp(out->old_ts) ||
+      !FitsPackedTimestamp(out->new_ts)) {
+    return 0;
+  }
   const std::size_t value_bytes = payload_len - kValueAt;
   if (p[kKindAt] == kScalarKind) {
     if (value_bytes != 8) return 0;

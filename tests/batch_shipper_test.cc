@@ -255,8 +255,7 @@ TEST(BatchedSchemeTest, LazyGroupBatchedConvergesToUnbatchedState) {
     EXPECT_EQ(scheme.reconciliations(), 0u);
     std::vector<std::int64_t> values;
     for (ObjectId oid = 0; oid < copts.db_size; ++oid) {
-      const Value& v = cluster.node(2)->store().GetUnchecked(oid).value;
-      values.push_back(v.AsScalar());
+      values.push_back(cluster.node(2)->store().GetUnchecked(oid).AsScalar());
     }
     return values;
   };

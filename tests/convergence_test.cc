@@ -9,9 +9,9 @@ TEST(GossipReplicaTest, LocalReplaceBumpsVersionVector) {
   GossipReplica r(0, 8);
   r.LocalReplace(2, Value(5));
   const StoredObject& obj = r.store().GetUnchecked(2);
-  EXPECT_EQ(obj.value.AsScalar(), 5);
+  EXPECT_EQ(obj.AsScalar(), 5);
   EXPECT_EQ(r.vv(2).Get(0), 1u);
-  EXPECT_FALSE(obj.ts.IsZero());
+  EXPECT_FALSE(obj.ts().IsZero());
 }
 
 TEST(GossipReplicaTest, ExchangeStatePropagatesDominantVersion) {
@@ -19,7 +19,7 @@ TEST(GossipReplicaTest, ExchangeStatePropagatesDominantVersion) {
   a.LocalReplace(3, Value(9));
   std::uint64_t conflicts = a.ExchangeState(&b, TimePriorityRule());
   EXPECT_EQ(conflicts, 0u);
-  EXPECT_EQ(b.store().GetUnchecked(3).value.AsScalar(), 9);
+  EXPECT_EQ(b.store().GetUnchecked(3).AsScalar(), 9);
   EXPECT_TRUE(a.store().SameValuesAs(b.store()));
 }
 
@@ -30,7 +30,7 @@ TEST(GossipReplicaTest, SequentialReplacesNeverConflict) {
   b.LocalReplace(3, Value(2));  // causally after a's version
   std::uint64_t conflicts = a.ExchangeState(&b, TimePriorityRule());
   EXPECT_EQ(conflicts, 0u);
-  EXPECT_EQ(a.store().GetUnchecked(3).value.AsScalar(), 2);
+  EXPECT_EQ(a.store().GetUnchecked(3).AsScalar(), 2);
 }
 
 TEST(GossipReplicaTest, ConcurrentReplacesConflictAndResolve) {
@@ -40,8 +40,8 @@ TEST(GossipReplicaTest, ConcurrentReplacesConflictAndResolve) {
   std::uint64_t conflicts = a.ExchangeState(&b, SitePriorityRule());
   EXPECT_EQ(conflicts, 1u);
   // Site priority: lower id (a) wins.
-  EXPECT_EQ(a.store().GetUnchecked(3).value.AsScalar(), 10);
-  EXPECT_EQ(b.store().GetUnchecked(3).value.AsScalar(), 10);
+  EXPECT_EQ(a.store().GetUnchecked(3).AsScalar(), 10);
+  EXPECT_EQ(b.store().GetUnchecked(3).AsScalar(), 10);
   EXPECT_EQ(a.conflicts_seen(), 1u);
   EXPECT_EQ(b.conflicts_seen(), 1u);
 }
@@ -54,30 +54,26 @@ TEST(GossipReplicaTest, ConflictResolutionPropagatesToThirdReplica) {
   EXPECT_GE(conflicts, 1u);
   EXPECT_TRUE(cluster.Converged());
   // Value priority: max wins everywhere.
-  EXPECT_EQ(cluster.replica(2).store().GetUnchecked(1).value.AsScalar(),
+  EXPECT_EQ(cluster.replica(2).store().GetUnchecked(1).AsScalar(),
             200);
 }
 
 TEST(ReconciliationRulesTest, TimePriorityPicksNewer) {
   StoredObject older, newer;
-  older.value = Value(1);
-  older.ts = Timestamp(1, 0);
-  newer.value = Value(2);
-  newer.ts = Timestamp(2, 1);
+  older.Set(Value(1), Timestamp(1, 0));
+  newer.Set(Value(2), Timestamp(2, 1));
   ConflictContext ctx{0, 0, 1, &older, &newer};
-  EXPECT_EQ(TimePriorityRule()(ctx).value.AsScalar(), 2);
+  EXPECT_EQ(TimePriorityRule()(ctx).AsScalar(), 2);
   ConflictContext rev{0, 1, 0, &newer, &older};
-  EXPECT_EQ(TimePriorityRule()(rev).value.AsScalar(), 2);
+  EXPECT_EQ(TimePriorityRule()(rev).AsScalar(), 2);
 }
 
 TEST(ReconciliationRulesTest, AdditiveMergeSums) {
   StoredObject a, b;
-  a.value = Value(30);
-  a.ts = Timestamp(1, 0);
-  b.value = Value(12);
-  b.ts = Timestamp(2, 1);
+  a.Set(Value(30), Timestamp(1, 0));
+  b.Set(Value(12), Timestamp(2, 1));
   ConflictContext ctx{0, 0, 1, &a, &b};
-  EXPECT_EQ(AdditiveMergeRule()(ctx).value.AsScalar(), 42);
+  EXPECT_EQ(AdditiveMergeRule()(ctx).AsScalar(), 42);
 }
 
 TEST(LostUpdateTest, TimestampedReplaceLosesConcurrentIncrements) {
@@ -89,7 +85,7 @@ TEST(LostUpdateTest, TimestampedReplaceLosesConcurrentIncrements) {
   cluster.replica(1).LocalReplaceAdd(0, 100);
   cluster.ConvergeState(TimePriorityRule());
   EXPECT_TRUE(cluster.Converged());
-  EXPECT_EQ(cluster.replica(0).store().GetUnchecked(0).value.AsScalar(),
+  EXPECT_EQ(cluster.replica(0).store().GetUnchecked(0).AsScalar(),
             100);  // one update lost, not 200
 }
 
@@ -102,7 +98,7 @@ TEST(LostUpdateTest, CommutativeDeltasLoseNothing) {
   cluster.replica(1).LocalDelta(0, 100);
   cluster.ConvergeOps();
   EXPECT_TRUE(cluster.Converged());
-  EXPECT_EQ(cluster.replica(0).store().GetUnchecked(0).value.AsScalar(),
+  EXPECT_EQ(cluster.replica(0).store().GetUnchecked(0).AsScalar(),
             200);
 }
 
@@ -118,7 +114,7 @@ TEST(LostUpdateTest, ManyReplicasManyDeltasExactSum) {
   cluster.ConvergeOps();
   EXPECT_TRUE(cluster.Converged());
   for (NodeId r = 0; r < 5; ++r) {
-    EXPECT_EQ(cluster.replica(r).store().GetUnchecked(1).value.AsScalar(),
+    EXPECT_EQ(cluster.replica(r).store().GetUnchecked(1).AsScalar(),
               expected);
   }
 }
@@ -132,7 +128,7 @@ TEST(AppendTest, NotesStyleAppendConvergesWithAllNotes) {
   cluster.replica(2).LocalAppend(2, 20);
   cluster.ConvergeOps();
   EXPECT_TRUE(cluster.Converged());
-  EXPECT_EQ(cluster.replica(0).store().GetUnchecked(2).value.AsList(),
+  EXPECT_EQ(cluster.replica(0).store().GetUnchecked(2).AsList(),
             (Value::List{10, 20, 30}));
 }
 
@@ -142,7 +138,7 @@ TEST(AppendTest, TransitiveForwardingThroughIntermediate) {
   cluster.replica(0).LocalAppend(0, 7);
   cluster.replica(0).ExchangeOps(&cluster.replica(1));
   cluster.replica(1).ExchangeOps(&cluster.replica(2));
-  EXPECT_EQ(cluster.replica(2).store().GetUnchecked(0).value.AsList(),
+  EXPECT_EQ(cluster.replica(2).store().GetUnchecked(0).AsList(),
             (Value::List{7}));
 }
 
@@ -154,7 +150,7 @@ TEST(AppendTest, ExchangeOpsIdempotent) {
       cluster.replica(0).ExchangeOps(&cluster.replica(1));
   EXPECT_EQ(first, 1u);
   EXPECT_EQ(second, 0u);  // nothing new
-  EXPECT_EQ(cluster.replica(1).store().GetUnchecked(0).value.AsList(),
+  EXPECT_EQ(cluster.replica(1).store().GetUnchecked(0).AsList(),
             (Value::List{1}));
 }
 
@@ -170,45 +166,39 @@ TEST(ReconciliationRulesTest, CatalogueHasTwelveResolvableRules) {
 
 TEST(ReconciliationRulesTest, EachRulePicksTheDocumentedWinner) {
   StoredObject a, b;
-  a.value = Value(30);
-  a.ts = Timestamp(1, 0);
-  b.value = Value(12);
-  b.ts = Timestamp(2, 1);
+  a.Set(Value(30), Timestamp(1, 0));
+  b.Set(Value(12), Timestamp(2, 1));
   ConflictContext ctx{/*oid=*/0, /*node_a=*/0, /*node_b=*/1, &a, &b};
-  EXPECT_EQ(RuleByName("latest-timestamp")(ctx).value.AsScalar(), 12);
-  EXPECT_EQ(RuleByName("earliest-timestamp")(ctx).value.AsScalar(), 30);
-  EXPECT_EQ(RuleByName("maximum")(ctx).value.AsScalar(), 30);
-  EXPECT_EQ(RuleByName("minimum")(ctx).value.AsScalar(), 12);
-  EXPECT_EQ(RuleByName("additive")(ctx).value.AsScalar(), 42);
-  EXPECT_EQ(RuleByName("average")(ctx).value.AsScalar(), 21);
-  EXPECT_EQ(RuleByName("discard")(ctx).value.AsScalar(), 30);
-  EXPECT_EQ(RuleByName("overwrite")(ctx).value.AsScalar(), 12);
-  EXPECT_EQ(RuleByName("site-priority")(ctx).value.AsScalar(), 30);
+  EXPECT_EQ(RuleByName("latest-timestamp")(ctx).AsScalar(), 12);
+  EXPECT_EQ(RuleByName("earliest-timestamp")(ctx).AsScalar(), 30);
+  EXPECT_EQ(RuleByName("maximum")(ctx).AsScalar(), 30);
+  EXPECT_EQ(RuleByName("minimum")(ctx).AsScalar(), 12);
+  EXPECT_EQ(RuleByName("additive")(ctx).AsScalar(), 42);
+  EXPECT_EQ(RuleByName("average")(ctx).AsScalar(), 21);
+  EXPECT_EQ(RuleByName("discard")(ctx).AsScalar(), 30);
+  EXPECT_EQ(RuleByName("overwrite")(ctx).AsScalar(), 12);
+  EXPECT_EQ(RuleByName("site-priority")(ctx).AsScalar(), 30);
 }
 
 TEST(ReconciliationRulesTest, PriorityGroupRanksSites) {
   StoredObject a, b;
-  a.value = Value(1);
-  a.ts = Timestamp(9, 0);  // newer
-  b.value = Value(2);
-  b.ts = Timestamp(1, 1);
+  a.Set(Value(1), Timestamp(9, 0));  // newer
+  b.Set(Value(2), Timestamp(1, 1));
   ConflictContext ctx{0, /*node_a=*/0, /*node_b=*/1, &a, &b};
   // Node 1 outranks node 0: b wins despite being older.
   auto rule = PriorityGroupRule({{1, 0}, {0, 5}});
-  EXPECT_EQ(rule(ctx).value.AsScalar(), 2);
+  EXPECT_EQ(rule(ctx).AsScalar(), 2);
   // No ranks at all: falls back to latest timestamp.
   auto unranked = PriorityGroupRule({});
-  EXPECT_EQ(unranked(ctx).value.AsScalar(), 1);
+  EXPECT_EQ(unranked(ctx).AsScalar(), 1);
 }
 
 TEST(ReconciliationRulesTest, ListMergeUnionsNotes) {
   StoredObject a, b;
-  a.value = Value(Value::List{1, 5});
-  a.ts = Timestamp(1, 0);
-  b.value = Value(Value::List{3});
-  b.ts = Timestamp(2, 1);
+  a.Set(Value(Value::List{1, 5}), Timestamp(1, 0));
+  b.Set(Value(Value::List{3}), Timestamp(2, 1));
   ConflictContext ctx{0, 0, 1, &a, &b};
-  EXPECT_EQ(RuleByName("list-merge")(ctx).value.AsList(),
+  EXPECT_EQ(RuleByName("list-merge")(ctx).AsList(),
             (Value::List{1, 3, 5}));
 }
 
@@ -243,7 +233,7 @@ TEST(GossipClusterTest, MixedDisjointUpdatesNeverConflict) {
   EXPECT_EQ(conflicts, 0u);
   EXPECT_TRUE(cluster.Converged());
   for (NodeId r = 0; r < 3; ++r) {
-    EXPECT_EQ(cluster.replica(r).store().GetUnchecked(2).value.AsScalar(),
+    EXPECT_EQ(cluster.replica(r).store().GetUnchecked(2).AsScalar(),
               3);
   }
 }

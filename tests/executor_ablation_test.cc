@@ -57,7 +57,7 @@ TEST_F(ExecutorAblationTest, WaitTimeoutAbortsLongWait) {
   EXPECT_EQ(exec_->wait_timeouts(), 1u);
   EXPECT_EQ(counters_.Get("txn.wait_timeouts"), 1u);
   // T1 still finished; no lock leaks.
-  EXPECT_EQ(nodes_[0]->store().GetUnchecked(0).value.AsScalar(), 50);
+  EXPECT_EQ(nodes_[0]->store().GetUnchecked(0).AsScalar(), 50);
   EXPECT_EQ(nodes_[0]->locks().LockedObjectCount(), 0u);
   EXPECT_EQ(graph_.EdgeCount(), 0u);
 }
@@ -82,7 +82,7 @@ TEST_F(ExecutorAblationTest, TimeoutDoesNotFireAfterGrant) {
   EXPECT_EQ(r2->outcome, TxnOutcome::kCommitted);
   EXPECT_FALSE(r2->timed_out);
   EXPECT_EQ(exec_->wait_timeouts(), 0u);
-  EXPECT_EQ(nodes_[0]->store().GetUnchecked(0).value.AsScalar(), 6);
+  EXPECT_EQ(nodes_[0]->store().GetUnchecked(0).AsScalar(), 6);
 }
 
 TEST_F(ExecutorAblationTest, TimeoutResolvesDeadlockWithoutGraph) {
@@ -177,7 +177,7 @@ TEST_F(ExecutorAblationTest, UnchargedStepsAreFree) {
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->Duration(), SimTime::Millis(10));  // one action only
   for (NodeId n = 0; n < 3; ++n) {
-    EXPECT_EQ(nodes_[n]->store().GetUnchecked(4).value.AsScalar(), 7);
+    EXPECT_EQ(nodes_[n]->store().GetUnchecked(4).AsScalar(), 7);
   }
 }
 
@@ -205,7 +205,7 @@ TEST_F(ExecutorAblationTest, QuorumApplyInstallsNewestEverywhere) {
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->outcome, TxnOutcome::kCommitted);
   for (NodeId n = 0; n < 3; ++n) {
-    EXPECT_EQ(nodes_[n]->store().GetUnchecked(5).value.AsScalar(), 31)
+    EXPECT_EQ(nodes_[n]->store().GetUnchecked(5).AsScalar(), 31)
         << "node " << n;
   }
 }
@@ -227,8 +227,8 @@ TEST_F(ExecutorAblationTest, QuorumApplySeesOwnEarlierWrite) {
   }
   exec_->Run(0, steps, Opts(), nullptr);
   sim_.Run();
-  EXPECT_EQ(nodes_[0]->store().GetUnchecked(3).value.AsScalar(), 20);
-  EXPECT_EQ(nodes_[1]->store().GetUnchecked(3).value.AsScalar(), 20);
+  EXPECT_EQ(nodes_[0]->store().GetUnchecked(3).AsScalar(), 20);
+  EXPECT_EQ(nodes_[1]->store().GetUnchecked(3).AsScalar(), 20);
 }
 
 }  // namespace

@@ -44,8 +44,8 @@ TEST_F(ExecutorTest, SingleTransactionCommits) {
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->outcome, TxnOutcome::kCommitted);
-  EXPECT_EQ(nodes_[0]->store().GetUnchecked(3).value.AsScalar(), 50);
-  EXPECT_EQ(nodes_[0]->store().GetUnchecked(3).ts, result->commit_ts);
+  EXPECT_EQ(nodes_[0]->store().GetUnchecked(3).AsScalar(), 50);
+  EXPECT_EQ(nodes_[0]->store().GetUnchecked(3).ts(), result->commit_ts);
   EXPECT_FALSE(result->commit_ts.IsZero());
   EXPECT_EQ(exec_->committed(), 1u);
   EXPECT_EQ(counters_.Get("txn.committed"), 1u);
@@ -96,7 +96,7 @@ TEST_F(ExecutorTest, BufferedWritesInvisibleUntilCommit) {
   EXPECT_EQ(r2->reads[0].AsScalar(), 0);  // old value
   sim_.Run();
   ASSERT_TRUE(r1.has_value());
-  EXPECT_EQ(nodes_[0]->store().GetUnchecked(0).value.AsScalar(), 99);
+  EXPECT_EQ(nodes_[0]->store().GetUnchecked(0).AsScalar(), 99);
 }
 
 TEST_F(ExecutorTest, ConflictingTransactionsWaitAndSerialize) {
@@ -116,7 +116,7 @@ TEST_F(ExecutorTest, ConflictingTransactionsWaitAndSerialize) {
   EXPECT_EQ(r2->waits, 1u);
   EXPECT_GT(r2->wait_time, SimTime::Zero());
   // Both increments survive: 0 + 1 + 1.
-  EXPECT_EQ(nodes_[0]->store().GetUnchecked(0).value.AsScalar(), 2);
+  EXPECT_EQ(nodes_[0]->store().GetUnchecked(0).AsScalar(), 2);
   EXPECT_EQ(counters_.Get("lock.waits"), 1u);
 }
 
@@ -141,8 +141,8 @@ TEST_F(ExecutorTest, DeadlockVictimAbortsCleanly) {
   EXPECT_EQ(exec_->deadlocked(), 1u);
   EXPECT_EQ(counters_.Get("txn.deadlocks"), 1u);
   // The victim's buffered writes never reached the store.
-  EXPECT_EQ(nodes_[0]->store().GetUnchecked(0).value.AsScalar(), 1);
-  EXPECT_EQ(nodes_[0]->store().GetUnchecked(1).value.AsScalar(), 1);
+  EXPECT_EQ(nodes_[0]->store().GetUnchecked(0).AsScalar(), 1);
+  EXPECT_EQ(nodes_[0]->store().GetUnchecked(1).AsScalar(), 1);
   // No locks or graph edges leak.
   EXPECT_EQ(nodes_[0]->locks().LockedObjectCount(), 0u);
   EXPECT_EQ(graph_.EdgeCount(), 0u);
@@ -160,8 +160,8 @@ TEST_F(ExecutorTest, MultiNodeEagerPlanInstallsEverywhere) {
   EXPECT_EQ(result->outcome, TxnOutcome::kCommitted);
   EXPECT_EQ(result->Duration(), SimTime::Millis(30));  // 3 nodes x 10ms
   for (NodeId n = 0; n < 3; ++n) {
-    EXPECT_EQ(nodes_[n]->store().GetUnchecked(4).value.AsScalar(), 11);
-    EXPECT_EQ(nodes_[n]->store().GetUnchecked(4).ts, result->commit_ts);
+    EXPECT_EQ(nodes_[n]->store().GetUnchecked(4).AsScalar(), 11);
+    EXPECT_EQ(nodes_[n]->store().GetUnchecked(4).ts(), result->commit_ts);
   }
 }
 
@@ -229,7 +229,7 @@ TEST_F(ExecutorTest, PrecommitRejectionAbortsWithoutInstalling) {
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->outcome, TxnOutcome::kRejected);
-  EXPECT_EQ(nodes_[0]->store().GetUnchecked(0).value.AsScalar(), 0);
+  EXPECT_EQ(nodes_[0]->store().GetUnchecked(0).AsScalar(), 0);
   EXPECT_EQ(exec_->rejected(), 1u);
   EXPECT_EQ(nodes_[0]->locks().LockedObjectCount(), 0u);
 }
@@ -243,7 +243,7 @@ TEST_F(ExecutorTest, PrecommitAcceptCommits) {
              [&](const TxnResult& r) { result = r; });
   sim_.Run();
   EXPECT_EQ(result->outcome, TxnOutcome::kCommitted);
-  EXPECT_EQ(nodes_[0]->store().GetUnchecked(0).value.AsScalar(), 5);
+  EXPECT_EQ(nodes_[0]->store().GetUnchecked(0).AsScalar(), 5);
 }
 
 TEST_F(ExecutorTest, EmptyPlanCommitsImmediately) {
@@ -265,7 +265,7 @@ TEST_F(ExecutorTest, LamportClocksAdvancePastCommits) {
   // Node 1 observed node 0's commit timestamp, so its next local
   // timestamp must be strictly newer.
   Timestamp next = nodes_[1]->clock().Tick();
-  EXPECT_GT(next, nodes_[0]->store().GetUnchecked(0).ts);
+  EXPECT_GT(next, nodes_[0]->store().GetUnchecked(0).ts());
 }
 
 TEST_F(ExecutorTest, DoneCallbackMayStartNewTransaction) {
@@ -282,7 +282,7 @@ TEST_F(ExecutorTest, DoneCallbackMayStartNewTransaction) {
   exec_->Run(0, LocalPlan(0, Program({Op::Add(0, 1)})), Opts(), chain);
   sim_.Run();
   EXPECT_EQ(committed, 3);
-  EXPECT_EQ(nodes_[0]->store().GetUnchecked(0).value.AsScalar(), 3);
+  EXPECT_EQ(nodes_[0]->store().GetUnchecked(0).AsScalar(), 3);
 }
 
 TEST_F(ExecutorTest, ActiveCountTracksInflight) {

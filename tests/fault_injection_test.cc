@@ -416,13 +416,13 @@ TEST(InvariantCheckerTest, DetectsNewestVersionBelowWriteQuorum) {
     cluster.sim().Run();
     std::vector<NodeId> holders;
     for (NodeId id = 0; id < cluster.size(); ++id) {
-      if (!cluster.node(id)->store().GetUnchecked(6).ts.IsZero()) {
+      if (!cluster.node(id)->store().GetUnchecked(6).ts().IsZero()) {
         holders.push_back(id);
       }
     }
     ASSERT_EQ(holders.size(), 3u);
     const Timestamp newest = cluster.node(holders[0])->store()
-                                 .GetUnchecked(6).ts;
+                                 .GetUnchecked(6).ts();
     for (std::size_t i = 1; i < holders.size(); ++i) {
       ASSERT_TRUE(cluster.node(holders[i])
                       ->store()

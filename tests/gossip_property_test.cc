@@ -56,13 +56,13 @@ TEST_P(GossipPropertyTest, RandomCommutativeOpsConvergeLossless) {
   cluster.ConvergeOps();
   ASSERT_TRUE(cluster.Converged());
   for (ObjectId oid = 0; oid < 3; ++oid) {
-    EXPECT_EQ(cluster.replica(0).store().GetUnchecked(oid).value.AsScalar(),
+    EXPECT_EQ(cluster.replica(0).store().GetUnchecked(oid).AsScalar(),
               expected_sum[oid])
         << "counter " << oid;
   }
   for (ObjectId oid = 3; oid < 6; ++oid) {
     EXPECT_EQ(
-        cluster.replica(0).store().GetUnchecked(oid).value.AsList().size(),
+        cluster.replica(0).store().GetUnchecked(oid).AsList().size(),
         expected_notes[oid])
         << "notes file " << oid;
   }

@@ -66,7 +66,7 @@ TEST(IntegrationTest, LazyMasterLongRunConvergesUnderChurn) {
   EXPECT_TRUE(cluster.Converged());
   std::int64_t sum = 0;
   for (ObjectId oid = 0; oid < 256; ++oid) {
-    sum += cluster.node(0)->store().GetUnchecked(oid).value.AsScalar();
+    sum += cluster.node(0)->store().GetUnchecked(oid).AsScalar();
   }
   EXPECT_EQ(sum, committed_delta);
   EXPECT_EQ(cluster.metrics().Get("replica.conflicts"), 0u);
@@ -207,7 +207,7 @@ TEST(IntegrationTest, TwoTierManyMobilesLongChurn) {
   EXPECT_TRUE(sys.BaseTierConverged());
   std::int64_t sum = 0;
   for (ObjectId oid = 0; oid < 64; ++oid) {
-    sum += sys.cluster().node(0)->store().GetUnchecked(oid).value.AsScalar();
+    sum += sys.cluster().node(0)->store().GetUnchecked(oid).AsScalar();
   }
   EXPECT_EQ(sum, accepted_delta);
   // All mobiles refreshed to the master state too (connected + quiesced).

@@ -60,8 +60,8 @@ TEST(PartitionTest, QuorumMajoritySideStaysLive) {
   // Heal: the link-restored hooks catch the minority up.
   injector.HealPartition("split");
   cluster.sim().Run();
-  EXPECT_EQ(cluster.node(3)->store().GetUnchecked(1).value.AsScalar(), 10);
-  EXPECT_EQ(cluster.node(4)->store().GetUnchecked(1).value.AsScalar(), 10);
+  EXPECT_EQ(cluster.node(3)->store().GetUnchecked(1).AsScalar(), 10);
+  EXPECT_EQ(cluster.node(4)->store().GetUnchecked(1).AsScalar(), 10);
   EXPECT_TRUE(cluster.Converged());
 }
 
@@ -163,7 +163,7 @@ TEST(PartitionTest, LazyGroupSplitBrainWritesBothSides) {
   // which is exactly why reconciliation needs a human/rule.
   bool saw100 = false, saw200 = false;
   for (NodeId n = 0; n < 5; ++n) {
-    auto v = cluster.node(n)->store().GetUnchecked(7).value.AsScalar();
+    auto v = cluster.node(n)->store().GetUnchecked(7).AsScalar();
     saw100 |= v == 100;
     saw200 |= v == 200;
   }
@@ -183,10 +183,10 @@ TEST(PartitionTest, EagerQuorumWriteSetExcludesUnreachableNodes) {
   ASSERT_EQ(result->outcome, TxnOutcome::kCommitted);
   // The isolated node holds nothing; exactly three reachable members do
   // (write quorum = 3 of 5).
-  EXPECT_EQ(cluster.node(1)->store().GetUnchecked(9).value.AsScalar(), 0);
+  EXPECT_EQ(cluster.node(1)->store().GetUnchecked(9).AsScalar(), 0);
   int holders = 0;
   for (NodeId n = 0; n < 5; ++n) {
-    if (cluster.node(n)->store().GetUnchecked(9).value.AsScalar() == 5) {
+    if (cluster.node(n)->store().GetUnchecked(9).AsScalar() == 5) {
       ++holders;
     }
   }
@@ -194,7 +194,7 @@ TEST(PartitionTest, EagerQuorumWriteSetExcludesUnreachableNodes) {
   // Heal: the rejoin catch-up refreshes the isolated replica.
   injector.HealPartition("iso");
   cluster.sim().Run();
-  EXPECT_EQ(cluster.node(1)->store().GetUnchecked(9).value.AsScalar(), 5);
+  EXPECT_EQ(cluster.node(1)->store().GetUnchecked(9).AsScalar(), 5);
 }
 
 }  // namespace

@@ -109,7 +109,7 @@ TEST_P(SchemePropertyTest, CommittedIncrementsAreConserved) {
   for (NodeId n = 0; n < GetParam().nodes; ++n) {
     std::int64_t sum = 0;
     for (ObjectId oid = 0; oid < 64; ++oid) {
-      sum += cluster_->node(n)->store().GetUnchecked(oid).value.AsScalar();
+      sum += cluster_->node(n)->store().GetUnchecked(oid).AsScalar();
     }
     EXPECT_EQ(sum, committed_delta) << "replica " << n;
   }

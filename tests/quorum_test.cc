@@ -36,7 +36,7 @@ TEST(QuorumTest, WriteCommitsAtQuorumOnly) {
   // Exactly write_quorum replicas carry the new value.
   int holders = 0;
   for (NodeId n = 0; n < 5; ++n) {
-    if (cluster.node(n)->store().GetUnchecked(3).value.AsScalar() == 42) {
+    if (cluster.node(n)->store().GetUnchecked(3).AsScalar() == 42) {
       ++holders;
     }
   }
@@ -84,7 +84,7 @@ TEST(QuorumTest, ReadLatestSeesEveryCommittedWrite) {
   cluster.sim().Run();
   auto latest = scheme.ReadLatest(5);
   ASSERT_TRUE(latest.ok());
-  EXPECT_EQ(latest->value.AsScalar(), 20);
+  EXPECT_EQ(latest->AsScalar(), 20);
 }
 
 TEST(QuorumTest, ReadUnavailableBelowReadQuorum) {
@@ -104,11 +104,11 @@ TEST(QuorumTest, RejoiningNodeCatchesUp) {
   cluster.net().SetConnected(4, false);
   scheme.Submit(0, Program({Op::Write(2, 99), Op::Write(7, 11)}), nullptr);
   cluster.sim().Run();
-  EXPECT_EQ(cluster.node(4)->store().GetUnchecked(2).value.AsScalar(), 0);
+  EXPECT_EQ(cluster.node(4)->store().GetUnchecked(2).AsScalar(), 0);
   cluster.net().SetConnected(4, true);
   // Catch-up runs synchronously in the reconnect hook.
-  EXPECT_EQ(cluster.node(4)->store().GetUnchecked(2).value.AsScalar(), 99);
-  EXPECT_EQ(cluster.node(4)->store().GetUnchecked(7).value.AsScalar(), 11);
+  EXPECT_EQ(cluster.node(4)->store().GetUnchecked(2).AsScalar(), 99);
+  EXPECT_EQ(cluster.node(4)->store().GetUnchecked(7).AsScalar(), 11);
   EXPECT_GE(scheme.catch_up_objects(), 2u);
   EXPECT_EQ(cluster.metrics().Get("quorum.catch_up_objects"),
             scheme.catch_up_objects());
@@ -185,7 +185,7 @@ TEST_P(QuorumPropertyTest, ConcurrentIncrementsConserved) {
   for (ObjectId oid = 0; oid < 8; ++oid) {
     auto latest = scheme.ReadLatest(oid);
     ASSERT_TRUE(latest.ok());
-    total += latest->value.AsScalar();
+    total += latest->AsScalar();
   }
   EXPECT_EQ(total, committed);
 }
@@ -223,7 +223,7 @@ TEST(QuorumTest, ConcurrentWritersSerializeThroughOverlap) {
   cluster.sim().Run();
   auto latest = scheme.ReadLatest(9);
   ASSERT_TRUE(latest.ok());
-  EXPECT_EQ(latest->value.AsScalar(), committed);
+  EXPECT_EQ(latest->AsScalar(), committed);
 }
 
 }  // namespace

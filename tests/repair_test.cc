@@ -61,9 +61,9 @@ TEST(RepairTest, ExecuteRestoresConvergenceWithUniformTimestamps) {
   // All replicas share the SAME repair timestamp per object, so later
   // lazy-group old-timestamp tests match again.
   for (ObjectId oid : {4u, 7u}) {
-    Timestamp ts0 = cluster.node(0)->store().GetUnchecked(oid).ts;
+    Timestamp ts0 = cluster.node(0)->store().GetUnchecked(oid).ts();
     for (NodeId n = 1; n < 3; ++n) {
-      EXPECT_EQ(cluster.node(n)->store().GetUnchecked(oid).ts, ts0);
+      EXPECT_EQ(cluster.node(n)->store().GetUnchecked(oid).ts(), ts0);
     }
   }
   EXPECT_EQ(cluster.metrics().Get("repair.objects"), 2u);
@@ -116,12 +116,12 @@ TEST(RepairTest, EndToEndLazyGroupDelusionRepaired) {
   auto report = repair.Execute(ValuePriorityRule());
   EXPECT_GE(report.objects_diverged, 1u);
   EXPECT_TRUE(cluster.Converged());
-  EXPECT_EQ(cluster.node(2)->store().GetUnchecked(5).value.AsScalar(), 200);
+  EXPECT_EQ(cluster.node(2)->store().GetUnchecked(5).AsScalar(), 200);
   // And the system is usable again: a fresh update propagates cleanly.
   scheme.Submit(2, Program({Op::Write(5, 300)}), nullptr);
   cluster.sim().Run();
   EXPECT_TRUE(cluster.Converged());
-  EXPECT_EQ(cluster.node(0)->store().GetUnchecked(5).value.AsScalar(), 300);
+  EXPECT_EQ(cluster.node(0)->store().GetUnchecked(5).AsScalar(), 300);
 }
 
 }  // namespace

@@ -85,7 +85,7 @@ TEST(ReplayValidatorTest, LiveLazyMasterExecutionIsSerializable) {
   for (ObjectId oid = 0; oid < 24; ++oid) {
     const StoredObject& obj =
         cluster.node(own.OwnerOf(oid))->store().GetUnchecked(oid);
-    ASSERT_TRUE(master_view.Put(oid, obj.value, obj.ts).ok());
+    ASSERT_TRUE(master_view.Put(oid, obj.value(), obj.ts()).ok());
   }
   EXPECT_TRUE(validator.Matches(master_view))
       << "divergent objects: " << validator.Divergence(master_view).size();

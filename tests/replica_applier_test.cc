@@ -62,8 +62,8 @@ TEST_F(ReplicaApplierTest, AppliesMatchingUpdate) {
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->applied, 1u);
   EXPECT_EQ(report->conflicts, 0u);
-  EXPECT_EQ(dest->store().GetUnchecked(3).value.AsScalar(), 42);
-  EXPECT_EQ(dest->store().GetUnchecked(3).ts, Timestamp(5, 0));
+  EXPECT_EQ(dest->store().GetUnchecked(3).AsScalar(), 42);
+  EXPECT_EQ(dest->store().GetUnchecked(3).ts(), Timestamp(5, 0));
 }
 
 TEST_F(ReplicaApplierTest, TimestampMismatchCountsReconciliation) {
@@ -79,7 +79,7 @@ TEST_F(ReplicaApplierTest, TimestampMismatchCountsReconciliation) {
   EXPECT_EQ(report->applied, 0u);
   EXPECT_EQ(report->conflicts, 1u);
   // Local value preserved — divergence is surfaced, not papered over.
-  EXPECT_EQ(dest->store().GetUnchecked(3).value.AsScalar(), 7);
+  EXPECT_EQ(dest->store().GetUnchecked(3).AsScalar(), 7);
   EXPECT_EQ(cluster_.metrics().Get("replica.conflicts"), 1u);
 }
 
@@ -97,8 +97,8 @@ TEST_F(ReplicaApplierTest, NewerWinsAppliesAndIgnoresStale) {
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->applied, 1u);
   EXPECT_EQ(report->stale, 1u);
-  EXPECT_EQ(dest->store().GetUnchecked(2).value.AsScalar(), 7);
-  EXPECT_EQ(dest->store().GetUnchecked(4).value.AsScalar(), 2);
+  EXPECT_EQ(dest->store().GetUnchecked(2).AsScalar(), 7);
+  EXPECT_EQ(dest->store().GetUnchecked(4).AsScalar(), 2);
 }
 
 TEST_F(ReplicaApplierTest, EmptyBatchReportsImmediately) {

@@ -88,17 +88,17 @@ struct BankSums {
 BankSums SumBank(const TpcbWorkload& bank, const ObjectStore& store) {
   BankSums sums;
   for (std::uint32_t b = 0; b < bank.branches(); ++b) {
-    sums.branches += store.GetUnchecked(bank.BranchId(b)).value.AsScalar();
+    sums.branches += store.GetUnchecked(bank.BranchId(b)).AsScalar();
   }
   for (std::uint32_t t = 0; t < bank.tellers(); ++t) {
-    sums.tellers += store.GetUnchecked(bank.TellerId(t)).value.AsScalar();
+    sums.tellers += store.GetUnchecked(bank.TellerId(t)).AsScalar();
   }
   for (std::uint32_t a = 0; a < bank.accounts(); ++a) {
-    sums.accounts += store.GetUnchecked(bank.AccountId(a)).value.AsScalar();
+    sums.accounts += store.GetUnchecked(bank.AccountId(a)).AsScalar();
   }
   for (std::uint32_t h = 0; h < 4; ++h) {
     sums.history_records +=
-        store.GetUnchecked(bank.HistoryId(h)).value.AsList().size();
+        store.GetUnchecked(bank.HistoryId(h)).AsList().size();
   }
   return sums;
 }

@@ -34,8 +34,8 @@ TEST(EagerGroupTest, UpdatesAllReplicasInOneTransaction) {
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->outcome, TxnOutcome::kCommitted);
   for (NodeId n = 0; n < 3; ++n) {
-    EXPECT_EQ(cluster.node(n)->store().GetUnchecked(5).value.AsScalar(), 77);
-    EXPECT_EQ(cluster.node(n)->store().GetUnchecked(6).value.AsScalar(), 3);
+    EXPECT_EQ(cluster.node(n)->store().GetUnchecked(5).AsScalar(), 77);
+    EXPECT_EQ(cluster.node(n)->store().GetUnchecked(6).AsScalar(), 3);
   }
   EXPECT_TRUE(cluster.Converged());
   // Eq. (6): duration = Actions x Nodes x Action_Time = 2 x 3 x 10ms.
@@ -63,7 +63,7 @@ TEST(EagerGroupTest, UnavailableWhenAnyNodeDisconnected) {
   EXPECT_EQ(result->outcome, TxnOutcome::kUnavailable);
   EXPECT_EQ(cluster.metrics().Get("scheme.unavailable"), 1u);
   // Nothing was written anywhere.
-  EXPECT_EQ(cluster.node(0)->store().GetUnchecked(1).value.AsScalar(), 0);
+  EXPECT_EQ(cluster.node(0)->store().GetUnchecked(1).AsScalar(), 0);
 }
 
 TEST(EagerGroupTest, CrossNodeConflictMayDeadlock) {
@@ -116,7 +116,7 @@ TEST(EagerMasterTest, UpdatesFlowThroughOwnerToAllReplicas) {
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->outcome, TxnOutcome::kCommitted);
   for (NodeId n = 0; n < 3; ++n) {
-    EXPECT_EQ(cluster.node(n)->store().GetUnchecked(7).value.AsScalar(), 50);
+    EXPECT_EQ(cluster.node(n)->store().GetUnchecked(7).AsScalar(), 50);
   }
   EXPECT_TRUE(cluster.Converged());
 }
@@ -140,7 +140,7 @@ TEST(EagerMasterTest, SameObjectWritersSerializeWithoutDeadlock) {
   EXPECT_EQ(committed, 3);
   // All three increments survive at every replica.
   for (NodeId n = 0; n < 3; ++n) {
-    EXPECT_EQ(cluster.node(n)->store().GetUnchecked(9).value.AsScalar(), 3);
+    EXPECT_EQ(cluster.node(n)->store().GetUnchecked(9).AsScalar(), 3);
   }
 }
 
@@ -175,7 +175,7 @@ TEST(LazyGroupTest, RootCommitsLocallyThenReplicasConverge) {
   // Replicas catch up asynchronously.
   cluster.sim().Run();
   EXPECT_TRUE(cluster.Converged());
-  EXPECT_EQ(cluster.node(2)->store().GetUnchecked(3).value.AsScalar(), 30);
+  EXPECT_EQ(cluster.node(2)->store().GetUnchecked(3).AsScalar(), 30);
   EXPECT_EQ(scheme.replica_applied(), 2u);
   EXPECT_EQ(scheme.reconciliations(), 0u);
 }
@@ -214,7 +214,7 @@ TEST(LazyGroupTest, SequentialUpdatesDoNotConflict) {
   cluster.sim().Run();
   EXPECT_EQ(scheme.reconciliations(), 0u);
   EXPECT_TRUE(cluster.Converged());
-  EXPECT_EQ(cluster.node(2)->store().GetUnchecked(5).value.AsScalar(), 2);
+  EXPECT_EQ(cluster.node(2)->store().GetUnchecked(5).AsScalar(), 2);
 }
 
 TEST(LazyGroupTest, DisconnectedNodeQueuesAndConvergesOnReconnect) {
@@ -230,8 +230,8 @@ TEST(LazyGroupTest, DisconnectedNodeQueuesAndConvergesOnReconnect) {
   cluster.net().SetConnected(1, true);
   cluster.sim().Run();
   EXPECT_TRUE(cluster.Converged());
-  EXPECT_EQ(cluster.node(0)->store().GetUnchecked(4).value.AsScalar(), 44);
-  EXPECT_EQ(cluster.node(1)->store().GetUnchecked(9).value.AsScalar(), 99);
+  EXPECT_EQ(cluster.node(0)->store().GetUnchecked(4).AsScalar(), 44);
+  EXPECT_EQ(cluster.node(1)->store().GetUnchecked(9).AsScalar(), 99);
   EXPECT_EQ(scheme.reconciliations(), 0u);
 }
 
@@ -264,14 +264,14 @@ TEST(LazyGroupBatchingTest, UpdatesShipOnlyAtFlush) {
   cluster.sim().RunUntil(SimTime::Seconds(5));
   // Committed locally, parked on both outbound streams, not yet
   // replicated.
-  EXPECT_EQ(cluster.node(0)->store().GetUnchecked(3).value.AsScalar(), 30);
-  EXPECT_EQ(cluster.node(1)->store().GetUnchecked(3).value.AsScalar(), 0);
+  EXPECT_EQ(cluster.node(0)->store().GetUnchecked(3).AsScalar(), 30);
+  EXPECT_EQ(cluster.node(1)->store().GetUnchecked(3).AsScalar(), 0);
   EXPECT_EQ(scheme.batch_shipper()->PendingUpdates(), 2u);
   EXPECT_EQ(scheme.batch_shipper()->batches_shipped(), 0u);
   cluster.sim().RunUntil(SimTime::Seconds(11));
   cluster.sim().RunUntil(SimTime::Seconds(12));
-  EXPECT_EQ(cluster.node(1)->store().GetUnchecked(3).value.AsScalar(), 30);
-  EXPECT_EQ(cluster.node(2)->store().GetUnchecked(3).value.AsScalar(), 30);
+  EXPECT_EQ(cluster.node(1)->store().GetUnchecked(3).AsScalar(), 30);
+  EXPECT_EQ(cluster.node(2)->store().GetUnchecked(3).AsScalar(), 30);
   EXPECT_EQ(scheme.batch_shipper()->PendingUpdates(), 0u);
   EXPECT_EQ(scheme.batch_shipper()->batches_shipped(), 2u);
 }
@@ -307,7 +307,7 @@ TEST(LazyGroupBatchingTest, FlushAllIsIdempotent) {
   scheme.FlushAllBatches();
   scheme.FlushAllBatches();  // nothing left; must not double-ship
   cluster.sim().RunUntil(SimTime::Seconds(2));
-  EXPECT_EQ(cluster.node(1)->store().GetUnchecked(1).value.AsScalar(), 5);
+  EXPECT_EQ(cluster.node(1)->store().GetUnchecked(1).AsScalar(), 5);
   EXPECT_EQ(scheme.batch_shipper()->batches_shipped(), 1u);
   EXPECT_EQ(scheme.replica_applied(), 1u);
   EXPECT_EQ(scheme.reconciliations(), 0u);
@@ -331,7 +331,7 @@ TEST(LazyMasterTest, MasterFirstThenSlavesConverge) {
   ASSERT_EQ(result->updates.size(), 1u);
   EXPECT_EQ(result->updates[0].origin, 2u);  // installed at the owner
   for (NodeId n = 0; n < 3; ++n) {
-    EXPECT_EQ(cluster.node(n)->store().GetUnchecked(8).value.AsScalar(), 80);
+    EXPECT_EQ(cluster.node(n)->store().GetUnchecked(8).AsScalar(), 80);
   }
   EXPECT_TRUE(cluster.Converged());
   EXPECT_EQ(scheme.slave_updates_applied(), 2u);
@@ -354,8 +354,8 @@ TEST(LazyMasterTest, NoReconciliationEverUnderContention) {
   EXPECT_TRUE(cluster.Converged());
   // Committed increments all survive (no lost updates at the master).
   auto committed = cluster.executor().committed();
-  EXPECT_EQ(cluster.node(0)->store().GetUnchecked(6).value.AsScalar() +
-                cluster.node(0)->store().GetUnchecked(12).value.AsScalar(),
+  EXPECT_EQ(cluster.node(0)->store().GetUnchecked(6).AsScalar() +
+                cluster.node(0)->store().GetUnchecked(12).AsScalar(),
             static_cast<std::int64_t>(2 * committed));
 }
 
@@ -400,9 +400,9 @@ TEST(LazyMasterTest, SlavesConvergeDespiteRapidUpdates) {
   EXPECT_TRUE(cluster.Converged());
   // Final value equals the master's value.
   auto final_value =
-      cluster.node(0)->store().GetUnchecked(3).value.AsScalar();
+      cluster.node(0)->store().GetUnchecked(3).AsScalar();
   for (NodeId n = 1; n < 4; ++n) {
-    EXPECT_EQ(cluster.node(n)->store().GetUnchecked(3).value.AsScalar(),
+    EXPECT_EQ(cluster.node(n)->store().GetUnchecked(3).AsScalar(),
               final_value);
   }
 }

@@ -135,7 +135,7 @@ TEST(ShardedApplierTest, MultiShardBatchAppliesAtomicallyPerShard) {
   EXPECT_EQ(final_report.applied, 4u);
   EXPECT_FALSE(final_report.gave_up);
   for (const UpdateRecord& rec : records) {
-    EXPECT_EQ(cluster.node(1)->store().GetUnchecked(rec.oid).value,
+    EXPECT_EQ(cluster.node(1)->store().GetUnchecked(rec.oid).value(),
               rec.new_value);
   }
   EXPECT_EQ(cluster.node(1)->locks().LockedObjectCount(), 0u);
@@ -214,8 +214,8 @@ TEST(ShardedApplierTest, ConcurrentBatchesAggregateSeparately) {
   EXPECT_EQ(second_calls, 1);
   EXPECT_EQ(first.applied, 2u);
   EXPECT_EQ(first.stale, 1u);
-  EXPECT_EQ(store.GetUnchecked(13).value, Value(113));
-  EXPECT_EQ(store.GetUnchecked(33).value, Value(7));
+  EXPECT_EQ(store.GetUnchecked(13).value(), Value(113));
+  EXPECT_EQ(store.GetUnchecked(33).value(), Value(7));
   EXPECT_EQ(applier.ActiveCount(), 0u);
   EXPECT_EQ(locks.LockedObjectCount(), 0u);
 }
@@ -260,9 +260,9 @@ TEST(ShardedApplierTest, DoneCanStartAnotherShardedApply) {
   EXPECT_EQ(second.applied, 2u);
   EXPECT_EQ(second.stale, 1u);
   const ObjectStore& store = cluster.node(1)->store();
-  EXPECT_EQ(store.GetUnchecked(4).ts, Timestamp(7, 0));
-  EXPECT_EQ(store.GetUnchecked(24).ts, Timestamp(5, 0));
-  EXPECT_EQ(store.GetUnchecked(34).ts, Timestamp(7, 0));
+  EXPECT_EQ(store.GetUnchecked(4).ts(), Timestamp(7, 0));
+  EXPECT_EQ(store.GetUnchecked(24).ts(), Timestamp(5, 0));
+  EXPECT_EQ(store.GetUnchecked(34).ts(), Timestamp(7, 0));
   EXPECT_EQ(applier.ActiveCount(), 0u);
   EXPECT_EQ(cluster.node(1)->locks().LockedObjectCount(), 0u);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace tdr {
@@ -73,6 +74,33 @@ TEST(HistogramTest, PercentileOrdering) {
   // Coarse upper buckets may clamp both to max; monotonicity must hold.
   EXPECT_LE(p90, p99);
   EXPECT_NEAR(p50, 500, 120);  // bucketed approximation
+}
+
+// The bucket a std::lower_bound over the bounds finds, clamped to the
+// last bucket: what BucketOf must agree with.
+std::size_t SearchedBucket(std::uint64_t value) {
+  const auto bounds = Histogram::Bounds();
+  const auto it = std::lower_bound(bounds.begin(), bounds.end(), value);
+  return std::min<std::size_t>(it - bounds.begin(), bounds.size() - 1);
+}
+
+TEST(HistogramTest, BucketOfAgreesWithSearch) {
+  const auto bounds = Histogram::Bounds();
+  ASSERT_EQ(bounds.size(), 111u);
+  for (std::uint64_t v = 0; v < (1u << 16); ++v) {
+    ASSERT_EQ(Histogram::BucketOf(v), SearchedBucket(v)) << v;
+  }
+  for (std::uint64_t bound : bounds) {
+    for (std::uint64_t v : {bound - 1, bound, bound + 1}) {
+      ASSERT_EQ(Histogram::BucketOf(v), SearchedBucket(v)) << v;
+    }
+  }
+  // From the last bound up to UINT64_MAX, in steps of about 1/16.
+  for (std::uint64_t v = bounds.back(); v < UINT64_MAX - (v >> 4);
+       v += (v >> 4) + 1) {
+    ASSERT_EQ(Histogram::BucketOf(v), SearchedBucket(v)) << v;
+  }
+  EXPECT_EQ(Histogram::BucketOf(UINT64_MAX), bounds.size() - 1);
 }
 
 TEST(HistogramTest, LargeValuesClampedIntoTopBucket) {

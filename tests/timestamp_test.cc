@@ -63,6 +63,22 @@ TEST(LamportClockTest, TimestampsUniqueAcrossClocks) {
   EXPECT_TRUE(ta < tb || tb < ta);
 }
 
+TEST(LamportClockTest, ReachesThePackedLimits) {
+  LamportClock clock(kMaxTimestampNode);
+  clock.Observe(Timestamp(kMaxTimestampCounter - 1, 0));
+  EXPECT_EQ(clock.Tick(), Timestamp(kMaxTimestampCounter, kMaxTimestampNode));
+}
+
+TEST(LamportClockDeathTest, NodePastThePackedLimitAborts) {
+  EXPECT_DEATH(LamportClock clock(kMaxTimestampNode + 1), "node id 65536");
+}
+
+TEST(LamportClockDeathTest, TickPastThePackedLimitAborts) {
+  LamportClock clock(3);
+  clock.Observe(Timestamp(kMaxTimestampCounter, 0));
+  EXPECT_DEATH(clock.Tick(), "counter 140737488355328");
+}
+
 TEST(VersionVectorTest, EmptyVectorsEqual) {
   VersionVector a, b;
   EXPECT_EQ(a, b);

@@ -52,11 +52,11 @@ TEST_F(TwoTierTest, TentativeUpdateVisibleLocallyOnly) {
   // "If the mobile node queries this data it sees the tentative values."
   MobileNode& m = sys_.mobile(MobileA());
   EXPECT_TRUE(m.HasTentative(kAccount));
-  EXPECT_EQ(m.Read(kAccount).value().value.AsScalar(), 100);
+  EXPECT_EQ(m.Read(kAccount).value().AsScalar(), 100);
   EXPECT_EQ(m.PendingCount(), 1u);
   // The master copy is untouched while disconnected.
   EXPECT_EQ(
-      sys_.cluster().node(0)->store().GetUnchecked(kAccount).value.AsScalar(),
+      sys_.cluster().node(0)->store().GetUnchecked(kAccount).AsScalar(),
       0);
 }
 
@@ -76,7 +76,7 @@ TEST_F(TwoTierTest, ReconnectReprocessesAndConverges) {
   EXPECT_EQ(final->base_result.outcome, TxnOutcome::kCommitted);
   // Base tier holds the update and is internally consistent.
   EXPECT_EQ(
-      sys_.cluster().node(0)->store().GetUnchecked(kAccount).value.AsScalar(),
+      sys_.cluster().node(0)->store().GetUnchecked(kAccount).AsScalar(),
       100);
   EXPECT_TRUE(sys_.BaseTierConverged());
   // The mobile's master-version store was refreshed via slave updates.
@@ -84,7 +84,7 @@ TEST_F(TwoTierTest, ReconnectReprocessesAndConverges) {
                 .node(MobileA())
                 ->store()
                 .GetUnchecked(kAccount)
-                .value.AsScalar(),
+                .AsScalar(),
             100);
   // Tentative state is gone; reads now see the master version.
   EXPECT_FALSE(sys_.mobile(MobileA()).HasTentative(kAccount));
@@ -116,7 +116,7 @@ TEST_F(TwoTierTest, CheckbookOverdraftRejectedNoSystemDelusion) {
   // The mobiles never connected after the deposit, so their best-known
   // master version is still $0 and the tentative balance reads -$600 —
   // exactly the "books inconsistent with the bank's books" situation.
-  EXPECT_EQ(sys_.mobile(MobileA()).Read(kAccount).value().value.AsScalar(),
+  EXPECT_EQ(sys_.mobile(MobileA()).Read(kAccount).value().AsScalar(),
             -600);
   // Reconnect A first, then B.
   sys_.Connect(MobileA());
@@ -130,7 +130,7 @@ TEST_F(TwoTierTest, CheckbookOverdraftRejectedNoSystemDelusion) {
   EXPECT_NE(out_b->reason.find("below floor"), std::string::npos);
   // Master state: exactly one withdrawal applied. No delusion.
   EXPECT_EQ(
-      sys_.cluster().node(0)->store().GetUnchecked(kAccount).value.AsScalar(),
+      sys_.cluster().node(0)->store().GetUnchecked(kAccount).AsScalar(),
       400);
   EXPECT_TRUE(sys_.BaseTierConverged());
   // base_committed counts reprocessed tentative txns only (the deposit
@@ -167,7 +167,7 @@ TEST_F(TwoTierTest, CommutativeTransactionsNeverReconcile) {
   EXPECT_EQ(finals, 20);
   EXPECT_EQ(rejected, 0);
   EXPECT_EQ(
-      sys_.cluster().node(0)->store().GetUnchecked(kAccount).value.AsScalar(),
+      sys_.cluster().node(0)->store().GetUnchecked(kAccount).AsScalar(),
       expected);
   EXPECT_TRUE(sys_.BaseTierConverged());
 }
@@ -186,7 +186,7 @@ TEST_F(TwoTierTest, PriceQuoteRejectedWhenPriceRose) {
                 .node(MobileA())
                 ->store()
                 .GetUnchecked(kPrice)
-                .value.AsScalar(),
+                .AsScalar(),
             100);
   // Salesman quotes at the tentative price (touch the object so the
   // final values are comparable).
@@ -207,7 +207,7 @@ TEST_F(TwoTierTest, PriceQuoteRejectedWhenPriceRose) {
   EXPECT_NE(final->reason.find("exceeds tentative"), std::string::npos);
   // Master price unchanged by the rejected quote.
   EXPECT_EQ(
-      sys_.cluster().node(0)->store().GetUnchecked(kPrice).value.AsScalar(),
+      sys_.cluster().node(0)->store().GetUnchecked(kPrice).AsScalar(),
       150);
 }
 
@@ -241,11 +241,11 @@ TEST_F(TwoTierTest, MobileMasteredObjectWithinScope) {
                 .node(MobileA())
                 ->store()
                 .GetUnchecked(8)
-                .value.AsScalar(),
+                .AsScalar(),
             5);
-  EXPECT_EQ(sys_.cluster().node(0)->store().GetUnchecked(8).value.AsScalar(),
+  EXPECT_EQ(sys_.cluster().node(0)->store().GetUnchecked(8).AsScalar(),
             5);
-  EXPECT_EQ(sys_.cluster().node(1)->store().GetUnchecked(8).value.AsScalar(),
+  EXPECT_EQ(sys_.cluster().node(1)->store().GetUnchecked(8).AsScalar(),
             5);
 }
 
@@ -270,7 +270,7 @@ TEST_F(TwoTierTest, TentativeTransactionsReprocessInCommitOrder) {
   sys_.sim().Run();
   EXPECT_EQ(accept_order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(
-      sys_.cluster().node(0)->store().GetUnchecked(kAccount).value.AsScalar(),
+      sys_.cluster().node(0)->store().GetUnchecked(kAccount).AsScalar(),
       30);
 }
 
@@ -287,7 +287,7 @@ TEST_F(TwoTierTest, TentativeWhileConnectedProcessesImmediately) {
   ASSERT_TRUE(final.has_value());
   EXPECT_TRUE(final->accepted);
   EXPECT_EQ(
-      sys_.cluster().node(0)->store().GetUnchecked(kAccount).value.AsScalar(),
+      sys_.cluster().node(0)->store().GetUnchecked(kAccount).AsScalar(),
       7);
 }
 
@@ -322,9 +322,9 @@ TEST_F(TwoTierTest, ConcurrentMobileDrainsStayConsistent) {
   EXPECT_EQ(sys_.base_rejected(), 0u);
   EXPECT_TRUE(sys_.BaseTierConverged());
   // All 10+10 increments survive (commutative adds, serializable base).
-  EXPECT_EQ(sys_.cluster().node(0)->store().GetUnchecked(4).value.AsScalar(),
+  EXPECT_EQ(sys_.cluster().node(0)->store().GetUnchecked(4).AsScalar(),
             10);
-  EXPECT_EQ(sys_.cluster().node(0)->store().GetUnchecked(6).value.AsScalar(),
+  EXPECT_EQ(sys_.cluster().node(0)->store().GetUnchecked(6).AsScalar(),
             10);
 }
 
@@ -342,7 +342,7 @@ TEST_F(TwoTierTest, BaseTransactionsFromBaseNodesInterleave) {
   sys_.Connect(MobileA());
   sys_.sim().Run();
   EXPECT_EQ(
-      sys_.cluster().node(0)->store().GetUnchecked(kAccount).value.AsScalar(),
+      sys_.cluster().node(0)->store().GetUnchecked(kAccount).AsScalar(),
       14);
   EXPECT_TRUE(sys_.BaseTierConverged());
 }
@@ -374,7 +374,7 @@ TEST_F(TwoTierTest, RejectionCascadesThroughDependentTentatives) {
                   .ok());
   sys_.sim().Run();
   // T2's tentative read saw T1's tentative write.
-  EXPECT_EQ(sys_.mobile(MobileA()).Read(kAccount).value().value.AsScalar(),
+  EXPECT_EQ(sys_.mobile(MobileA()).Read(kAccount).value().AsScalar(),
             22);
   // The base changes the account while the mobile is away.
   sys_.SubmitBase(0, Program({Op::Write(kAccount, 500)}), nullptr);
@@ -385,7 +385,7 @@ TEST_F(TwoTierTest, RejectionCascadesThroughDependentTentatives) {
   EXPECT_FALSE(f1->accepted);
   EXPECT_FALSE(f2->accepted);  // the cascade
   EXPECT_EQ(
-      sys_.cluster().node(0)->store().GetUnchecked(kAccount).value.AsScalar(),
+      sys_.cluster().node(0)->store().GetUnchecked(kAccount).AsScalar(),
       500);  // neither tentative write survived
 }
 
@@ -415,7 +415,7 @@ TEST_F(TwoTierTest, NoInterferenceMeansDependentChainAccepted) {
   EXPECT_TRUE(f1->accepted);
   EXPECT_TRUE(f2->accepted);
   EXPECT_EQ(
-      sys_.cluster().node(0)->store().GetUnchecked(kAccount).value.AsScalar(),
+      sys_.cluster().node(0)->store().GetUnchecked(kAccount).AsScalar(),
       22);
 }
 
@@ -437,17 +437,17 @@ TEST_F(TwoTierTest, LocalTransactionCommitsWhileDisconnected) {
                 .node(MobileA())
                 ->store()
                 .GetUnchecked(8)
-                .value.AsScalar(),
+                .AsScalar(),
             5);
   // ...but not yet replicated (the mobile is offline).
-  EXPECT_EQ(sys_.cluster().node(0)->store().GetUnchecked(8).value.AsScalar(),
+  EXPECT_EQ(sys_.cluster().node(0)->store().GetUnchecked(8).AsScalar(),
             0);
   // Reconnect flushes the queued slave refreshes.
   sys_.Connect(MobileA());
   sys_.sim().Run();
-  EXPECT_EQ(sys_.cluster().node(0)->store().GetUnchecked(8).value.AsScalar(),
+  EXPECT_EQ(sys_.cluster().node(0)->store().GetUnchecked(8).AsScalar(),
             5);
-  EXPECT_EQ(sys_.cluster().node(1)->store().GetUnchecked(8).value.AsScalar(),
+  EXPECT_EQ(sys_.cluster().node(1)->store().GetUnchecked(8).AsScalar(),
             5);
 }
 
@@ -469,7 +469,7 @@ TEST_F(TwoTierTest, LocalTransactionRefreshesShipThroughLazyMaster) {
   sys_.sim().Run();
   for (NodeId id = 0; id < sys_.cluster().size(); ++id) {
     EXPECT_EQ(
-        sys_.cluster().node(id)->store().GetUnchecked(8).value.AsScalar(), 5)
+        sys_.cluster().node(id)->store().GetUnchecked(8).AsScalar(), 5)
         << "node " << id;
   }
   EXPECT_EQ(sys_.lazy_master().slave_updates_applied(), others);
@@ -509,12 +509,12 @@ TEST_F(TwoTierTest, DurabilityOnlyAtBaseCommit) {
   // Simulate "losing" the tentative state before ever reconnecting: the
   // base tier shows nothing happened.
   EXPECT_EQ(
-      sys_.cluster().node(0)->store().GetUnchecked(kAccount).value.AsScalar(),
+      sys_.cluster().node(0)->store().GetUnchecked(kAccount).AsScalar(),
       0);
   sys_.Connect(MobileA());
   sys_.sim().Run();
   EXPECT_EQ(
-      sys_.cluster().node(0)->store().GetUnchecked(kAccount).value.AsScalar(),
+      sys_.cluster().node(0)->store().GetUnchecked(kAccount).AsScalar(),
       50);
 }
 

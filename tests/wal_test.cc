@@ -239,6 +239,36 @@ TEST(WalFormatTest, ListRecordMatchesGoldenBytes) {
   EXPECT_EQ(Encode(in), golden);
 }
 
+// A store slot packs a timestamp into 47 bits of counter and 16 of
+// node, and no clock issues one past them: a record that carries one is
+// corrupt even under a valid CRC.
+TEST(WalFormatTest, UnpackableTimestampIsRejected) {
+  const std::vector<std::uint8_t> golden = Encode(MakeScalarRecord());
+  // Byte offsets in the golden record above: old_ts, then new_ts.
+  constexpr std::size_t kCounterAt[] = {36, 48};
+  constexpr std::size_t kNodeAt[] = {44, 56};
+  auto decode_with = [&golden](std::size_t at, std::uint64_t v,
+                               std::size_t width) {
+    std::vector<std::uint8_t> buf = golden;
+    for (std::size_t i = 0; i < width; ++i) {
+      buf[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    const std::uint32_t crc = Crc32c(buf.data() + 8, buf.size() - 8);
+    for (std::size_t i = 0; i < 4; ++i) {
+      buf[4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    }
+    WalRecord out;
+    return DecodeRecord(buf.data(), buf.size(), &out);
+  };
+  for (int k = 0; k < 2; ++k) {
+    EXPECT_EQ(decode_with(kCounterAt[k], kMaxTimestampCounter, 8),
+              golden.size());
+    EXPECT_EQ(decode_with(kCounterAt[k], kMaxTimestampCounter + 1, 8), 0u);
+    EXPECT_EQ(decode_with(kNodeAt[k], kMaxTimestampNode, 4), golden.size());
+    EXPECT_EQ(decode_with(kNodeAt[k], kMaxTimestampNode + 1, 4), 0u);
+  }
+}
+
 TEST(WalFormatTest, SegmentHeaderMatchesGoldenBytes) {
   std::vector<std::uint8_t> buf = {0xEE};  // appends after what is there
   EncodeSegmentHeader(/*node=*/2, /*segment=*/5, &buf);
