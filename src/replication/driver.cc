@@ -21,9 +21,12 @@ WorkloadDriver::WorkloadDriver(Cluster* cluster, ReplicationScheme* scheme,
       scheme_(scheme),
       options_(options),
       generator_(WithDbSize(options.workload, cluster->options().db_size)) {
-  // Resolve every labeled handle once — metric resolution builds label
-  // strings, and Run() is expected to stay allocation-free per window
-  // (the E14 steady-state contract).
+  // Resolve every labeled handle once: metric resolution builds label
+  // strings, and an arrival then counts without allocating. Run() still
+  // allocates each window's arrival processes (per node a shared Rng,
+  // an OpenLoopArrivals and its closure; EXPERIMENTS.md E14 counts
+  // them). Building those once here would change the arrival RNG forks,
+  // and with them every digest.
   for (NodeId origin = 0; origin < cluster_->size(); ++origin) {
     submitted_at_.push_back(cluster_->metrics().GetCounter(
         "driver.submitted", {{"node", std::to_string(origin)}}));

@@ -56,7 +56,7 @@ class WorkloadDriver {
   /// in place instead of allocated per transaction.
   Program program_scratch_;
   /// Metric handles resolved once (label strings allocate); reused by
-  /// every window so Run() itself stays off the allocator.
+  /// every window, so arrivals count without allocating.
   std::vector<obs::MetricsRegistry::Counter> submitted_at_;
   obs::MetricsRegistry::Counter skipped_crashed_;
 };

@@ -7,7 +7,8 @@
 
 namespace tdr::sim {
 
-/// d-ary min-heap of small value entries.
+/// d-ary min-heap of small value entries: the simulator's queue for the
+/// events its timing wheel does not hold (simulator.h).
 ///
 /// Entries carry their own ordering key (the simulator packs (time, seq,
 /// slot, generation) into 24 bytes), so every sift comparison reads
@@ -59,8 +60,6 @@ class EventHeap {
       SiftDown(i);
     }
   }
-
-  void Reserve(std::size_t n) { data_.reserve(n); }
 
  private:
   void SiftUp(std::size_t pos) {

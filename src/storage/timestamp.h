@@ -20,6 +20,12 @@ struct Timestamp {
 
   constexpr Timestamp() = default;
   constexpr Timestamp(std::uint64_t c, NodeId n) : counter(c), node(n) {}
+  constexpr Timestamp(const Timestamp&) = default;
+  constexpr Timestamp(Timestamp&&) = default;
+  /// Assignable only through an lvalue: a store slot hands its timestamp
+  /// out by value, so `slot.ts() = t` would compile and change nothing.
+  constexpr Timestamp& operator=(const Timestamp&) & = default;
+  constexpr Timestamp& operator=(Timestamp&&) & = default;
 
   /// The zero timestamp orders before every commit timestamp and marks a
   /// never-updated object.

@@ -41,11 +41,13 @@ class Value {
   /// List value.
   explicit Value(List list) : list_(std::make_unique<List>(std::move(list))) {}
 
-  /// Copies are deep: a copied list is the copy's own.
+  /// Copies are deep: a copied list is the copy's own. Assignment takes
+  /// an lvalue only: a store slot hands its value out by value, so
+  /// `slot.value() = v` would compile and change nothing.
   Value(const Value& other) : scalar_(other.scalar_) {
     if (other.list_ != nullptr) list_ = std::make_unique<List>(*other.list_);
   }
-  Value& operator=(const Value& other) {
+  Value& operator=(const Value& other) & {
     scalar_ = other.scalar_;
     if (other.list_ == nullptr) {
       list_.reset();
@@ -59,7 +61,7 @@ class Value {
   /// A moved-from value is a valid scalar: zero if it held a list,
   /// unchanged if it held a scalar.
   Value(Value&&) noexcept = default;
-  Value& operator=(Value&&) noexcept = default;
+  Value& operator=(Value&&) & noexcept = default;
 
   bool is_scalar() const { return list_ == nullptr; }
   bool is_list() const { return list_ != nullptr; }

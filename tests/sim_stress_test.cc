@@ -95,6 +95,38 @@ TEST(SimStressTest, MassCancellationLeavesQueueConsistent) {
   EXPECT_TRUE(sim.Idle());
 }
 
+TEST(SimStressTest, CancelledTimersBesideFarEventsNeverCompactPerCancel) {
+  // 20,000 events beyond the wheel's span wait in the overflow heap while
+  // five rounds of 100,000 10 ms timers are scheduled and cancelled. The
+  // heap compacts only when its own entries pass 2·pending + 64; a
+  // trigger that compacted the 20,000-entry heap on every Cancel runs
+  // this test hundreds of times slower, and tests/CMakeLists.txt gives
+  // the binary a TIMEOUT that such a run overruns at least tenfold.
+  Simulator sim;
+  int fired = 0;
+  for (int i = 0; i < 20000; ++i) {
+    sim.ScheduleAt(SimTime::Seconds(10) + SimTime::Micros(i),
+                   [&fired] { ++fired; });
+  }
+  std::vector<EventId> timers;
+  int cancelled = 0;
+  for (int round = 0; round < 5; ++round) {
+    timers.clear();
+    for (int i = 0; i < 100000; ++i) {
+      timers.push_back(
+          sim.ScheduleAfter(SimTime::Millis(10), [&fired] { ++fired; }));
+    }
+    for (EventId id : timers) cancelled += sim.Cancel(id) ? 1 : 0;
+    sim.RunUntil(sim.Now() + SimTime::Millis(1));
+  }
+  EXPECT_EQ(cancelled, 500000);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.PendingEvents(), 20000u);
+  sim.Run();
+  EXPECT_EQ(fired, 20000);
+  EXPECT_TRUE(sim.Idle());
+}
+
 TEST(SimStressTest, InterleavedRunUntilWindowsEqualOneBigRun) {
   auto schedule_all = [](Simulator& sim, int* counter) {
     Rng rng(4);

@@ -181,6 +181,20 @@ TEST(SimulatorTest, RepeatEveryCanCancelItselfFromInside) {
   EXPECT_EQ(ticks, 3);
 }
 
+// Checked in every build: a zero interval would fire once and leave a
+// dead id, a negative one would run the clock backwards.
+TEST(SimulatorDeathTest, RepeatEveryRejectsAZeroInterval) {
+  Simulator sim;
+  EXPECT_DEATH(sim.RepeatEvery(SimTime::Zero(), [] {}),
+               "interval 0 us is not positive");
+}
+
+TEST(SimulatorDeathTest, RepeatEveryRejectsANegativeInterval) {
+  Simulator sim;
+  EXPECT_DEATH(sim.RepeatEvery(SimTime::Micros(-1), [] {}),
+               "interval -1 us is not positive");
+}
+
 TEST(SimulatorTest, NegativeDelayCountsAsClamped) {
   // Regression: ScheduleAfter used to clamp negative delays silently,
   // while ScheduleAt counted past-time clamps. Both paths must count.

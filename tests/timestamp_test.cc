@@ -2,8 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 namespace tdr {
 namespace {
+
+// A slot hands timestamps out by value, so assigning to a temporary must
+// not compile; the type stays a trivially copyable literal type.
+static_assert(!std::is_assignable_v<Timestamp, Timestamp>);
+static_assert(!std::is_assignable_v<Timestamp, const Timestamp&>);
+static_assert(std::is_assignable_v<Timestamp&, Timestamp>);
+static_assert(std::is_trivially_copyable_v<Timestamp>);
+static_assert(PackTimestamp(Timestamp(3, 2)) == (3u << kTimestampNodeBits | 2));
+static_assert([] {
+  Timestamp t;
+  t = Timestamp(7, 1);
+  return t == Timestamp(7, 1);
+}());
 
 TEST(TimestampTest, ZeroOrdersFirst) {
   EXPECT_TRUE(Timestamp::Zero().IsZero());

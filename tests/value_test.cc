@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
 #include <utility>
 
 namespace tdr {
 namespace {
+
+// A slot hands values out by value, so assigning to a temporary must not
+// compile.
+static_assert(!std::is_assignable_v<Value, Value>);
+static_assert(!std::is_assignable_v<Value, const Value&>);
+static_assert(std::is_assignable_v<Value&, Value>);
+static_assert(std::is_assignable_v<Value&, const Value&>);
 
 TEST(ValueTest, DefaultIsScalarZero) {
   Value v;

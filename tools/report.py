@@ -38,6 +38,19 @@
     layer a saving or a regression sits in. An input with no `metric`
     line exits 2.
 
+  report.py pairs --parent P1 ... PN --change C1 ... CN
+
+    Reads N perfbench outputs of one workload from a parent commit and N
+    from a change, in run order: pair i is Pi and Ci. It runs nothing
+    itself. For each end-to-end metric BENCHMARK.json lists, it prints
+    each side's median and quartiles, how many pairs the change won
+    (ties count for neither side) with the range of its pair ratios
+    (change / parent), and the verdict of the rule for claiming a gain:
+    the change wins at least 9 in 10 pairs, and its median is better
+    than the parent's by more than the parent's interquartile range.
+    The exit code is 0 whatever the verdicts; an input with no `metric`
+    line, or lists of different lengths, exit 2.
+
 No third-party dependencies.
 """
 
@@ -407,6 +420,89 @@ def run_diff(args):
     return 0
 
 
+# --- pairs -------------------------------------------------------------
+
+BENCHMARK_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              os.pardir, "BENCHMARK.json")
+
+
+def quartiles(values):
+    """(q1, median, q3), interpolating linearly between order statistics."""
+    ordered = sorted(values)
+
+    def at(q):
+        pos = q * (len(ordered) - 1)
+        lo = math.floor(pos)
+        hi = min(lo + 1, len(ordered) - 1)
+        return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
+
+    return at(0.25), at(0.5), at(0.75)
+
+
+def pair_verdict(parent, change, higher_is_better):
+    """The row `pairs` prints for one metric's N parent and N change
+    values, given in run order."""
+    sign = 1 if higher_is_better else -1
+    wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+    ratios = [ratio(p, c) for p, c in zip(parent, change)]
+    p_q1, p_med, p_q3 = quartiles(parent)
+    c_q1, c_med, c_q3 = quartiles(change)
+    gap = sign * (c_med - p_med)
+    iqr = p_q3 - p_q1
+    reasons = []
+    if wins * 10 < 9 * len(parent):
+        reasons.append(f"{wins}/{len(parent)} wins < 9/10")
+    if gap <= iqr:
+        reasons.append(f"median gap {gap:.6g} <= parent IQR {iqr:.6g}")
+    verdict = (f"no gain ({'; '.join(reasons)})" if reasons else
+               f"gain ({wins}/{len(parent)} wins, median gap {gap:.6g} > "
+               f"parent IQR {iqr:.6g})")
+    return (f"{p_med:.6g} [{p_q1:.6g}, {p_q3:.6g}]",
+            f"{c_med:.6g} [{c_q1:.6g}, {c_q3:.6g}]",
+            f"{wins}/{len(parent)}",
+            f"{min(ratios):.3f}-{max(ratios):.3f}",
+            verdict)
+
+
+def run_pairs(args):
+    if len(args.parent) != len(args.change):
+        print(f"FAIL: {len(args.parent)} parent and {len(args.change)} "
+              f"change outputs; pairs need as many of each")
+        return 2
+    sides = []
+    for paths in (args.parent, args.change):
+        runs = []
+        for path in paths:
+            _, metrics, _ = read_perfbench(path)
+            if not metrics:
+                print(f"FAIL: no metric line in {path}; nothing compared")
+                return 2
+            runs.append(metrics)
+        sides.append(runs)
+    with open(BENCHMARK_JSON, encoding="utf-8") as fh:
+        end_to_end = json.load(fh)["end_to_end"]
+
+    rows = [("metric", "better", "parent median [q1, q3]",
+             "change median [q1, q3]", "wins", "pair ratios", "verdict")]
+    for metric in end_to_end:
+        name = metric["name"]
+        values = [[run[name][0] for run in runs if name in run]
+                  for runs in sides]
+        if any(len(v) != len(args.parent) for v in values):
+            rows.append((name, metric["better"], "-", "-", "-", "-",
+                         "missing from some inputs"))
+            continue
+        rows.append((name, metric["better"])
+                    + pair_verdict(*values, metric["better"] == "higher"))
+    widths = [max(len(row[i]) for row in rows) for i in range(6)]
+    print(f"{len(args.parent)} pair(s); the rule for a gain: at least 9/10 "
+          f"wins and a median gap wider than the parent's IQR")
+    for row in rows:
+        cells = [cell.ljust(width) for cell, width in zip(row, widths)]
+        print("  " + " ".join(cells + [row[6]]))
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -432,9 +528,19 @@ def main():
     diff.add_argument("parent", help="the parent commit's perfbench output")
     diff.add_argument("change", help="the change's perfbench output")
 
+    pairs = sub.add_parser("pairs",
+                           help="judge N alternated parent/change "
+                                "perfbench pairs")
+    pairs.add_argument("--parent", nargs="+", required=True,
+                       help="the parent's perfbench outputs, in run order")
+    pairs.add_argument("--change", nargs="+", required=True,
+                       help="the change's perfbench outputs, in run order")
+
     args = parser.parse_args()
     if args.command == "diff":
         return run_diff(args)
+    if args.command == "pairs":
+        return run_pairs(args)
     if args.command == "check":
         if not args.reports and not args.trace:
             check.print_usage()
