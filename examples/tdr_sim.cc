@@ -13,6 +13,7 @@
 // paper models neither quorum nor two-tier, so their model column
 // reads "-".
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -45,6 +46,21 @@ int main(int argc, char** argv) {
   config.sim_seconds = argc > 7 ? std::atof(argv[7]) : 300;
   config.seed = argc > 8 ? static_cast<std::uint64_t>(std::atoll(argv[8]))
                          : 42;
+  // The library aborts on these (a run with them would hang, divide by
+  // zero or sample empty programs); say which argument is wrong instead.
+  if (!(config.tps > 0 && std::isfinite(config.tps))) {
+    std::fprintf(stderr, "tps %g must be positive and finite\n", config.tps);
+    return 2;
+  }
+  if (config.db_size == 0) {
+    std::fprintf(stderr, "db_size must be positive\n");
+    return 2;
+  }
+  if (config.actions == 0 || config.actions > config.db_size) {
+    std::fprintf(stderr, "actions %u must be between 1 and db_size %llu\n",
+                 config.actions, (unsigned long long)config.db_size);
+    return 2;
+  }
 
   std::printf("scheme=%s nodes=%u db=%llu tps=%.3g/node actions=%u "
               "action=%.3gms window=%.0fs seed=%llu\n\n",

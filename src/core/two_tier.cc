@@ -281,8 +281,10 @@ Status TwoTierSystem::SubmitLocal(NodeId mobile_id, const Program& program,
   opts.action_time = options_.action_time;
   opts.record_updates = true;
   cluster_.metrics().Increment("twotier.local_submitted");
-  cluster_.executor().Run(
-      mobile_id, LocalPlan(mobile_id, program), std::move(opts),
+  Executor& executor = cluster_.executor();
+  LocalPlanInto(mobile_id, program, &executor.NewPlan());
+  executor.RunPlan(
+      mobile_id, std::move(opts),
       [this, mobile_id, done = std::move(done)](const TxnResult& result) {
         if (result.outcome == TxnOutcome::kCommitted) {
           cluster_.metrics().Increment("twotier.local_committed");

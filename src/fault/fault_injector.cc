@@ -28,7 +28,7 @@ void FaultInjector::Arm() {
     chaos_active_ = plan_.ChaosAlwaysOn();
   }
   for (const FaultAction& action : plan_.actions()) {
-    scheduled_.push_back(cluster_->runtime().ScheduleAt(
+    scheduled_.push_back(cluster_->sim().ScheduleAt(
         action.at, [this, &action]() { Apply(action); }));
   }
 }
@@ -36,7 +36,7 @@ void FaultInjector::Arm() {
 void FaultInjector::Disarm() {
   if (!armed_) return;
   armed_ = false;
-  for (sim::EventId id : scheduled_) cluster_->runtime().Cancel(id);
+  for (sim::EventId id : scheduled_) cluster_->sim().Cancel(id);
   scheduled_.clear();
   chaos_active_ = false;
   if (cluster_->net().interceptor() == this) {
@@ -210,9 +210,9 @@ Network::InterceptVerdict FaultInjector::OnTransmit(NodeId /*from*/,
 }
 
 void FaultInjector::Log(std::string entry) {
-  if (observer_) observer_(cluster_->runtime().Now(), entry);
+  if (observer_) observer_(cluster_->sim().Now(), entry);
   applied_log_.push_back(
-      StrPrintf("[t=%.6fs] ", cluster_->runtime().Now().seconds()) +
+      StrPrintf("[t=%.6fs] ", cluster_->sim().Now().seconds()) +
       std::move(entry));
 }
 

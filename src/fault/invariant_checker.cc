@@ -49,13 +49,13 @@ InvariantChecker::~InvariantChecker() {
 void InvariantChecker::Arm() {
   if (sweep_series_ != sim::kInvalidEventId) return;
   if (options_.check_interval <= SimTime::Zero()) return;
-  sweep_series_ = cluster_->runtime().RepeatEvery(options_.check_interval,
+  sweep_series_ = cluster_->sim().RepeatEvery(options_.check_interval,
                                               [this]() { CheckNow(); });
 }
 
 void InvariantChecker::Disarm() {
   if (sweep_series_ == sim::kInvalidEventId) return;
-  cluster_->runtime().Cancel(sweep_series_);
+  cluster_->sim().Cancel(sweep_series_);
   sweep_series_ = sim::kInvalidEventId;
 }
 
@@ -271,7 +271,7 @@ void InvariantChecker::Report(const char* invariant, std::string detail) {
   Violation v;
   v.invariant = invariant;
   v.detail = std::move(detail);
-  v.at = cluster_->runtime().Now();
+  v.at = cluster_->sim().Now();
   if (options_.trace_fn) v.fault_trace = options_.trace_fn();
   violations_.push_back(std::move(v));
 }

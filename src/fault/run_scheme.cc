@@ -223,7 +223,7 @@ SimOutcome RunScheme(const SimConfig& config) {
       });
     }
   }
-  obs::TimeSeriesRecorder recorder(&cluster.runtime(), &cluster.metrics());
+  obs::TimeSeriesRecorder recorder(&cluster.sim(), &cluster.metrics());
   if (!config.report_path.empty()) {
     recorder.TrackRate("txn.committed");
     recorder.TrackRate("replica.applied");
@@ -278,10 +278,9 @@ SimOutcome RunScheme(const SimConfig& config) {
     checker->Disarm();
     injector->Disarm();
     injector->HealAll();
-    runtime::Runtime& rt = cluster.runtime();
     if (built.lazy_group != nullptr) built.lazy_group->FlushAllBatches();
     if (lazy_master != nullptr) lazy_master->FlushAllBatches();
-    rt.Run();
+    cluster.sim().Run();
     if (two_tier) {
       // Cycle each mobile so any reprocessing stalled by a crashed host
       // retries now that the world is healed.
@@ -289,11 +288,11 @@ SimOutcome RunScheme(const SimConfig& config) {
         two_tier->Disconnect(m);
         two_tier->Connect(m);
       }
-      rt.Run();
+      cluster.sim().Run();
     }
     if (lazy_master != nullptr) lazy_master->CatchUpAll();
     if (built.quorum != nullptr) built.quorum->CatchUpAll();
-    rt.Run();
+    cluster.sim().Run();
     // Convergence, or recorded delusion for lazy-group, and the
     // two-tier ledger.
     checker->CheckFinal();

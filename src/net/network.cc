@@ -5,9 +5,9 @@
 
 namespace tdr {
 
-Network::Network(runtime::Runtime* rt, std::vector<Node*> nodes,
+Network::Network(sim::Simulator* sim, std::vector<Node*> nodes,
                  Options options, obs::MetricsRegistry* metrics)
-    : sim_(rt),
+    : sim_(sim),
       nodes_(std::move(nodes)),
       options_(options),
       outbox_(nodes_.size()),
@@ -241,10 +241,10 @@ std::size_t Network::HeldCount() const {
   return total;
 }
 
-ConnectivitySchedule::ConnectivitySchedule(runtime::Runtime* rt,
+ConnectivitySchedule::ConnectivitySchedule(sim::Simulator* sim,
                                            Network* network, NodeId node,
                                            Options options, Rng rng)
-    : sim_(rt),
+    : sim_(sim),
       network_(network),
       node_(node),
       options_(options),

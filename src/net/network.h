@@ -8,8 +8,8 @@
 
 #include "net/message_pool.h"
 #include "obs/metrics.h"
-#include "runtime/runtime.h"
 #include "sim/callback.h"
+#include "sim/simulator.h"
 #include "txn/node.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
@@ -85,9 +85,9 @@ class Network {
     virtual InterceptVerdict OnTransmit(NodeId from, NodeId to) = 0;
   };
 
-  /// `metrics` receives the network's counts and must outlive it. `rt`
-  /// is the execution backend (the simulator, or the thread backend).
-  Network(runtime::Runtime* rt, std::vector<Node*> nodes, Options options,
+  /// `metrics` receives the network's counts and must outlive it, as
+  /// must `sim`.
+  Network(sim::Simulator* sim, std::vector<Node*> nodes, Options options,
           obs::MetricsRegistry* metrics);
 
   Network(const Network&) = delete;
@@ -193,7 +193,7 @@ class Network {
     return static_cast<std::size_t>(a) * nodes_.size() + b;
   }
 
-  runtime::Runtime* sim_;
+  sim::Simulator* sim_;
   std::vector<Node*> nodes_;
   Options options_;
   // Cached metric handles, the only store of the network's counts;
@@ -242,7 +242,7 @@ class ConnectivitySchedule {
     bool start_disconnected = false;
   };
 
-  ConnectivitySchedule(runtime::Runtime* rt, Network* network, NodeId node,
+  ConnectivitySchedule(sim::Simulator* sim, Network* network, NodeId node,
                        Options options, Rng rng);
 
   /// Stops and cancels the pending phase-change event (it captures
@@ -265,7 +265,7 @@ class ConnectivitySchedule {
   void EnterConnected();
   void EnterDisconnected();
 
-  runtime::Runtime* sim_;
+  sim::Simulator* sim_;
   Network* network_;
   NodeId node_;
   Options options_;

@@ -31,10 +31,10 @@ std::string TimeSeries::ToString() const {
   return out;
 }
 
-TimeSeriesRecorder::TimeSeriesRecorder(runtime::Runtime* rt,
+TimeSeriesRecorder::TimeSeriesRecorder(sim::Simulator* sim,
                                        MetricsRegistry* registry,
                                        Options options)
-    : sim_(rt), registry_(registry), options_(options) {}
+    : sim_(sim), registry_(registry), options_(options) {}
 
 TimeSeriesRecorder::~TimeSeriesRecorder() { Stop(); }
 

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "runtime/runtime.h"
+#include "sim/simulator.h"
 #include "util/sim_time.h"
 
 namespace tdr::obs {
@@ -43,10 +43,10 @@ class TimeSeriesRecorder {
     SimTime interval = SimTime::Millis(500);
   };
 
-  /// `rt` and `registry` must outlive the recorder.
-  TimeSeriesRecorder(runtime::Runtime* rt, MetricsRegistry* registry)
-      : TimeSeriesRecorder(rt, registry, Options()) {}
-  TimeSeriesRecorder(runtime::Runtime* rt, MetricsRegistry* registry,
+  /// `sim` and `registry` must outlive the recorder.
+  TimeSeriesRecorder(sim::Simulator* sim, MetricsRegistry* registry)
+      : TimeSeriesRecorder(sim, registry, Options()) {}
+  TimeSeriesRecorder(sim::Simulator* sim, MetricsRegistry* registry,
                      Options options);
   ~TimeSeriesRecorder();
 
@@ -80,7 +80,7 @@ class TimeSeriesRecorder {
 
   void SampleAll();
 
-  runtime::Runtime* sim_;
+  sim::Simulator* sim_;
   MetricsRegistry* registry_;
   Options options_;
   std::vector<Channel> channels_;

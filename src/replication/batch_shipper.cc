@@ -4,11 +4,11 @@
 
 namespace tdr {
 
-BatchShipper::BatchShipper(runtime::Runtime* rt, Network* net,
+BatchShipper::BatchShipper(sim::Simulator* sim, Network* net,
                            std::uint32_t num_nodes, std::string_view stream,
                            obs::MetricsRegistry* metrics, Options options,
                            DeliverFn deliver)
-    : sim_(rt),
+    : sim_(sim),
       net_(net),
       num_nodes_(num_nodes),
       options_(options),

@@ -10,7 +10,7 @@
 #include "net/network.h"
 #include "net/update_batch.h"
 #include "obs/metrics.h"
-#include "runtime/runtime.h"
+#include "sim/simulator.h"
 #include "util/sim_time.h"
 
 namespace tdr {
@@ -58,8 +58,8 @@ class BatchShipper {
   using DeliverFn = std::function<void(const UpdateBatch&)>;
 
   /// `stream` labels this shipper's metrics (e.g. "lazy-group"), which
-  /// `metrics` holds. `rt`, `net` and `metrics` must outlive the shipper.
-  BatchShipper(runtime::Runtime* rt, Network* net, std::uint32_t num_nodes,
+  /// `metrics` holds. `sim`, `net` and `metrics` must outlive the shipper.
+  BatchShipper(sim::Simulator* sim, Network* net, std::uint32_t num_nodes,
                std::string_view stream, obs::MetricsRegistry* metrics,
                Options options, DeliverFn deliver);
 
@@ -109,7 +109,7 @@ class BatchShipper {
     return streams_[static_cast<std::size_t>(origin) * num_nodes_ + dest];
   }
 
-  runtime::Runtime* sim_;
+  sim::Simulator* sim_;
   Network* net_;
   std::uint32_t num_nodes_;
   Options options_;

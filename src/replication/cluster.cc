@@ -16,16 +16,14 @@ Cluster::Cluster(Options options)
   if (options_.backend == RuntimeBackend::kThreads) {
     thread_rt_ = std::make_unique<runtime::ThreadRuntime>(
         &sim_, options_.num_nodes, &metrics_);
-    rt_ = thread_rt_.get();
-  } else {
-    rt_ = &sim_;
   }
-  net_ = std::make_unique<Network>(rt_, node_ptrs(), options_.net, &metrics_);
-  exec_ = std::make_unique<Executor>(rt_, node_ptrs(), &metrics_);
+  net_ = std::make_unique<Network>(&sim_, node_ptrs(), options_.net,
+                                   &metrics_);
+  exec_ = std::make_unique<Executor>(&sim_, node_ptrs(), &metrics_);
   if (options_.wal.mode != DurabilityMode::kOff) {
     // The torn-tail RNG stream is consumed only at crash events, so
     // clean runs are unaffected by its existence.
-    wals_ = std::make_unique<wal::WalSet>(rt_, options_.num_nodes, &shards_,
+    wals_ = std::make_unique<wal::WalSet>(&sim_, options_.num_nodes, &shards_,
                                           options_.wal,
                                           Rng(options_.seed, /*stream=*/911),
                                           &metrics_);

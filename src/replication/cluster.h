@@ -7,7 +7,6 @@
 
 #include "net/network.h"
 #include "obs/metrics.h"
-#include "runtime/runtime.h"
 #include "runtime/thread_runtime.h"
 #include "sim/simulator.h"
 #include "storage/shard_map.h"
@@ -21,13 +20,14 @@
 
 namespace tdr {
 
-/// Which execution backend a Cluster runs on. Both order events by the
-/// same virtual (time, seq) key, so a seeded scenario is bit-identical
-/// across backends; kThreads additionally runs each node's events on a
-/// dedicated OS thread (see runtime/thread_runtime.h).
+/// Which execution backend a Cluster runs on. Both fire events from the
+/// same simulator in the same (time, seq) order, so a seeded scenario
+/// is bit-identical across backends; kThreads attaches a dispatcher
+/// that runs each node's events on a dedicated OS thread (see
+/// runtime/thread_runtime.h).
 enum class RuntimeBackend {
   kSim,      // single-threaded deterministic simulator (default)
-  kThreads,  // one worker thread + mailbox per node, sim as the clock
+  kThreads,  // one worker thread + mailbox per node
 };
 
 /// A fully-replicated cluster per the §2 model: `num_nodes` nodes, each
@@ -51,7 +51,7 @@ class Cluster {
     /// detection. Turn off to rely on executor wait timeouts instead
     /// (production-style detection; see the A4 ablation).
     bool detect_deadlock_cycles = true;
-    /// Execution backend; every component schedules through runtime().
+    /// Execution backend; every component schedules on sim().
     RuntimeBackend backend = RuntimeBackend::kSim;
     /// Per-node write-ahead logging (src/wal). kOff keeps the legacy
     /// crash model (durable stores, outbox-as-log); kCommit/kGroup add
@@ -66,12 +66,14 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// The virtual clock / event core. With the kThreads backend, do not
-  /// Run it directly — drive execution through runtime() so dispatch
-  /// happens; reading Now()/executed_events() is always fine.
+  /// The event core every component schedules on, whichever the
+  /// backend: with kThreads its dispatcher hands tagged events to the
+  /// node workers.
   sim::Simulator& sim() { return sim_; }
-  /// The execution backend every component schedules against.
-  runtime::Runtime& runtime() { return *rt_; }
+  /// The same simulator under its old name, which perfbench still
+  /// calls; it goes with the benchmark change that retires
+  /// `threads_lockstep`.
+  sim::Simulator& runtime() { return sim_; }
   /// The thread backend, or null when backend == kSim.
   runtime::ThreadRuntime* thread_runtime() { return thread_rt_.get(); }
   Network& net() { return *net_; }
@@ -132,10 +134,10 @@ class Cluster {
   obs::MetricsRegistry metrics_;
   ShardMap shards_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  // Declared before net_/exec_ (they take rt_), destroyed after them:
-  // by then no dispatch is in flight, so joining idle workers is safe.
+  // Declared after sim_ (it attaches to it) and before net_/exec_,
+  // destroyed after them: by then no dispatch is in flight, so joining
+  // idle workers is safe.
   std::unique_ptr<runtime::ThreadRuntime> thread_rt_;
-  runtime::Runtime* rt_ = nullptr;  // &sim_, or thread_rt_.get()
   std::unique_ptr<Network> net_;
   std::unique_ptr<Executor> exec_;
   std::unique_ptr<wal::WalSet> wals_;  // null when wal.mode == kOff

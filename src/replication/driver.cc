@@ -59,7 +59,7 @@ void WorkloadDriver::Run() {
     obs::MetricsRegistry::Counter submitted_at = submitted_at_[origin];
     obs::MetricsRegistry::Counter skipped_crashed = skipped_crashed_;
     arrivals.push_back(std::make_unique<OpenLoopArrivals>(
-        &cluster_->runtime(), aopts, rng.Fork(),
+        &cluster_->sim(), aopts, rng.Fork(),
         [this, origin, gen_rng, submitted_at, skipped_crashed]() mutable {
           if (cluster_->node(origin)->crashed()) {
             // A crashed node originates nothing; its arrival stream
@@ -76,8 +76,8 @@ void WorkloadDriver::Run() {
     arrivals.back()->Start();
   }
   SimTime horizon =
-      cluster_->runtime().Now() + SimTime::Seconds(options_.seconds);
-  cluster_->runtime().RunUntil(horizon);
+      cluster_->sim().Now() + SimTime::Seconds(options_.seconds);
+  cluster_->sim().RunUntil(horizon);
   for (auto& a : arrivals) a->Stop();
 }
 

@@ -30,7 +30,7 @@ void EagerGroupScheme::Submit(NodeId origin, const Program& program,
   if (!cluster_->node(origin)->connected() ||
       !AllReachable(cluster_, origin)) {
     cluster_->metrics().Increment("scheme.unavailable");
-    if (done) done(UnavailableResult(origin, cluster_->runtime().Now()));
+    if (done) done(UnavailableResult(origin, cluster_->sim().Now()));
     return;
   }
   // Compile: each write applies at the origin replica first, then at
@@ -66,7 +66,7 @@ void EagerMasterScheme::Submit(NodeId origin, const Program& program,
   if (!cluster_->node(origin)->connected() ||
       !AllReachable(cluster_, origin)) {
     cluster_->metrics().Increment("scheme.unavailable");
-    if (done) done(UnavailableResult(origin, cluster_->runtime().Now()));
+    if (done) done(UnavailableResult(origin, cluster_->sim().Now()));
     return;
   }
   // Compile: writes lock the master copy first ("updates go to this node

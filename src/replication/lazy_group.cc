@@ -6,9 +6,9 @@ namespace tdr {
 
 LazyGroupScheme::LazyGroupScheme(Cluster* cluster, Options options)
     : cluster_(cluster),
-      applier_(&cluster->runtime(), &cluster->executor(),
+      applier_(&cluster->sim(), &cluster->executor(),
                &cluster->metrics()),
-      shipper_(&cluster->runtime(), &cluster->net(), cluster->size(), name(),
+      shipper_(&cluster->sim(), &cluster->net(), cluster->size(), name(),
                &cluster->metrics(), options.batch,
                [this](const UpdateBatch& batch) {
                  ApplyAt(cluster_->node(batch.dest), batch.updates);

@@ -11,9 +11,9 @@ LazyMasterScheme::LazyMasterScheme(Cluster* cluster,
                                    Options options)
     : cluster_(cluster),
       ownership_(ownership),
-      applier_(&cluster->runtime(), &cluster->executor(),
+      applier_(&cluster->sim(), &cluster->executor(),
                &cluster->metrics()),
-      shipper_(&cluster->runtime(), &cluster->net(), cluster->size(), name(),
+      shipper_(&cluster->sim(), &cluster->net(), cluster->size(), name(),
                &cluster->metrics(), options.batch,
                [this](const UpdateBatch& batch) {
                  ApplyAt(cluster_->node(batch.dest), batch.updates);
@@ -55,7 +55,7 @@ void LazyMasterScheme::SubmitWithPrecommit(NodeId origin,
     TxnResult r;
     r.origin = origin;
     r.outcome = TxnOutcome::kUnavailable;
-    r.start_time = cluster_->runtime().Now();
+    r.start_time = cluster_->sim().Now();
     r.end_time = r.start_time;
     if (done) done(r);
     return;

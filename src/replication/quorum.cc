@@ -62,7 +62,7 @@ void QuorumEagerScheme::Submit(NodeId origin, const Program& program,
     TxnResult r;
     r.origin = origin;
     r.outcome = TxnOutcome::kUnavailable;
-    r.start_time = cluster_->runtime().Now();
+    r.start_time = cluster_->sim().Now();
     r.end_time = r.start_time;
     if (done) done(r);
     return;

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "runtime/runtime.h"
+#include "sim/simulator.h"
 #include "storage/shard_map.h"
 #include "storage/update_record.h"
 #include "txn/executor.h"
@@ -72,9 +72,9 @@ class ReplicaApplier {
 
   /// `executor` supplies transaction ids (shared id space keeps the
   /// global wait-for graph sound); `metrics` receives the counts.
-  ReplicaApplier(runtime::Runtime* rt, Executor* executor,
+  ReplicaApplier(sim::Simulator* sim, Executor* executor,
                  obs::MetricsRegistry* metrics)
-      : sim_(rt), executor_(executor), metrics_(metrics) {
+      : sim_(sim), executor_(executor), metrics_(metrics) {
     m_waits_ = metrics->GetCounter("replica.waits");
     m_applied_ = metrics->GetCounter("replica.applied");
     m_conflicts_ = metrics->GetCounter("replica.conflicts");
@@ -138,7 +138,7 @@ class ReplicaApplier {
             std::string detail = "");
   obs::MetricsRegistry::Counter& ShardAppliedCounter(ShardId shard);
 
-  runtime::Runtime* sim_;
+  sim::Simulator* sim_;
   Executor* executor_;
   obs::MetricsRegistry* metrics_;
   // Cached metric handles.

@@ -12,26 +12,17 @@ namespace tdr::runtime {
 
 class Gate;
 
-/// One unit of work handed to a worker thread.
-///
-/// Two ownership modes coexist:
-///  * `fn` set — the callback is BORROWED: it lives in the scheduling
-///    wrapper (repeat series), or on a test's stack, and must stay
-///    valid until the task has executed.
-///  * `fn` null — the callback is `owned`: dispatch moves the scheduled
-///    callback into the pooled task at schedule time, so firing never
-///    chases a pointer into the event slab (whose slots are recycled
-///    the moment the wrapper pops).
+/// One unit of work handed to a worker thread: a BORROWED callback
+/// (the fired event's, lent by ThreadRuntime until the gate fires, or
+/// a test's own), the gate the worker signals after running it, and
+/// the intrusive mailbox link.
 struct Task {
   Task() = default;
-  /// Test convenience: a borrowed-callback task.
   explicit Task(sim::Callback* f) : fn(f) {}
 
-  sim::Callback* fn = nullptr;       // borrowed callback (see above)
-  Gate* done = nullptr;              // completion signal the worker fires
-  Task* next = nullptr;              // intrusive mailbox link
-  sim::Callback owned;               // owned callback (one-shots)
-  std::uint32_t node = 0xffffffffu;  // node affinity tag (kAnyNode)
+  sim::Callback* fn = nullptr;
+  Gate* done = nullptr;
+  Task* next = nullptr;
 };
 
 /// Single-shot, reusable completion gate (mutex + condvar). The
@@ -119,7 +110,7 @@ class Mailbox {
     std::lock_guard<std::mutex> lock(mu_);
     return depth_;
   }
-  /// High-water mark of queued tasks (the mailbox-depth metric).
+  /// High-water mark of queued tasks.
   std::size_t max_depth() const {
     std::lock_guard<std::mutex> lock(mu_);
     return max_depth_;

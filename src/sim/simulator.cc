@@ -27,7 +27,7 @@ EventId Simulator::RepeatEvery(SimTime interval, Callback&& fn) {
   // too so the sequence stream — and with it every tie-break order and
   // seeded simulation outcome — is unchanged.
   ++next_seq_;
-  return AddEvent(now_ + interval, interval, std::move(fn));
+  return AddEvent(now_ + interval, interval, kAnyNode, std::move(fn));
 }
 
 void Simulator::Compact() {
@@ -87,9 +87,10 @@ void Simulator::Fire(const Next& next) {
     // inside the callback reports "already fired" and the slot is
     // immediately reusable by whatever the callback schedules.
     Callback fn = std::move(e.fn);
+    const std::uint32_t node = e.node;
     ReleaseSlot(next.slot);
     --pending_;
-    fn();
+    Invoke(node, fn);
   } else {
     // Repeat series: the callback runs with the slot held but off the
     // queue, then the series re-arms unless the callback cancelled it
@@ -98,7 +99,7 @@ void Simulator::Fire(const Next& next) {
     // destroys a running function object.
     const std::uint32_t gen = e.gen;
     Callback fn = std::move(e.fn);
-    fn();
+    Invoke(e.node, fn);
     Event& e2 = slots_[next.slot];  // the slab may have grown and moved
     if (e2.gen == gen) {
       // Fresh sequence number per occurrence, exactly as if this tick

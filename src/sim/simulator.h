@@ -7,13 +7,33 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/runtime.h"
 #include "sim/callback.h"
 #include "sim/event_heap.h"
-#include "sim/event_id.h"
 #include "util/sim_time.h"
 
 namespace tdr::sim {
+
+/// Identifies a scheduled event so it can be cancelled. Ids are never
+/// reused within one Simulator.
+using EventId = std::uint64_t;
+inline constexpr EventId kInvalidEventId = 0;
+
+/// Node tag of an event that belongs to no particular node: plain
+/// schedules and repeat series carry it.
+inline constexpr std::uint32_t kAnyNode = 0xffffffffu;
+
+/// Runs fired events on the simulator's behalf (the thread backend,
+/// runtime/thread_runtime.h). Attached with Simulator::set_dispatcher,
+/// it is called where the simulator would call the event's callback,
+/// with the node tag it was scheduled under, and must have run `fn`
+/// once by the time it returns. Tags never affect the fire order.
+class Dispatcher {
+ public:
+  virtual void Dispatch(std::uint32_t node, Callback& fn) = 0;
+
+ protected:
+  ~Dispatcher() = default;
+};
 
 /// Deterministic discrete-event simulator.
 ///
@@ -38,7 +58,9 @@ namespace tdr::sim {
 /// under one (time, seq) key, of the first entry of the first non-empty
 /// bucket at or after Now()'s and the heap's top, so the fire order is
 /// the one a single priority queue would give. EventIds are
-/// generation-tagged slot handles. Cancelling a wheel entry unlinks it;
+/// generation-tagged slot handles. Each slot also carries the node tag
+/// its event was scheduled under, which only a Dispatcher reads; it
+/// never orders anything. Cancelling a wheel entry unlinks it;
 /// cancelling a heap entry bumps the slot's generation and the stale
 /// entry is skipped at pop time, with periodic compaction when stale
 /// entries outnumber live ones. Callbacks use a small-buffer-optimized
@@ -47,12 +69,10 @@ namespace tdr::sim {
 /// slot is re-armed after each tick with a fresh sequence number, so
 /// periodic timers never touch a side table.
 ///
-/// The class is `final` and implements runtime::Runtime: components
-/// typed against the interface pay one virtual dispatch per schedule,
-/// while everything holding a concrete Simulator (the tests, the sweep
-/// runner, the thread backend's clock core) devirtualizes back to the
-/// same inline fast paths as before.
-class Simulator final : public runtime::Runtime {
+/// Every component schedules on this class directly, so no schedule
+/// call is virtual; the one virtual call is the Dispatcher's, made per
+/// fired event only when one is attached.
+class Simulator {
  public:
   using Callback = ::tdr::sim::Callback;
 
@@ -62,33 +82,44 @@ class Simulator final : public runtime::Runtime {
   Simulator& operator=(const Simulator&) = delete;
 
   /// Current simulated time. Starts at zero.
-  SimTime Now() const override { return now_; }
+  SimTime Now() const { return now_; }
 
   /// Schedules `fn` to run at absolute time `when`. Scheduling in the
   /// past is an error and the event is clamped to Now() (and counted in
   /// `clamped_schedules()` so tests can assert it never happens).
-  EventId ScheduleAt(SimTime when, Callback&& fn) override {
-    if (when < now_) {
-      ++clamped_schedules_;
-      when = now_;
-    }
-    return AddEvent(when, SimTime::Zero(), std::move(fn));
+  EventId ScheduleAt(SimTime when, Callback&& fn) {
+    return ScheduleAtNode(kAnyNode, when, std::move(fn));
   }
 
   /// Schedules `fn` to run `delay` after Now(). Negative delays clamp to
   /// zero and count in `clamped_schedules()`, same as past-time
   /// ScheduleAt.
-  EventId ScheduleAfter(SimTime delay, Callback&& fn) override {
+  EventId ScheduleAfter(SimTime delay, Callback&& fn) {
+    return ScheduleAfterNode(kAnyNode, delay, std::move(fn));
+  }
+
+  /// The same, tagged with the node whose state `fn` touches: an
+  /// attached Dispatcher runs it on that node's worker. The tag never
+  /// changes when the event fires.
+  EventId ScheduleAtNode(std::uint32_t node, SimTime when, Callback&& fn) {
+    if (when < now_) {
+      ++clamped_schedules_;
+      when = now_;
+    }
+    return AddEvent(when, SimTime::Zero(), node, std::move(fn));
+  }
+  EventId ScheduleAfterNode(std::uint32_t node, SimTime delay,
+                            Callback&& fn) {
     if (delay < SimTime::Zero()) {
       ++clamped_schedules_;
       delay = SimTime::Zero();
     }
-    return AddEvent(now_ + delay, SimTime::Zero(), std::move(fn));
+    return AddEvent(now_ + delay, SimTime::Zero(), node, std::move(fn));
   }
 
   /// Cancels a pending event. Returns true if the event existed and had
   /// not yet fired.
-  bool Cancel(EventId id) override {
+  bool Cancel(EventId id) {
     std::uint32_t slot = static_cast<std::uint32_t>(id & 0xffffffffu);
     std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
     if (gen == 0 || slot >= slots_.size()) return false;
@@ -110,29 +141,34 @@ class Simulator final : public runtime::Runtime {
   /// the returned id is cancelled. `fn` runs before the next occurrence
   /// is scheduled, so it may Cancel the series from inside itself. An
   /// interval that is not positive aborts the program, in every build.
-  EventId RepeatEvery(SimTime interval, Callback&& fn) override;
+  /// A series carries kAnyNode.
+  EventId RepeatEvery(SimTime interval, Callback&& fn);
 
   /// Runs events until the queue is empty or `horizon` is passed. Events
   /// scheduled exactly at the horizon DO run. Returns the number of
   /// events executed.
-  std::uint64_t RunUntil(SimTime horizon) override;
+  std::uint64_t RunUntil(SimTime horizon);
 
   /// Runs until the queue is empty. A runaway self-rescheduling workload
   /// would never terminate, so `max_events` (default ~4e9) bounds it.
-  std::uint64_t Run(std::uint64_t max_events = (1ULL << 32)) override;
+  std::uint64_t Run(std::uint64_t max_events = (1ULL << 32));
 
   /// Executes exactly one event if any is pending. Returns true if an
   /// event ran.
   bool Step();
 
   /// True if no events are pending (cancelled events are ignored).
-  bool Idle() const override { return pending_ == 0; }
+  bool Idle() const { return pending_ == 0; }
 
   /// Number of pending (non-cancelled) events.
-  std::size_t PendingEvents() const override { return pending_; }
+  std::size_t PendingEvents() const { return pending_; }
 
   std::uint64_t executed_events() const { return executed_events_; }
   std::uint64_t clamped_schedules() const { return clamped_schedules_; }
+
+  /// Attaches the hook that runs each fired event (null: run it here).
+  /// Not owned.
+  void set_dispatcher(Dispatcher* dispatcher) { dispatcher_ = dispatcher; }
 
   /// The wheel's geometry: kBuckets buckets of 2^kBucketBits µs, a span
   /// of 65.536 ms. It holds every constant delay the schemes schedule
@@ -163,9 +199,11 @@ class Simulator final : public runtime::Runtime {
     std::uint32_t next = kNilSlot;
     std::uint32_t prev = kNilSlot;
     std::uint32_t gen = 1;           // bumped when the slot is recycled
+    std::uint32_t node = kAnyNode;   // the Dispatcher's tag; never orders
     SimTime interval;                // nonzero marks a repeat series
     Callback fn;
   };
+  static_assert(sizeof(Event) == 128, "the tag sits in padding after gen");
 
   /// 24-byte heap entry: key plus the generation-tagged slot handle.
   struct HeapEntry {
@@ -218,10 +256,12 @@ class Simulator final : public runtime::Runtime {
   }
   static bool InWheel(const Event& e) { return e.prev != kNilSlot; }
 
-  EventId AddEvent(SimTime when, SimTime interval, Callback&& fn) {
+  EventId AddEvent(SimTime when, SimTime interval, std::uint32_t node,
+                   Callback&& fn) {
     std::uint32_t slot = AcquireSlot();
     Event& e = slots_[slot];
     e.interval = interval;
+    e.node = node;
     e.fn = std::move(fn);
     ++pending_;
     Enqueue(slot, when);
@@ -317,6 +357,14 @@ class Simulator final : public runtime::Runtime {
   bool PeekNext(Next* next);
   /// Takes `next` (just found by PeekNext) off the queue and executes it.
   void Fire(const Next& next);
+  /// Runs a fired event's callback, through the Dispatcher if attached.
+  void Invoke(std::uint32_t node, Callback& fn) {
+    if (dispatcher_ != nullptr) {
+      dispatcher_->Dispatch(node, fn);
+    } else {
+      fn();
+    }
+  }
   void Compact();
 
   SimTime now_;
@@ -329,6 +377,7 @@ class Simulator final : public runtime::Runtime {
   std::size_t pending_ = 0;
   std::uint64_t executed_events_ = 0;
   std::uint64_t clamped_schedules_ = 0;
+  Dispatcher* dispatcher_ = nullptr;
 };
 
 }  // namespace tdr::sim

@@ -22,9 +22,9 @@ std::string_view TxnOutcomeToString(TxnOutcome outcome) {
   return "?";
 }
 
-Executor::Executor(runtime::Runtime* rt, std::vector<Node*> nodes,
+Executor::Executor(sim::Simulator* sim, std::vector<Node*> nodes,
                    obs::MetricsRegistry* metrics)
-    : sim_(rt), nodes_(std::move(nodes)) {
+    : sim_(sim), nodes_(std::move(nodes)) {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     assert(nodes_[i] != nullptr && nodes_[i]->id() == i);
   }
@@ -59,6 +59,7 @@ Executor::Inflight* Executor::AcquireInflight() {
     idx = static_cast<std::uint32_t>(pool_.size());
     pool_.push_back(std::make_unique<Inflight>());
     pool_[idx]->pool_index = idx;
+    pool_[idx]->steps.reserve(kPlanFloor);
   }
   return pool_[idx].get();
 }
@@ -147,13 +148,6 @@ void Executor::TouchNode(Inflight* t, NodeId node) {
   }
 }
 
-TxnId Executor::Run(NodeId origin, std::vector<ExecStep> steps,
-                    RunOptions opts, DoneCallback done) {
-  Inflight* t = AcquireInflight();
-  t->steps = std::move(steps);
-  return Start(origin, t, std::move(opts), std::move(done));
-}
-
 TxnId Executor::RunPlan(NodeId origin, RunOptions opts,
                         DoneCallback done) {
   Inflight* t = AcquireInflight();
@@ -161,11 +155,6 @@ TxnId Executor::RunPlan(NodeId origin, RunOptions opts,
   // capacity, so plan buffers circulate between the scratch and the
   // pool without ever being freed.
   t->steps.swap(plan_scratch_);
-  return Start(origin, t, std::move(opts), std::move(done));
-}
-
-TxnId Executor::Start(NodeId origin, Inflight* t, RunOptions opts,
-                      DoneCallback done) {
   TxnId id = next_txn_id_++;
   t->id = id;
   t->origin = origin;
@@ -509,13 +498,6 @@ void Executor::Finish(Inflight* t) {
     done(t->result);
   }
   RecycleInflight(t);
-}
-
-std::vector<ExecStep> LocalPlan(NodeId node, const Program& program) {
-  std::vector<ExecStep> steps;
-  steps.reserve(program.size());
-  LocalPlanInto(node, program, &steps);
-  return steps;
 }
 
 void LocalPlanInto(NodeId node, const Program& program,

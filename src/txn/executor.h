@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "runtime/runtime.h"
+#include "sim/simulator.h"
 #include "storage/update_record.h"
 #include "txn/durability.h"
 #include "txn/node.h"
@@ -158,27 +158,29 @@ class Executor {
 
   /// `nodes[i]->id()` must equal i. All pointers must outlive the
   /// executor; `metrics` receives its counts.
-  Executor(runtime::Runtime* rt, std::vector<Node*> nodes,
+  Executor(sim::Simulator* sim, std::vector<Node*> nodes,
            obs::MetricsRegistry* metrics);
 
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// Starts a transaction originating at `origin` executing `steps`.
-  /// `done` fires exactly once, from simulated time, after commit or
-  /// abort. Returns the transaction id.
-  TxnId Run(NodeId origin, std::vector<ExecStep> steps, RunOptions opts,
-            DoneCallback done);
-
-  /// Allocation-free submission: NewPlan() hands out a cleared scratch
-  /// plan (capacity retained run to run); fill it, then RunPlan() swaps
-  /// it into a pooled transaction. Do not hold the reference across
-  /// RunPlan() or interleave two NewPlan() builds.
+  /// The one way to submit a transaction: NewPlan() hands out a cleared
+  /// scratch plan (capacity retained run to run); fill it, then
+  /// RunPlan() swaps it into a pooled transaction originating at
+  /// `origin`. `done` fires exactly once, from simulated time, after
+  /// commit or abort; RunPlan returns the transaction id. Do not hold
+  /// the reference across RunPlan() or interleave two NewPlan() builds.
   std::vector<ExecStep>& NewPlan() {
     plan_scratch_.clear();
     return plan_scratch_;
   }
   TxnId RunPlan(NodeId origin, RunOptions opts, DoneCallback done);
+
+  /// Plan capacity every new Inflight record is born with, so the
+  /// scratch plan a birth's swap hands back never regrows from empty:
+  /// the largest plan the benchmarks submit, eager group's 4 actions on
+  /// 4 nodes (DESIGN.md §12.3).
+  static constexpr std::size_t kPlanFloor = 16;
 
   /// Transactions currently executing or waiting.
   std::size_t ActiveCount() const { return active_; }
@@ -248,8 +250,6 @@ class Executor {
 
   Inflight* AcquireInflight();
   void RecycleInflight(Inflight* t);
-  TxnId Start(NodeId origin, Inflight* t, RunOptions opts,
-              DoneCallback done);
   Value* FindWrite(Inflight* t, NodeId node, ObjectId oid);
   void PutWrite(Inflight* t, NodeId node, ObjectId oid, Value value);
   void ObserveTs(Inflight* t, NodeId node, ObjectId oid,
@@ -271,7 +271,7 @@ class Executor {
   void Emit(TraceEventType type, const Inflight* t, NodeId node,
             ObjectId oid, std::string detail = "");
 
-  runtime::Runtime* sim_;
+  sim::Simulator* sim_;
   std::vector<Node*> nodes_;
   // Metric handles, acquired once at construction: the hot path bumps
   // through them in O(1) with no allocation and no name lookup. They
@@ -295,13 +295,9 @@ class Executor {
   TxnId next_txn_id_ = 1;
 };
 
-/// Compiles `program` into a single-node plan: every op runs at `node`.
-/// Used by lazy schemes (root transaction is local) and by single-node
-/// baselines.
-std::vector<ExecStep> LocalPlan(NodeId node, const Program& program);
-
-/// Appends the same plan to `*out` without allocating (capacity
-/// permitting) — the NewPlan()/RunPlan() variant.
+/// Appends `program` to `*out` as a single-node plan: every op runs at
+/// `node`. Used by lazy schemes (root transaction is local), two-tier's
+/// local transactions and single-node baselines.
 void LocalPlanInto(NodeId node, const Program& program,
                    std::vector<ExecStep>* out);
 

@@ -15,8 +15,8 @@ namespace tdr {
 /// library — is linked into the final binary. That TU replaces the
 /// global `operator new` / `operator delete` with counting versions, so
 /// only audit-aware targets (tests/alloc_audit_test,
-/// tests/runtime_task_pool_test and bench_hot_path) pay for the hook;
-/// everything else keeps the stock allocator.
+/// tests/runtime_dispatch_alloc_test and bench_hot_path) pay for the
+/// hook; everything else keeps the stock allocator.
 ///
 /// Counting is process-wide and thread-safe (relaxed atomics). Audited
 /// measurement windows are expected to be single-threaded simulation

@@ -2,7 +2,7 @@
 //
 // This TU is compiled into the `tdr_alloc_audit` static library and
 // linked ONLY into allocation-audited targets (tests/alloc_audit_test,
-// tests/runtime_task_pool_test and bench_hot_path). Linking it
+// tests/runtime_dispatch_alloc_test and bench_hot_path). Linking it
 // replaces the C++ runtime's operator new/delete for the whole binary
 // ([replacement.functions]); every other target keeps the stock
 // allocator and pays nothing.

@@ -19,9 +19,9 @@ WalMetrics::WalMetrics(obs::MetricsRegistry* metrics)
       recovery_segments(metrics->GetCounter("wal.recovery_segments")),
       catch_up_adopted(metrics->GetCounter("wal.catch_up_adopted")) {}
 
-GroupCommitter::GroupCommitter(runtime::Runtime* rt, NodeId node, Wal* wal,
+GroupCommitter::GroupCommitter(sim::Simulator* sim, NodeId node, Wal* wal,
                                Options options, WalMetrics* metrics)
-    : rt_(rt), node_(node), wal_(wal), options_(options), metrics_(metrics) {
+    : sim_(sim), node_(node), wal_(wal), options_(options), metrics_(metrics) {
   waiters_.reserve(16);
 }
 
@@ -45,7 +45,7 @@ void GroupCommitter::RequestDurability(sim::Callback done) {
   // durable line cannot have caught up in between.
   assert(wal_->appended_lsn() > wal_->durable_lsn());
   waiters_.push_back(
-      Waiter{wal_->appended_lsn(), rt_->Now(), std::move(done)});
+      Waiter{wal_->appended_lsn(), sim_->Now(), std::move(done)});
   if (in_flight_) return;
   if (options_.mode == DurabilityMode::kCommit) {
     MaybeStartFlush();
@@ -64,7 +64,7 @@ void GroupCommitter::ArmWindow() {
                              ? options_.group_window
                              : options_.flush_latency;
   const std::uint64_t epoch = epoch_;
-  window_event_ = rt_->ScheduleAfterNode(node_, window, [this, epoch]() {
+  window_event_ = sim_->ScheduleAfterNode(node_, window, [this, epoch]() {
     if (epoch != epoch_) return;
     window_event_ = sim::kInvalidEventId;
     MaybeStartFlush();
@@ -79,7 +79,7 @@ void GroupCommitter::MaybeStartFlush() {
 
 void GroupCommitter::StartFlush() {
   if (window_event_ != sim::kInvalidEventId) {
-    rt_->Cancel(window_event_);
+    sim_->Cancel(window_event_);
     window_event_ = sim::kInvalidEventId;
   }
   in_flight_ = true;
@@ -93,16 +93,17 @@ void GroupCommitter::StartFlush() {
   // virtual time, advancing the durable line and firing parked commits.
   // The split fixes the event count and same-time order that the WAL
   // baselines pin down.
-  rt_->ScheduleAfterNode(
+  sim_->ScheduleAfterNode(
       node_, options_.flush_latency, [this, epoch, target]() {
         if (epoch != epoch_) return;  // crashed mid-flush
         wal_->SyncFile();
-        rt_->ScheduleAfterNode(node_, SimTime::Zero(), [this, epoch, target]() {
-          if (epoch != epoch_) return;
-          wal_->CompleteFlush(target);
-          in_flight_ = false;
-          OnFlushDurable();
-        });
+        sim_->ScheduleAfterNode(
+            node_, SimTime::Zero(), [this, epoch, target]() {
+              if (epoch != epoch_) return;
+              wal_->CompleteFlush(target);
+              in_flight_ = false;
+              OnFlushDurable();
+            });
       });
 }
 
@@ -130,7 +131,7 @@ std::size_t GroupCommitter::FireCovered() {
     Waiter& w = waiters_[waiter_head_];
     ++waiter_head_;
     metrics_->flush_wait_micros.Record(
-        static_cast<std::uint64_t>((rt_->Now() - w.since).micros()));
+        static_cast<std::uint64_t>((sim_->Now() - w.since).micros()));
     sim::Callback done = std::move(w.done);
     done();
     ++fired;

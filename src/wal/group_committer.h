@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "runtime/runtime.h"
 #include "sim/callback.h"
+#include "sim/simulator.h"
 #include "storage/types.h"
 #include "txn/durability.h"
 #include "util/sim_time.h"
@@ -62,7 +62,7 @@ class GroupCommitter {
     std::size_t group_max_records = 64;
   };
 
-  GroupCommitter(runtime::Runtime* rt, NodeId node, Wal* wal, Options options,
+  GroupCommitter(sim::Simulator* sim, NodeId node, Wal* wal, Options options,
                  WalMetrics* metrics);
 
   /// A record was appended (with or without a waiter): make sure a
@@ -100,7 +100,7 @@ class GroupCommitter {
   /// kGroup, at most one under kCommit. Returns how many fired.
   std::size_t FireCovered();
 
-  runtime::Runtime* rt_;
+  sim::Simulator* sim_;
   NodeId node_;
   Wal* wal_;
   Options options_;

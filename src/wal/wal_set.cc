@@ -5,10 +5,10 @@
 
 namespace tdr::wal {
 
-WalSet::WalSet(runtime::Runtime* rt, std::uint32_t num_nodes,
+WalSet::WalSet(sim::Simulator* sim, std::uint32_t num_nodes,
                const ShardMap* shards, Options options, Rng rng,
                obs::MetricsRegistry* metrics)
-    : rt_(rt),
+    : sim_(sim),
       shards_(shards),
       options_(std::move(options)),
       rng_(rng),
@@ -41,7 +41,7 @@ WalSet::WalSet(runtime::Runtime* rt, std::uint32_t num_nodes,
     wals_.push_back(std::make_unique<Wal>(node, backend_.get(), wal_options));
     wals_.back()->Open(/*next_lsn=*/1);
     committers_.push_back(std::make_unique<GroupCommitter>(
-        rt_, node, wals_.back().get(), gc_options, &metrics_));
+        sim_, node, wals_.back().get(), gc_options, &metrics_));
   }
 }
 
@@ -67,7 +67,7 @@ void WalSet::RequestCommitDurability(NodeId node, sim::Callback done) {
   if (crashed_[node] != 0) {
     // Fire void, but from a fresh event: completing a commit inside the
     // executor's own Commit frame would re-enter it.
-    rt_->ScheduleAfterNode(node, SimTime(), std::move(done));
+    sim_->ScheduleAfterNode(node, SimTime(), std::move(done));
     return;
   }
   committers_[node]->RequestDurability(std::move(done));

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "runtime/runtime.h"
+#include "sim/simulator.h"
 #include "storage/shard_map.h"
 #include "txn/durability.h"
 #include "util/rng.h"
@@ -38,7 +38,7 @@ class WalSet : public DurabilityHook {
 
   /// `rng` seeds the torn-tail draws; it is consumed only at crash
   /// events, so clean runs draw identically with or without it.
-  WalSet(runtime::Runtime* rt, std::uint32_t num_nodes,
+  WalSet(sim::Simulator* sim, std::uint32_t num_nodes,
          const ShardMap* shards, Options options, Rng rng,
          obs::MetricsRegistry* metrics);
 
@@ -65,7 +65,7 @@ class WalSet : public DurabilityHook {
   const Options& options() const { return options_; }
 
  private:
-  runtime::Runtime* rt_;
+  sim::Simulator* sim_;
   const ShardMap* shards_;
   Options options_;
   Rng rng_;

@@ -2,16 +2,40 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 #include "storage/shard_map.h"
+#include "util/logging.h"
 
 namespace tdr {
 
+namespace {
+
+[[noreturn]] void FailOptions(const std::string& message) {
+  std::fprintf(stderr, "%s\n", message.c_str());
+  std::abort();
+}
+
+}  // namespace
+
 ProgramGenerator::ProgramGenerator(Options options)
     : options_(std::move(options)) {
-  assert(options_.db_size > 0);
-  assert(options_.actions > 0);
-  assert(options_.actions <= options_.db_size);
+  // An empty database leaves nothing to sample (UniformInt(0) divides
+  // by zero), and Floyd's sampler starts at db_size - actions, which
+  // wraps when actions exceed db_size: every program comes out empty.
+  if (options_.db_size == 0) {
+    FailOptions("ProgramGenerator: db_size 0 is not positive");
+  }
+  if (options_.actions == 0) {
+    FailOptions("ProgramGenerator: actions 0 is not positive");
+  }
+  if (options_.actions > options_.db_size) {
+    FailOptions(StrPrintf("ProgramGenerator: actions %u exceed db_size %llu",
+                          options_.actions,
+                          (unsigned long long)options_.db_size));
+  }
   double total = options_.mix.write + options_.mix.add +
                  options_.mix.subtract + options_.mix.append +
                  options_.mix.read;
@@ -95,13 +119,18 @@ void ProgramGenerator::NextInto(Rng& rng, Program* out) {
   }
 }
 
-OpenLoopArrivals::OpenLoopArrivals(runtime::Runtime* rt, Options options,
+OpenLoopArrivals::OpenLoopArrivals(sim::Simulator* sim, Options options,
                                    Rng rng, ArrivalCallback on_arrival)
-    : sim_(rt),
+    : sim_(sim),
       options_(options),
       rng_(rng),
       on_arrival_(std::move(on_arrival)) {
-  assert(options_.tps > 0);
+  // A gap of zero or less clamps to Now(): arrivals would fire at one
+  // instant forever. NaN fails both comparisons, so test the good range.
+  if (!(options_.tps > 0 && std::isfinite(options_.tps))) {
+    FailOptions(StrPrintf(
+        "OpenLoopArrivals: tps %g is not positive and finite", options_.tps));
+  }
 }
 
 OpenLoopArrivals::~OpenLoopArrivals() { Stop(); }

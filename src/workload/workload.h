@@ -6,7 +6,7 @@
 #include <memory>
 #include <vector>
 
-#include "runtime/runtime.h"
+#include "sim/simulator.h"
 #include "txn/program.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
@@ -103,10 +103,10 @@ class OpenLoopArrivals {
     bool poisson = true;        // exponential gaps; false = deterministic
     /// Node whose worker runs the arrivals under the thread backend
     /// (the originating node); kAnyNode = coordinator-inline.
-    std::uint32_t node_affinity = runtime::kAnyNode;
+    std::uint32_t node_affinity = sim::kAnyNode;
   };
 
-  OpenLoopArrivals(runtime::Runtime* rt, Options options, Rng rng,
+  OpenLoopArrivals(sim::Simulator* sim, Options options, Rng rng,
                    ArrivalCallback on_arrival);
 
   /// Stops and cancels any pending arrival event (the scheduled event
@@ -125,7 +125,7 @@ class OpenLoopArrivals {
  private:
   void ScheduleNext();
 
-  runtime::Runtime* sim_;
+  sim::Simulator* sim_;
   Options options_;
   Rng rng_;
   ArrivalCallback on_arrival_;

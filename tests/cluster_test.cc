@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "plan_helpers.h"
 #include "util/fnv.h"
 
 namespace tdr {
@@ -154,13 +155,13 @@ TEST(ClusterTest, DetectCyclesOffLeavesCyclesPending) {
   // Classic A/B cross on one node: with the detector off, both block
   // forever (the executor would need timeouts to break it).
   bool done1 = false, done2 = false;
-  cluster.executor().Run(
-      0, LocalPlan(0, Program({Op::Write(0, 1), Op::Write(1, 1)})), {},
-      [&](const TxnResult&) { done1 = true; });
+  RunLocal(cluster.executor(), 0,
+           Program({Op::Write(0, 1), Op::Write(1, 1)}), {},
+           [&](const TxnResult&) { done1 = true; });
   cluster.sim().ScheduleAt(SimTime::Millis(1), [&] {
-    cluster.executor().Run(
-        0, LocalPlan(0, Program({Op::Write(1, 2), Op::Write(0, 2)})), {},
-        [&](const TxnResult&) { done2 = true; });
+    RunLocal(cluster.executor(), 0,
+             Program({Op::Write(1, 2), Op::Write(0, 2)}), {},
+             [&](const TxnResult&) { done2 = true; });
   });
   cluster.sim().Run();
   EXPECT_FALSE(done1);

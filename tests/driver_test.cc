@@ -36,7 +36,7 @@ TEST(WorkloadDriverTest, DrivesExpectedArrivalVolume) {
             cluster.metrics().Get("driver.submitted{node=0}") +
                 cluster.metrics().Get("driver.submitted{node=1}"));
   EXPECT_GT(cluster.executor().committed(), 1500u);
-  EXPECT_EQ(cluster.runtime().Now(), SimTime::Seconds(100));
+  EXPECT_EQ(cluster.sim().Now(), SimTime::Seconds(100));
   EXPECT_EQ(cluster.metrics().Get("scheme.unavailable"), 0u);
 }
 

@@ -2,7 +2,11 @@
 // timing wheel and its overflow heap must fire exactly as one ordered
 // set of (when, seq) would. Seeded random schedule, cancel and RunUntil
 // scripts run against a reference std::map, and the wheel's edge cases
-// run by name against the same reference.
+// run by name against the same reference. The scripts mix node-tagged
+// and untagged schedules and run with no Dispatcher and with a
+// recording one: tags must not move the order, and the Dispatcher must
+// see every fired event's tag (kAnyNode for plain schedules and repeat
+// series) in fire order.
 
 #include <gtest/gtest.h>
 
@@ -38,32 +42,58 @@ struct Fired {
   friend bool operator==(const Fired&, const Fired&) = default;
 };
 
+/// A fake Dispatcher: logs each fired event's tag, then runs it.
+class RecordingDispatcher final : public Dispatcher {
+ public:
+  void Dispatch(std::uint32_t node, Callback& fn) override {
+    nodes.push_back(node);
+    fn();
+  }
+
+  std::vector<std::uint32_t> nodes;
+};
+
 /// Runs one script on a Simulator and on the reference side by side.
 /// The reference is a std::map keyed by (when, seq), where seq counts
 /// what the simulator's sequence counter counts: every schedule, the
-/// series handle RepeatEvery takes, and every re-arm.
+/// series handle RepeatEvery takes, and every re-arm. With `hooked`,
+/// a RecordingDispatcher runs the simulator's events.
 class QueueCheck {
  public:
   using Key = std::pair<std::int64_t, std::uint64_t>;
 
-  /// ScheduleAt, absolute time in µs.
-  void At(int label, std::int64_t when, Spec spec = {}) {
-    ids_[label] = sim_.ScheduleAt(SimTime::Micros(when), Fn(label, spec));
+  explicit QueueCheck(bool hooked = false) : hooked_(hooked) {
+    if (hooked_) sim_.set_dispatcher(&dispatcher_);
+  }
+
+  /// ScheduleAt, absolute time in µs; ScheduleAtNode unless `node` is
+  /// kAnyNode.
+  void At(int label, std::int64_t when, Spec spec = {},
+          std::uint32_t node = kAnyNode) {
+    const SimTime at = SimTime::Micros(when);
+    ids_[label] = node == kAnyNode
+                      ? sim_.ScheduleAt(at, Fn(label, spec))
+                      : sim_.ScheduleAtNode(node, at, Fn(label, spec));
     if (when < now_) {
       ++clamped_;
       when = now_;
     }
-    Insert(label, when, spec);
+    Insert(label, when, spec, node);
   }
 
-  /// ScheduleAfter, delay in µs.
-  void After(int label, std::int64_t delay, Spec spec = {}) {
-    ids_[label] = sim_.ScheduleAfter(SimTime::Micros(delay), Fn(label, spec));
+  /// ScheduleAfter, delay in µs; ScheduleAfterNode unless `node` is
+  /// kAnyNode.
+  void After(int label, std::int64_t delay, Spec spec = {},
+             std::uint32_t node = kAnyNode) {
+    const SimTime after = SimTime::Micros(delay);
+    ids_[label] = node == kAnyNode
+                      ? sim_.ScheduleAfter(after, Fn(label, spec))
+                      : sim_.ScheduleAfterNode(node, after, Fn(label, spec));
     if (delay < 0) {
       ++clamped_;
       delay = 0;
     }
-    Insert(label, now_ + delay, spec);
+    Insert(label, now_ + delay, spec, node);
   }
 
   /// RepeatEvery, interval in µs.
@@ -72,7 +102,7 @@ class QueueCheck {
     Spec spec{interval, child_delay};
     ids_[label] = sim_.RepeatEvery(SimTime::Micros(interval), Fn(label, spec));
     ++seq_;  // the series handle
-    Insert(label, now_ + interval, spec);
+    Insert(label, now_ + interval, spec, kAnyNode);
   }
 
   void Cancel(int label) {
@@ -129,10 +159,12 @@ class QueueCheck {
     }
   }
 
-  void Insert(int label, std::int64_t when, const Spec& spec) {
+  void Insert(int label, std::int64_t when, const Spec& spec,
+              std::uint32_t node) {
     const Key key{when, ++seq_};
     queue_[key] = std::make_pair(label, spec);
     live_[label] = key;
+    tags_[label] = node;
   }
 
   void FireReference() {
@@ -149,9 +181,9 @@ class QueueCheck {
         ++clamped_;
         delay = 0;
       }
-      Insert(child, now_ + delay, Spec{});
+      Insert(child, now_ + delay, Spec{}, kAnyNode);
     }
-    if (spec.interval != 0) Insert(label, now_ + spec.interval, spec);
+    if (spec.interval != 0) Insert(label, now_ + spec.interval, spec, kAnyNode);
   }
 
   /// Compares the fires since the last call, then the counts.
@@ -163,6 +195,13 @@ class QueueCheck {
           << sim_log_[i].at << " us, reference label " << ref_log_[i].label
           << " at " << ref_log_[i].at << " us";
     }
+    if (hooked_) {
+      ASSERT_EQ(dispatcher_.nodes.size(), sim_log_.size());
+      for (std::size_t i = compared_; i < sim_log_.size(); ++i) {
+        ASSERT_EQ(dispatcher_.nodes[i], tags_.at(sim_log_[i].label))
+            << "fire " << i << ": label " << sim_log_[i].label;
+      }
+    }
     compared_ = sim_log_.size();
     EXPECT_EQ(sim_.Now().micros(), now_);
     EXPECT_EQ(sim_.PendingEvents(), live_.size());
@@ -170,8 +209,11 @@ class QueueCheck {
     EXPECT_EQ(sim_.clamped_schedules(), clamped_);
   }
 
+  const bool hooked_;
+  RecordingDispatcher dispatcher_;
   Simulator sim_;
   std::map<int, EventId> ids_;
+  std::map<int, std::uint32_t> tags_;  // the tag each label was given
   std::vector<Fired> sim_log_;
   int sim_next_child_ = kFirstChildLabel;
 
@@ -334,12 +376,17 @@ std::int64_t Delay(Rng& rng) {
   }
 }
 
-class EventQueueRandomTest : public ::testing::TestWithParam<std::uint64_t> {
-};
+/// A node tag for a random schedule: untagged half the time.
+std::uint32_t Tag(Rng& rng) {
+  return rng.Bernoulli(0.5) ? kAnyNode
+                            : static_cast<std::uint32_t>(rng.UniformInt(4));
+}
 
-TEST_P(EventQueueRandomTest, FireOrderMatchesReference) {
-  Rng rng(GetParam());
-  QueueCheck q;
+/// One seeded script of schedules (tagged and untagged), series,
+/// cancels and RunUntils, checked against the reference as it runs.
+void RunScript(std::uint64_t seed, bool hooked) {
+  Rng rng(seed);
+  QueueCheck q(hooked);
   int next_label = 0;
   std::vector<int> labels;
   std::vector<int> series;
@@ -350,10 +397,11 @@ TEST_P(EventQueueRandomTest, FireOrderMatchesReference) {
       labels.push_back(label);
       Spec spec;
       if (rng.Bernoulli(0.2)) spec.child_delay = Delay(rng);
+      const std::uint32_t node = Tag(rng);
       if (rng.Bernoulli(0.5)) {
-        q.At(label, q.now() + Delay(rng), spec);
+        q.At(label, q.now() + Delay(rng), spec, node);
       } else {
-        q.After(label, Delay(rng), spec);
+        q.After(label, Delay(rng), spec, node);
       }
     } else if (op < 42) {
       const int label = next_label++;
@@ -375,7 +423,8 @@ TEST_P(EventQueueRandomTest, FireOrderMatchesReference) {
       for (int i = 0; i < n; ++i) {
         const int label = next_label++;
         labels.push_back(label);
-        q.At(label, base + rng.UniformRange(0, kBucketUs - 1));
+        q.At(label, base + rng.UniformRange(0, kBucketUs - 1), Spec{},
+             Tag(rng));
       }
     } else if (op < 65) {
       const std::vector<int> live = q.live_labels();
@@ -393,8 +442,21 @@ TEST_P(EventQueueRandomTest, FireOrderMatchesReference) {
     if (::testing::Test::HasFatalFailure()) return;
   }
   for (int label : series) q.Cancel(label);
-  q.RunUntil(q.now() + 30 * kSpanUs);
+  // The longest chain left: an event up to 20 spans ahead whose child
+  // is due up to 20 spans after it.
+  q.RunUntil(q.now() + 41 * kSpanUs);
   EXPECT_EQ(q.live(), 0u);
+}
+
+class EventQueueRandomTest : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(EventQueueRandomTest, FireOrderMatchesReference) {
+  for (bool hooked : {false, true}) {
+    SCOPED_TRACE(hooked ? "recording dispatcher" : "no dispatcher");
+    RunScript(GetParam(), hooked);
+    if (HasFatalFailure()) return;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueRandomTest,

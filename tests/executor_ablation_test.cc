@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 
+#include "plan_helpers.h"
 #include "sim/simulator.h"
 #include "txn/executor.h"
 
@@ -42,13 +43,13 @@ TEST_F(ExecutorAblationTest, WaitTimeoutAbortsLongWait) {
   // T1 holds the lock for 500ms (50 actions); T2 with a 100ms timeout
   // gives up even though there is no deadlock.
   std::vector<Op> long_ops(50, Op::Add(0, 1));
-  exec_->Run(0, LocalPlan(0, Program(long_ops)), Opts(), nullptr);
+  RunLocal(*exec_, 0, Program(long_ops), Opts(), nullptr);
   std::optional<TxnResult> r2;
   sim_.ScheduleAt(SimTime::Millis(5), [&] {
     Executor::RunOptions o = Opts();
     o.wait_timeout = SimTime::Millis(100);
-    exec_->Run(0, LocalPlan(0, Program({Op::Add(0, 1)})), o,
-               [&](const TxnResult& r) { r2 = r; });
+    RunLocal(*exec_, 0, Program({Op::Add(0, 1)}), o,
+             [&](const TxnResult& r) { r2 = r; });
   });
   sim_.Run();
   ASSERT_TRUE(r2.has_value());
@@ -66,16 +67,14 @@ TEST_F(ExecutorAblationTest, TimeoutDoesNotFireAfterGrant) {
   Init(1);
   // T1 holds for 30ms; T2's timeout is 100ms: the grant wins the race
   // and T2 commits; the stale timeout event must be a no-op.
-  exec_->Run(0,
-             LocalPlan(0, Program({Op::Add(0, 1), Op::Add(1, 1),
-                                   Op::Add(2, 1)})),
-             Opts(), nullptr);
+  RunLocal(*exec_, 0, Program({Op::Add(0, 1), Op::Add(1, 1), Op::Add(2, 1)}),
+           Opts(), nullptr);
   std::optional<TxnResult> r2;
   sim_.ScheduleAt(SimTime::Millis(5), [&] {
     Executor::RunOptions o = Opts();
     o.wait_timeout = SimTime::Millis(100);
-    exec_->Run(0, LocalPlan(0, Program({Op::Add(0, 5)})), o,
-               [&](const TxnResult& r) { r2 = r; });
+    RunLocal(*exec_, 0, Program({Op::Add(0, 5)}), o,
+             [&](const TxnResult& r) { r2 = r; });
   });
   sim_.Run();
   ASSERT_TRUE(r2.has_value());
@@ -93,12 +92,11 @@ TEST_F(ExecutorAblationTest, TimeoutResolvesDeadlockWithoutGraph) {
   Executor::RunOptions o = Opts();
   o.wait_timeout = SimTime::Millis(500);
   std::optional<TxnResult> r1, r2;
-  exec_->Run(0, LocalPlan(0, Program({Op::Write(0, 1), Op::Write(1, 1)})),
-             o, [&](const TxnResult& r) { r1 = r; });
+  RunLocal(*exec_, 0, Program({Op::Write(0, 1), Op::Write(1, 1)}), o,
+           [&](const TxnResult& r) { r1 = r; });
   sim_.ScheduleAt(SimTime::Millis(1), [&] {
-    exec_->Run(0,
-               LocalPlan(0, Program({Op::Write(1, 2), Op::Write(0, 2)})),
-               o, [&](const TxnResult& r) { r2 = r; });
+    RunLocal(*exec_, 0, Program({Op::Write(1, 2), Op::Write(0, 2)}), o,
+             [&](const TxnResult& r) { r2 = r; });
   });
   sim_.Run();
   ASSERT_TRUE(r1 && r2);
@@ -120,12 +118,11 @@ TEST_F(ExecutorAblationTest, TimeoutOnlyDetectionClearsRealDeadlock) {
   Executor::RunOptions o = Opts();
   o.wait_timeout = SimTime::Millis(200);
   std::optional<TxnResult> r1, r2;
-  exec_->Run(0, LocalPlan(0, Program({Op::Write(0, 1), Op::Write(1, 1)})),
-             o, [&](const TxnResult& r) { r1 = r; });
+  RunLocal(*exec_, 0, Program({Op::Write(0, 1), Op::Write(1, 1)}), o,
+           [&](const TxnResult& r) { r1 = r; });
   sim_.ScheduleAt(SimTime::Millis(1), [&] {
-    exec_->Run(0,
-               LocalPlan(0, Program({Op::Write(1, 2), Op::Write(0, 2)})),
-               o, [&](const TxnResult& r) { r2 = r; });
+    RunLocal(*exec_, 0, Program({Op::Write(1, 2), Op::Write(0, 2)}), o,
+             [&](const TxnResult& r) { r2 = r; });
   });
   sim_.Run();
   ASSERT_TRUE(r1 && r2);
@@ -144,14 +141,13 @@ TEST_F(ExecutorAblationTest, TimeoutOnlyDetectionClearsRealDeadlock) {
 TEST_F(ExecutorAblationTest, LockReadsMakesReadersBlock) {
   Init(1);
   // Writer holds object 0; a reader with lock_reads must wait for it.
-  exec_->Run(0, LocalPlan(0, Program({Op::Add(0, 1), Op::Add(1, 1)})),
-             Opts(), nullptr);
+  RunLocal(*exec_, 0, Program({Op::Add(0, 1), Op::Add(1, 1)}), Opts(), nullptr);
   std::optional<TxnResult> reader;
   sim_.ScheduleAt(SimTime::Millis(1), [&] {
     Executor::RunOptions o = Opts();
     o.lock_reads = true;
-    exec_->Run(0, LocalPlan(0, Program({Op::Read(0)})), o,
-               [&](const TxnResult& r) { reader = r; });
+    RunLocal(*exec_, 0, Program({Op::Read(0)}), o,
+             [&](const TxnResult& r) { reader = r; });
   });
   sim_.Run();
   ASSERT_TRUE(reader.has_value());
@@ -172,7 +168,7 @@ TEST_F(ExecutorAblationTest, UnchargedStepsAreFree) {
     steps.push_back(s);
   }
   std::optional<TxnResult> result;
-  exec_->Run(0, steps, Opts(), [&](const TxnResult& r) { result = r; });
+  RunSteps(*exec_, 0, steps, Opts(), [&](const TxnResult& r) { result = r; });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->Duration(), SimTime::Millis(10));  // one action only
@@ -200,7 +196,7 @@ TEST_F(ExecutorAblationTest, QuorumApplyInstallsNewestEverywhere) {
     steps.push_back(s);
   }
   std::optional<TxnResult> result;
-  exec_->Run(0, steps, Opts(), [&](const TxnResult& r) { result = r; });
+  RunSteps(*exec_, 0, steps, Opts(), [&](const TxnResult& r) { result = r; });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->outcome, TxnOutcome::kCommitted);
@@ -225,7 +221,7 @@ TEST_F(ExecutorAblationTest, QuorumApplySeesOwnEarlierWrite) {
       steps.push_back(s);
     }
   }
-  exec_->Run(0, steps, Opts(), nullptr);
+  RunSteps(*exec_, 0, steps, Opts(), nullptr);
   sim_.Run();
   EXPECT_EQ(nodes_[0]->store().GetUnchecked(3).AsScalar(), 20);
   EXPECT_EQ(nodes_[1]->store().GetUnchecked(3).AsScalar(), 20);

@@ -6,6 +6,7 @@
 #include <optional>
 #include <vector>
 
+#include "plan_helpers.h"
 #include "sim/simulator.h"
 
 namespace tdr {
@@ -39,8 +40,7 @@ TEST_F(ExecutorTest, SingleTransactionCommits) {
   Init(1);
   std::optional<TxnResult> result;
   Program p({Op::Write(3, 42), Op::Add(3, 8)});
-  exec_->Run(0, LocalPlan(0, p), Opts(),
-             [&](const TxnResult& r) { result = r; });
+  RunLocal(*exec_, 0, p, Opts(), [&](const TxnResult& r) { result = r; });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->outcome, TxnOutcome::kCommitted);
@@ -55,8 +55,7 @@ TEST_F(ExecutorTest, DurationIsActionsTimesActionTime) {
   Init(1);
   std::optional<TxnResult> result;
   Program p({Op::Write(0, 1), Op::Write(1, 1), Op::Write(2, 1)});
-  exec_->Run(0, LocalPlan(0, p), Opts(),
-             [&](const TxnResult& r) { result = r; });
+  RunLocal(*exec_, 0, p, Opts(), [&](const TxnResult& r) { result = r; });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   // 3 actions x 10ms, no waiting.
@@ -68,8 +67,7 @@ TEST_F(ExecutorTest, ReadYourOwnWrites) {
   Init(1);
   std::optional<TxnResult> result;
   Program p({Op::Write(5, 7), Op::Read(5), Op::Add(5, 3), Op::Read(5)});
-  exec_->Run(0, LocalPlan(0, p), Opts(),
-             [&](const TxnResult& r) { result = r; });
+  RunLocal(*exec_, 0, p, Opts(), [&](const TxnResult& r) { result = r; });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   ASSERT_EQ(result->reads.size(), 2u);
@@ -83,13 +81,12 @@ TEST_F(ExecutorTest, BufferedWritesInvisibleUntilCommit) {
   // still see the old committed value (committed-read, no dirty reads).
   std::optional<TxnResult> r1, r2;
   Program writer({Op::Write(0, 99), Op::Write(1, 99), Op::Write(2, 99)});
-  exec_->Run(0, LocalPlan(0, writer), Opts(),
-             [&](const TxnResult& r) { r1 = r; });
+  RunLocal(*exec_, 0, writer, Opts(), [&](const TxnResult& r) { r1 = r; });
   sim_.ScheduleAt(SimTime::Millis(15), [&] {
-    std::vector<ExecStep> reader = LocalPlan(0, Program({Op::Read(0)}));
+    std::vector<ExecStep> reader;
+    LocalPlanInto(0, Program({Op::Read(0)}), &reader);
     reader[0].charge = false;  // sample instantaneously
-    exec_->Run(0, std::move(reader), Opts(),
-               [&](const TxnResult& r) { r2 = r; });
+    RunSteps(*exec_, 0, reader, Opts(), [&](const TxnResult& r) { r2 = r; });
   });
   sim_.RunUntil(SimTime::Millis(16));
   ASSERT_TRUE(r2.has_value());
@@ -103,11 +100,9 @@ TEST_F(ExecutorTest, ConflictingTransactionsWaitAndSerialize) {
   Init(1);
   std::optional<TxnResult> r1, r2;
   Program p({Op::Add(0, 1)});
-  exec_->Run(0, LocalPlan(0, p), Opts(),
-             [&](const TxnResult& r) { r1 = r; });
+  RunLocal(*exec_, 0, p, Opts(), [&](const TxnResult& r) { r1 = r; });
   sim_.ScheduleAt(SimTime::Millis(1), [&] {
-    exec_->Run(0, LocalPlan(0, p), Opts(),
-               [&](const TxnResult& r) { r2 = r; });
+    RunLocal(*exec_, 0, p, Opts(), [&](const TxnResult& r) { r2 = r; });
   });
   sim_.Run();
   ASSERT_TRUE(r1 && r2);
@@ -126,11 +121,9 @@ TEST_F(ExecutorTest, DeadlockVictimAbortsCleanly) {
   // T1: A then B. T2: B then A, offset so both hold their first lock.
   Program p1({Op::Write(0, 1), Op::Write(1, 1)});
   Program p2({Op::Write(1, 2), Op::Write(0, 2)});
-  exec_->Run(0, LocalPlan(0, p1), Opts(),
-             [&](const TxnResult& r) { r1 = r; });
+  RunLocal(*exec_, 0, p1, Opts(), [&](const TxnResult& r) { r1 = r; });
   sim_.ScheduleAt(SimTime::Millis(1), [&] {
-    exec_->Run(0, LocalPlan(0, p2), Opts(),
-               [&](const TxnResult& r) { r2 = r; });
+    RunLocal(*exec_, 0, p2, Opts(), [&](const TxnResult& r) { r2 = r; });
   });
   sim_.Run();
   ASSERT_TRUE(r1 && r2);
@@ -154,7 +147,7 @@ TEST_F(ExecutorTest, MultiNodeEagerPlanInstallsEverywhere) {
   // Eager-style plan: the write applies at all three nodes.
   std::vector<ExecStep> steps = {
       {0, Op::Write(4, 11)}, {1, Op::Write(4, 11)}, {2, Op::Write(4, 11)}};
-  exec_->Run(0, steps, Opts(), [&](const TxnResult& r) { result = r; });
+  RunSteps(*exec_, 0, steps, Opts(), [&](const TxnResult& r) { result = r; });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->outcome, TxnOutcome::kCommitted);
@@ -172,9 +165,9 @@ TEST_F(ExecutorTest, CrossNodeDeadlockDetected) {
   // obj0@node0 — a distributed deadlock.
   std::vector<ExecStep> s1 = {{0, Op::Write(0, 1)}, {1, Op::Write(0, 1)}};
   std::vector<ExecStep> s2 = {{1, Op::Write(0, 2)}, {0, Op::Write(0, 2)}};
-  exec_->Run(0, s1, Opts(), [&](const TxnResult& r) { r1 = r; });
+  RunSteps(*exec_, 0, s1, Opts(), [&](const TxnResult& r) { r1 = r; });
   sim_.ScheduleAt(SimTime::Millis(1), [&] {
-    exec_->Run(1, s2, Opts(), [&](const TxnResult& r) { r2 = r; });
+    RunSteps(*exec_, 1, s2, Opts(), [&](const TxnResult& r) { r2 = r; });
   });
   sim_.Run();
   ASSERT_TRUE(r1 && r2);
@@ -189,8 +182,7 @@ TEST_F(ExecutorTest, UpdateRecordsCarryOldAndNewTimestamps) {
       nodes_[0]->store().Put(2, Value(5), Timestamp(3, 0)).ok());
   std::optional<TxnResult> result;
   Program p({Op::Add(2, 10)});
-  exec_->Run(0, LocalPlan(0, p), Opts(),
-             [&](const TxnResult& r) { result = r; });
+  RunLocal(*exec_, 0, p, Opts(), [&](const TxnResult& r) { result = r; });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   ASSERT_EQ(result->updates.size(), 1u);
@@ -207,8 +199,8 @@ TEST_F(ExecutorTest, RecordUpdatesOffYieldsNone) {
   std::optional<TxnResult> result;
   Executor::RunOptions o = Opts();
   o.record_updates = false;
-  exec_->Run(0, LocalPlan(0, Program({Op::Write(0, 1)})), o,
-             [&](const TxnResult& r) { result = r; });
+  RunLocal(*exec_, 0, Program({Op::Write(0, 1)}), o,
+           [&](const TxnResult& r) { result = r; });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->updates.empty());
@@ -224,8 +216,8 @@ TEST_F(ExecutorTest, PrecommitRejectionAbortsWithoutInstalling) {
     EXPECT_EQ(r.updates[0].new_value.AsScalar(), -50);
     return false;
   };
-  exec_->Run(0, LocalPlan(0, Program({Op::Subtract(0, 50)})), o,
-             [&](const TxnResult& r) { result = r; });
+  RunLocal(*exec_, 0, Program({Op::Subtract(0, 50)}), o,
+           [&](const TxnResult& r) { result = r; });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->outcome, TxnOutcome::kRejected);
@@ -239,8 +231,8 @@ TEST_F(ExecutorTest, PrecommitAcceptCommits) {
   std::optional<TxnResult> result;
   Executor::RunOptions o = Opts();
   o.precommit = [](const TxnResult&) { return true; };
-  exec_->Run(0, LocalPlan(0, Program({Op::Add(0, 5)})), o,
-             [&](const TxnResult& r) { result = r; });
+  RunLocal(*exec_, 0, Program({Op::Add(0, 5)}), o,
+           [&](const TxnResult& r) { result = r; });
   sim_.Run();
   EXPECT_EQ(result->outcome, TxnOutcome::kCommitted);
   EXPECT_EQ(nodes_[0]->store().GetUnchecked(0).AsScalar(), 5);
@@ -249,7 +241,7 @@ TEST_F(ExecutorTest, PrecommitAcceptCommits) {
 TEST_F(ExecutorTest, EmptyPlanCommitsImmediately) {
   Init(1);
   std::optional<TxnResult> result;
-  exec_->Run(0, {}, Opts(), [&](const TxnResult& r) { result = r; });
+  RunSteps(*exec_, 0, {}, Opts(), [&](const TxnResult& r) { result = r; });
   sim_.Run();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->outcome, TxnOutcome::kCommitted);
@@ -260,7 +252,7 @@ TEST_F(ExecutorTest, LamportClocksAdvancePastCommits) {
   Init(2);
   std::vector<ExecStep> steps = {{0, Op::Write(0, 1)},
                                  {1, Op::Write(0, 1)}};
-  exec_->Run(0, steps, Opts(), nullptr);
+  RunSteps(*exec_, 0, steps, Opts(), nullptr);
   sim_.Run();
   // Node 1 observed node 0's commit timestamp, so its next local
   // timestamp must be strictly newer.
@@ -275,11 +267,10 @@ TEST_F(ExecutorTest, DoneCallbackMayStartNewTransaction) {
       [&](const TxnResult& r) {
         EXPECT_EQ(r.outcome, TxnOutcome::kCommitted);
         if (++committed < 3) {
-          exec_->Run(0, LocalPlan(0, Program({Op::Add(0, 1)})), Opts(),
-                     chain);
+          RunLocal(*exec_, 0, Program({Op::Add(0, 1)}), Opts(), chain);
         }
       };
-  exec_->Run(0, LocalPlan(0, Program({Op::Add(0, 1)})), Opts(), chain);
+  RunLocal(*exec_, 0, Program({Op::Add(0, 1)}), Opts(), chain);
   sim_.Run();
   EXPECT_EQ(committed, 3);
   EXPECT_EQ(nodes_[0]->store().GetUnchecked(0).AsScalar(), 3);
@@ -288,7 +279,7 @@ TEST_F(ExecutorTest, DoneCallbackMayStartNewTransaction) {
 TEST_F(ExecutorTest, ActiveCountTracksInflight) {
   Init(1);
   EXPECT_EQ(exec_->ActiveCount(), 0u);
-  exec_->Run(0, LocalPlan(0, Program({Op::Write(0, 1)})), Opts(), nullptr);
+  RunLocal(*exec_, 0, Program({Op::Write(0, 1)}), Opts(), nullptr);
   EXPECT_EQ(exec_->ActiveCount(), 1u);
   sim_.Run();
   EXPECT_EQ(exec_->ActiveCount(), 0u);
@@ -296,7 +287,8 @@ TEST_F(ExecutorTest, ActiveCountTracksInflight) {
 
 TEST_F(ExecutorTest, LocalPlanMapsAllOpsToOneNode) {
   Program p({Op::Read(1), Op::Write(2, 3)});
-  auto steps = LocalPlan(7, p);
+  std::vector<ExecStep> steps;
+  LocalPlanInto(7, p, &steps);
   ASSERT_EQ(steps.size(), 2u);
   EXPECT_EQ(steps[0].node, 7u);
   EXPECT_EQ(steps[1].node, 7u);
@@ -306,9 +298,9 @@ TEST_F(ExecutorTest, LocalPlanMapsAllOpsToOneNode) {
 TEST_F(ExecutorTest, WaitHistogramRecordsWaits) {
   Init(1);
   Program p({Op::Add(0, 1)});
-  exec_->Run(0, LocalPlan(0, p), Opts(), nullptr);
+  RunLocal(*exec_, 0, p, Opts(), nullptr);
   sim_.ScheduleAt(SimTime::Millis(1), [&] {
-    exec_->Run(0, LocalPlan(0, p), Opts(), nullptr);
+    RunLocal(*exec_, 0, p, Opts(), nullptr);
   });
   sim_.Run();
   const Histogram* waits =

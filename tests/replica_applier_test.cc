@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "plan_helpers.h"
 #include "replication/cluster.h"
 
 namespace tdr {
@@ -132,8 +133,7 @@ TEST_F(ReplicaApplierTest, WaitsForUserTransactionLocks) {
   Node* dest = cluster_.node(1);
   Executor::RunOptions uopts;
   uopts.action_time = SimTime::Millis(50);
-  cluster_.executor().Run(1, LocalPlan(1, Program({Op::Add(0, 5)})), uopts,
-                          nullptr);
+  RunLocal(cluster_.executor(), 1, Program({Op::Add(0, 5)}), uopts, nullptr);
   std::optional<ReplicaApplier::Report> report;
   SimTime finish;
   cluster_.sim().ScheduleAt(SimTime::Millis(10), [&] {

@@ -1,8 +1,10 @@
-// ThreadRuntime semantics: parity with the sim backend it wraps,
-// per-node thread placement, same-time FIFO order and cancellation,
-// shutdown idempotence, and the SharedPool teardown-order contract on
-// a thread-backend cluster. Runs under TSan via the `tsan`/`runtime`
-// ctest labels.
+// ThreadRuntime, the simulator's thread-backend dispatcher: parity with
+// the bare simulator, per-node thread placement, same-time FIFO order
+// and cancellation, wide same-time waves, shutdown idempotence, inline
+// fallbacks, and the SharedPool teardown-order contract on a
+// thread-backend cluster. Every test schedules on the Simulator itself;
+// the runtime only runs what it fires. Runs under TSan via the
+// `tsan`/`runtime` ctest labels.
 
 #include "runtime/thread_runtime.h"
 
@@ -23,42 +25,55 @@ namespace {
 
 using runtime::ThreadRuntime;
 
-// The same schedule/cancel/repeat scenario produces the same fire log
-// (ids, order, virtual times) through a ThreadRuntime as through the
-// bare Simulator — the interface contract the differential suite
+// The same schedule/cancel/repeat scenario, tagged and untagged,
+// produces the same fire log (order, virtual times) with the dispatcher
+// attached as on a bare Simulator — the contract the differential suite
 // depends on, in miniature.
 TEST(ThreadRuntimeTest, SemanticsMatchBareSimulator) {
-  auto scenario = [](runtime::Runtime& rt) {
+  auto scenario = [](sim::Simulator& sim) {
     std::vector<std::pair<int, double>> log;
-    rt.ScheduleAt(SimTime::Millis(10), [&] { log.emplace_back(1, 0.0); });
-    rt.ScheduleAfter(SimTime::Millis(5),
-                     [&] { log.emplace_back(2, rt.Now().seconds()); });
-    sim::EventId dead =
-        rt.ScheduleAt(SimTime::Millis(7), [&] { log.emplace_back(3, 0.0); });
-    EXPECT_TRUE(rt.Cancel(dead));
-    sim::EventId tick = rt.RepeatEvery(
-        SimTime::Millis(4), [&] { log.emplace_back(4, rt.Now().seconds()); });
-    rt.RunUntil(SimTime::Millis(12));
-    rt.Cancel(tick);
-    rt.Run();
-    EXPECT_EQ(rt.Now(), SimTime::Millis(12));
+    sim.ScheduleAtNode(0, SimTime::Millis(10),
+                       [&] { log.emplace_back(1, 0.0); });
+    sim.ScheduleAfterNode(1, SimTime::Millis(5),
+                          [&] { log.emplace_back(2, sim.Now().seconds()); });
+    sim::EventId dead = sim.ScheduleAtNode(2, SimTime::Millis(7),
+                                           [&] { log.emplace_back(3, 0.0); });
+    EXPECT_TRUE(sim.Cancel(dead));
+    sim::EventId tick = sim.RepeatEvery(
+        SimTime::Millis(4), [&] { log.emplace_back(4, sim.Now().seconds()); });
+    sim.ScheduleAfter(SimTime::Millis(6),
+                      [&] { log.emplace_back(5, sim.Now().seconds()); });
+    sim.RunUntil(SimTime::Millis(12));
+    sim.Cancel(tick);
+    sim.Run();
+    EXPECT_EQ(sim.Now(), SimTime::Millis(12));
     return log;
   };
   sim::Simulator plain;
   auto expected = scenario(plain);
 
   sim::Simulator clock;
-
   obs::MetricsRegistry metrics;
   ThreadRuntime threads(&clock, /*num_nodes=*/3, &metrics);
-  auto actual = scenario(threads);
+  auto actual = scenario(clock);
   EXPECT_EQ(actual, expected);
-  EXPECT_EQ(threads.dispatched() + threads.inline_events(),
-            static_cast<std::uint64_t>(expected.size()));
-  // Run/RunUntil account the virtual time they advanced and their
-  // wall-clock cost (the worker-utilization denominator).
-  EXPECT_DOUBLE_EQ(threads.sim_seconds(), 0.012);
-  EXPECT_GT(threads.wall_seconds(), 0.0);
+  EXPECT_EQ(clock.executed_events(), plain.executed_events());
+  EXPECT_EQ(threads.dispatched(), 2u);  // the two tagged one-shots
+  EXPECT_EQ(threads.inline_events(),
+            static_cast<std::uint64_t>(expected.size()) - 2);
+
+  // Worker utilization: busy time over the span the backend was
+  // dispatching, one sample per worker, published at shutdown.
+  threads.Shutdown();
+  obs::SnapshotOptions sopts;
+  sopts.include_profile = true;
+  const obs::MetricsSnapshot snap = metrics.Snapshot(sopts);
+  const obs::MetricValue* util = snap.Find("runtime.worker_utilization");
+  ASSERT_NE(util, nullptr);
+  EXPECT_EQ(util->stats.count(), 3u);
+  EXPECT_GT(util->stats.max(), 0.0);
+  EXPECT_LE(util->stats.max(), 1.0);
+  EXPECT_EQ(util->stats.min(), 0.0);  // node 2's worker ran nothing
 }
 
 TEST(ThreadRuntimeTest, NodeTaggedEventsRunOnThatNodesThread) {
@@ -68,14 +83,14 @@ TEST(ThreadRuntimeTest, NodeTaggedEventsRunOnThatNodesThread) {
   std::thread::id coordinator = std::this_thread::get_id();
   std::vector<std::thread::id> seen(3);
   for (std::uint32_t node = 0; node < 3; ++node) {
-    rt.ScheduleAfterNode(node, SimTime::Millis(1 + node), [&seen, node] {
+    clock.ScheduleAfterNode(node, SimTime::Millis(1 + node), [&seen, node] {
       seen[node] = std::this_thread::get_id();
     });
   }
   std::thread::id untagged;
-  rt.ScheduleAfter(SimTime::Millis(9),
-                   [&] { untagged = std::this_thread::get_id(); });
-  rt.Run();
+  clock.ScheduleAfter(SimTime::Millis(9),
+                      [&] { untagged = std::this_thread::get_id(); });
+  clock.Run();
   // Each node's event ran on a dedicated worker, none on the
   // coordinator; untagged (kAnyNode) events run inline.
   for (std::uint32_t node = 0; node < 3; ++node) {
@@ -95,10 +110,11 @@ TEST(ThreadRuntimeTest, SameNodeEventsShareOneThread) {
   ThreadRuntime rt(&clock, /*num_nodes=*/2, &metrics);
   std::vector<std::thread::id> runs;
   for (int i = 0; i < 5; ++i) {
-    rt.ScheduleAfterNode(1, SimTime::Millis(i + 1),
-                         [&] { runs.push_back(std::this_thread::get_id()); });
+    clock.ScheduleAfterNode(1, SimTime::Millis(i + 1), [&] {
+      runs.push_back(std::this_thread::get_id());
+    });
   }
-  rt.Run();
+  clock.Run();
   ASSERT_EQ(runs.size(), 5u);
   for (const auto& id : runs) EXPECT_EQ(id, runs[0]);
   EXPECT_EQ(rt.mailbox(1).pushed(), 5u);
@@ -110,8 +126,8 @@ TEST(ThreadRuntimeTest, ShutdownIsIdempotentAndFallsBackInline) {
   obs::MetricsRegistry metrics;
   ThreadRuntime rt(&clock, /*num_nodes=*/2, &metrics);
   int ran = 0;
-  rt.ScheduleAfterNode(0, SimTime::Millis(1), [&] { ++ran; });
-  rt.Run();
+  clock.ScheduleAfterNode(0, SimTime::Millis(1), [&] { ++ran; });
+  clock.Run();
   EXPECT_EQ(ran, 1);
   rt.Shutdown();
   rt.Shutdown();  // idempotent
@@ -119,9 +135,9 @@ TEST(ThreadRuntimeTest, ShutdownIsIdempotentAndFallsBackInline) {
   // Post-shutdown scheduling still works — events run inline on the
   // coordinator, same order, same results.
   std::thread::id where;
-  rt.ScheduleAfterNode(1, SimTime::Millis(1),
-                       [&] { where = std::this_thread::get_id(); });
-  rt.Run();
+  clock.ScheduleAfterNode(1, SimTime::Millis(1),
+                          [&] { where = std::this_thread::get_id(); });
+  clock.Run();
   EXPECT_EQ(where, std::this_thread::get_id());
   EXPECT_EQ(rt.dispatched(), 1u);
   EXPECT_EQ(rt.inline_events(), 1u);
@@ -132,9 +148,9 @@ TEST(ThreadRuntimeTest, OutOfRangeNodeRunsInline) {
   obs::MetricsRegistry metrics;
   ThreadRuntime rt(&clock, /*num_nodes=*/2, &metrics);
   std::thread::id where;
-  rt.ScheduleAfterNode(7, SimTime::Millis(1),
-                       [&] { where = std::this_thread::get_id(); });
-  rt.Run();
+  clock.ScheduleAfterNode(7, SimTime::Millis(1),
+                          [&] { where = std::this_thread::get_id(); });
+  clock.Run();
   EXPECT_EQ(where, std::this_thread::get_id());
   EXPECT_EQ(rt.inline_events(), 1u);
 }
@@ -147,12 +163,44 @@ TEST(ThreadRuntimeTest, SameNodeSameTimeKeepsFifoOrder) {
   ThreadRuntime rt(&clock, /*num_nodes=*/2, &metrics);
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
-    rt.ScheduleAtNode(1, SimTime::Millis(1),
-                      [&order, i] { order.push_back(i); });
+    clock.ScheduleAtNode(1, SimTime::Millis(1),
+                         [&order, i] { order.push_back(i); });
   }
-  rt.Run();
+  clock.Run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
   EXPECT_EQ(rt.dispatched(), 5u);
+}
+
+// A same-time wave of 80 events on each of 4 nodes, twice: every event
+// is dispatched to its node's worker, each node's share in schedule
+// order.
+TEST(ThreadRuntimeTest, WideSameTimeWaveDispatchesEveryEvent) {
+  sim::Simulator clock;
+  obs::MetricsRegistry metrics;
+  ThreadRuntime rt(&clock, /*num_nodes=*/4, &metrics);
+  constexpr int kPerNode = 80;
+  constexpr int kWidth = 4 * kPerNode;
+  std::vector<std::vector<int>> order(4);
+  auto wave = [&](SimTime when) {
+    for (std::uint32_t node = 0; node < 4; ++node) {
+      for (int k = 0; k < kPerNode; ++k) {
+        clock.ScheduleAtNode(node, when,
+                             [&order, node, k] { order[node].push_back(k); });
+      }
+    }
+  };
+  wave(SimTime::Millis(1));
+  clock.Run();
+  wave(SimTime::Millis(2));
+  clock.Run();
+  for (std::uint32_t node = 0; node < 4; ++node) {
+    ASSERT_EQ(order[node].size(), 2u * kPerNode) << "node " << node;
+    for (int k = 0; k < 2 * kPerNode; ++k) {
+      EXPECT_EQ(order[node][k], k % kPerNode);
+    }
+  }
+  EXPECT_EQ(rt.dispatched(), static_cast<std::uint64_t>(2 * kWidth));
+  EXPECT_EQ(rt.inline_events(), 0u);
 }
 
 // An event cancelling a SAME-timestamp, later-seq event on another
@@ -165,14 +213,15 @@ TEST(ThreadRuntimeTest, CancelReachesSameTimestampEventOnAnotherNode) {
   bool victim_ran = false;
   bool cancel_hit = false;
   sim::EventId victim = sim::kInvalidEventId;
-  rt.ScheduleAtNode(0, SimTime::Millis(5),
-                    [&] { cancel_hit = rt.Cancel(victim); });
-  victim = rt.ScheduleAtNode(1, SimTime::Millis(5),
-                             [&] { victim_ran = true; });
-  rt.Run();
+  clock.ScheduleAtNode(0, SimTime::Millis(5),
+                       [&] { cancel_hit = clock.Cancel(victim); });
+  victim = clock.ScheduleAtNode(1, SimTime::Millis(5),
+                                [&] { victim_ran = true; });
+  clock.Run();
   EXPECT_TRUE(cancel_hit);
   EXPECT_FALSE(victim_ran);
-  EXPECT_EQ(rt.task_pool().in_use(), 0u);
+  EXPECT_EQ(rt.dispatched(), 1u);
+  EXPECT_TRUE(clock.Idle());
 }
 
 // Teardown-order contract on the REAL cluster with the thread backend:
@@ -197,7 +246,8 @@ TEST(ThreadRuntimeClusterTest, SharedPoolLeaseOutlivesSchemeAtShutdown) {
       p.Add(Op::Write(i, 100 + i));
       scheme->Submit(0, p, nullptr);
     }
-    cluster->runtime().Run();
+    cluster->sim().Run();
+    EXPECT_GT(cluster->thread_runtime()->dispatched(), 0u);
     // Node 0 and 1 converged; node 2 still holds cold values.
     EXPECT_TRUE(cluster->node(0)->store().SameValuesAs(
         cluster->node(1)->store()));

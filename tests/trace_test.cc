@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "plan_helpers.h"
 #include "replication/cluster.h"
 #include "replication/lazy_group.h"
 
@@ -36,9 +37,8 @@ TEST(TraceTest, ExecutorEmitsLifecycleEvents) {
   Cluster cluster(copts);
   VectorTraceSink sink;
   cluster.executor().set_trace_sink(&sink);
-  cluster.executor().Run(0,
-                         LocalPlan(0, Program({Op::Write(2, 5), Op::Read(2)})),
-                         {}, nullptr);
+  RunLocal(cluster.executor(), 0, Program({Op::Write(2, 5), Op::Read(2)}),
+           {}, nullptr);
   cluster.sim().Run();
   auto starts = sink.OfType(TraceEventType::kTxnStart);
   auto applies = sink.OfType(TraceEventType::kOpApply);
@@ -58,11 +58,9 @@ TEST(TraceTest, WaitAndGrantTraced) {
   Cluster cluster(copts);
   VectorTraceSink sink;
   cluster.executor().set_trace_sink(&sink);
-  cluster.executor().Run(0, LocalPlan(0, Program({Op::Add(0, 1)})), {},
-                         nullptr);
+  RunLocal(cluster.executor(), 0, Program({Op::Add(0, 1)}), {}, nullptr);
   cluster.sim().ScheduleAt(SimTime::Millis(1), [&] {
-    cluster.executor().Run(0, LocalPlan(0, Program({Op::Add(0, 1)})), {},
-                           nullptr);
+    RunLocal(cluster.executor(), 0, Program({Op::Add(0, 1)}), {}, nullptr);
   });
   cluster.sim().Run();
   EXPECT_EQ(sink.OfType(TraceEventType::kLockWait).size(), 1u);
@@ -77,13 +75,11 @@ TEST(TraceTest, DeadlockAbortTraced) {
   Cluster cluster(copts);
   VectorTraceSink sink;
   cluster.executor().set_trace_sink(&sink);
-  cluster.executor().Run(
-      0, LocalPlan(0, Program({Op::Write(0, 1), Op::Write(1, 1)})), {},
-      nullptr);
+  RunLocal(cluster.executor(), 0,
+           Program({Op::Write(0, 1), Op::Write(1, 1)}), {}, nullptr);
   cluster.sim().ScheduleAt(SimTime::Millis(1), [&] {
-    cluster.executor().Run(
-        0, LocalPlan(0, Program({Op::Write(1, 2), Op::Write(0, 2)})), {},
-        nullptr);
+    RunLocal(cluster.executor(), 0,
+             Program({Op::Write(1, 2), Op::Write(0, 2)}), {}, nullptr);
   });
   cluster.sim().Run();
   auto aborts = sink.OfType(TraceEventType::kTxnAbort);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "sim/simulator.h"
@@ -219,6 +221,45 @@ TEST(OpenLoopArrivalsTest, StartIsIdempotent) {
   gen.Start();
   sim.RunUntil(SimTime::Seconds(1));
   EXPECT_EQ(arrivals, 10);  // not doubled
+}
+
+// Invalid Table-2 parameters abort with the offending value in every
+// build: a TPS that is not positive and finite would re-arm arrivals at
+// one instant forever, db_size 0 divides by zero, and actions above
+// db_size wrap Floyd's sampler into empty programs.
+void BuildArrivals(double tps) {
+  sim::Simulator sim;
+  OpenLoopArrivals::Options o;
+  o.tps = tps;
+  OpenLoopArrivals gen(&sim, o, Rng(1), [] {});
+}
+
+TEST(OpenLoopArrivalsDeathTest, RejectsATpsThatIsNotPositiveAndFinite) {
+  EXPECT_DEATH(BuildArrivals(0), "tps 0 is not positive and finite");
+  EXPECT_DEATH(BuildArrivals(-1), "tps -1 is not positive and finite");
+  EXPECT_DEATH(BuildArrivals(std::nan("")), "tps -?nan is not positive");
+  EXPECT_DEATH(BuildArrivals(std::numeric_limits<double>::infinity()),
+               "tps inf is not positive and finite");
+}
+
+void BuildGenerator(std::uint64_t db_size, std::uint32_t actions) {
+  ProgramGenerator::Options o = BaseOptions();
+  o.db_size = db_size;
+  o.actions = actions;
+  ProgramGenerator gen(o);
+}
+
+TEST(ProgramGeneratorDeathTest, RejectsAnEmptyDatabase) {
+  EXPECT_DEATH(BuildGenerator(0, 4), "db_size 0 is not positive");
+}
+
+TEST(ProgramGeneratorDeathTest, RejectsZeroActions) {
+  EXPECT_DEATH(BuildGenerator(100, 0), "actions 0 is not positive");
+}
+
+TEST(ProgramGeneratorDeathTest, RejectsMoreActionsThanObjects) {
+  EXPECT_DEATH(BuildGenerator(2, 4), "actions 4 exceed db_size 2");
+  BuildGenerator(4, 4);  // every object once: allowed
 }
 
 }  // namespace
