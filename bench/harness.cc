@@ -15,8 +15,8 @@ analytic::ModelParams ToModelParams(const SimConfig& config) {
 }
 
 std::vector<SimOutcome> RunSweep(const std::vector<SimConfig>& configs,
-                                 SweepOptions options) {
-  sim::SweepRunner runner(sim::SweepRunner::Options{options.threads});
+                                 sim::SweepRunner::Options options) {
+  sim::SweepRunner runner(options);
   return runner.Map<SimOutcome>(
       configs.size(), [&](std::size_t i) { return RunScheme(configs[i]); });
 }

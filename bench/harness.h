@@ -34,18 +34,12 @@ SimConfig E15Config(SchemeKind kind, std::uint64_t seed);
 /// with the same faulted row of the baseline.
 std::string FaultPlanName(const SimConfig& config);
 
-/// Options for a parallel sweep of independent simulation runs.
-struct SweepOptions {
-  /// Worker threads; 0 means one per hardware thread.
-  unsigned threads = 0;
-};
-
 /// Runs every config (each with its own seed) through RunScheme on a
 /// thread pool and returns the outcomes in config order. Each run owns
 /// its Simulator, so results are deterministic regardless of thread
 /// count or schedule.
 std::vector<SimOutcome> RunSweep(const std::vector<SimConfig>& configs,
-                                 SweepOptions options = {});
+                                 sim::SweepRunner::Options options = {});
 
 /// Maps a SimConfig onto the analytic model's parameters.
 analytic::ModelParams ToModelParams(const SimConfig& config);

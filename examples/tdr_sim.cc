@@ -35,19 +35,30 @@ int main(int argc, char** argv) {
     }
     config.kind = *kind;
   }
-  config.nodes = argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2]))
-                          : 3;
+  const int nodes = argc > 2 ? std::atoi(argv[2]) : 3;
   config.db_size =
       argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 2000;
   config.tps = argc > 4 ? std::atof(argv[4]) : 10;
   config.actions =
       argc > 5 ? static_cast<std::uint32_t>(std::atoi(argv[5])) : 4;
-  config.action_time = argc > 6 ? std::atof(argv[6]) / 1000.0 : 0.01;
+  const double action_ms = argc > 6 ? std::atof(argv[6]) : 10;
   config.sim_seconds = argc > 7 ? std::atof(argv[7]) : 300;
   config.seed = argc > 8 ? static_cast<std::uint64_t>(std::atoll(argv[8]))
                          : 42;
   // The library aborts on these (a run with them would hang, divide by
-  // zero or sample empty programs); say which argument is wrong instead.
+  // zero, sample empty programs, clamp every step to zero time or report
+  // nothing); say which argument is wrong instead.
+  if (nodes <= 0) {
+    std::fprintf(stderr, "nodes %d must be positive\n", nodes);
+    return 2;
+  }
+  config.nodes = static_cast<std::uint32_t>(nodes);
+  if (!(action_ms >= 0 && std::isfinite(action_ms))) {
+    std::fprintf(stderr, "action_ms %g must be non-negative and finite\n",
+                 action_ms);
+    return 2;
+  }
+  config.action_time = action_ms / 1000.0;
   if (!(config.tps > 0 && std::isfinite(config.tps))) {
     std::fprintf(stderr, "tps %g must be positive and finite\n", config.tps);
     return 2;

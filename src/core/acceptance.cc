@@ -95,22 +95,6 @@ AcceptanceCriterion WithinPercentOfTentative(ObjectId oid,
   };
 }
 
-AcceptanceCriterion IdenticalWrites() {
-  return [](const TxnResult& base, const TxnResult& tentative) {
-    for (const UpdateRecord& rec : tentative.updates) {
-      std::optional<Value> b = FinalValueOf(base, rec.oid);
-      if (!b.has_value() || *b != rec.new_value) {
-        return AcceptanceDecision::Reject(StrPrintf(
-            "object %llu: base wrote %s, tentative wrote %s",
-            (unsigned long long)rec.oid,
-            b.has_value() ? b->ToString().c_str() : "(nothing)",
-            rec.new_value.ToString().c_str()));
-      }
-    }
-    return AcceptanceDecision::Accept();
-  };
-}
-
 AcceptanceCriterion Both(AcceptanceCriterion a, AcceptanceCriterion b) {
   return [a = std::move(a), b = std::move(b)](const TxnResult& base,
                                               const TxnResult& tentative) {

@@ -58,15 +58,8 @@ AcceptanceCriterion IdenticalReads();
 /// tentative final value of `oid` up to `percent` of the tentative
 /// value (absolute drift for a zero tentative value is rejected unless
 /// equal). The in-between point of the acceptance spectrum: looser than
-/// IdenticalWrites, tighter than AcceptAlways.
+/// an exact match, tighter than AcceptAlways.
 AcceptanceCriterion WithinPercentOfTentative(ObjectId oid, double percent);
-
-/// The strictest §7 criterion: the base transaction must write exactly
-/// the values the tentative one wrote ("the replication system can do no
-/// more than detect that there is a difference between the tentative and
-/// base transaction"). Appropriate for non-commutative transactions,
-/// where a different outcome means the tentative premise was violated.
-AcceptanceCriterion IdenticalWrites();
 
 /// Conjunction: accept only if both accept (reports the first reason).
 AcceptanceCriterion Both(AcceptanceCriterion a, AcceptanceCriterion b);

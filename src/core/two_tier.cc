@@ -135,10 +135,8 @@ void TwoTierSystem::ExecuteNextTentative(MobileNode* m) {
       rec.new_value = value;
       rec.new_ts = res.commit_ts;
       rec.origin = m->id();
-      rec.commit_time = sim().Now();
       res.updates.push_back(std::move(rec));
     }
-    ++m->tentative_committed_;
     cluster_.metrics().Increment("twotier.tentative_committed");
     if (item.on_tentative_cb) item.on_tentative_cb(res);
     // Queue for base reprocessing in tentative-commit order.
@@ -183,7 +181,6 @@ void TwoTierSystem::ReprocessFront(MobileNode* m, int attempts) {
             FinalOutcome out;
             out.accepted = true;
             out.base_result = base;
-            out.base_deadlock_retries = attempts;
             DeliverFinal(m, std::move(item), std::move(out));
             ReprocessFront(m, 0);
             return;
@@ -197,7 +194,6 @@ void TwoTierSystem::ReprocessFront(MobileNode* m, int attempts) {
             out.accepted = false;
             out.reason = decision->reason;
             out.base_result = base;
-            out.base_deadlock_retries = attempts;
             DeliverFinal(m, std::move(item), std::move(out));
             ReprocessFront(m, 0);
             return;
@@ -215,7 +211,6 @@ void TwoTierSystem::ReprocessFront(MobileNode* m, int attempts) {
               out.accepted = false;
               out.reason = "base transaction exceeded deadlock retries";
               out.base_result = base;
-              out.base_deadlock_retries = attempts + 1;
               DeliverFinal(m, std::move(item), std::move(out));
               ReprocessFront(m, 0);
               return;

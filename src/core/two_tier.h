@@ -28,7 +28,6 @@ struct FinalOutcome {
   bool accepted = false;
   std::string reason;          // rejection diagnostic
   TxnResult base_result;       // the base execution
-  int base_deadlock_retries = 0;
 };
 
 /// A mobile node in the two-tier scheme (§7): usually disconnected,
@@ -56,8 +55,6 @@ class MobileNode {
   /// Tentative transactions awaiting reprocessing at the base.
   std::size_t PendingCount() const { return pending_.size(); }
 
-  std::uint64_t tentative_committed() const { return tentative_committed_; }
-
  private:
   friend class TwoTierSystem;
 
@@ -82,7 +79,6 @@ class MobileNode {
   bool executing_ = false;
   bool draining_ = false;
   std::uint64_t next_seq_ = 1;
-  std::uint64_t tentative_committed_ = 0;
 };
 
 /// The paper's contribution: two-tier replication (§7).

@@ -26,7 +26,7 @@ InvariantChecker::InvariantChecker(Cluster* cluster, Options options)
     : cluster_(cluster), options_(std::move(options)) {
   last_ts_.resize(cluster_->size());
   for (NodeId id = 0; id < cluster_->size(); ++id) {
-    last_ts_[id].assign(cluster_->options().db_size, 0);
+    last_ts_[id].assign(cluster_->options().db_size, Timestamp::Zero());
   }
   wipe_epoch_seen_.assign(cluster_->size(), 0);
 }
@@ -92,19 +92,19 @@ void InvariantChecker::CheckMonotoneTimestamps() {
     const std::uint64_t epoch = cluster_->recovery().wipe_epoch(id);
     if (epoch != wipe_epoch_seen_[id]) {
       wipe_epoch_seen_[id] = epoch;
-      last_ts_[id].assign(last_ts_[id].size(), 0);
+      last_ts_[id].assign(last_ts_[id].size(), Timestamp::Zero());
     }
     if (wal && cluster_->node(id)->crashed()) continue;
     const ObjectStore& store = cluster_->node(id)->store();
-    std::vector<std::uint64_t>& last = last_ts_[id];
+    std::vector<Timestamp>& last = last_ts_[id];
     for (ObjectId oid = 0; oid < store.size(); ++oid) {
-      const std::uint64_t ts = store.GetUnchecked(oid).packed_ts();
+      const Timestamp ts = store.GetUnchecked(oid).ts();
       if (ts < last[oid]) {
         Report("monotone-timestamps",
                StrPrintf("node %u object %llu went backwards: %s -> %s", id,
                          (unsigned long long)oid,
-                         UnpackTimestamp(last[oid]).ToString().c_str(),
-                         UnpackTimestamp(ts).ToString().c_str()));
+                         last[oid].ToString().c_str(),
+                         ts.ToString().c_str()));
       }
       last[oid] = ts;
     }
@@ -129,7 +129,7 @@ void InvariantChecker::CheckTimestampValueAgreement() {
       const StoredObject& obj = live[i].second->GetUnchecked(oid);
       for (std::size_t j = 0; j < i; ++j) {
         const StoredObject& first = live[j].second->GetUnchecked(oid);
-        if (first.packed_ts() != obj.packed_ts()) continue;
+        if (first.ts() != obj.ts()) continue;
         if (!first.SameValueAs(obj)) {
           Report("timestamp-value-agreement",
                  StrPrintf("object %llu at ts %s: node %u holds %s, node %u "

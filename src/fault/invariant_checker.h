@@ -144,9 +144,8 @@ class InvariantChecker {
   Cluster* cluster_;
   Options options_;
   sim::EventId sweep_series_ = sim::kInvalidEventId;
-  // Last observed timestamp per (node, object), for monotonicity, as
-  // the store slot packs it (StoredObject::packed_ts): one word each.
-  std::vector<std::vector<std::uint64_t>> last_ts_;
+  // Last observed timestamp per (node, object), for monotonicity.
+  std::vector<std::vector<Timestamp>> last_ts_;
   // RecoveryManager wipe epoch at the last sweep: when it moves, the
   // node's store was legitimately wiped by a WAL-mode crash and its
   // monotonicity watermarks reset (recovery replays an old prefix).

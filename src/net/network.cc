@@ -14,8 +14,7 @@ Network::Network(sim::Simulator* sim, std::vector<Node*> nodes,
       inbox_(nodes_.size()),
       link_up_(nodes_.size() * nodes_.size(), 1),
       held_(nodes_.size() * nodes_.size()),
-      on_reconnect_(nodes_.size()),
-      on_disconnect_(nodes_.size()) {
+      on_reconnect_(nodes_.size()) {
   m_sent_ = metrics->GetCounter("net.sent");
   m_held_ = metrics->GetCounter("net.held");
   m_dropped_ = metrics->GetCounter("net.dropped");
@@ -124,10 +123,7 @@ void Network::SetConnected(NodeId node, bool connected) {
   Node* n = nodes_[node];
   if (n->connected() == connected) return;
   n->set_connected(connected);
-  if (!connected) {
-    for (const auto& fn : on_disconnect_[node]) fn();
-    return;
-  }
+  if (!connected) return;
   // Reconnect: flush the outbox (messages start their journey now) and
   // the inbox (messages that arrived while offline deliver now). Both
   // chains are detached first, so handlers re-queueing traffic cannot
@@ -152,10 +148,6 @@ void Network::SetConnected(NodeId node, bool connected) {
 
 void Network::OnReconnect(NodeId node, std::function<void()> fn) {
   on_reconnect_[node].push_back(std::move(fn));
-}
-
-void Network::OnDisconnect(NodeId node, std::function<void()> fn) {
-  on_disconnect_[node].push_back(std::move(fn));
 }
 
 bool Network::LinkUp(NodeId a, NodeId b) const {

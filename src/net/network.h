@@ -100,17 +100,6 @@ class Network {
   /// delivered (with delay) without touching connectivity or faults.
   void Send(NodeId from, NodeId to, Handler fn);
 
-  /// Broadcasts to every node except `from`; `make(to)` builds each
-  /// destination's handler. Templated so per-destination handler
-  /// construction goes straight into the pooled record.
-  template <typename MakeHandler>
-  void Broadcast(NodeId from, MakeHandler&& make) {
-    for (NodeId to = 0; to < nodes_.size(); ++to) {
-      if (to == from) continue;
-      Send(from, to, make(to));
-    }
-  }
-
   /// Marks the node (dis)connected and flushes queues on reconnect.
   /// This is the single authority on Node::connected().
   void SetConnected(NodeId node, bool connected);
@@ -119,9 +108,6 @@ class Network {
   /// traffic has been flushed — replication schemes hook their
   /// reconnect exchange protocol here.
   void OnReconnect(NodeId node, std::function<void()> fn);
-
-  /// Callbacks run when a node disconnects.
-  void OnDisconnect(NodeId node, std::function<void()> fn);
 
   // --- Fault surface (driven by fault::FaultInjector) ---------------
 
@@ -218,7 +204,6 @@ class Network {
   // deterministic order the std::map representation flushed in.
   std::vector<MsgQueue> held_;
   std::vector<std::vector<std::function<void()>>> on_reconnect_;
-  std::vector<std::vector<std::function<void()>>> on_disconnect_;
   std::vector<std::function<void(NodeId, NodeId)>> on_link_restored_;
   std::uint64_t queued_ = 0;
 };

@@ -23,7 +23,6 @@ void UpdateBatchBuilder::Add(const UpdateRecord& rec, bool coalesce) {
       pending.txn = rec.txn;
       pending.new_ts = rec.new_ts;
       pending.new_value = rec.new_value;
-      pending.commit_time = rec.commit_time;
       ++coalesced_;
       return;
     }

@@ -1,13 +1,33 @@
 #include "replication/cluster.h"
 
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+
 #include "util/fnv.h"
 
 namespace tdr {
+
+namespace {
+
+[[noreturn]] void FailOptions(const char* what, const std::string& value) {
+  std::fprintf(stderr, "Cluster: %s %s\n", what, value.c_str());
+  std::abort();
+}
+
+}  // namespace
 
 Cluster::Cluster(Options options)
     : options_(options),
       rng_(options.seed, /*stream=*/1),
       shards_(options.db_size, options.num_shards) {
+  // A cluster of no node runs nothing and reports all zeros, and every
+  // schedule would clamp a negative Action_Time to zero.
+  if (options_.num_nodes == 0) FailOptions("num_nodes", "0 is not positive");
+  if (options_.action_time < SimTime::Zero()) {
+    FailOptions("action_time",
+                options_.action_time.ToString() + " is negative");
+  }
   nodes_.reserve(options_.num_nodes);
   for (NodeId id = 0; id < options_.num_nodes; ++id) {
     nodes_.push_back(std::make_unique<Node>(

@@ -6,16 +6,6 @@ namespace tdr {
 
 namespace {
 
-/// Synthesizes an "unavailable" result for a transaction that never ran.
-TxnResult UnavailableResult(NodeId origin, SimTime now) {
-  TxnResult r;
-  r.origin = origin;
-  r.outcome = TxnOutcome::kUnavailable;
-  r.start_time = now;
-  r.end_time = now;
-  return r;
-}
-
 bool AllReachable(Cluster* cluster, NodeId origin) {
   for (NodeId id = 0; id < cluster->size(); ++id) {
     if (!cluster->net().Reachable(origin, id)) return false;
@@ -29,8 +19,7 @@ void EagerGroupScheme::Submit(NodeId origin, const Program& program,
                               DoneCallback done) {
   if (!cluster_->node(origin)->connected() ||
       !AllReachable(cluster_, origin)) {
-    cluster_->metrics().Increment("scheme.unavailable");
-    if (done) done(UnavailableResult(origin, cluster_->sim().Now()));
+    FailUnavailable(cluster_, origin, done);
     return;
   }
   // Compile: each write applies at the origin replica first, then at
@@ -65,8 +54,7 @@ void EagerMasterScheme::Submit(NodeId origin, const Program& program,
   // same constraint eagerly).
   if (!cluster_->node(origin)->connected() ||
       !AllReachable(cluster_, origin)) {
-    cluster_->metrics().Increment("scheme.unavailable");
-    if (done) done(UnavailableResult(origin, cluster_->sim().Now()));
+    FailUnavailable(cluster_, origin, done);
     return;
   }
   // Compile: writes lock the master copy first ("updates go to this node

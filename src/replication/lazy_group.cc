@@ -51,7 +51,6 @@ void LazyGroupScheme::ApplyAt(Node* dest,
   aopts.shards = &cluster_->shards();
   applier_.Apply(dest, records, aopts,
                  [this](const ReplicaApplier::Report& report) {
-                   replica_applied_ += report.applied;
                    if (report.conflicts > 0) {
                      cluster_->metrics().Increment(
                          "lazy_group.reconciliations", report.conflicts);

@@ -67,8 +67,6 @@ class LazyGroupScheme : public ReplicationScheme, private TxnObserver {
   std::uint64_t reconciliations() const {
     return cluster_->metrics().Get("lazy_group.reconciliations");
   }
-  /// Replica updates applied cleanly.
-  std::uint64_t replica_applied() const { return replica_applied_; }
 
  private:
   /// Executor completion hook (set as RunOptions::observer on every
@@ -81,7 +79,6 @@ class LazyGroupScheme : public ReplicationScheme, private TxnObserver {
   Cluster* cluster_;
   ReplicaApplier applier_;
   BatchShipper shipper_;
-  std::uint64_t replica_applied_ = 0;
 };
 
 }  // namespace tdr

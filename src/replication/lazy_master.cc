@@ -51,13 +51,7 @@ void LazyMasterScheme::SubmitWithPrecommit(NodeId origin,
     }
   }
   if (!reachable) {
-    cluster_->metrics().Increment("scheme.unavailable");
-    TxnResult r;
-    r.origin = origin;
-    r.outcome = TxnOutcome::kUnavailable;
-    r.start_time = cluster_->sim().Now();
-    r.end_time = r.start_time;
-    if (done) done(r);
+    FailUnavailable(cluster_, origin, done);
     return;
   }
   // Compile: every op runs at its object's master. This is the "send an
@@ -127,10 +121,7 @@ void LazyMasterScheme::ApplyAt(Node* dest,
   aopts.action_time = cluster_->options().action_time;
   aopts.mode = ReplicaApplier::Mode::kNewerWins;
   aopts.shards = &cluster_->shards();
-  applier_.Apply(dest, records, aopts,
-                 [this](const ReplicaApplier::Report& report) {
-                   slave_applied_ += report.applied;
-                 });
+  applier_.Apply(dest, records, aopts, nullptr);
 }
 
 }  // namespace tdr

@@ -92,7 +92,6 @@ class LazyMasterScheme : public ReplicationScheme, private TxnObserver {
   /// The shipping plane every slave refresh goes through.
   BatchShipper* batch_shipper() { return &shipper_; }
 
-  std::uint64_t slave_updates_applied() const { return slave_applied_; }
   std::uint64_t catch_up_objects() const {
     return cluster_->metrics().Get("lazy_master.catch_up_objects");
   }
@@ -108,7 +107,6 @@ class LazyMasterScheme : public ReplicationScheme, private TxnObserver {
   const Ownership* ownership_;
   ReplicaApplier applier_;
   BatchShipper shipper_;
-  std::uint64_t slave_applied_ = 0;
 };
 
 }  // namespace tdr

@@ -58,13 +58,7 @@ void QuorumEagerScheme::Submit(NodeId origin, const Program& program,
                                DoneCallback done) {
   if (!cluster_->node(origin)->connected() ||
       !WriteQuorumAvailableAt(origin)) {
-    cluster_->metrics().Increment("scheme.unavailable");
-    TxnResult r;
-    r.origin = origin;
-    r.outcome = TxnOutcome::kUnavailable;
-    r.start_time = cluster_->sim().Now();
-    r.end_time = r.start_time;
-    if (done) done(r);
+    FailUnavailable(cluster_, origin, done);
     return;
   }
   // Write set: the origin plus replicas it can reach until the quorum
@@ -131,29 +125,6 @@ Result<StoredObject> QuorumEagerScheme::ReadLatest(ObjectId oid) const {
     return Status::Unavailable(
         StrPrintf("read quorum unavailable: %u of %u votes", votes,
                   read_quorum_));
-  }
-  return *newest;
-}
-
-Result<StoredObject> QuorumEagerScheme::ReadLatestAt(NodeId reader,
-                                                     ObjectId oid) const {
-  std::uint32_t votes = 0;
-  const StoredObject* newest = nullptr;
-  for (NodeId id = 0; id < cluster_->size(); ++id) {
-    if (!cluster_->net().Reachable(reader, id)) continue;
-    const ObjectStore& store = cluster_->node(id)->store();
-    if (!store.Contains(oid)) {
-      return Status::NotFound("ReadLatestAt: object out of range");
-    }
-    const StoredObject& obj = store.GetUnchecked(oid);
-    if (newest == nullptr || obj.ts() > newest->ts()) newest = &obj;
-    votes += votes_[id];
-    if (votes >= read_quorum_) break;
-  }
-  if (votes < read_quorum_ || newest == nullptr) {
-    return Status::Unavailable(
-        StrPrintf("read quorum unavailable at node %u: %u of %u votes",
-                  reader, votes, read_quorum_));
   }
   return *newest;
 }

@@ -58,12 +58,8 @@ class QuorumEagerScheme : public ReplicationScheme {
   /// Quorum read: consults connected replicas holding >= read_quorum
   /// votes and returns the newest version of `oid`. kUnavailable if the
   /// read quorum cannot be formed. (Omniscient view — ignores link
-  /// partitions; use ReadLatestAt for the partition-aware read.)
+  /// partitions.)
   Result<StoredObject> ReadLatest(ObjectId oid) const;
-
-  /// Partition-aware quorum read as issued from `reader`: only replicas
-  /// reachable from the reader can contribute votes.
-  Result<StoredObject> ReadLatestAt(NodeId reader, ObjectId oid) const;
 
   std::uint32_t total_votes() const { return total_votes_; }
   std::uint32_t write_quorum() const { return write_quorum_; }

@@ -255,7 +255,7 @@ void ReplicaApplier::ApplyCurrent(Job* job) {
   // committer's window flushes the append in bounded time.
   if (installed) {
     DurabilityHook* durability = executor_->durability();
-    if (durability != nullptr && durability->Enabled(node->id())) {
+    if (durability != nullptr) {
       durability->LogWrite(node->id(), rec.txn, rec.oid, rec.old_ts,
                            rec.new_ts, rec.new_value);
     }

@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "replication/cluster.h"
 #include "txn/executor.h"
 #include "txn/program.h"
 
@@ -39,6 +40,21 @@ class ReplicationScheme {
   virtual void Submit(NodeId origin, const Program& program,
                       DoneCallback done) = 0;
 };
+
+/// Ends a transaction that never ran because a node it needs is out of
+/// reach: counts it in `scheme.unavailable` and hands `done`, if set, a
+/// kUnavailable result at the current instant.
+inline void FailUnavailable(Cluster* cluster, NodeId origin,
+                            const ReplicationScheme::DoneCallback& done) {
+  cluster->metrics().Increment("scheme.unavailable");
+  if (!done) return;
+  TxnResult r;
+  r.origin = origin;
+  r.outcome = TxnOutcome::kUnavailable;
+  r.start_time = cluster->sim().Now();
+  r.end_time = r.start_time;
+  done(r);
+}
 
 }  // namespace tdr
 

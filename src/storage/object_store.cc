@@ -37,7 +37,7 @@ Status ObjectStore::ApplyIfTimestampMatches(ObjectId oid, const Value& value,
     return Status::NotFound("ApplyIfTimestampMatches: object out of range");
   }
   StoredObject& obj = objects_[oid];
-  if (obj.packed_ts() != PackTimestamp(expected_old_ts)) {
+  if (obj.ts() != expected_old_ts) {
     // "If the current timestamp of the local replica does not match the
     // old timestamp seen by the root transaction, then the update may be
     // dangerous. ... the node rejects the incoming transaction and
@@ -59,7 +59,7 @@ Status ObjectStore::ApplyIfNewer(ObjectId oid, const Value& value,
     return Status::NotFound("ApplyIfNewer: object out of range");
   }
   StoredObject& obj = objects_[oid];
-  if (PackTimestamp(new_ts) > obj.packed_ts()) {
+  if (new_ts > obj.ts()) {
     obj.Set(value, new_ts);
     if (applied != nullptr) *applied = true;
   } else {
@@ -96,8 +96,8 @@ std::uint64_t MixObject(std::uint64_t h, const StoredObject& obj) {
     }
   }
   const Timestamp ts = obj.ts();
-  h = FnvMix(h, ts.counter);
-  return FnvMix(h, ts.node);
+  h = FnvMix(h, ts.counter());
+  return FnvMix(h, ts.node());
 }
 
 // Advances kLanes independent digest chains over [begin, end), one per
@@ -132,10 +132,10 @@ void DigestLanes(const StoredObject* const* stores, ObjectId begin,
       h[k] = FnvMixNarrow<1>(h[k], scalar);
     }
     for (std::size_t k = 0; k < kLanes; ++k) {
-      h[k] = FnvMixNarrow<3>(h[k], obj[k]->ts().counter);
+      h[k] = FnvMixNarrow<3>(h[k], obj[k]->ts().counter());
     }
     for (std::size_t k = 0; k < kLanes; ++k) {
-      h[k] = FnvMixNarrow<1>(h[k], obj[k]->ts().node);
+      h[k] = FnvMixNarrow<1>(h[k], obj[k]->ts().node());
     }
   }
   for (std::size_t k = 0; k < kLanes; ++k) out[k] = h[k];

@@ -22,12 +22,10 @@ namespace tdr {
 /// one per object (§2), so this is the model's per-replica footprint.
 ///
 /// Sixteen bytes in two words (DESIGN.md §12.5). Word 0 holds the
-/// scalar, or the owning pointer to the list. Word 1 packs the
-/// timestamp and the value's kind, `PackTimestamp(ts) << 1 | is_list`,
-/// so `word1 >> 1` orders exactly as Timestamp's (counter, node) and
-/// the §4 match and §5 newer-wins tests each compare one integer. The
-/// kind sits beside the timestamp because a scalar needs all 64 bits of
-/// its word. An all-zero slot is scalar 0 at Timestamp::Zero().
+/// scalar, or the owning pointer to the list. Word 1 holds the
+/// timestamp's word and the value's kind, `ts.word() << 1 | is_list`.
+/// The kind sits beside the timestamp because a scalar needs all 64
+/// bits of its word. An all-zero slot is scalar 0 at Timestamp::Zero().
 ///
 /// The slot keeps Value's semantics: copies are deep, a list reads as
 /// its size, and Append promotes a scalar. A moved-from slot is scalar
@@ -93,14 +91,10 @@ class alignas(16) StoredObject {
     return word0_ == other.word0_ && is_list() == other.is_list();
   }
 
-  Timestamp ts() const { return UnpackTimestamp(packed_ts()); }
-  /// The timestamp as PackTimestamp packs it: one word that orders as
-  /// Timestamp does.
-  std::uint64_t packed_ts() const { return word1_ >> 1; }
+  Timestamp ts() const { return Timestamp::FromWord(word1_ >> 1); }
 
   void set_ts(Timestamp ts) {
-    assert(FitsPackedTimestamp(ts));
-    word1_ = PackTimestamp(ts) << 1 | (word1_ & kListBit);
+    word1_ = ts.word() << 1 | (word1_ & kListBit);
   }
   /// Installs a copy of `value` (reusing this slot's list, if it has
   /// one) and `ts`.
@@ -159,7 +153,7 @@ class alignas(16) StoredObject {
   }
 
   std::uint64_t word0_ = 0;  // the scalar, or the owned List*
-  std::uint64_t word1_ = 0;  // PackTimestamp(ts) << 1 | is_list
+  std::uint64_t word1_ = 0;  // ts.word() << 1 | is_list
 };
 static_assert(sizeof(StoredObject) == 16,
               "a replica slot is one word of value and one of timestamp");

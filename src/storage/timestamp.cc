@@ -7,7 +7,7 @@ namespace tdr {
 
 void LamportClock::FailLimit(const char* what, std::uint64_t value) {
   std::fprintf(stderr,
-               "timestamp %s %llu does not fit a packed timestamp "
+               "timestamp %s %llu does not fit a timestamp "
                "(node <= %u, counter <= %llu)\n",
                what, static_cast<unsigned long long>(value), kMaxTimestampNode,
                static_cast<unsigned long long>(kMaxTimestampCounter));

@@ -1,6 +1,8 @@
 #ifndef TDR_STORAGE_TIMESTAMP_H_
 #define TDR_STORAGE_TIMESTAMP_H_
 
+#include <cassert>
+#include <compare>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -9,17 +11,38 @@
 
 namespace tdr {
 
+/// A timestamp's limits (DESIGN.md §12.5): a node id fits 16 bits and a
+/// counter 47, so that a store slot can keep a timestamp beside one more
+/// bit in a word. Every timestamp is held to them where it is born: a
+/// LamportClock's node at construction and its counter in Tick, and a
+/// timestamp read back from the WAL in wal::DecodeRecord.
+inline constexpr int kTimestampNodeBits = 16;
+inline constexpr NodeId kMaxTimestampNode =
+    (NodeId{1} << kTimestampNodeBits) - 1;
+inline constexpr std::uint64_t kMaxTimestampCounter =
+    (std::uint64_t{1} << (63 - kTimestampNodeBits)) - 1;
+
 /// Lamport timestamp: (counter, node). Counters advance per node on
 /// every commit and are merged on message receipt, so timestamps are
 /// unique and totally ordered across the cluster — exactly what the
 /// paper's lazy-group "old timestamp must match" test (§4, Figure 4) and
 /// the lazy-master "newer wins / stale is ignored" test (§5) require.
-struct Timestamp {
-  std::uint64_t counter = 0;
-  NodeId node = 0;
+///
+/// One word, `counter << 16 | node`: within the limits above, words
+/// order and compare exactly as the (counter, node) pairs do, so the
+/// defaulted comparisons are the §4 and §5 tests.
+class Timestamp {
+ public:
+  /// True if (counter, node) is within the limits above.
+  static constexpr bool Fits(std::uint64_t counter, std::uint64_t node) {
+    return counter <= kMaxTimestampCounter && node <= kMaxTimestampNode;
+  }
 
   constexpr Timestamp() = default;
-  constexpr Timestamp(std::uint64_t c, NodeId n) : counter(c), node(n) {}
+  constexpr Timestamp(std::uint64_t counter, NodeId node)
+      : word_(counter << kTimestampNodeBits | node) {
+    assert(Fits(counter, node));
+  }
   constexpr Timestamp(const Timestamp&) = default;
   constexpr Timestamp(Timestamp&&) = default;
   /// Assignable only through an lvalue: a store slot hands its timestamp
@@ -27,65 +50,43 @@ struct Timestamp {
   constexpr Timestamp& operator=(const Timestamp&) & = default;
   constexpr Timestamp& operator=(Timestamp&&) & = default;
 
+  /// The timestamp whose word is `word` (a store slot keeps the word).
+  static constexpr Timestamp FromWord(std::uint64_t word) {
+    Timestamp ts;
+    ts.word_ = word;
+    return ts;
+  }
+
   /// The zero timestamp orders before every commit timestamp and marks a
   /// never-updated object.
-  static constexpr Timestamp Zero() { return Timestamp{0, 0}; }
+  static constexpr Timestamp Zero() { return Timestamp(); }
 
-  bool IsZero() const { return counter == 0; }
+  constexpr std::uint64_t counter() const {
+    return word_ >> kTimestampNodeBits;
+  }
+  constexpr NodeId node() const {
+    return static_cast<NodeId>(word_ & kMaxTimestampNode);
+  }
+  constexpr std::uint64_t word() const { return word_; }
+
+  constexpr bool IsZero() const { return counter() == 0; }
 
   std::string ToString() const {
-    return std::to_string(counter) + "@" + std::to_string(node);
+    return std::to_string(counter()) + "@" + std::to_string(node());
   }
 
-  friend constexpr bool operator==(Timestamp a, Timestamp b) {
-    return a.counter == b.counter && a.node == b.node;
-  }
-  friend constexpr bool operator!=(Timestamp a, Timestamp b) {
-    return !(a == b);
-  }
   /// Total order: counter first, node id breaks ties.
-  friend constexpr bool operator<(Timestamp a, Timestamp b) {
-    if (a.counter != b.counter) return a.counter < b.counter;
-    return a.node < b.node;
-  }
-  friend constexpr bool operator>(Timestamp a, Timestamp b) { return b < a; }
-  friend constexpr bool operator<=(Timestamp a, Timestamp b) {
-    return !(b < a);
-  }
-  friend constexpr bool operator>=(Timestamp a, Timestamp b) {
-    return !(a < b);
-  }
+  constexpr bool operator==(const Timestamp&) const = default;
+  constexpr auto operator<=>(const Timestamp&) const = default;
+
+ private:
+  std::uint64_t word_ = 0;
 };
-
-/// A store slot keeps a timestamp in 63 bits of one word (DESIGN.md
-/// §12.5): the counter in the high 47, the node id in the low 16. Every
-/// timestamp is held to these limits where it is born: a LamportClock's
-/// node at construction and its counter in Tick, and a timestamp read
-/// back from the WAL in wal::DecodeRecord.
-inline constexpr int kTimestampNodeBits = 16;
-inline constexpr NodeId kMaxTimestampNode =
-    (NodeId{1} << kTimestampNodeBits) - 1;
-inline constexpr std::uint64_t kMaxTimestampCounter =
-    (std::uint64_t{1} << (63 - kTimestampNodeBits)) - 1;
-
-constexpr bool FitsPackedTimestamp(Timestamp ts) {
-  return ts.counter <= kMaxTimestampCounter && ts.node <= kMaxTimestampNode;
-}
-
-/// (counter, node) in one word. Within the limits above, packed words
-/// order and compare exactly as Timestamp's `<` and `==`, and
-/// Timestamp::Zero() packs to 0.
-constexpr std::uint64_t PackTimestamp(Timestamp ts) {
-  return ts.counter << kTimestampNodeBits | ts.node;
-}
-constexpr Timestamp UnpackTimestamp(std::uint64_t packed) {
-  return Timestamp{packed >> kTimestampNodeBits,
-                   static_cast<NodeId>(packed & kMaxTimestampNode)};
-}
+static_assert(sizeof(Timestamp) == 8, "a timestamp is one word");
 
 /// Per-node Lamport clock. A node id past kMaxTimestampNode, or a Tick
 /// past kMaxTimestampCounter, aborts, in release builds too: a timestamp
-/// that did not fit would order wrongly in every store slot.
+/// that did not fit would order wrongly everywhere.
 class LamportClock {
  public:
   explicit LamportClock(NodeId node) : node_(node) {
@@ -103,13 +104,13 @@ class LamportClock {
   /// Advances the clock past an observed remote timestamp (standard
   /// Lamport receive rule).
   void Observe(Timestamp remote) {
-    if (remote.counter > counter_) counter_ = remote.counter;
+    if (remote.counter() > counter_) counter_ = remote.counter();
   }
 
   Timestamp Peek() const { return Timestamp{counter_, node_}; }
 
  private:
-  /// Reports a node id or counter past the packed limits and aborts.
+  /// Reports a node id or counter past the timestamp limits and aborts.
   [[noreturn]] static void FailLimit(const char* what, std::uint64_t value);
 
   NodeId node_;

@@ -6,7 +6,6 @@
 
 #include "storage/timestamp.h"
 #include "storage/types.h"
-#include "util/sim_time.h"
 
 namespace tdr {
 
@@ -19,10 +18,11 @@ struct UpdateRecord {
   Timestamp new_ts;                // timestamp assigned at commit
   Value new_value;
   NodeId origin = kInvalidNodeId;  // node where the root txn ran
-  SimTime commit_time;             // simulated commit instant
 
   std::string ToString() const;
 };
+static_assert(sizeof(UpdateRecord) == 56,
+              "two ids, two timestamp words, a value and an origin");
 
 }  // namespace tdr
 

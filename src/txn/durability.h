@@ -44,10 +44,6 @@ class DurabilityHook {
  public:
   virtual ~DurabilityHook() = default;
 
-  /// False disables logging for `node` entirely (commit behaves as
-  /// DurabilityMode::kOff there).
-  virtual bool Enabled(NodeId node) const = 0;
-
   /// Appends one committed write to `node`'s log. Called after the
   /// store install, before locks release. `old_ts` is the timestamp the
   /// write replaced (Timestamp::Zero() when unobserved).

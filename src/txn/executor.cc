@@ -80,8 +80,6 @@ void Executor::RecycleInflight(Inflight* t) {
   t->result.reads.clear();
   t->result.updates.clear();
   t->result.outcome = TxnOutcome::kDeadlock;
-  t->result.waits = 0;
-  t->result.wait_time = SimTime::Zero();
   t->result.timed_out = false;
   free_inflight_.push_back(t->pool_index);
 }
@@ -208,7 +206,6 @@ void Executor::StepAcquire(Inflight* t) {
         // stale grant a no-op.
         if (t->id != id) return;
         SimTime waited = sim_->Now() - t->wait_started;
-        t->result.wait_time += waited;
         m_wait_micros_.Record(static_cast<std::uint64_t>(waited.micros()));
         if (trace_ != nullptr) {
           const ExecStep& granted = t->steps[t->pc];
@@ -222,7 +219,6 @@ void Executor::StepAcquire(Inflight* t) {
       StepExecute(t);
       return;
     case LockManager::AcquireOutcome::kQueued: {
-      ++t->result.waits;
       t->wait_started = sim_->Now();
       m_lock_waits_.Increment();
       Emit(TraceEventType::kLockWait, t, step.node, step.op.oid);
@@ -371,7 +367,6 @@ void Executor::BuildUpdateRecords(Inflight* t, Timestamp commit_ts) {
     rec.new_ts = commit_ts;
     rec.new_value = e.value;
     rec.origin = e.node;
-    rec.commit_time = sim_->Now();
     t->result.updates.push_back(std::move(rec));
   }
 }
@@ -404,20 +399,15 @@ void Executor::Commit(Inflight* t) {
   // records durable. The buffer is (node, oid)-sorted, so node runs
   // are contiguous — one durability wait per written node.
   std::uint32_t waits = 0;
-  if (durability_ != nullptr && !t->buffer.empty()) {
-    for (std::size_t i = 0; i < t->buffer.size();) {
-      const NodeId nid = t->buffer[i].node;
-      const bool enabled = durability_->Enabled(nid);
-      for (; i < t->buffer.size() && t->buffer[i].node == nid; ++i) {
-        if (!enabled) continue;
-        const WriteEntry& e = t->buffer[i];
-        const Timestamp* observed = FindObserved(t, nid, e.oid);
-        durability_->LogWrite(
-            nid, t->id, e.oid,
-            observed != nullptr ? *observed : Timestamp::Zero(), commit_ts,
-            e.value);
-      }
-      if (enabled) ++waits;
+  if (durability_ != nullptr) {
+    for (std::size_t i = 0; i < t->buffer.size(); ++i) {
+      const WriteEntry& e = t->buffer[i];
+      if (i == 0 || t->buffer[i - 1].node != e.node) ++waits;
+      const Timestamp* observed = FindObserved(t, e.node, e.oid);
+      durability_->LogWrite(
+          e.node, t->id, e.oid,
+          observed != nullptr ? *observed : Timestamp::Zero(), commit_ts,
+          e.value);
     }
   }
   if (waits == 0) {
@@ -448,7 +438,6 @@ void Executor::Commit(Inflight* t) {
   for (std::size_t i = 0; i < t->buffer.size();) {
     const NodeId nid = t->buffer[i].node;
     while (i < t->buffer.size() && t->buffer[i].node == nid) ++i;
-    if (!durability_->Enabled(nid)) continue;
     durability_->RequestCommitDurability(
         nid, [this, t, id]() { OnDurable(t, id); });
   }

@@ -78,8 +78,6 @@ struct TxnResult {
   /// transactions; the owner node for lazy-master transactions). Built
   /// only when committed and RunOptions::record_updates is set.
   std::vector<UpdateRecord> updates;
-  std::uint64_t waits = 0;      // lock requests that had to queue
-  SimTime wait_time;            // total time spent blocked
   SimTime start_time;
   SimTime end_time;
   /// True if a kDeadlock outcome came from a wait timeout rather than a

@@ -41,81 +41,36 @@ std::uint32_t WaitForGraph::EnsureNode(TxnId txn) {
     // re-growing whichever entry it happens to draw. 32 covers the FIFO
     // fan-out (edge to the holder plus every earlier waiter).
     nodes_.back().out.reserve(32);
-    nodes_.back().in.reserve(32);
   }
   index_.Insert(txn, idx);
   return idx;
 }
 
 void WaitForGraph::MaybeRecycle(TxnId txn, std::uint32_t idx) {
-  NodeEntry& e = nodes_[idx];
-  if (!e.out.empty() || !e.in.empty()) return;
+  if (!nodes_[idx].out.empty()) return;
   index_.Erase(txn);
-  free_nodes_.push_back(idx);  // clear() already implied: both lists empty
+  free_nodes_.push_back(idx);
 }
 
 void WaitForGraph::AddEdge(TxnId waiter, TxnId holder) {
   if (waiter == holder) return;  // self-waits are meaningless here
-  std::uint32_t wi = EnsureNode(waiter);
-  std::uint32_t hi = EnsureNode(holder);  // may grow nodes_: index first
-  if (SortedInsert(nodes_[wi].out, holder)) {
-    SortedInsert(nodes_[hi].in, waiter);
-    ++edges_;
-  }
+  if (SortedInsert(nodes_[EnsureNode(waiter)].out, holder)) ++edges_;
 }
 
 void WaitForGraph::RemoveEdge(TxnId waiter, TxnId holder) {
-  if (const std::uint32_t* wi = index_.Find(waiter)) {
-    std::uint32_t idx = *wi;
-    if (SortedErase(nodes_[idx].out, holder)) --edges_;
-    MaybeRecycle(waiter, idx);
-  }
-  if (const std::uint32_t* hi = index_.Find(holder)) {
-    std::uint32_t idx = *hi;
-    SortedErase(nodes_[idx].in, waiter);
-    MaybeRecycle(holder, idx);
-  }
-}
-
-void WaitForGraph::RemoveTxn(TxnId txn) {
-  const std::uint32_t* pidx = index_.Find(txn);
+  const std::uint32_t* pidx = index_.Find(waiter);
   if (pidx == nullptr) return;
   std::uint32_t idx = *pidx;
-  NodeEntry& e = nodes_[idx];
-  for (TxnId holder : e.out) {
-    if (const std::uint32_t* hi = index_.Find(holder)) {
-      std::uint32_t h = *hi;
-      SortedErase(nodes_[h].in, txn);
-      MaybeRecycle(holder, h);
-    }
-  }
-  edges_ -= e.out.size();
-  e.out.clear();
-  for (TxnId waiter : e.in) {
-    if (const std::uint32_t* wi = index_.Find(waiter)) {
-      std::uint32_t w = *wi;
-      if (SortedErase(nodes_[w].out, txn)) --edges_;
-      MaybeRecycle(waiter, w);
-    }
-  }
-  e.in.clear();
-  MaybeRecycle(txn, idx);
+  if (SortedErase(nodes_[idx].out, holder)) --edges_;
+  MaybeRecycle(waiter, idx);
 }
 
 void WaitForGraph::ClearOutEdges(TxnId waiter) {
   const std::uint32_t* pidx = index_.Find(waiter);
   if (pidx == nullptr) return;
   std::uint32_t idx = *pidx;
-  NodeEntry& e = nodes_[idx];
-  for (TxnId holder : e.out) {
-    if (const std::uint32_t* hi = index_.Find(holder)) {
-      std::uint32_t h = *hi;
-      SortedErase(nodes_[h].in, waiter);
-      MaybeRecycle(holder, h);
-    }
-  }
-  edges_ -= e.out.size();
-  e.out.clear();
+  edges_ -= nodes_[idx].out.size();
+  nodes_[idx].out.clear();
   MaybeRecycle(waiter, idx);
 }
 

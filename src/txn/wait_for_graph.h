@@ -36,9 +36,6 @@ class WaitForGraph {
 
   void RemoveEdge(TxnId waiter, TxnId holder);
 
-  /// Drops all edges from and to `txn` (commit/abort/grant cleanup).
-  void RemoveTxn(TxnId txn);
-
   /// Clears every out-edge of `waiter` (its wait ended or changed).
   void ClearOutEdges(TxnId waiter);
 
@@ -60,14 +57,14 @@ class WaitForGraph {
 
  private:
   /// Per-transaction adjacency, recycled with capacity retained. A
-  /// transaction occupies a node while it has any in- or out-edge.
+  /// transaction occupies a node while it waits for anyone; a holder
+  /// that waits for no one has none, and the cycle search skips it.
   struct NodeEntry {
     std::vector<TxnId> out;  // sorted ascending
-    std::vector<TxnId> in;   // sorted ascending (reverse index)
   };
 
   std::uint32_t EnsureNode(TxnId txn);
-  /// Frees `idx` back to the pool if its edge lists emptied.
+  /// Frees `idx` back to the pool if its edge list emptied.
   void MaybeRecycle(TxnId txn, std::uint32_t idx);
 
   FlatMap64<std::uint32_t> index_;  // TxnId -> nodes_ slot

@@ -5,24 +5,6 @@
 
 namespace tdr {
 
-LogLevel Log::level_ = LogLevel::kWarn;
-
-void Log::SetLevel(LogLevel level) { level_ = level; }
-
-LogLevel Log::GetLevel() { return level_; }
-
-void Log::Printf(LogLevel level, const char* fmt, ...) {
-  if (static_cast<int>(level) < static_cast<int>(level_)) return;
-  static const char* kPrefix[] = {"[debug] ", "[info]  ", "[warn]  ",
-                                  "[error] ", ""};
-  va_list ap;
-  va_start(ap, fmt);
-  std::string body = VStrPrintf(fmt, ap);
-  va_end(ap);
-  std::fprintf(stderr, "%s%s\n", kPrefix[static_cast<int>(level)],
-               body.c_str());
-}
-
 std::string VStrPrintf(const char* fmt, va_list ap) {
   va_list ap2;
   va_copy(ap2, ap);

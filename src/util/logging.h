@@ -6,43 +6,10 @@
 
 namespace tdr {
 
-enum class LogLevel : int {
-  kDebug = 0,
-  kInfo = 1,
-  kWarn = 2,
-  kError = 3,
-  kOff = 4,
-};
-
-/// Minimal leveled logger writing to stderr. Benches run with kWarn so
-/// that measurement output on stdout stays machine-parseable; tests that
-/// want protocol traces lower the level to kDebug.
-class Log {
- public:
-  static void SetLevel(LogLevel level);
-  static LogLevel GetLevel();
-
-  /// printf-style logging.
-  static void Printf(LogLevel level, const char* fmt, ...)
-      __attribute__((format(printf, 2, 3)));
-
- private:
-  static LogLevel level_;
-};
-
 /// printf-style formatting into a std::string.
 std::string StrPrintf(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 std::string VStrPrintf(const char* fmt, va_list ap);
-
-#define TDR_LOG_DEBUG(...) \
-  ::tdr::Log::Printf(::tdr::LogLevel::kDebug, __VA_ARGS__)
-#define TDR_LOG_INFO(...) \
-  ::tdr::Log::Printf(::tdr::LogLevel::kInfo, __VA_ARGS__)
-#define TDR_LOG_WARN(...) \
-  ::tdr::Log::Printf(::tdr::LogLevel::kWarn, __VA_ARGS__)
-#define TDR_LOG_ERROR(...) \
-  ::tdr::Log::Printf(::tdr::LogLevel::kError, __VA_ARGS__)
 
 }  // namespace tdr
 

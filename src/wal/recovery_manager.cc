@@ -71,16 +71,15 @@ void RecoveryManager::PeerCatchUp(Node* node) {
     for (Node* peer : nodes_) {
       if (peer == node || peer->crashed()) continue;
       if (!net_->Reachable(node->id(), peer->id())) continue;
-      const std::uint64_t ts = peer->store().GetUnchecked(oid).packed_ts();
-      if (best == nullptr ||
-          ts > best->store().GetUnchecked(oid).packed_ts()) {
+      const Timestamp ts = peer->store().GetUnchecked(oid).ts();
+      if (best == nullptr || ts > best->store().GetUnchecked(oid).ts()) {
         best = peer;
       }
     }
     if (best == nullptr) continue;
     const StoredObject& theirs = best->store().GetUnchecked(oid);
     const StoredObject& mine = node->store().GetUnchecked(oid);
-    if (theirs.packed_ts() <= mine.packed_ts()) continue;
+    if (theirs.ts() <= mine.ts()) continue;
     // Adopt and log: repaired state must survive the NEXT crash too.
     const Value value = theirs.value();
     const Timestamp ts = theirs.ts();

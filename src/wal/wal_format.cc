@@ -104,10 +104,10 @@ void AppendRecord(std::uint64_t lsn, TxnId txn, ObjectId oid, ShardId shard,
   StoreU64(p + kTxnAt, txn);
   StoreU64(p + kOidAt, oid);
   StoreU32(p + kShardAt, shard);
-  StoreU64(p + kOldCounterAt, old_ts.counter);
-  StoreU32(p + kOldNodeAt, old_ts.node);
-  StoreU64(p + kNewCounterAt, new_ts.counter);
-  StoreU32(p + kNewNodeAt, new_ts.node);
+  StoreU64(p + kOldCounterAt, old_ts.counter());
+  StoreU32(p + kOldNodeAt, old_ts.node());
+  StoreU64(p + kNewCounterAt, new_ts.counter());
+  StoreU32(p + kNewNodeAt, new_ts.node());
   if (scalar) {
     p[kKindAt] = kScalarKind;
     StoreU64(p + kValueAt, static_cast<std::uint64_t>(value.AsScalar()));
@@ -138,14 +138,18 @@ std::size_t DecodeRecord(const std::uint8_t* data, std::size_t size,
   out->txn = LoadU64(p + kTxnAt);
   out->oid = LoadU64(p + kOidAt);
   out->shard = LoadU32(p + kShardAt);
-  out->old_ts = Timestamp{LoadU64(p + kOldCounterAt), LoadU32(p + kOldNodeAt)};
-  out->new_ts = Timestamp{LoadU64(p + kNewCounterAt), LoadU32(p + kNewNodeAt)};
-  // A clock never issues a timestamp past the limits a store slot packs,
-  // so a record that carries one is as corrupt as one with a bad CRC.
-  if (!FitsPackedTimestamp(out->old_ts) ||
-      !FitsPackedTimestamp(out->new_ts)) {
+  // A clock never makes a timestamp past its limits, so a record that
+  // carries one is as corrupt as one with a bad CRC.
+  const std::uint64_t old_counter = LoadU64(p + kOldCounterAt);
+  const std::uint32_t old_node = LoadU32(p + kOldNodeAt);
+  const std::uint64_t new_counter = LoadU64(p + kNewCounterAt);
+  const std::uint32_t new_node = LoadU32(p + kNewNodeAt);
+  if (!Timestamp::Fits(old_counter, old_node) ||
+      !Timestamp::Fits(new_counter, new_node)) {
     return 0;
   }
+  out->old_ts = Timestamp(old_counter, old_node);
+  out->new_ts = Timestamp(new_counter, new_node);
   const std::size_t value_bytes = payload_len - kValueAt;
   if (p[kKindAt] == kScalarKind) {
     if (value_bytes != 8) return 0;

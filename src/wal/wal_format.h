@@ -77,8 +77,8 @@ void AppendRecord(std::uint64_t lsn, TxnId txn, ObjectId oid, ShardId shard,
 /// Decodes the record at `data`. Returns the encoded size consumed on
 /// success; 0 if the bytes do not hold one complete, CRC-valid record
 /// (truncated header, truncated payload, CRC mismatch, or malformed
-/// payload, including a timestamp past the packed limits a store slot
-/// holds: FitsPackedTimestamp) — the recovery reader's stop condition.
+/// payload, including a timestamp past its limits: Timestamp::Fits) —
+/// the recovery reader's stop condition.
 std::size_t DecodeRecord(const std::uint8_t* data, std::size_t size,
                          WalRecord* out);
 

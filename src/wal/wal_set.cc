@@ -45,11 +45,6 @@ WalSet::WalSet(sim::Simulator* sim, std::uint32_t num_nodes,
   }
 }
 
-bool WalSet::Enabled(NodeId node) const {
-  (void)node;
-  return true;
-}
-
 void WalSet::LogWrite(NodeId node, TxnId txn, ObjectId oid,
                       const Timestamp& old_ts, const Timestamp& new_ts,
                       const Value& value) {

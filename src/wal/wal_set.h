@@ -43,7 +43,6 @@ class WalSet : public DurabilityHook {
          obs::MetricsRegistry* metrics);
 
   // DurabilityHook:
-  bool Enabled(NodeId node) const override;
   void LogWrite(NodeId node, TxnId txn, ObjectId oid, const Timestamp& old_ts,
                 const Timestamp& new_ts, const Value& value) override;
   void RequestCommitDurability(NodeId node, sim::Callback done) override;

@@ -328,7 +328,10 @@ TEST(PooledMessageFaultTest, CrashRestartOutboxRecoveryKeepsInvariants) {
   cluster.net().SetConnected(0, false);
   PumpTransactions(cluster, &scheme, gen, rng, scratch, 20);
   EXPECT_GT(cluster.net().PendingAt(0), 0u);
-  std::uint64_t applied_before = scheme.replica_applied();
+  auto applied = [&cluster] {
+    return cluster.metrics().Get("replica.applied");
+  };
+  std::uint64_t applied_before = applied();
 
   // Crash + restart. The outbox survives (it models the durable log);
   // restart reconnects and re-ships it.
@@ -339,7 +342,7 @@ TEST(PooledMessageFaultTest, CrashRestartOutboxRecoveryKeepsInvariants) {
 
   // The parked pooled payloads were delivered and applied.
   EXPECT_EQ(cluster.net().PendingAt(0), 0u);
-  EXPECT_GT(scheme.replica_applied(), applied_before);
+  EXPECT_GT(applied(), applied_before);
   checker.CheckNow();
   checker.CheckFinal();
   EXPECT_EQ(checker.violations_total(), 0u);

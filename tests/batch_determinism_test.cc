@@ -41,10 +41,8 @@ TEST(BatchDeterminismTest, BitIdenticalAcrossWindowsAndThreadCounts) {
   for (double window : {0.0, 0.05, 0.2}) {
     grid.push_back(BatchedConfig(window));
   }
-  SweepOptions serial;
-  serial.threads = 1;
-  SweepOptions parallel;
-  parallel.threads = 4;
+  const sim::SweepRunner::Options serial{1};
+  const sim::SweepRunner::Options parallel{4};
   std::vector<SimOutcome> a = RunSweep(grid, serial);
   std::vector<SimOutcome> b = RunSweep(grid, parallel);
   ASSERT_EQ(a.size(), b.size());

@@ -284,7 +284,7 @@ TEST(BatchedSchemeTest, LazyMasterBatchedRefreshesSlaves) {
   scheme.FlushAllBatches();
   cluster.sim().Run();
   EXPECT_TRUE(cluster.Converged());
-  EXPECT_GT(scheme.slave_updates_applied(), 0u);
+  EXPECT_GT(cluster.metrics().Get("replica.applied"), 0u);
   EXPECT_GT(scheme.batch_shipper()->batches_shipped(), 0u);
 }
 

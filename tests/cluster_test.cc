@@ -16,6 +16,20 @@ Cluster::Options ThreeNodes() {
   return o;
 }
 
+TEST(ClusterDeathTest, RejectsZeroNodes) {
+  Cluster::Options o = ThreeNodes();
+  o.num_nodes = 0;
+  EXPECT_DEATH(Cluster cluster(o), "num_nodes 0 is not positive");
+}
+
+TEST(ClusterDeathTest, RejectsANegativeActionTime) {
+  Cluster::Options o = ThreeNodes();
+  o.action_time = SimTime::Millis(-5);
+  EXPECT_DEATH(Cluster cluster(o), "action_time -0.005000s is negative");
+  o.action_time = SimTime::Zero();  // free actions: allowed
+  Cluster cluster(o);
+}
+
 TEST(ClusterTest, ConstructionWiresNodes) {
   Cluster cluster(ThreeNodes());
   EXPECT_EQ(cluster.size(), 3u);

@@ -151,7 +151,7 @@ TEST_F(ExecutorAblationTest, LockReadsMakesReadersBlock) {
   });
   sim_.Run();
   ASSERT_TRUE(reader.has_value());
-  EXPECT_EQ(reader->waits, 1u);
+  EXPECT_EQ(counters_.Get("lock.waits"), 1u);  // the reader's
   // It read the committed value AFTER the writer.
   EXPECT_EQ(reader->reads[0].AsScalar(), 1);
 }

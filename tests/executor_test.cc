@@ -60,7 +60,7 @@ TEST_F(ExecutorTest, DurationIsActionsTimesActionTime) {
   ASSERT_TRUE(result.has_value());
   // 3 actions x 10ms, no waiting.
   EXPECT_EQ(result->Duration(), SimTime::Millis(30));
-  EXPECT_EQ(result->waits, 0u);
+  EXPECT_EQ(counters_.Get("lock.waits"), 0u);
 }
 
 TEST_F(ExecutorTest, ReadYourOwnWrites) {
@@ -108,11 +108,14 @@ TEST_F(ExecutorTest, ConflictingTransactionsWaitAndSerialize) {
   ASSERT_TRUE(r1 && r2);
   EXPECT_EQ(r1->outcome, TxnOutcome::kCommitted);
   EXPECT_EQ(r2->outcome, TxnOutcome::kCommitted);
-  EXPECT_EQ(r2->waits, 1u);
-  EXPECT_GT(r2->wait_time, SimTime::Zero());
   // Both increments survive: 0 + 1 + 1.
   EXPECT_EQ(nodes_[0]->store().GetUnchecked(0).AsScalar(), 2);
+  // The one wait is r2's, and it took time.
   EXPECT_EQ(counters_.Get("lock.waits"), 1u);
+  const Histogram* waited =
+      counters_.GetHistogram("lock.wait_micros").histogram();
+  ASSERT_NE(waited, nullptr);
+  EXPECT_GT(waited->mean(), 0.0);
 }
 
 TEST_F(ExecutorTest, DeadlockVictimAbortsCleanly) {

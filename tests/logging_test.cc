@@ -19,18 +19,5 @@ TEST(StrPrintfTest, LongStringsNotTruncated) {
   EXPECT_EQ(out.back(), ']');
 }
 
-TEST(LogTest, LevelGatePersists) {
-  LogLevel before = Log::GetLevel();
-  Log::SetLevel(LogLevel::kError);
-  EXPECT_EQ(Log::GetLevel(), LogLevel::kError);
-  // Below-threshold calls are cheap no-ops (nothing to assert beyond
-  // not crashing; output goes to stderr).
-  TDR_LOG_DEBUG("invisible %d", 1);
-  TDR_LOG_INFO("invisible %s", "too");
-  Log::SetLevel(LogLevel::kOff);
-  TDR_LOG_ERROR("also invisible at kOff");
-  Log::SetLevel(before);
-}
-
 }  // namespace
 }  // namespace tdr

@@ -15,8 +15,8 @@ namespace {
 
 TEST(ObjectStoreTest, ReplicaSlotIs16Bytes) {
   // Every node holds one slot per object (§2): a word of value (the
-  // scalar, or the owning pointer to a list) and a word of packed
-  // timestamp and kind, aligned so that no slot straddles a cache line.
+  // scalar, or the owning pointer to a list) and a word of timestamp and
+  // kind, aligned so that no slot straddles a cache line.
   EXPECT_EQ(sizeof(StoredObject), 16u);
   EXPECT_EQ(alignof(StoredObject), 16u);
 }
@@ -25,24 +25,23 @@ TEST(StoredObjectTest, PackingRoundTripsAtTheLimits) {
   for (std::uint64_t counter : {std::uint64_t{0}, std::uint64_t{1},
                                 kMaxTimestampCounter}) {
     for (NodeId node : {NodeId{0}, NodeId{1}, kMaxTimestampNode}) {
+      ASSERT_TRUE(Timestamp::Fits(counter, node));
       const Timestamp ts{counter, node};
-      ASSERT_TRUE(FitsPackedTimestamp(ts));
-      EXPECT_EQ(UnpackTimestamp(PackTimestamp(ts)), ts);
+      EXPECT_EQ(ts.counter(), counter);
+      EXPECT_EQ(ts.node(), node);
       // -1 sets every bit of the scalar's word.
       const StoredObject scalar(Value(-1), ts);
       EXPECT_TRUE(scalar.is_scalar());
       EXPECT_EQ(scalar.AsScalar(), -1);
       EXPECT_EQ(scalar.ts(), ts);
-      EXPECT_EQ(scalar.packed_ts(), PackTimestamp(ts));
       const StoredObject list(Value(Value::List{2, 3}), ts);
       EXPECT_TRUE(list.is_list());
       EXPECT_EQ(list.AsList(), (Value::List{2, 3}));
       EXPECT_EQ(list.ts(), ts);
-      EXPECT_EQ(list.packed_ts(), PackTimestamp(ts));
     }
   }
-  EXPECT_FALSE(FitsPackedTimestamp(Timestamp{kMaxTimestampCounter + 1, 0}));
-  EXPECT_FALSE(FitsPackedTimestamp(Timestamp{0, kMaxTimestampNode + 1}));
+  EXPECT_FALSE(Timestamp::Fits(kMaxTimestampCounter + 1, 0));
+  EXPECT_FALSE(Timestamp::Fits(0, kMaxTimestampNode + 1));
 }
 
 TEST(StoredObjectTest, PackedOrderIsTimestampOrder) {
@@ -51,22 +50,29 @@ TEST(StoredObjectTest, PackedOrderIsTimestampOrder) {
   // and equal pairs are common.
   auto draw = [&rng] {
     const bool small = rng() % 2 == 0;
-    return Timestamp{small ? rng() % 4 : rng() & kMaxTimestampCounter,
-                     static_cast<NodeId>(small ? rng() % 3
-                                               : rng() & kMaxTimestampNode)};
+    const std::uint64_t counter =
+        small ? rng() % 4 : rng() & kMaxTimestampCounter;
+    const auto node =
+        static_cast<NodeId>(small ? rng() % 3 : rng() & kMaxTimestampNode);
+    return std::make_pair(counter, node);
   };
   for (int i = 0; i < 100000; ++i) {
-    const Timestamp a = draw();
-    const Timestamp b = draw();
-    ASSERT_EQ(PackTimestamp(a) < PackTimestamp(b), a < b)
-        << a.ToString() << " " << b.ToString();
-    ASSERT_EQ(PackTimestamp(a) == PackTimestamp(b), a == b);
+    const auto pa = draw();
+    const auto pb = draw();
+    const Timestamp a{pa.first, pa.second};
+    const Timestamp b{pb.first, pb.second};
+    // The word orders as (counter, node), lexicographically.
+    ASSERT_EQ(a < b, pa < pb) << a.ToString() << " " << b.ToString();
+    ASSERT_EQ(a == b, pa == pb);
+    ASSERT_EQ(a.counter(), pa.first);
+    ASSERT_EQ(a.node(), pa.second);
     // The kind bit never takes part: a list slot and a scalar slot
     // compare by timestamp alone.
     const StoredObject list(Value(Value::List{1}), a);
     const StoredObject scalar(Value(1), b);
-    ASSERT_EQ(list.packed_ts() < scalar.packed_ts(), a < b);
-    ASSERT_EQ(list.packed_ts() == scalar.packed_ts(), a == b);
+    ASSERT_EQ(list.ts(), a);
+    ASSERT_EQ(scalar.ts(), b);
+    ASSERT_EQ(list.ts() < scalar.ts(), pa < pb);
   }
 }
 

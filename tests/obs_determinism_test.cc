@@ -47,10 +47,8 @@ obs::RunReport ReportFor(const std::vector<SimConfig>& grid,
 TEST(ObsDeterminismTest, RunReportIdenticalAcrossSweepThreadCounts) {
   std::vector<SimConfig> grid = SmallGrid();
 
-  SweepOptions serial;
-  serial.threads = 1;
-  SweepOptions parallel;
-  parallel.threads = 4;
+  const sim::SweepRunner::Options serial{1};
+  const sim::SweepRunner::Options parallel{4};
 
   std::vector<SimOutcome> a = RunSweep(grid, serial);
   std::vector<SimOutcome> b = RunSweep(grid, parallel);
@@ -63,10 +61,8 @@ TEST(ObsDeterminismTest, RunReportIdenticalAcrossSweepThreadCounts) {
 
 TEST(ObsDeterminismTest, PerRunSnapshotsIdenticalAcrossThreadCounts) {
   std::vector<SimConfig> grid = SmallGrid();
-  SweepOptions serial;
-  serial.threads = 1;
-  SweepOptions parallel;
-  parallel.threads = 3;
+  const sim::SweepRunner::Options serial{1};
+  const sim::SweepRunner::Options parallel{3};
   std::vector<SimOutcome> a = RunSweep(grid, serial);
   std::vector<SimOutcome> b = RunSweep(grid, parallel);
   ASSERT_EQ(a.size(), b.size());

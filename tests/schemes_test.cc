@@ -176,7 +176,7 @@ TEST(LazyGroupTest, RootCommitsLocallyThenReplicasConverge) {
   cluster.sim().Run();
   EXPECT_TRUE(cluster.Converged());
   EXPECT_EQ(cluster.node(2)->store().GetUnchecked(3).AsScalar(), 30);
-  EXPECT_EQ(scheme.replica_applied(), 2u);
+  EXPECT_EQ(cluster.metrics().Get("replica.applied"), 2u);
   EXPECT_EQ(scheme.reconciliations(), 0u);
 }
 
@@ -309,7 +309,7 @@ TEST(LazyGroupBatchingTest, FlushAllIsIdempotent) {
   cluster.sim().RunUntil(SimTime::Seconds(2));
   EXPECT_EQ(cluster.node(1)->store().GetUnchecked(1).AsScalar(), 5);
   EXPECT_EQ(scheme.batch_shipper()->batches_shipped(), 1u);
-  EXPECT_EQ(scheme.replica_applied(), 1u);
+  EXPECT_EQ(cluster.metrics().Get("replica.applied"), 1u);
   EXPECT_EQ(scheme.reconciliations(), 0u);
 }
 
@@ -334,7 +334,7 @@ TEST(LazyMasterTest, MasterFirstThenSlavesConverge) {
     EXPECT_EQ(cluster.node(n)->store().GetUnchecked(8).AsScalar(), 80);
   }
   EXPECT_TRUE(cluster.Converged());
-  EXPECT_EQ(scheme.slave_updates_applied(), 2u);
+  EXPECT_EQ(cluster.metrics().Get("replica.applied"), 2u);
 }
 
 TEST(LazyMasterTest, NoReconciliationEverUnderContention) {

@@ -79,11 +79,9 @@ TEST(SweepRunnerTest, SeedStabilityAcrossSerialAndThreadCounts) {
   SimOutcome serial_b = RunScheme(config);
 
   std::vector<SimConfig> grid{config};
-  SweepOptions one_thread;
-  one_thread.threads = 1;
+  const sim::SweepRunner::Options one_thread{1};
   SimOutcome swept_1 = RunSweep(grid, one_thread)[0];
-  SweepOptions four_threads;
-  four_threads.threads = 4;
+  const sim::SweepRunner::Options four_threads{4};
   SimOutcome swept_n = RunSweep(grid, four_threads)[0];
 
   EXPECT_TRUE(Identical(serial_a, serial_b));
@@ -112,10 +110,8 @@ TEST(SweepRunnerTest, GridIdenticalAtDifferentThreadCounts) {
       grid.push_back(config);
     }
   }
-  SweepOptions serial;
-  serial.threads = 1;
-  SweepOptions parallel;
-  parallel.threads = 6;
+  const sim::SweepRunner::Options serial{1};
+  const sim::SweepRunner::Options parallel{6};
   std::vector<SimOutcome> a = RunSweep(grid, serial);
   std::vector<SimOutcome> b = RunSweep(grid, parallel);
   ASSERT_EQ(a.size(), grid.size());

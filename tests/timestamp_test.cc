@@ -8,12 +8,15 @@ namespace tdr {
 namespace {
 
 // A slot hands timestamps out by value, so assigning to a temporary must
-// not compile; the type stays a trivially copyable literal type.
+// not compile; the type stays a one-word, trivially copyable literal type.
 static_assert(!std::is_assignable_v<Timestamp, Timestamp>);
 static_assert(!std::is_assignable_v<Timestamp, const Timestamp&>);
 static_assert(std::is_assignable_v<Timestamp&, Timestamp>);
 static_assert(std::is_trivially_copyable_v<Timestamp>);
-static_assert(PackTimestamp(Timestamp(3, 2)) == (3u << kTimestampNodeBits | 2));
+static_assert(sizeof(Timestamp) == 8);
+static_assert(Timestamp(3, 2).word() == (3u << kTimestampNodeBits | 2));
+static_assert(Timestamp(3, 2).counter() == 3 && Timestamp(3, 2).node() == 2);
+static_assert(Timestamp(2, 9) < Timestamp(3, 0));
 static_assert([] {
   Timestamp t;
   t = Timestamp(7, 1);

@@ -463,7 +463,7 @@ TEST_F(TwoTierTest, LocalTransactionRefreshesShipThroughLazyMaster) {
   const std::uint64_t others = sys_.cluster().size() - 1;
   EXPECT_EQ(shipper->batches_shipped(), others);
   EXPECT_EQ(shipper->PendingUpdates(), 0u);
-  EXPECT_EQ(sys_.lazy_master().slave_updates_applied(), 0u);
+  EXPECT_EQ(sys_.cluster().metrics().Get("replica.applied"), 0u);
   sys_.Connect(MobileA());
   sys_.Connect(MobileB());
   sys_.sim().Run();
@@ -472,7 +472,7 @@ TEST_F(TwoTierTest, LocalTransactionRefreshesShipThroughLazyMaster) {
         sys_.cluster().node(id)->store().GetUnchecked(8).AsScalar(), 5)
         << "node " << id;
   }
-  EXPECT_EQ(sys_.lazy_master().slave_updates_applied(), others);
+  EXPECT_EQ(sys_.cluster().metrics().Get("replica.applied"), others);
 }
 
 TEST_F(TwoTierTest, LocalTransactionScopeEnforced) {
