@@ -15,7 +15,9 @@ std::string UpdateBatch::ToString() const {
 
 void UpdateBatchBuilder::Add(const UpdateRecord& rec, bool coalesce) {
   if (coalesce) {
-    if (std::uint32_t* pos = index_.Find(rec.oid + 1)) {
+    auto [pos, inserted] = index_.FindOrInsert(
+        rec.oid + 1, static_cast<std::uint32_t>(updates_.size()));
+    if (!inserted) {
       // Chain compaction: keep the pending record's pre-image, adopt
       // the newer post-image. The receiver applies one hop t0 -> tk in
       // place of the k-hop chain.
@@ -26,8 +28,6 @@ void UpdateBatchBuilder::Add(const UpdateRecord& rec, bool coalesce) {
       ++coalesced_;
       return;
     }
-    index_.Insert(rec.oid + 1,
-                  static_cast<std::uint32_t>(updates_.size()));
   }
   updates_.push_back(rec);
 }

@@ -31,8 +31,10 @@ ReplicaApplier::Job* ReplicaApplier::AcquireJob() {
     owned->pool_index = static_cast<std::uint32_t>(job_pool_.size());
     // Uniform birth capacity (256 >= the 128-update batch cap): the
     // record copy in Apply() then never grows an arbitrary free-list
-    // job's buffer at steady state.
+    // job's buffer at steady state. A batch locks at most as many
+    // objects as the cap.
     owned->records.reserve(256);
+    owned->held.reserve(128);
     job_pool_.push_back(std::move(owned));
     free_jobs_.push_back(job_pool_.back()->pool_index);
   }
@@ -162,7 +164,7 @@ obs::MetricsRegistry::Counter& ReplicaApplier::ShardAppliedCounter(
 void ReplicaApplier::AcquireNext(Job* job) {
   if (job->idx >= job->records.size()) {
     // All updates installed: release locks and report.
-    job->node->locks().ReleaseAll(job->txn);
+    ReleaseLocks(job);
     FinishJob(job);
     return;
   }
@@ -176,6 +178,7 @@ void ReplicaApplier::AcquireNext(Job* job) {
       job->txn, rec.oid, [this, job, serial]() {
         if (job->serial != serial) return;
         // Lock granted after a wait; pay the action time then apply.
+        job->held.push_back(job->records[job->idx].oid);
         sim_->ScheduleAfterNode(
             job->node->id(), job->options.action_time,
             [this, job, serial]() {
@@ -185,6 +188,9 @@ void ReplicaApplier::AcquireNext(Job* job) {
       });
   switch (outcome) {
     case LockManager::AcquireOutcome::kGranted:
+      job->held.push_back(rec.oid);
+      [[fallthrough]];
+    case LockManager::AcquireOutcome::kHeld:
       sim_->ScheduleAfterNode(
           job->node->id(), job->options.action_time, [this, job, serial]() {
             if (job->serial != serial) return;
@@ -266,7 +272,7 @@ void ReplicaApplier::ApplyCurrent(Job* job) {
 
 void ReplicaApplier::HandleDeadlock(Job* job) {
   m_deadlocks_.Increment();
-  job->node->locks().ReleaseAll(job->txn);
+  ReleaseLocks(job);
   ++job->report.deadlock_retries;
   if (job->report.deadlock_retries > kMaxRetries) {
     job->report.gave_up = true;
@@ -286,6 +292,12 @@ void ReplicaApplier::HandleDeadlock(Job* job) {
         if (job->serial != serial) return;
         AcquireNext(job);
       });
+}
+
+void ReplicaApplier::ReleaseLocks(Job* job) {
+  LockManager& locks = job->node->locks();
+  for (ObjectId oid : job->held) locks.Release(job->txn, oid);
+  job->held.clear();
 }
 
 void ReplicaApplier::FinishJob(Job* job) {

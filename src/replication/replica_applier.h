@@ -113,6 +113,10 @@ class ReplicaApplier {
     Done done;
     TxnId txn = kInvalidTxnId;
     std::size_t idx = 0;
+    /// Objects `txn` was granted (kGranted or a grant callback), in
+    /// grant order; released and cleared when the batch finishes and
+    /// when the job is a deadlock victim.
+    std::vector<ObjectId> held;
     Report report;
   };
 
@@ -133,6 +137,7 @@ class ReplicaApplier {
   void AcquireNext(Job* job);
   void ApplyCurrent(Job* job);
   void HandleDeadlock(Job* job);
+  void ReleaseLocks(Job* job);
   void FinishJob(Job* job);
   void Emit(TraceEventType type, const Job& job, ObjectId oid,
             std::string detail = "");

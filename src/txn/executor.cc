@@ -60,6 +60,7 @@ Executor::Inflight* Executor::AcquireInflight() {
     pool_.push_back(std::make_unique<Inflight>());
     pool_[idx]->pool_index = idx;
     pool_[idx]->steps.reserve(kPlanFloor);
+    pool_[idx]->held.reserve(kPlanFloor);
   }
   return pool_[idx].get();
 }
@@ -77,6 +78,7 @@ void Executor::RecycleInflight(Inflight* t) {
   t->buffer.clear();
   t->observed_ts.clear();
   t->touched_nodes.clear();
+  t->held.clear();
   t->result.reads.clear();
   t->result.updates.clear();
   t->result.outcome = TxnOutcome::kDeadlock;
@@ -205,10 +207,11 @@ void Executor::StepAcquire(Inflight* t) {
         // anyway: TxnIds are never reused, so a recycled record makes a
         // stale grant a no-op.
         if (t->id != id) return;
+        const ExecStep& granted = t->steps[t->pc];
+        t->held.push_back(HeldLock{granted.node, granted.op.oid});
         SimTime waited = sim_->Now() - t->wait_started;
         m_wait_micros_.Record(static_cast<std::uint64_t>(waited.micros()));
         if (trace_ != nullptr) {
-          const ExecStep& granted = t->steps[t->pc];
           Emit(TraceEventType::kLockGrant, t, granted.node, granted.op.oid,
                StrPrintf("after %s", waited.ToString().c_str()));
         }
@@ -216,6 +219,9 @@ void Executor::StepAcquire(Inflight* t) {
       });
   switch (outcome) {
     case LockManager::AcquireOutcome::kGranted:
+      t->held.push_back(HeldLock{step.node, step.op.oid});
+      [[fallthrough]];
+    case LockManager::AcquireOutcome::kHeld:
       StepExecute(t);
       return;
     case LockManager::AcquireOutcome::kQueued: {
@@ -412,9 +418,7 @@ void Executor::Commit(Inflight* t) {
   }
   if (waits == 0) {
     // No durability to wait on: the pre-WAL commit tail, verbatim.
-    for (NodeId nid : t->touched_nodes) {
-      node(nid)->locks().ReleaseAll(t->id);
-    }
+    ReleaseLocks(t);
     t->result.outcome = TxnOutcome::kCommitted;
     t->result.end_time = sim_->Now();
     m_committed_.Increment();
@@ -444,9 +448,7 @@ void Executor::Commit(Inflight* t) {
 }
 
 void Executor::CompleteCommit(Inflight* t) {
-  for (NodeId nid : t->touched_nodes) {
-    node(nid)->locks().ReleaseAll(t->id);
-  }
+  ReleaseLocks(t);
   t->result.end_time = sim_->Now();
   Finish(t);
 }
@@ -460,11 +462,22 @@ void Executor::OnDurable(Inflight* t, TxnId id) {
   CompleteCommit(t);
 }
 
+void Executor::ReleaseLocks(Inflight* t) {
+  // Node by node in ascending id, each node's locks in grant order. A
+  // release may grant a waiter, which schedules its next step, so event
+  // order and every digest depend on this order. A grant callback fired
+  // here appends to its own transaction's list, never to t's.
+  for (NodeId nid : t->touched_nodes) {
+    LockManager& locks = node(nid)->locks();
+    for (const HeldLock& h : t->held) {
+      if (h.node == nid) locks.Release(t->id, h.oid);
+    }
+  }
+}
+
 void Executor::Abort(Inflight* t, TxnOutcome outcome) {
   assert(outcome != TxnOutcome::kCommitted);
-  for (NodeId nid : t->touched_nodes) {
-    node(nid)->locks().ReleaseAll(t->id);
-  }
+  ReleaseLocks(t);
   t->result.outcome = outcome;
   t->result.end_time = sim_->Now();
   if (outcome == TxnOutcome::kRejected) m_rejected_.Increment();

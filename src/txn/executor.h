@@ -119,8 +119,8 @@ class TxnObserver {
 ///
 /// Allocation model: transactions run in pooled Inflight records
 /// (stable addresses, recycled through a free list) whose vectors —
-/// steps, write buffer, observed timestamps, reads, update records —
-/// keep their capacity across reuse. Write/timestamp buffers are flat
+/// steps, write buffer, observed timestamps, held locks, reads, update
+/// records — keep their capacity across reuse. Write/timestamp buffers are flat
 /// vectors sorted by (node, object), preserving the ordered-map
 /// iteration order update-record determinism depends on. Scheduled
 /// continuations capture (this, inflight*, txn id) and validate the id
@@ -174,10 +174,10 @@ class Executor {
   }
   TxnId RunPlan(NodeId origin, RunOptions opts, DoneCallback done);
 
-  /// Plan capacity every new Inflight record is born with, so the
-  /// scratch plan a birth's swap hands back never regrows from empty:
-  /// the largest plan the benchmarks submit, eager group's 4 actions on
-  /// 4 nodes (DESIGN.md §12.3).
+  /// Plan and held-lock capacity every new Inflight record is born
+  /// with, so the scratch plan a birth's swap hands back never regrows
+  /// from empty: the largest plan the benchmarks submit, eager group's
+  /// 4 actions on 4 nodes (DESIGN.md §12.3).
   static constexpr std::size_t kPlanFloor = 16;
 
   /// Transactions currently executing or waiting.
@@ -226,6 +226,13 @@ class Executor {
     Timestamp ts;
   };
 
+  /// A lock the transaction was granted (kGranted or a grant
+  /// callback); it releases each once, at commit or abort.
+  struct HeldLock {
+    NodeId node;
+    ObjectId oid;
+  };
+
   struct Inflight {
     TxnId id = kInvalidTxnId;
     std::uint32_t pool_index = 0;
@@ -237,6 +244,7 @@ class Executor {
     std::vector<WriteEntry> buffer;        // sorted by (node, oid)
     std::vector<ObservedEntry> observed_ts;  // sorted by (node, oid)
     std::vector<NodeId> touched_nodes;     // sorted
+    std::vector<HeldLock> held;            // grant order
     SimTime wait_started;
     /// Durability acks still outstanding (WAL commit path); locks
     /// release and `done` fires when this reaches zero.
@@ -264,6 +272,7 @@ class Executor {
   void Commit(Inflight* t);
   void CompleteCommit(Inflight* t);
   void OnDurable(Inflight* t, TxnId id);
+  void ReleaseLocks(Inflight* t);
   void Abort(Inflight* t, TxnOutcome outcome);
   void Finish(Inflight* t);
   void Emit(TraceEventType type, const Inflight* t, NodeId node,

@@ -1,6 +1,5 @@
 #include "txn/lock_manager.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -30,63 +29,12 @@ void LockManager::RecycleWaiter(std::uint32_t idx) {
   free_waiter_ = idx;
 }
 
-std::uint32_t LockManager::AcquireHeldEntry() {
-  if (!held_free_.empty()) {
-    std::uint32_t idx = held_free_.back();
-    held_free_.pop_back();
-    return idx;
-  }
-  std::uint32_t idx = static_cast<std::uint32_t>(held_entries_.size());
-  held_entries_.emplace_back();
-  // Uniform birth capacity. Free-list entries are picked arbitrarily, so
-  // without a shared floor each entry re-learns its capacity the hard
-  // way (a steady trickle of growth reallocations instead of a one-time
-  // ratchet). 160 covers a full batch apply (<= 128 record locks) plus
-  // root-transaction slack.
-  held_entries_.back().reserve(160);
-  return idx;
-}
-
-void LockManager::RecycleHeldEntry(std::uint32_t idx) {
-  held_entries_[idx].clear();  // capacity retained
-  held_free_.push_back(idx);
-}
-
-void LockManager::HeldPush(TxnId txn, ObjectId oid) {
-  std::uint32_t* entry = held_index_.Find(txn);
-  if (entry == nullptr) {
-    std::uint32_t idx = AcquireHeldEntry();
-    held_index_.Insert(txn, idx);
-    held_entries_[idx].push_back(oid);
-    return;
-  }
-  held_entries_[*entry].push_back(oid);
-}
-
-void LockManager::HeldErase(TxnId txn, ObjectId oid) {
-  std::uint32_t* entry = held_index_.Find(txn);
-  if (entry == nullptr) return;
-  std::vector<ObjectId>& v = held_entries_[*entry];
-  v.erase(std::remove(v.begin(), v.end(), oid), v.end());
-  if (v.empty()) {
-    std::uint32_t idx = *entry;
-    held_index_.Erase(txn);
-    RecycleHeldEntry(idx);
-  }
-}
-
 LockManager::AcquireOutcome LockManager::Acquire(TxnId txn, ObjectId oid,
                                                  GrantCallback on_grant) {
   assert(oid < db_size_ && "object id outside the lock table");
-  Slot* s = slots_.Find(Key(oid));
-  if (s == nullptr) {
-    slots_.Insert(Key(oid), Slot{txn, kNil, kNil});
-    HeldPush(txn, oid);
-    return AcquireOutcome::kGranted;
-  }
-  if (s->holder == txn) {
-    return AcquireOutcome::kGranted;  // reentrant
-  }
+  auto [s, inserted] = slots_.FindOrInsert(Key(oid), Slot{txn, kNil, kNil});
+  if (inserted) return AcquireOutcome::kGranted;
+  if (s->holder == txn) return AcquireOutcome::kHeld;
   // Must wait. Tentatively enqueue and add wait-for edges — edge to the
   // holder and to each earlier waiter (FIFO queues mean you wait behind
   // them too) — then test whether this request closes a cycle.
@@ -121,19 +69,14 @@ LockManager::AcquireOutcome LockManager::Acquire(TxnId txn, ObjectId oid,
 }
 
 void LockManager::Release(TxnId txn, ObjectId oid) {
-  ReleaseLocked(txn, oid, /*update_held=*/true);
-}
-
-void LockManager::ReleaseLocked(TxnId txn, ObjectId oid, bool update_held) {
   assert(oid < db_size_);
   Slot* s = slots_.Find(Key(oid));
   if (s == nullptr || s->holder != txn) {
     ++bad_releases_;
     return;
   }
-  if (update_held) HeldErase(txn, oid);
   if (s->q_head == kNil) {
-    slots_.Erase(Key(oid));
+    slots_.EraseAt(s);
     return;
   }
   // Grant to the FIFO front. Move the callback out of the pool, and
@@ -147,7 +90,6 @@ void LockManager::ReleaseLocked(TxnId txn, ObjectId oid, bool update_held) {
   RecycleWaiter(front);
   --waiter_count_;
   s->holder = next_txn;
-  HeldPush(next_txn, oid);
   // The granted transaction no longer waits for anyone (it was the
   // front: its only edges were to the old holder).
   graph_->ClearOutEdges(next_txn);
@@ -157,23 +99,6 @@ void LockManager::ReleaseLocked(TxnId txn, ObjectId oid, bool update_held) {
     graph_->RemoveEdge(waiters_[i].txn, txn);
   }
   if (on_grant) on_grant();
-}
-
-void LockManager::ReleaseAll(TxnId txn) {
-  std::uint32_t* entry = held_index_.Find(txn);
-  if (entry == nullptr) return;
-  // Detach the whole entry into a pooled scratch vector: Release fires
-  // grant callbacks that may reenter (and ReleaseAll other txns), so
-  // the entry must be off the index before the first release.
-  std::uint32_t held = *entry;
-  std::uint32_t scratch = AcquireHeldEntry();
-  held_entries_[scratch].swap(held_entries_[held]);
-  held_index_.Erase(txn);
-  RecycleHeldEntry(held);
-  for (std::size_t i = 0; i < held_entries_[scratch].size(); ++i) {
-    ReleaseLocked(txn, held_entries_[scratch][i], /*update_held=*/false);
-  }
-  RecycleHeldEntry(scratch);
 }
 
 bool LockManager::CancelRequest(TxnId txn, ObjectId oid) {
@@ -208,11 +133,6 @@ bool LockManager::Holds(TxnId txn, ObjectId oid) const {
   assert(oid < db_size_);
   const Slot* s = slots_.Find(Key(oid));
   return s != nullptr && s->holder == txn;
-}
-
-std::size_t LockManager::HeldCount(TxnId txn) const {
-  const std::uint32_t* entry = held_index_.Find(txn);
-  return entry == nullptr ? 0 : held_entries_[*entry].size();
 }
 
 }  // namespace tdr

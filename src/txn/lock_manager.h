@@ -31,19 +31,23 @@ namespace tdr {
 /// Action_Time transactions at once, each holding at most Actions
 /// locks, so the table stays a few hundred entries however large
 /// DB_Size grows. An entry is a holder plus an intrusive FIFO of pooled
-/// waiters (SBO grant callbacks, sim/callback.h). Grant order is the
-/// queue's FIFO order, wait-for edges are installed/removed at fixed
-/// points, and the reverse (txn -> held objects) index keeps insertion
-/// order so ReleaseAll releases in acquisition order; replay digests
-/// depend on all three, not on where an entry sits in the table.
-/// Steady state allocates nothing: waiter slots and held-entry vectors
-/// recycle through free lists, and both tables are backward-shift-
-/// deleting flat maps that never rehash once the workload's
-/// concurrency high-water is reached.
+/// waiters (SBO grant callbacks, sim/callback.h). Acquire and Release
+/// each probe the table once. The manager keeps nothing per
+/// transaction: each holder (the executor's transaction, the replica
+/// applier's job) records the locks it is granted, on kGranted and in
+/// its grant callback, and releases them itself, in grant order. Grant
+/// order is the queue's FIFO order and wait-for edges are installed and
+/// removed at fixed points; replay digests depend on those and on the
+/// holders' release order, not on where an entry sits in the table.
+/// Steady state allocates nothing: waiter slots recycle through a free
+/// list, and the table is a backward-shift-deleting flat map that
+/// never rehashes once the workload's concurrency high-water is
+/// reached.
 class LockManager {
  public:
   enum class AcquireOutcome {
-    kGranted,   // lock acquired immediately (or already held)
+    kGranted,   // lock acquired now; the caller must release it
+    kHeld,      // the caller already holds it; nothing new to release
     kQueued,    // on_grant will fire when the lock is granted
     kDeadlock,  // queuing would close a wait-for cycle; request dropped
   };
@@ -69,7 +73,7 @@ class LockManager {
   LockManager& operator=(const LockManager&) = delete;
 
   /// Requests the exclusive lock on `oid` for `txn`. Re-acquiring a held
-  /// lock returns kGranted. On kQueued, `on_grant` fires exactly once
+  /// lock returns kHeld. On kQueued, `on_grant` fires exactly once
   /// when the transaction reaches the front; on kDeadlock the request
   /// has been dropped (the requester is the victim — the paper's
   /// per-transaction deadlock hazard, Eq. 3) and `on_grant` never fires.
@@ -80,18 +84,11 @@ class LockManager {
   /// is ignored (counted in `bad_releases()` for tests to assert on).
   void Release(TxnId txn, ObjectId oid);
 
-  /// Releases every lock `txn` holds at this node (commit/abort path),
-  /// in acquisition order.
-  void ReleaseAll(TxnId txn);
-
   /// Withdraws a queued request (the waiter aborted for another reason).
   /// Returns true if a request was withdrawn.
   bool CancelRequest(TxnId txn, ObjectId oid);
 
   bool Holds(TxnId txn, ObjectId oid) const;
-
-  /// Number of locks `txn` currently holds at this node.
-  std::size_t HeldCount(TxnId txn) const;
 
   /// Number of objects currently locked at this node.
   std::size_t LockedObjectCount() const { return slots_.size(); }
@@ -124,13 +121,6 @@ class LockManager {
 
   std::uint32_t AcquireWaiter(TxnId txn, sim::Callback on_grant);
   void RecycleWaiter(std::uint32_t idx);
-  std::uint32_t AcquireHeldEntry();
-  void RecycleHeldEntry(std::uint32_t idx);
-  void HeldPush(TxnId txn, ObjectId oid);
-  void HeldErase(TxnId txn, ObjectId oid);
-  /// Release with optional reverse-index maintenance (ReleaseAll
-  /// detaches the whole entry up front and skips per-oid erases).
-  void ReleaseLocked(TxnId txn, ObjectId oid, bool update_held);
   /// The lock table's key for `oid` (FlatMap64 reserves key 0).
   static std::uint64_t Key(ObjectId oid) { return oid + 1; }
 
@@ -139,18 +129,13 @@ class LockManager {
   WaitForGraph* graph_;
   bool detect_cycles_;
   // Lock table: Key(oid) -> entry, present exactly while `oid` has a
-  // holder. An Insert may rehash and an Erase shifts entries back, so
+  // holder. An insert may rehash and an erase shifts entries back, so
   // no Slot pointer is held across either, nor across a grant callback
   // (which may acquire or release).
   FlatMap64<Slot> slots_;
   // Waiter pool, free-listed through Waiter::next.
   std::vector<Waiter> waiters_;
   std::uint32_t free_waiter_ = kNil;
-  // Reverse index: txn -> pooled vector of held object ids (insertion
-  // = acquisition order, preserved by HeldErase).
-  FlatMap64<std::uint32_t> held_index_;
-  std::vector<std::vector<ObjectId>> held_entries_;
-  std::vector<std::uint32_t> held_free_;
   std::size_t waiter_count_ = 0;
   std::uint64_t total_waits_ = 0;
   std::uint64_t total_deadlocks_ = 0;

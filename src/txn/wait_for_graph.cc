@@ -28,7 +28,8 @@ bool SortedContains(const std::vector<TxnId>& v, TxnId x) {
 }  // namespace
 
 std::uint32_t WaitForGraph::EnsureNode(TxnId txn) {
-  if (const std::uint32_t* idx = index_.Find(txn)) return *idx;
+  auto [slot, inserted] = index_.FindOrInsert(txn, 0);
+  if (!inserted) return *slot;
   std::uint32_t idx;
   if (!free_nodes_.empty()) {
     idx = free_nodes_.back();
@@ -42,7 +43,7 @@ std::uint32_t WaitForGraph::EnsureNode(TxnId txn) {
     // fan-out (edge to the holder plus every earlier waiter).
     nodes_.back().out.reserve(32);
   }
-  index_.Insert(txn, idx);
+  *slot = idx;
   return idx;
 }
 
@@ -79,7 +80,7 @@ bool WaitForGraph::HasCycleFrom(TxnId start) const {
   if (si == nullptr) return false;
   visited_.Clear();
   dfs_stack_.clear();
-  visited_.Insert(start, 1);
+  visited_.FindOrInsert(start, 1);
   dfs_stack_.push_back(Frame{*si, 0});
   while (!dfs_stack_.empty()) {
     Frame& top = dfs_stack_.back();
@@ -87,8 +88,7 @@ bool WaitForGraph::HasCycleFrom(TxnId start) const {
     if (top.next < out.size()) {
       TxnId next = out[top.next++];
       if (next == start) return true;
-      if (visited_.Find(next) == nullptr) {
-        visited_.Insert(next, 1);
+      if (visited_.FindOrInsert(next, 1).second) {
         if (const std::uint32_t* ni = index_.Find(next)) {
           dfs_stack_.push_back(Frame{*ni, 0});
         }
@@ -109,7 +109,7 @@ std::vector<TxnId> WaitForGraph::FindCycleFrom(TxnId start) const {
   if (si == nullptr) return path;
   visited_.Clear();
   dfs_stack_.clear();
-  visited_.Insert(start, 1);
+  visited_.FindOrInsert(start, 1);
   dfs_stack_.push_back(Frame{*si, 0});
   path.push_back(start);
   while (!dfs_stack_.empty()) {
@@ -118,8 +118,7 @@ std::vector<TxnId> WaitForGraph::FindCycleFrom(TxnId start) const {
     if (top.next < out.size()) {
       TxnId next = out[top.next++];
       if (next == start) return path;  // cycle closed
-      if (visited_.Find(next) == nullptr) {
-        visited_.Insert(next, 1);
+      if (visited_.FindOrInsert(next, 1).second) {
         if (const std::uint32_t* ni = index_.Find(next)) {
           dfs_stack_.push_back(Frame{*ni, 0});
           path.push_back(next);

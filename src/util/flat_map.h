@@ -4,13 +4,14 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace tdr {
 
 /// Open-addressed linear-probe hash map from a 64-bit key to a small
 /// trivially-copyable value, built for steady-state-zero-allocation
-/// hot paths (lock table and its reverse index, batch-builder
+/// hot paths (lock table, wait-for graph index, batch-builder
 /// coalescing index). Two properties matter there:
 ///
 ///  * deletion is backward-shift, not tombstone: a workload that
@@ -34,7 +35,7 @@ class FlatMap64 {
   FlatMap64& operator=(const FlatMap64&) = delete;
 
   /// Pointer to the value for `key`, or null. Invalidated by the next
-  /// Insert (possible rehash) or Erase (entries shift back).
+  /// insert (possible rehash) or erase (entries shift back).
   Value* Find(std::uint64_t key) {
     assert(key != kEmptyKey);
     for (std::size_t i = IdealSlot(key);; i = (i + 1) & mask_) {
@@ -46,29 +47,42 @@ class FlatMap64 {
     return const_cast<FlatMap64*>(this)->Find(key);
   }
 
-  /// Inserts `key` (which must be absent) mapping to `value`.
-  void Insert(std::uint64_t key, Value value) {
+  /// The value for `key` and true if `value` was just inserted for it,
+  /// or the present value and false: one probe either way. Grows the
+  /// table only when it inserts at the load limit, then probes again.
+  std::pair<Value*, bool> FindOrInsert(std::uint64_t key, Value value) {
     assert(key != kEmptyKey);
-    if ((size_ + 1) * 4 > slots_.size() * 3) Grow();
     std::size_t i = IdealSlot(key);
-    while (slots_[i].key != kEmptyKey) {
-      assert(slots_[i].key != key && "duplicate insert");
-      i = (i + 1) & mask_;
+    for (; slots_[i].key != kEmptyKey; i = (i + 1) & mask_) {
+      if (slots_[i].key == key) return {&slots_[i].value, false};
+    }
+    if ((size_ + 1) * 4 > slots_.size() * 3) {
+      Grow();
+      i = IdealSlot(key);
+      while (slots_[i].key != kEmptyKey) i = (i + 1) & mask_;
     }
     slots_[i] = Slot{key, value};
     ++size_;
+    return {&slots_[i].value, true};
   }
 
-  /// Erases `key`; returns false if absent. Backward-shift deletion:
-  /// the probe chain is compacted in place, no tombstones.
+  /// Erases `key`; returns false if absent.
   bool Erase(std::uint64_t key) {
-    assert(key != kEmptyKey);
-    std::size_t i = IdealSlot(key);
-    while (slots_[i].key != key) {
-      if (slots_[i].key == kEmptyKey) return false;
-      i = (i + 1) & mask_;
-    }
-    std::size_t hole = i;
+    Value* found = Find(key);
+    if (found == nullptr) return false;
+    EraseAt(found);
+    return true;
+  }
+
+  /// Erases the entry whose value `found` points at, as returned by a
+  /// Find or FindOrInsert with no insert or erase since. Backward-shift
+  /// deletion: the probe chain is compacted in place, no tombstones.
+  void EraseAt(Value* found) {
+    std::size_t hole = static_cast<std::size_t>(
+        (reinterpret_cast<char*>(found) -
+         reinterpret_cast<char*>(slots_.data())) /
+        sizeof(Slot));
+    assert(hole < slots_.size() && &slots_[hole].value == found);
     for (std::size_t j = (hole + 1) & mask_; slots_[j].key != kEmptyKey;
          j = (j + 1) & mask_) {
       // Move slot j into the hole unless it already sits within its
@@ -82,7 +96,6 @@ class FlatMap64 {
     }
     slots_[hole] = Slot{};
     --size_;
-    return true;
   }
 
   /// Empties the table, retaining capacity.

@@ -4,6 +4,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
@@ -134,10 +135,10 @@ void MemWalBackend::TruncateSegment(NodeId node, std::uint32_t segment,
   auto& per_node = segments_[node];
   if (segment >= per_node.size()) return;
   Segment* seg = per_node[segment].get();
-  assert(keep_bytes >= seg->synced && "truncating into the durable prefix");
   if (keep_bytes < seg->bytes.size()) {
     seg->bytes.resize(static_cast<std::size_t>(keep_bytes));
   }
+  seg->synced = std::min(seg->synced, keep_bytes);
 }
 
 void MemWalBackend::Clear(NodeId node) {

@@ -52,9 +52,12 @@ class WalBackend {
   virtual bool ReadSegment(NodeId node, std::uint32_t segment,
                            std::vector<std::uint8_t>* out) const = 0;
 
-  /// Crash model: truncates the segment to `keep_bytes` (no-op when it
-  /// is already shorter). Callers guarantee keep_bytes >= the synced
-  /// prefix — a sync'd byte is durable by contract.
+  /// Truncates the segment to `keep_bytes` (no-op when it is already
+  /// shorter). The crash model (WalSet::Crash) cuts only unsynced
+  /// bytes: a sync'd byte is durable by contract. Recovery cuts at the
+  /// first record it cannot read, which may lie inside the synced
+  /// prefix when durable bytes were corrupted; the synced prefix then
+  /// shrinks to the cut.
   virtual void TruncateSegment(NodeId node, std::uint32_t segment,
                                std::uint64_t keep_bytes) = 0;
 

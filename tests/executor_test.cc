@@ -49,6 +49,9 @@ TEST_F(ExecutorTest, SingleTransactionCommits) {
   EXPECT_FALSE(result->commit_ts.IsZero());
   EXPECT_EQ(exec_->committed(), 1u);
   EXPECT_EQ(counters_.Get("txn.committed"), 1u);
+  // The second write finds its lock already held: released once.
+  EXPECT_EQ(nodes_[0]->locks().LockedObjectCount(), 0u);
+  EXPECT_EQ(nodes_[0]->locks().bad_releases(), 0u);
 }
 
 TEST_F(ExecutorTest, DurationIsActionsTimesActionTime) {

@@ -1,9 +1,9 @@
 // FlatMap64 against std::unordered_map. The map backs every lock table
-// entry and every lock manager's reverse index, so the cases that break
-// a linear-probe table with backward-shift deletion are driven on
-// purpose: keys that share an ideal slot, probe chains that wrap past
-// the last slot, growth of a table at its load limit, and erasing a
-// chain's head or middle.
+// entry, so the cases that break a linear-probe table with backward-
+// shift deletion are driven on purpose: keys that share an ideal slot,
+// probe chains that wrap past the last slot, growth of a table at its
+// load limit (only when FindOrInsert inserts), and erasing a chain's
+// head or middle, by key and at a found slot.
 
 #include "util/flat_map.h"
 
@@ -69,7 +69,7 @@ TEST(FlatMap64Test, EraseHeadAndMiddleOfAWrappingChain) {
   for (std::uint64_t key : last) keys.push_back(key);
   for (std::uint64_t key : first) keys.push_back(key);
   for (std::uint64_t key : keys) {
-    map.Insert(key, key * 3);
+    ASSERT_TRUE(map.FindOrInsert(key, key * 3).second);
     ref[key] = key * 3;
   }
   ExpectSame(map, ref, keys);
@@ -83,9 +83,74 @@ TEST(FlatMap64Test, EraseHeadAndMiddleOfAWrappingChain) {
   }
   // Re-inserting into the compacted chain finds every hole.
   for (std::uint64_t key : {last[0], last[2]}) {
-    map.Insert(key, key + 1);
+    ASSERT_TRUE(map.FindOrInsert(key, key + 1).second);
     ref[key] = key + 1;
   }
+  ExpectSame(map, ref, keys);
+}
+
+// The same wrapping chain, erased at the slot a Find returned: its
+// head (in the last slot), then a middle entry past the wrap, then the
+// head of the displaced slot-0 chain.
+TEST(FlatMap64Test, EraseAtAFoundSlotOfAWrappingChain) {
+  FlatMap64<std::uint64_t> map;
+  const std::vector<std::uint64_t> last = KeysAt(15, 16, 4);
+  const std::vector<std::uint64_t> first = KeysAt(0, 16, 2);
+  std::unordered_map<std::uint64_t, std::uint64_t> ref;
+  std::vector<std::uint64_t> keys = last;
+  keys.insert(keys.end(), first.begin(), first.end());
+  for (std::uint64_t key : keys) {
+    ASSERT_TRUE(map.FindOrInsert(key, key * 5).second);
+    ref[key] = key * 5;
+  }
+  for (std::uint64_t gone : {last[0], last[2], first[0]}) {
+    std::uint64_t* found = map.Find(gone);
+    ASSERT_NE(found, nullptr);
+    map.EraseAt(found);
+    ref.erase(gone);
+    ExpectSame(map, ref, keys);
+  }
+  // A slot FindOrInsert found can be erased too.
+  auto [found, inserted] = map.FindOrInsert(last[3], 0);
+  ASSERT_FALSE(inserted);
+  EXPECT_EQ(*found, last[3] * 5);
+  map.EraseAt(found);
+  ref.erase(last[3]);
+  ExpectSame(map, ref, keys);
+  EXPECT_EQ(map.capacity(), 16u);
+}
+
+// At the load limit (12 of 16 slots), a FindOrInsert that finds its key
+// leaves the table as it is; one that misses doubles it and inserts.
+TEST(FlatMap64Test, FindOrInsertGrowsOnlyOnAMissAtTheLoadLimit) {
+  FlatMap64<std::uint64_t> map;
+  std::unordered_map<std::uint64_t, std::uint64_t> ref;
+  std::vector<std::uint64_t> keys = KeysAt(15, 16, 4);
+  for (std::uint64_t key = 1; keys.size() < 12; ++key) {
+    if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+      keys.push_back(key);
+    }
+  }
+  for (std::uint64_t key : keys) {
+    ASSERT_TRUE(map.FindOrInsert(key, key).second);
+    ref[key] = key;
+  }
+  ASSERT_EQ(map.size(), 12u);
+  ASSERT_EQ(map.capacity(), 16u);
+  for (std::uint64_t key : keys) {
+    auto [value, inserted] = map.FindOrInsert(key, 0);
+    EXPECT_FALSE(inserted);
+    EXPECT_EQ(*value, key);
+    EXPECT_EQ(map.capacity(), 16u);
+  }
+  std::uint64_t fresh = 1;
+  while (ref.count(fresh) != 0) ++fresh;
+  keys.push_back(fresh);
+  auto [value, inserted] = map.FindOrInsert(fresh, 77);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(*value, 77u);
+  ref[fresh] = 77;
+  EXPECT_EQ(map.capacity(), 32u);
   ExpectSame(map, ref, keys);
 }
 
@@ -103,7 +168,7 @@ TEST(FlatMap64Test, GrowsWhenFullAndKeepsEveryEntry) {
     if (ref.count(key) != 0) continue;
     const std::size_t before = map.capacity();
     const bool full = (map.size() + 1) * 4 > before * 3;
-    map.Insert(key, ~key);
+    ASSERT_TRUE(map.FindOrInsert(key, ~key).second);
     ref[key] = ~key;
     EXPECT_EQ(map.capacity(), full ? before * 2 : before);
     if (full) ++growths;
@@ -119,6 +184,8 @@ TEST(FlatMap64Test, GrowsWhenFullAndKeepsEveryEntry) {
 // Random inserts, erases and finds over a key pool built to collide:
 // keys sharing the last two ideal slots (so chains wrap) and the first,
 // at each capacity the table passes through, plus sparse wide keys.
+// Inserts and updates go through FindOrInsert, checked against the
+// reference's verdict; erases go by key or at the slot a Find returned.
 class FlatMap64ModelTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FlatMap64ModelTest, RandomOpsAgreeWithUnorderedMap) {
@@ -140,15 +207,30 @@ TEST_P(FlatMap64ModelTest, RandomOpsAgreeWithUnorderedMap) {
     // Inserts outweigh erases until the table is large, then balance,
     // so it both grows through several sizes and churns at each.
     const bool insert = rng.UniformInt(100) < (ref.size() < 40 ? 70u : 45u);
-    if (insert && ref.count(key) == 0) {
+    if (insert) {
+      // Inserts `value`, or bumps the present value by one.
       const std::uint64_t value = rng.Next64();
-      map.Insert(key, value);
-      ref[key] = value;
-    } else if (!insert) {
+      const std::size_t before = map.capacity();
+      const bool full = (map.size() + 1) * 4 > before * 3;
+      auto [got, inserted] = map.FindOrInsert(key, value);
+      const bool absent = ref.count(key) == 0;
+      EXPECT_EQ(inserted, absent) << "step " << step;
+      EXPECT_EQ(map.capacity(), absent && full ? before * 2 : before)
+          << "step " << step;
+      if (absent) {
+        ref[key] = value;
+      } else {
+        *got += 1;
+        ref[key] += 1;
+      }
+    } else if (rng.UniformInt(2) == 0) {
       EXPECT_EQ(map.Erase(key), ref.erase(key) == 1) << "step " << step;
+    } else if (std::uint64_t* found = map.Find(key)) {
+      EXPECT_EQ(ref.count(key), 1u) << "step " << step;
+      map.EraseAt(found);
+      ref.erase(key);
     } else {
-      *map.Find(key) += 1;
-      ref[key] += 1;
+      EXPECT_EQ(ref.count(key), 0u) << "step " << step;
     }
     peak_capacity = std::max(peak_capacity, map.capacity());
     ExpectSame(map, ref, keys);

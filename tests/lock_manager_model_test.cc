@@ -1,13 +1,15 @@
 // Randomized model check of the LockManager: drive it with random
 // acquire / release / cancel sequences against a simple reference model
-// and assert full behavioural agreement plus structural invariants.
+// and assert full behavioural agreement plus structural invariants. The
+// manager keeps nothing per transaction, so the test keeps each
+// transaction's grants in order, as the executor and the replica
+// applier do, and releases from that list.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "txn/lock_manager.h"
@@ -51,7 +53,27 @@ TEST_P(LockModelTest, RandomSequencesAgreeWithReference) {
   constexpr std::uint64_t kDbSize = 1ull << 40;
   LockManager real(0, kDbSize, &graph);
   RefModel ref;
-  std::map<TxnId, std::set<ObjectId>> granted;  // from grant callbacks
+  // Each txn's locks in grant order: appended on kGranted and by grant
+  // callbacks, released in order and cleared when the txn releases.
+  std::map<TxnId, std::vector<ObjectId>> held;
+  // Releases every lock `t` holds, in grant order; the reference frees
+  // each and promotes its FIFO head. Grant callbacks in `real` update
+  // held/waiting_on synchronously.
+  auto release_all = [&](TxnId t) {
+    for (ObjectId oid : held[t]) {
+      real.Release(t, oid);
+      RefModel::L& l = ref.locks[oid];
+      EXPECT_EQ(l.holder, t) << "released a lock the reference says is "
+                             << "not held";
+      if (l.queue.empty()) {
+        l.holder = kInvalidTxnId;
+      } else {
+        l.holder = l.queue.front();
+        l.queue.pop_front();
+      }
+    }
+    held[t].clear();
+  };
 
   const int kTxns = 12;
   const int kSteps = 3000;
@@ -78,22 +100,26 @@ TEST_P(LockModelTest, RandomSequencesAgreeWithReference) {
     switch (op < 6 ? 0 : op - 5) {
       case 0: {  // acquire
         if (waiting_on.count(t)) break;  // contract: one wait at a time
-        bool held_before = real.Holds(t, o);
-        auto outcome = real.Acquire(t, o, [&granted, &waiting_on, t, o]() {
-          granted[t].insert(o);
+        const bool ref_free = ref.locks[o].holder == kInvalidTxnId;
+        const bool ref_held = ref.Holds(t, o);
+        auto outcome = real.Acquire(t, o, [&held, &waiting_on, t, o]() {
+          held[t].push_back(o);
           waiting_on.erase(t);
         });
+        // kGranted exactly for a free lock, kHeld exactly for one the
+        // requester holds.
+        EXPECT_EQ(outcome == LockManager::AcquireOutcome::kGranted, ref_free)
+            << "step " << step;
+        EXPECT_EQ(outcome == LockManager::AcquireOutcome::kHeld, ref_held)
+            << "step " << step;
         switch (outcome) {
-          case LockManager::AcquireOutcome::kGranted: {
-            // Reference: free, reentrant — or a bug.
-            bool free = ref.locks[o].holder == kInvalidTxnId;
-            EXPECT_TRUE(free || ref.Holds(t, o))
-                << "granted but reference says busy";
-            if (free) ref.locks[o].holder = t;
+          case LockManager::AcquireOutcome::kGranted:
+            ref.locks[o].holder = t;
+            held[t].push_back(o);
             break;
-          }
+          case LockManager::AcquireOutcome::kHeld:
+            break;
           case LockManager::AcquireOutcome::kQueued:
-            EXPECT_FALSE(held_before);
             EXPECT_NE(ref.locks[o].holder, kInvalidTxnId);
             ref.locks[o].queue.push_back(t);
             waiting_on[t] = o;
@@ -108,18 +134,7 @@ TEST_P(LockModelTest, RandomSequencesAgreeWithReference) {
       }
       case 1: {  // release all
         if (waiting_on.count(t)) break;  // cannot finish while blocked
-        real.ReleaseAll(t);
-        // Reference: free everything t holds; promote FIFO heads. Grant
-        // callbacks in `real` updated waiting_on/granted synchronously.
-        for (auto& [oid, l] : ref.locks) {
-          if (l.holder != t) continue;
-          if (l.queue.empty()) {
-            l.holder = kInvalidTxnId;
-          } else {
-            l.holder = l.queue.front();
-            l.queue.pop_front();
-          }
-        }
+        release_all(t);
         break;
       }
       case 2: {  // cancel own pending request, if any
@@ -141,13 +156,21 @@ TEST_P(LockModelTest, RandomSequencesAgreeWithReference) {
         break;
       }
     }
-    // Structural agreement after every step.
+    // Structural agreement after every step; every locked object is on
+    // exactly its holder's list.
+    std::size_t listed = 0;
     for (TxnId txn = 1; txn <= kTxns; ++txn) {
       for (ObjectId oid : objects) {
         EXPECT_EQ(real.Holds(txn, oid), ref.Holds(txn, oid))
             << "step " << step << " txn " << txn << " obj " << oid;
       }
+      for (ObjectId oid : held[txn]) {
+        EXPECT_TRUE(real.Holds(txn, oid))
+            << "step " << step << " txn " << txn << " obj " << oid;
+      }
+      listed += held[txn].size();
     }
+    EXPECT_EQ(listed, real.LockedObjectCount()) << "step " << step;
     if (real.WaiterCount() > 0) {
       peak_locked_while_waiting =
           std::max(peak_locked_while_waiting, real.LockedObjectCount());
@@ -158,16 +181,7 @@ TEST_P(LockModelTest, RandomSequencesAgreeWithReference) {
   for (int round = 0; round < kTxns + 1; ++round) {
     for (TxnId t = 1; t <= kTxns; ++t) {
       if (waiting_on.count(t)) continue;
-      real.ReleaseAll(t);
-      for (auto& [oid, l] : ref.locks) {
-        if (l.holder != t) continue;
-        if (l.queue.empty()) {
-          l.holder = kInvalidTxnId;
-        } else {
-          l.holder = l.queue.front();
-          l.queue.pop_front();
-        }
-      }
+      release_all(t);
     }
   }
   EXPECT_EQ(real.LockedObjectCount(), 0u);

@@ -17,16 +17,22 @@ TEST_F(LockManagerTest, FreeLockGrantedImmediately) {
   EXPECT_EQ(locks_.Acquire(1, 10, nullptr),
             LockManager::AcquireOutcome::kGranted);
   EXPECT_TRUE(locks_.Holds(1, 10));
-  EXPECT_EQ(locks_.HeldCount(1), 1u);
   EXPECT_EQ(locks_.LockedObjectCount(), 1u);
 }
 
-TEST_F(LockManagerTest, ReentrantAcquireGranted) {
+// Re-acquiring a held lock answers kHeld: the caller records nothing,
+// so the one grant is released once and a second release is an error.
+TEST_F(LockManagerTest, ReentrantAcquireReturnsHeld) {
   ASSERT_EQ(locks_.Acquire(1, 10, nullptr),
             LockManager::AcquireOutcome::kGranted);
   EXPECT_EQ(locks_.Acquire(1, 10, nullptr),
-            LockManager::AcquireOutcome::kGranted);
-  EXPECT_EQ(locks_.HeldCount(1), 1u);  // not double-counted
+            LockManager::AcquireOutcome::kHeld);
+  EXPECT_EQ(locks_.LockedObjectCount(), 1u);
+  locks_.Release(1, 10);
+  EXPECT_EQ(locks_.LockedObjectCount(), 0u);
+  EXPECT_EQ(locks_.bad_releases(), 0u);
+  locks_.Release(1, 10);
+  EXPECT_EQ(locks_.bad_releases(), 1u);
 }
 
 TEST_F(LockManagerTest, ConflictQueuesAndGrantsOnRelease) {
@@ -80,7 +86,7 @@ TEST_F(LockManagerTest, DeadlockDetectedOnCycle) {
   EXPECT_TRUE(graph_.HasEdge(1, 2));
   EXPECT_FALSE(graph_.HasEdge(2, 1));
   // T2 releasing B lets T1 proceed.
-  locks_.ReleaseAll(2);
+  locks_.Release(2, 2);
   EXPECT_TRUE(locks_.Holds(1, 2));
 }
 
@@ -112,31 +118,35 @@ TEST_F(LockManagerTest, NoFalseDeadlockOnChain) {
   EXPECT_EQ(locks_.total_deadlocks(), 0u);
 }
 
+// Releasing every lock a transaction was granted, each once, empties
+// the table: it keeps nothing per transaction.
 TEST_F(LockManagerTest, ReleaseAllReleasesEverything) {
-  ASSERT_EQ(locks_.Acquire(1, 1, nullptr),
-            LockManager::AcquireOutcome::kGranted);
-  ASSERT_EQ(locks_.Acquire(1, 2, nullptr),
-            LockManager::AcquireOutcome::kGranted);
-  ASSERT_EQ(locks_.Acquire(1, 3, nullptr),
-            LockManager::AcquireOutcome::kGranted);
-  EXPECT_EQ(locks_.HeldCount(1), 3u);
-  locks_.ReleaseAll(1);
-  EXPECT_EQ(locks_.HeldCount(1), 0u);
+  for (ObjectId oid : {1, 2, 3}) {
+    ASSERT_EQ(locks_.Acquire(1, oid, nullptr),
+              LockManager::AcquireOutcome::kGranted);
+  }
+  EXPECT_EQ(locks_.LockedObjectCount(), 3u);
+  for (ObjectId oid : {1, 2, 3}) locks_.Release(1, oid);
   EXPECT_EQ(locks_.LockedObjectCount(), 0u);
+  EXPECT_EQ(locks_.bad_releases(), 0u);
 }
 
+// Releasing a holder's locks in grant order hands each to its FIFO
+// front in that order.
 TEST_F(LockManagerTest, ReleaseAllGrantsToWaiters) {
-  int grants = 0;
+  std::vector<TxnId> grants;
   ASSERT_EQ(locks_.Acquire(1, 1, nullptr),
             LockManager::AcquireOutcome::kGranted);
   ASSERT_EQ(locks_.Acquire(1, 2, nullptr),
             LockManager::AcquireOutcome::kGranted);
-  locks_.Acquire(2, 1, [&] { ++grants; });
-  locks_.Acquire(3, 2, [&] { ++grants; });
-  locks_.ReleaseAll(1);
-  EXPECT_EQ(grants, 2);
+  locks_.Acquire(2, 1, [&] { grants.push_back(2); });
+  locks_.Acquire(3, 2, [&] { grants.push_back(3); });
+  locks_.Release(1, 1);
+  locks_.Release(1, 2);
+  EXPECT_EQ(grants, (std::vector<TxnId>{2, 3}));
   EXPECT_TRUE(locks_.Holds(2, 1));
   EXPECT_TRUE(locks_.Holds(3, 2));
+  EXPECT_EQ(locks_.bad_releases(), 0u);
 }
 
 TEST_F(LockManagerTest, BadReleaseCounted) {

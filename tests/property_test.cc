@@ -139,6 +139,7 @@ TEST_P(SchemePropertyTest, NoLockOrGraphLeaksAfterQuiescence) {
     EXPECT_EQ(cluster_->node(n)->locks().LockedObjectCount(), 0u)
         << "node " << n;
     EXPECT_EQ(cluster_->node(n)->locks().WaiterCount(), 0u) << "node " << n;
+    EXPECT_EQ(cluster_->node(n)->locks().bad_releases(), 0u) << "node " << n;
   }
   EXPECT_EQ(cluster_->graph().EdgeCount(), 0u);
   EXPECT_EQ(cluster_->executor().ActiveCount(), 0u);

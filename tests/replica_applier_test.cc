@@ -163,5 +163,66 @@ TEST_F(ReplicaApplierTest, ActiveCountTracksJobs) {
   EXPECT_EQ(applier_.ActiveCount(), 0u);
 }
 
+// A batch that names one object twice locks it once: the second
+// request finds it already held, and the job releases it once.
+TEST_F(ReplicaApplierTest, BatchNamingAnObjectTwiceReleasesItOnce) {
+  Node* dest = cluster_.node(1);
+  std::optional<ReplicaApplier::Report> report;
+  applier_.Apply(dest,
+                 {MakeRecord(3, 1, Timestamp::Zero(), Timestamp(5, 0)),
+                  MakeRecord(4, 2, Timestamp::Zero(), Timestamp(5, 0)),
+                  MakeRecord(3, 3, Timestamp::Zero(), Timestamp(6, 0))},
+                 MasterOpts(),
+                 [&](const ReplicaApplier::Report& r) { report = r; });
+  cluster_.sim().Run();
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->applied, 3u);
+  EXPECT_EQ(dest->store().GetUnchecked(3).AsScalar(), 3);
+  EXPECT_EQ(dest->locks().LockedObjectCount(), 0u);
+  EXPECT_EQ(dest->locks().bad_releases(), 0u);
+}
+
+// A replica job deadlocks mid-batch against a local transaction: the
+// job holds object 2, the local one holds 5 and waits for 2, and the
+// job's request for 5 closes the cycle. The job releases 2 (granting
+// it to the local transaction), retries under a new id, waits for 5
+// and finishes once the local transaction lets go of both.
+TEST_F(ReplicaApplierTest, DeadlockVictimReleasesAndRetries) {
+  Node* dest = cluster_.node(1);
+  LockManager& locks = dest->locks();
+  const TxnId local = cluster_.executor().AllocateTxnId();
+  ASSERT_EQ(locks.Acquire(local, 5, nullptr),
+            LockManager::AcquireOutcome::kGranted);
+  std::optional<ReplicaApplier::Report> report;
+  applier_.Apply(dest,
+                 {MakeRecord(2, 20, Timestamp::Zero(), Timestamp(5, 0)),
+                  MakeRecord(5, 50, Timestamp::Zero(), Timestamp(5, 0))},
+                 MasterOpts(),
+                 [&](const ReplicaApplier::Report& r) { report = r; });
+  bool local_granted = false;
+  cluster_.sim().ScheduleAt(SimTime::Millis(5), [&] {
+    EXPECT_EQ(locks.Acquire(local, 2, [&] { local_granted = true; }),
+              LockManager::AcquireOutcome::kQueued);
+  });
+  cluster_.sim().ScheduleAt(SimTime::Millis(30), [&] {
+    EXPECT_TRUE(local_granted);
+    EXPECT_EQ(locks.WaiterCount(), 1u);  // the retry, behind `local`
+    locks.Release(local, 5);
+    locks.Release(local, 2);
+  });
+  cluster_.sim().Run();
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->deadlock_retries, 1);
+  EXPECT_FALSE(report->gave_up);
+  EXPECT_EQ(report->applied, 2u);
+  EXPECT_EQ(cluster_.metrics().Get("replica.deadlocks"), 1u);
+  EXPECT_EQ(dest->store().GetUnchecked(2).AsScalar(), 20);
+  EXPECT_EQ(dest->store().GetUnchecked(5).AsScalar(), 50);
+  EXPECT_EQ(locks.LockedObjectCount(), 0u);
+  EXPECT_EQ(locks.WaiterCount(), 0u);
+  EXPECT_EQ(locks.bad_releases(), 0u);
+  EXPECT_EQ(cluster_.graph().EdgeCount(), 0u);
+}
+
 }  // namespace
 }  // namespace tdr

@@ -208,7 +208,7 @@ TEST(ShardedApplierTest, ConcurrentBatchesAggregateSeparately) {
   EXPECT_EQ(second.stale, 0u);
   EXPECT_EQ(applier.ActiveCount(), 1u);
 
-  locks.ReleaseAll(local);
+  locks.Release(local, 13);
   cluster.sim().Run();
   EXPECT_EQ(first_calls, 1);
   EXPECT_EQ(second_calls, 1);
